@@ -4,8 +4,10 @@ Base-to-base subtyping reduces to one validity query; function targets use
 the closure of elimination, intersection introduction and arrow subtyping:
 an intersection of arrows is below an arrow when the arms whose domains
 accept the target domain jointly yield a codomain below the target codomain.
-An Unknown verdict from the validity engine is conservatively read as "not
-a subtype".
+Subtyping asks the validity engine only "Valid?" (need_model=False), so no
+countermodel is searched for on the inference path; any other answer, a
+proved Invalid or an Unknown alike, is conservatively read as "not a
+subtype".
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ class SubtypeChecker:
             lhs = [arm for arm in a.arms if isinstance(arm, BaseArm)]
             rhs = [arm for arm in b.arms if isinstance(arm, BaseArm)]
             q = self.base_subtype_query(env, lhs, rhs)
-            return isinstance(self.engine.check(q), Valid)
+            return isinstance(self.engine.check(q, need_model=False), Valid)
         if isinstance(first, VarArm):
             return a.arms == b.arms
         return all(

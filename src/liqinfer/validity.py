@@ -5,11 +5,19 @@ only with a Fourier-Motzkin refutation of the negated query (sound over the
 integers because a real refutation is), answers Invalid only with an
 explicit verified integer countermodel, and says Unknown otherwise.  The
 external backend speaks SMT-LIB v2 to any conformant solver process.
+
+Inference asks only "Valid?" (`check(q, need_model=False)`): the built-in
+walk stops at the first case Fourier-Motzkin does not refute and answers
+NOT_PROVED, with no countermodel search.  The bounded model search runs only
+for callers that want the full verdict, such as the `check-metatheory`
+oracle agreement.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -40,6 +48,7 @@ from .logic import (
     LogicTerm,
     formula_ufs,
     formula_vars,
+    term_vars,
 )
 from .syntax import LiqError
 
@@ -70,6 +79,10 @@ class Unknown:
 
 
 Verdict = Union[Valid, Invalid, Unknown]
+
+# The answer to a caller that reads only Valid when a query is not proved: it
+# may be Invalid or Unknown, and telling which would take a model search.
+NOT_PROVED = Unknown("not proved")
 
 _MAX_BOOL_VARS = 12
 _MAX_ALTERNATIVES = 64
@@ -454,7 +467,13 @@ def _search_model(
     rows: list[Row] = []
     for a in atoms:
         rows.extend(_atom_rows(a, lz))
-    var_set: set[str] = set()
+    # every variable of the branch and every opaque class gets a value, also
+    # those that occur only inside an opaque term
+    sorts: dict[str, str] = {}
+    for a in atoms:
+        term_vars(a.lhs, sorts)
+        term_vars(a.rhs, sorts)
+    var_set = set(sorts) | {lz.var_for(t) for t in lz.opaque}
     for coeffs, _ in rows:
         var_set.update(coeffs)
     variables = sorted(var_set)
@@ -467,12 +486,13 @@ def _search_model(
         for coeffs, k in rows:
             if sum(c * asg[v] for v, c in coeffs.items()) + k > 0:
                 return False
-        # congruence consistency of opaque occurrences
+        # congruence consistency of opaque occurrences, and a product is the
+        # product of its arguments' values
         table: dict[tuple, int] = {}
         for var, t in lz.occurrences():
             key = _occurrence_key(t, lz, asg)
-            if key is None:
-                continue
+            if key[0] == "*" and key[1] * key[2] != asg[var]:
+                return False
             if key in table and table[key] != asg[var]:
                 return False
             table[key] = asg[var]
@@ -495,39 +515,29 @@ def _search_model(
     return None
 
 
-def _occurrence_key(t: LogicTerm, lz: _Linearizer, asg: dict[str, int]) -> Optional[tuple]:
-    def ev(u: LogicTerm) -> Optional[int]:
+def _occurrence_key(t: LogicTerm, lz: _Linearizer, asg: dict[str, int]) -> tuple:
+    """Symbol and argument values of an opaque occurrence under a full
+    assignment; a product's arguments come sorted, since it commutes."""
+
+    def ev(u: LogicTerm) -> int:
         if u in lz.opaque:
-            return asg.get(lz.var_for(u))
+            return asg[lz.var_for(u)]
         if isinstance(u, LInt):
             return u.value
         if isinstance(u, LVar):
-            return asg.get(u.name)
+            return asg[u.name]
         if isinstance(u, LNeg):
-            inner = ev(u.arg)
-            return None if inner is None else -inner
-        if isinstance(u, (LAdd, LSub, LMul)):
-            l, r = ev(u.lhs), ev(u.rhs)
-            if l is None or r is None:
-                return None
-            if isinstance(u, LAdd):
-                return l + r
-            if isinstance(u, LSub):
-                return l - r
-            return l * r
-        return None
+            return -ev(u.arg)
+        l, r = ev(u.lhs), ev(u.rhs)
+        if isinstance(u, LAdd):
+            return l + r
+        if isinstance(u, LSub):
+            return l - r
+        return l * r
 
     if isinstance(t, LApp):
-        vals = tuple(ev(a) for a in t.args)
-        if any(v is None for v in vals):
-            return None
-        return (t.fn,) + vals
-    if isinstance(t, LMul):
-        l, r = ev(t.lhs), ev(t.rhs)
-        if l is None or r is None:
-            return None
-        return ("*",) + tuple(sorted((l, r)))
-    return None
+        return (t.fn,) + tuple(ev(a) for a in t.args)
+    return ("*",) + tuple(sorted((ev(t.lhs), ev(t.rhs))))
 
 
 # ---------------------------------------------------------------------------
@@ -535,32 +545,37 @@ def _occurrence_key(t: LogicTerm, lz: _Linearizer, asg: dict[str, int]) -> Optio
 # ---------------------------------------------------------------------------
 
 
-def builtin_decide(q: ValidityQuery) -> Verdict:
+def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
+    """Valid, Invalid with a countermodel, or Unknown. With need_model=False
+    the caller reads only Valid: the walk stops at the first branch it cannot
+    refute and answers NOT_PROVED without searching for a countermodel."""
     hyp = _flatten_conj(q.hypothesis)
     if hyp is None:
         return Unknown("hypothesis outside the conjunctive fragment")
     concl = _flatten_conj(q.conclusion)
     if concl is None:
         return Unknown("conclusion outside the conjunctive fragment")
-    seed = zlib.crc32(repr(q).encode())
+    seed = zlib.crc32(repr(q).encode()) if need_model else 0
     unknown: Optional[str] = None
     for part in concl:
-        res = _implies(hyp, part, seed)
-        if isinstance(res, Invalid):
+        res = _implies(hyp, part, seed, need_model)
+        if isinstance(res, Invalid) or res == NOT_PROVED:
             return res
         if isinstance(res, Unknown):
             unknown = res.reason
     return Unknown(unknown) if unknown is not None else Valid()
 
 
-def _implies(hyp: list[Formula], concl: Formula, seed: int) -> Verdict:
+def _implies(hyp: list[Formula], concl: Formula, seed: int, need_model: bool) -> Verdict:
     branches = _negate(concl)
     if branches is None:
-        return Unknown("conclusion outside the fragment")
+        return Unknown("conclusion outside the fragment") if need_model else NOT_PROVED
     unknown: Optional[str] = None
     for extra in branches:
-        res = _branch_sat(hyp + list(extra), seed)
+        res = _branch_sat(hyp + list(extra), seed, need_model)
         if res == "unknown":
+            if not need_model:
+                return NOT_PROVED
             unknown = "bounded reasoning exhausted"
         elif res != "unsat":
             bools, ints = res
@@ -569,7 +584,10 @@ def _implies(hyp: list[Formula], concl: Formula, seed: int) -> Verdict:
     return Unknown(unknown) if unknown is not None else Valid()
 
 
-def _branch_sat(literals: list[Formula], seed: int):
+def _branch_sat(literals: list[Formula], seed: int, need_model: bool):
+    """The cases of one branch: "unsat" when every case is refuted, else a
+    (bools, ints) model or "unknown"; without need_model, "unknown" at the
+    first case not refuted."""
     names: set[str] = set()
     for f in literals:
         _bool_names(f, names)
@@ -593,6 +611,8 @@ def _branch_sat(literals: list[Formula], seed: int):
             if dead:
                 continue
         except _OutsideFragment:
+            if not need_model:
+                return "unknown"
             saw_unknown = True
             continue
         for atoms in alts:
@@ -602,11 +622,15 @@ def _branch_sat(literals: list[Formula], seed: int):
                 for a in atoms:
                     rows.extend(_atom_rows(a, lz))
             except _OutsideFragment:
+                if not need_model:
+                    return "unknown"
                 saw_unknown = True
                 continue
             refuted = _fm_refute(rows)
             if refuted is True:
                 continue
+            if not need_model:
+                return "unknown"
             model = _search_model(atoms, lz, seed)
             if model is not None:
                 return asg, model
@@ -723,6 +747,7 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = Fal
 def run_solver(cmd: str, script: str, timeout: float) -> str:
     """Run a solver command on an SMT-LIB script; the template may contain
     {file}, otherwise the script is piped through stdin."""
+    path: Optional[str] = None
     try:
         if "{file}" in cmd:
             with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as fh:
@@ -744,6 +769,10 @@ def run_solver(cmd: str, script: str, timeout: float) -> str:
         raise TimeoutError(str(e)) from e
     except (OSError, ValueError) as e:
         raise SolverError(f"cannot launch solver {cmd!r}: {e}") from e
+    finally:
+        if path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
     return proc.stdout
 
 
@@ -769,10 +798,11 @@ def parse_model(output: str) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_key(q: ValidityQuery) -> str:
+def canonical_key(q: ValidityQuery, names: Optional[dict[str, str]] = None) -> str:
     """Serialization with variables renamed in first-occurrence order, so
-    alpha-variant queries share one cache entry."""
-    mapping: dict[str, str] = {}
+    alpha-variant queries share one cache entry. When `names` is given, it
+    receives the renaming from the query's names to the canonical ones."""
+    mapping: dict[str, str] = {} if names is None else names
 
     def name(n: str) -> str:
         if n not in mapping:
@@ -810,9 +840,22 @@ def canonical_key(q: ValidityQuery) -> str:
     return f"{sf(q.hypothesis)} |- {sf(q.conclusion)}"
 
 
+def _rename_model(verdict: Verdict, names: dict[str, str], back: bool = False) -> Verdict:
+    """The verdict with its model's variables renamed by `names` (by its
+    inverse when `back`); names it does not cover (an external solver's
+    SMT-LIB names) stay as they are."""
+    if not isinstance(verdict, Invalid) or not verdict.model:
+        return verdict
+    if back:
+        names = {c: n for n, c in names.items()}
+    return Invalid(tuple(sorted((names.get(n, n), v) for n, v in verdict.model)))
+
+
 class ValidityEngine:
     """Dispatches validity queries to the built-in checker and/or an
-    external SMT-LIB solver, memoizing by canonical query serialization."""
+    external SMT-LIB solver, memoizing by canonical query serialization.
+    Models are cached under the canonical names and handed back in the
+    names of the query that asked."""
 
     def __init__(
         self,
@@ -831,21 +874,26 @@ class ValidityEngine:
         self._lock = threading.Lock()
         self.stats = {"queries": 0, "cache_hits": 0, "external_calls": 0}
 
-    def check(self, q: ValidityQuery) -> Verdict:
-        key = canonical_key(q)
+    def check(self, q: ValidityQuery, need_model: bool = True) -> Verdict:
+        """The verdict on q. A caller that reads only Valid passes
+        need_model=False and may get NOT_PROVED for Invalid or Unknown; the
+        external backends ignore the flag."""
+        names: dict[str, str] = {}
+        key = canonical_key(q, names)
         with self._lock:
             self.stats["queries"] += 1
-            if key in self._cache:
+            cached = self._cache.get(key)
+            if cached is not None and (not need_model or cached != NOT_PROVED):
                 self.stats["cache_hits"] += 1
-                return self._cache[key]
-        verdict = self._decide(q)
+                return _rename_model(cached, names, back=True)
+        verdict = self._decide(q, need_model)
         with self._lock:
-            self._cache[key] = verdict
+            self._cache[key] = _rename_model(verdict, names)
         return verdict
 
-    def _decide(self, q: ValidityQuery) -> Verdict:
+    def _decide(self, q: ValidityQuery, need_model: bool) -> Verdict:
         if self.backend == "builtin":
-            return builtin_decide(q)
+            return builtin_decide(q, need_model=need_model)
         if self.backend == "external":
             return self.check_external(q)
         verdict = builtin_decide(q)

@@ -165,7 +165,7 @@ class TestIsSubtype:
 
     def test_unknown_is_not_a_subtype(self):
         class AlwaysUnknown(ValidityEngine):
-            def check(self, q):
+            def check(self, q, need_model=True):
                 return Unknown("stubbed")
 
         chk = SubtypeChecker(AlwaysUnknown())

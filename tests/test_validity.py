@@ -1,13 +1,36 @@
 import os
+import random
 import stat
+import tempfile
 import textwrap
 
 import pytest
 
-from liqinfer.logic import FAnd, FAtom, FBoolVar, FIff, FTrue, LAdd, LApp, LInt, LMul, LVar
-from liqinfer.metatheory import semantic_implication_oracle
+from liqinfer.anf import normalize
+from liqinfer.inference import Inferencer
+from liqinfer.logic import (
+    FAnd,
+    FAtom,
+    FBoolVar,
+    FFalse,
+    FIff,
+    FNot,
+    FTrue,
+    LAdd,
+    LApp,
+    LInt,
+    LMul,
+    LNeg,
+    LSub,
+    LVar,
+    formula_vars,
+)
+from liqinfer.metatheory import default_qualifiers, random_base_query, semantic_implication_oracle
+from liqinfer.parser import parse_term
+from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import BaseArm, CmpRef, Env, INT, IntExp, LiquidType, VarExp, VALUE_VAR, mono
 from liqinfer.validity import (
+    NOT_PROVED,
     Invalid,
     SolverError,
     Unknown,
@@ -38,6 +61,41 @@ def neg_query():
 
     hyp = FAnd((atom(">=", X, LInt(0)), atom("=", V, LNeg(X))))
     return ValidityQuery(hyp, atom("<=", V, LInt(0)))
+
+
+def criterion_7_queries():
+    """The 200 queries of acceptance criterion 7 (seed 404)."""
+    rng = random.Random(404)
+    checker = SubtypeChecker(ValidityEngine())
+    return [checker.base_subtype_query(*random_base_query(rng, 4)) for _ in range(200)]
+
+
+def evaluate(f, asg):
+    """Direct evaluation of a formula without uninterpreted symbols."""
+
+    def ev(t):
+        if isinstance(t, LInt):
+            return t.value
+        if isinstance(t, LVar):
+            return asg[t.name]
+        if isinstance(t, LNeg):
+            return -ev(t.arg)
+        l, r = ev(t.lhs), ev(t.rhs)
+        return {LAdd: l + r, LSub: l - r, LMul: l * r}[type(t)]
+
+    if isinstance(f, (FTrue, FFalse)):
+        return isinstance(f, FTrue)
+    if isinstance(f, FAtom):
+        l, r = ev(f.lhs), ev(f.rhs)
+        return {"=": l == r, "<=": l <= r, ">=": l >= r, "<": l < r, ">": l > r}[f.op]
+    if isinstance(f, FBoolVar):
+        return asg[f.name]
+    if isinstance(f, FNot):
+        return not evaluate(f.arg, asg)
+    if isinstance(f, FAnd):
+        return all(evaluate(p, asg) for p in f.parts)
+    assert isinstance(f, FIff)
+    return evaluate(f.lhs, asg) == evaluate(f.rhs, asg)
 
 
 class TestBuiltinDecide:
@@ -103,6 +161,33 @@ class TestBuiltinDecide:
         got = builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), LVar("b"))))
         assert not isinstance(got, Invalid)
 
+    def test_products_are_evaluated_in_models(self):
+        # x*x is opaque to Fourier-Motzkin; a model must still give x a value
+        # and give the product the value of x times x
+        x_is_3 = ValidityQuery(atom("=", X, LInt(3)), atom("=", LMul(X, X), LInt(9)))
+        square = ValidityQuery(FTrue(), atom(">=", LMul(X, X), LInt(0)))
+        assert not isinstance(builtin_decide(x_is_3), Invalid)
+        assert not isinstance(builtin_decide(square), Invalid)
+        got = builtin_decide(ValidityQuery(FTrue(), atom("<=", LMul(X, X), LInt(3))))
+        assert isinstance(got, Invalid)
+        assert dict(got.model)["x"] ** 2 > 3
+
+    def test_invalid_models_falsify_criterion_7_queries(self):
+        invalid = 0
+        for q in criterion_7_queries():
+            got = builtin_decide(q)
+            if isinstance(got, Invalid):
+                invalid += 1
+                model = dict(got.model)
+                assert evaluate(q.hypothesis, model), (q, model)
+                # variables of other conclusion conjuncts may go unassigned;
+                # one false conjunct already makes the conclusion false
+                parts = q.conclusion.parts if isinstance(q.conclusion, FAnd) else (q.conclusion,)
+                assert any(
+                    not evaluate(p, model) for p in parts if formula_vars(p).keys() <= model.keys()
+                ), (q, model)
+        assert invalid > 0
+
     def test_growth_bound_exceeded_is_unknown(self, monkeypatch):
         import liqinfer.validity as validity
 
@@ -160,6 +245,25 @@ class TestCache:
         eng.check(q2)
         assert eng.stats["cache_hits"] == before + 1
 
+    def test_cached_model_takes_the_askers_names(self):
+        eng = ValidityEngine()
+        first = eng.check(ValidityQuery(atom(">=", LVar("a"), LInt(0)), atom("<=", LVar("a"), LInt(0))))
+        assert first == Invalid((("a", 1),))
+        again = eng.check(ValidityQuery(atom(">=", LVar("zz"), LInt(0)), atom("<=", LVar("zz"), LInt(0))))
+        assert eng.stats["cache_hits"] == 1
+        assert again == Invalid((("zz", 1),))
+
+    def test_not_proved_entry_does_not_answer_a_full_check(self):
+        eng = ValidityEngine()
+        q = ValidityQuery(atom(">=", X, LInt(0)), atom("<=", X, LInt(0)))
+        assert eng.check(q, need_model=False) == NOT_PROVED
+        assert eng.check(q, need_model=False) == NOT_PROVED
+        assert eng.stats["cache_hits"] == 1
+        assert eng.check(q) == Invalid((("x", 1),))
+        # the full verdict replaced the entry and now answers both kinds
+        assert eng.check(q, need_model=False) == Invalid((("x", 1),))
+        assert eng.stats["cache_hits"] == 2
+
     def test_distinct_queries_independent(self):
         q1 = ValidityQuery(FTrue(), atom(">=", V, LInt(0)))
         q2 = ValidityQuery(FTrue(), atom("<=", V, LInt(0)))
@@ -213,12 +317,58 @@ class TestExternalBackend:
         eng = ValidityEngine(backend="external", smt_cmd=cmd)
         assert eng.check(neg_query()) == Valid()
 
+    def test_file_template_leaves_no_temp_files(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        cmd = _mock_solver(tmp_path, 'cat "$1" > /dev/null\necho sat\n') + " {file}"
+        eng = ValidityEngine(backend="external", smt_cmd=cmd)
+        assert isinstance(eng.check(neg_query()), Invalid)
+        assert list(scratch.iterdir()) == []
+
     def test_both_backend_falls_back(self, tmp_path):
         cmd = _mock_solver(tmp_path, "echo unsat\n")
         eng = ValidityEngine(backend="both", smt_cmd=cmd)
         # builtin decides this one; external never consulted
         assert eng.check(neg_query()) == Valid()
         assert eng.stats["external_calls"] == 0
+
+
+def add3_family_queries():
+    """Every distinct query inference asks on `add3` under the two sign
+    qualifiers and on two-argument addition under three qualifiers."""
+    seen = {}
+
+    class Recording(ValidityEngine):
+        def check(self, q, need_model=True):
+            seen.setdefault(canonical_key(q), q)
+            return super().check(q, need_model)
+
+    three = default_qualifiers() + (CmpRef("=", VarExp(VALUE_VAR), IntExp(0)),)
+    for quals, src in ((default_qualifiers(), "\\x.\\y.\\z. + x (+ y z)"), (three, "\\x.\\y. + x y")):
+        Inferencer(quals, Recording()).infer(Env(), normalize(parse_term(src)))
+    return list(seen.values())
+
+
+class TestProveOnly:
+    @pytest.mark.parametrize("family", [criterion_7_queries, add3_family_queries])
+    def test_valid_exactly_when_the_full_verdict_is_valid(self, family):
+        queries = family()
+        eng = ValidityEngine()
+        proved = 0
+        for q in queries:
+            fast = eng.check(q, need_model=False)
+            assert isinstance(fast, Valid) == isinstance(builtin_decide(q), Valid), q
+            assert isinstance(fast, Valid) or fast == NOT_PROVED
+            proved += isinstance(fast, Valid)
+        assert 0 < proved < len(queries)
+
+    def test_external_backends_ignore_the_flag(self, tmp_path):
+        cmd = _mock_solver(tmp_path, "echo sat\n")
+        eng = ValidityEngine(backend="external", smt_cmd=cmd)
+        got = eng.check(ValidityQuery(FTrue(), atom(">=", V, LInt(0))), need_model=False)
+        assert isinstance(got, Invalid)
+        assert eng.stats["external_calls"] == 1
 
 
 class TestRealSolverIfPresent:
