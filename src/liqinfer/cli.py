@@ -2,7 +2,9 @@
 intersection type for every val binding, and print the results.
 
 Exit codes: 0 success, 1 parse error (including unreadable input), 2
-inference failure, 3 solver error, 4 arm-cap exceeded.
+inference failure, 3 solver error, 4 arm-cap exceeded. Input nested too
+deeply for the interpreter's recursion limit ends in 1 when the parser
+hits the limit and in 2 when normalization or inference does.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ EXIT_SOLVER = 3
 EXIT_CAP = 4
 
 SMT_CMD_ENV = "LIQINFER_SMT_CMD"
+
+TOO_DEEP = "nested too deeply (Python recursion limit reached)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,6 +107,9 @@ def _run_infer(args: argparse.Namespace) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        print(f"parse error: {TOO_DEEP}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         engine = _make_engine(args)
     except (SolverError, TimeoutError) as e:
@@ -119,11 +126,14 @@ def _run_infer(args: argparse.Namespace) -> int:
     env = Env()
     results = []
     for name, term in program.bindings:
-        anf_term = normalize(term)
-        if args.emit_anf:
-            print(f"-- anf: val {name} = {render_term(anf_term)}")
         try:
+            anf_term = normalize(term)
+            if args.emit_anf:
+                print(f"-- anf: val {name} = {render_term(anf_term)}")
             scheme = inferencer.infer(env, anf_term)
+        except RecursionError:
+            print(f"inference failure at {name!r}: {TOO_DEEP}", file=sys.stderr)
+            return EXIT_INFER
         except ArmCapExceeded as e:
             print(f"arm cap exceeded at {name!r}: {e}", file=sys.stderr)
             return EXIT_CAP

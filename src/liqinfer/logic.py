@@ -35,6 +35,7 @@ from .syntax import (
     PrimConst,
     Refinement,
     BaseArm,
+    BaseBinding,
     SubExp,
     Term,
     TopRef,
@@ -297,24 +298,42 @@ def rename_formula(f: Formula, mapping: dict[str, str]) -> Formula:
     return type(f)(rename_formula(f.lhs, mapping), rename_formula(f.rhs, mapping))
 
 
+def embed_arm(arm: BaseArm, config: EmbedConfig = DEFAULT_CONFIG) -> Formula:
+    """`embed_refinement` of the arm's refinement, memoized on the arm."""
+    f = arm.embedded.get(config)
+    if f is None:
+        f = arm.embedded[config] = embed_refinement(arm.ref, config)
+    return f
+
+
+def _binding_conjuncts(b: BaseBinding, config: EmbedConfig) -> tuple[Formula, ...]:
+    parts = b.embedded.get(config)
+    if parts is None:
+        rename = {VALUE_VAR: b.name}
+        parts = b.embedded[config] = tuple(rename_formula(embed_arm(a, config), rename) for a in b.arms)
+    return parts
+
+
 def embed_env(env: Env, config: EmbedConfig = DEFAULT_CONFIG) -> Formula:
-    """Conjunction over base-type bindings of their refinements with the
-    value variable renamed to the bound name; other bindings contribute
-    nothing.  Only the last binding of a name counts (shadowing)."""
-    last: dict[str, int] = {}
-    for i, (name, _) in enumerate(env.bindings):
-        last[name] = i
-    parts: list[Formula] = []
-    for i, (name, sch) in enumerate(env.bindings):
-        if last[name] != i or sch.qvars:
-            continue
-        arms = sch.body.arms
-        if not all(isinstance(a, BaseArm) for a in arms):
-            continue
-        for arm in arms:
-            f = embed_refinement(arm.ref, config)
-            parts.append(rename_formula(f, {VALUE_VAR: name}))
-    return conj(parts)
+    """Conjunction over the base bindings of `env.scope()` of their
+    refinements with the value variable renamed to the bound name; other
+    bindings contribute nothing. Only the last binding of a name counts
+    (shadowing), and one of a non-base type hides the name.
+
+    Built once per scope and config, and shared by every environment with
+    that scope: from the prefix scope's formula when the scope appends one
+    binding to it, otherwise from the conjuncts each binding keeps."""
+    scope = env.scope()
+    f = scope.embedded.get(config)
+    if f is None:
+        prefix = scope.prefix
+        if prefix is not None and config in prefix.embedded:
+            last = next(reversed(scope.bindings.values()))
+            f = conj([prefix.embedded[config], *_binding_conjuncts(last, config)])
+        else:
+            f = conj([p for b in scope.bindings.values() for p in _binding_conjuncts(b, config)])
+        scope.embedded[config] = f
+    return f
 
 
 # ---------------------------------------------------------------------------

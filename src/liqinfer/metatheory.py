@@ -174,18 +174,9 @@ def eval_refinement(r: Refinement, asg: dict[str, object]) -> bool:
 
 
 def _base_bindings(env: Env) -> list[tuple[str, str, tuple]]:
-    """(name, sort, refinements) for bindings usable by the oracle; shadowed
-    bindings are dropped."""
-    last = {name: i for i, (name, _) in enumerate(env.bindings)}
-    out = []
-    for i, (name, sch) in enumerate(env.bindings):
-        if last[name] != i:
-            continue
-        if sch.qvars or not all(isinstance(a, BaseArm) for a in sch.body.arms):
-            continue
-        arms = sch.body.arms
-        out.append((name, arms[0].base.name, tuple(a.ref for a in arms)))
-    return out
+    """(name, sort, refinements) for bindings usable by the oracle: those of
+    `env.scope()`, so shadowed bindings are dropped."""
+    return [(b.name, b.sort, b.refs) for b in env.scope().bindings.values()]
 
 
 def _nu_sort(refs: Sequence[Refinement]) -> str:

@@ -89,6 +89,10 @@ class _W:
         self.tyvars = NameSource("a")
         self.binders = NameSource("x")
         self.types: dict[int, Union[SimpleType, ShapeScheme]] = {}
+        # schemes without unification variables, by id (the value keeps the
+        # id from being reused): the substitution only ever binds
+        # unification variables, so these stay ground
+        self.ground: dict[int, ShapeScheme] = {}
 
     def fresh(self) -> TyVar:
         self.counter += 1
@@ -152,10 +156,16 @@ class _W:
             self._free_uvars(t.cod, acc)
 
     def env_uvars(self, env: ShapeEnv) -> set[str]:
+        """Free unification variables of the environment; ground schemes are
+        skipped, so the cost follows the open schemes, not the size of env."""
         acc: list[str] = []
         for sch in env.values():
+            if id(sch) in self.ground:
+                continue
             inner: list[str] = []
             self._free_uvars(sch.ty, inner)
+            if not inner:
+                self.ground[id(sch)] = sch
             acc.extend(u for u in inner if u not in sch.qvars)
         return set(acc)
 

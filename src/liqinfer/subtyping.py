@@ -13,9 +13,9 @@ subtype".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
-from .logic import DEFAULT_CONFIG, EmbedConfig, conj, embed_env, embed_refinement
+from .logic import DEFAULT_CONFIG, EmbedConfig, conj, embed_arm, embed_env
 from .syntax import (
     Base,
     BaseArm,
@@ -62,19 +62,29 @@ class LogEntry:
     verdict: bool
 
 
-def env_sorts(env: Env) -> dict[str, str]:
-    """Base sorts of bindings usable inside refinements."""
-    sorts: dict[str, str] = {}
-    for name, sch in env.bindings:
-        if sch.qvars:
-            sorts.pop(name, None)
-            continue
-        arms = sch.body.arms
-        if all(isinstance(a, BaseArm) for a in arms):
-            sorts[name] = arms[0].base.name
-        else:
-            sorts.pop(name, None)  # later non-base binding shadows
-    return sorts
+def env_sorts(env: Env) -> Mapping[str, str]:
+    """Base sorts of bindings usable inside refinements: those of
+    `env.scope()`, where the last binding of a name wins and one of a
+    non-base type hides the name. Built once per scope; read-only."""
+    return env.scope().sorts()
+
+
+class _Layer:
+    """The sort of one binder inside a type, layered over the sorts in scope
+    around it rather than copied into them, since the scope can be large. A
+    binder whose shape is not a base type has sort None, which hides the
+    name. Read through `get`, the one method `refinement_sorts_ok` uses."""
+
+    __slots__ = ("name", "sort", "outer")
+
+    def __init__(self, name: str, sort: Optional[str], outer: Sorts) -> None:
+        self.name, self.sort, self.outer = name, sort, outer
+
+    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
+        return self.sort if key == self.name else self.outer.get(key, default)
+
+
+Sorts = Union[Mapping[str, str], _Layer]
 
 
 class SubtypeChecker:
@@ -98,23 +108,19 @@ class SubtypeChecker:
             self.log.append(LogEntry("wf", f"{_env_str(env)} |- {render_scheme(s)}", ok))
         return ok
 
-    def _wf_type(self, t: LiquidType, sorts: dict[str, str]) -> bool:
+    def _wf_type(self, t: LiquidType, sorts: Sorts) -> bool:
         for arm in t.arms:
             if isinstance(arm, BaseArm):
-                if not refinement_sorts_ok(arm.ref, {**sorts, VALUE_VAR: arm.base.name}):
+                if not refinement_sorts_ok(arm.ref, _Layer(VALUE_VAR, arm.base.name, sorts)):
                     return False
             elif isinstance(arm, VarArm):
                 continue
             else:
                 if not self._wf_type(arm.dom, sorts):
                     return False
-                inner = dict(sorts)
                 dom_shape = shape_of(arm.dom)
-                if isinstance(dom_shape, Base):
-                    inner[arm.binder] = dom_shape.name
-                else:
-                    inner.pop(arm.binder, None)
-                if not self._wf_type(arm.cod, inner):
+                sort = dom_shape.name if isinstance(dom_shape, Base) else None
+                if not self._wf_type(arm.cod, _Layer(arm.binder, sort, sorts)):
                     return False
         return True
 
@@ -179,22 +185,23 @@ class SubtypeChecker:
         return self._sub(env2, make_type(cods), target)
 
     def _fresh_binder(self, env: Env, rhs: FunArm, survivors: list) -> str:
-        taken = set(env.names())
+        names = env.names()
+        if rhs.binder not in names:
+            return rhs.binder
+        taken: set[str] = set()
         for arm in survivors + [rhs]:
             taken |= _type_vars(arm.cod)
-        if rhs.binder not in env.names():
-            return rhs.binder
         i = 0
-        while f"{rhs.binder}%{i}" in taken:
+        while f"{rhs.binder}%{i}" in names or f"{rhs.binder}%{i}" in taken:
             i += 1
         return f"{rhs.binder}%{i}"
 
     def base_subtype_query(self, env: Env, lhs_arms: list, rhs_arms: list) -> ValidityQuery:
         hyp = conj(
             [embed_env(env, self.config)]
-            + [embed_refinement(a.ref, self.config) for a in lhs_arms]
+            + [embed_arm(a, self.config) for a in lhs_arms]
         )
-        concl = conj([embed_refinement(a.ref, self.config) for a in rhs_arms])
+        concl = conj([embed_arm(a, self.config) for a in rhs_arms])
         return ValidityQuery(hyp, concl)
 
     # -- constraint simplification ------------------------------------------

@@ -9,7 +9,9 @@ sharing one simple-type shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 VALUE_VAR = "v"
 
@@ -357,21 +359,50 @@ def simple_type_vars(t: SimpleType) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
+class _Arm:
+    """Base of the arm classes. Values derived from an arm are computed on
+    first use and kept as attributes that are not fields, so equality,
+    hashing and repr ignore them."""
+
+    _rendered = None
+
+    @property
+    def rendered(self) -> str:
+        """The printed form, the canonical sort key of `make_type`."""
+        text = self._rendered
+        if text is None:
+            text = render_arm(self)
+            object.__setattr__(self, "_rendered", text)
+        return text
+
+
 @dataclass(frozen=True)
-class BaseArm:
+class BaseArm(_Arm):
     base: Base
     ref: Refinement
 
+    _embedded = None
+
+    @property
+    def embedded(self) -> dict:
+        """The refinement's formula per `logic.EmbedConfig`, filled by
+        `logic.embed_arm`."""
+        memo = self._embedded
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_embedded", memo)
+        return memo
+
 
 @dataclass(frozen=True)
-class FunArm:
+class FunArm(_Arm):
     binder: str
     dom: "LiquidType"
     cod: "LiquidType"
 
 
 @dataclass(frozen=True)
-class VarArm:
+class VarArm(_Arm):
     name: str
 
 
@@ -426,8 +457,11 @@ def make_type(arms: Iterable[Arm]) -> LiquidType:
         informative = [a for a in uniq if not isinstance(a.ref, TopRef)]
         if informative:
             uniq = informative
-    uniq.sort(key=render_arm)
+    uniq.sort(key=_render_key)
     return LiquidType(tuple(uniq))
+
+
+_render_key = attrgetter("rendered")
 
 
 def intersect(a: LiquidType, b: LiquidType) -> LiquidType:
@@ -502,23 +536,152 @@ def type_vars_of(t: Union[LiquidType, Scheme, Arm]) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Env:
-    """Ordered bindings; order is significant (no exchange)."""
+class BaseBinding:
+    """A binding refinements can see: a monomorphic scheme whose arms are
+    all base arms. `embedded` keeps its conjuncts, with the value variable
+    renamed to `name`, per `logic.EmbedConfig` (filled by `logic.embed_env`)."""
 
-    bindings: tuple[tuple[str, Scheme], ...] = ()
+    __slots__ = ("name", "arms", "embedded")
+
+    def __init__(self, name: str, arms: tuple[BaseArm, ...]) -> None:
+        self.name = name
+        self.arms = arms
+        self.embedded: dict = {}
+
+    @property
+    def sort(self) -> str:
+        return self.arms[0].base.name
+
+    @property
+    def refs(self) -> tuple[Refinement, ...]:
+        return tuple(a.ref for a in self.arms)
+
+
+class RefinementScope:
+    """The base bindings visible under an environment, in the order of
+    their bindings: for each name its last binding, kept when it is a
+    monomorphic base type. A later binding of a name shadows an earlier
+    one, and a shadowing binding of any other type hides the name from
+    refinements altogether.
+
+    An extension that changes nothing here shares the scope of its parent,
+    and with it the derived values: `sorts()` and `embedded`, the
+    environment's formula per `logic.EmbedConfig` (filled by
+    `logic.embed_env`). `prefix` is the scope this one extends by a single
+    binding at the end, when it was made that way. `bindings` is read-only.
+    """
+
+    __slots__ = ("bindings", "prefix", "embedded", "_sorts")
+
+    def __init__(
+        self, bindings: dict[str, BaseBinding], prefix: Optional["RefinementScope"] = None
+    ) -> None:
+        self.bindings = bindings
+        self.prefix = prefix
+        self.embedded: dict = {}
+        self._sorts: Optional[Mapping[str, str]] = None
+
+    def extend(self, name: str, scheme: Scheme) -> "RefinementScope":
+        arms = scheme.body.arms
+        if not scheme.qvars and all(isinstance(a, BaseArm) for a in arms):
+            bindings = dict(self.bindings)
+            shadowed = bindings.pop(name, None)
+            bindings[name] = BaseBinding(name, arms)
+            return RefinementScope(bindings, self if shadowed is None else None)
+        if name not in self.bindings:
+            return self
+        bindings = dict(self.bindings)
+        del bindings[name]
+        return RefinementScope(bindings)
+
+    def sorts(self) -> Mapping[str, str]:
+        """Base sort ("int" or "bool") of every visible binding."""
+        if self._sorts is None:
+            self._sorts = MappingProxyType({n: b.sort for n, b in self.bindings.items()})
+        return self._sorts
+
+
+_EMPTY_SCOPE = RefinementScope({})
+
+
+def _add_name(names: frozenset[str], name: str, scheme: Scheme) -> frozenset[str]:
+    return names if name in names else names | {name}
+
+
+class Env:
+    """Ordered bindings; order is significant (no exchange). `Env()` is the
+    empty environment.
+
+    Persistent: `extend` links a new node to its parent in O(1), so an
+    environment shares every prefix with the ones it was extended from.
+    Each node builds its views once, on first use, from the views of its
+    parent: the name set (`names()`) and the base bindings refinements can
+    see (`scope()`, where the last binding of a name wins). Equality,
+    hashing and repr depend on the binding sequence alone.
+    """
+
+    __slots__ = ("parent", "name", "scheme", "_names", "_scope")
+
+    def __init__(self) -> None:
+        self.parent: Optional[Env] = None
+        self.name: Optional[str] = None
+        self.scheme: Optional[Scheme] = None
+        self._names: Optional[frozenset[str]] = frozenset()
+        self._scope: Optional[RefinementScope] = _EMPTY_SCOPE
 
     def extend(self, name: str, scheme: Scheme) -> "Env":
-        return Env(self.bindings + ((name, scheme),))
+        env = Env.__new__(Env)
+        env.parent, env.name, env.scheme = self, name, scheme
+        env._names = env._scope = None
+        return env
+
+    @property
+    def bindings(self) -> tuple[tuple[str, Scheme], ...]:
+        out = []
+        node = self
+        while node.parent is not None:
+            out.append((node.name, node.scheme))
+            node = node.parent
+        return tuple(reversed(out))
 
     def lookup(self, name: str) -> Optional[Scheme]:
-        for n, s in reversed(self.bindings):
-            if n == name:
-                return s
+        node = self
+        while node.parent is not None:
+            if node.name == name:
+                return node.scheme
+            node = node.parent
         return None
 
     def names(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.bindings)
+        return self._view("_names", _add_name)
+
+    def scope(self) -> RefinementScope:
+        return self._view("_scope", RefinementScope.extend)
+
+    def _view(self, attr: str, step: Callable) -> object:
+        """The view `attr` of this node, built by applying `step` to the
+        bindings below the nearest ancestor that has one. A loop, not a
+        recursion: environments grow deeper than the recursion limit."""
+        chain = []
+        node = self
+        while (view := getattr(node, attr)) is None:
+            chain.append(node)
+            node = node.parent
+        for node in reversed(chain):
+            view = step(view, node.name, node.scheme)
+            setattr(node, attr, view)
+        return view
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Env):
+            return NotImplemented
+        return self is other or self.bindings == other.bindings
+
+    def __hash__(self) -> int:
+        return hash(self.bindings)
+
+    def __repr__(self) -> str:
+        return f"Env(bindings={self.bindings!r})"
 
 
 ValueSubst = Sequence[tuple[str, Term]]
@@ -786,7 +949,7 @@ def render_arm(a: Arm) -> str:
 
 
 def render_type(t: LiquidType) -> str:
-    return " /\\ ".join(render_arm(a) for a in t.arms)
+    return " /\\ ".join(a.rendered for a in t.arms)
 
 
 def render_scheme(s: Scheme) -> str:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,38 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, str(path), "--backend", "both", "--smt-cmd", str(solver))
         assert code == 0, err
         assert out.splitlines()[0].startswith("a : ")
+
+
+def nested_chain(depth):
+    return "\\x. " + "(+ 1 " * depth + "x" + ")" * depth
+
+
+class TestTooDeep:
+    """Nesting past the recursion limit ends in a documented exit code, not
+    a traceback: in the parser at 420, in normalization at 260."""
+
+    @pytest.mark.parametrize("depth, code", [(420, 1), (260, 2)])
+    def test_deep_nesting_exit_code(self, tmp_path, capsys, depth, code):
+        path = tmp_path / "deep.ml"
+        path.write_text(f"Qualifiers {{ v >= 0, v <= 0 }}\nval p = {nested_chain(depth)}\n")
+        got, out, err = run_cli(capsys, str(path))
+        assert got == code, err
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "nested too deeply" in err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_liqinfer_runs_the_cli(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "liqinfer", str(root / "demos" / "sign.ml")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert arm_set(lines[0]) == MUL_ARMS and lines[0].startswith("mul : ")
+        assert arm_set(lines[1]) == NEG_ARMS and lines[1].startswith("neg : ")
 
 
 class TestMetatheorySubcommand:

@@ -74,6 +74,17 @@ class TestWfCheck:
         t = LiquidType((BaseArm(BOOL, IffRef(BoolVarRef(VALUE_VAR), TOP)),))
         assert checker.wf_check(Env(), t)
 
+    def test_binders_shadow_the_environment(self, checker):
+        env = Env().extend("x", mono(base(GE)))
+        uses_x = base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))
+        assert checker.wf_check(env, arrow("y", base(GE), uses_x))
+        # a function-typed binder x hides the int x of the environment
+        assert not checker.wf_check(env, arrow("x", arrow("z", base(TOP), base(TOP)), uses_x))
+        # a bool binder x makes x a bool inside the codomain
+        bool_x = LiquidType((BaseArm(BOOL, TOP),))
+        assert not checker.wf_check(env, arrow("x", bool_x, uses_x))
+        assert checker.wf_check(env, arrow("x", bool_x, LiquidType((BaseArm(BOOL, BoolVarRef("x")),))))
+
 
 class TestIsSubtype:
     def test_derivation_premise(self, checker):
