@@ -98,8 +98,9 @@ def _make_engine(args: argparse.Namespace) -> ValidityEngine:
 
 def _run_infer(args: argparse.Namespace) -> int:
     try:
-        text = open(args.file, encoding="utf-8").read()
-    except OSError as e:
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -5,6 +5,10 @@ integer arithmetic.
 Exact multiplication embeds through the uninterpreted symbol ``times`` unless
 the target solver supports nonlinear arithmetic, in which case a real product
 term is emitted (see EmbedConfig).
+
+Logic terms and formulas are hash-consed like the types of `syntax`
+(`Interned`): equality is identity, and values are built only by calling
+their classes with positional fields.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .syntax import (
     Var,
     VarExp,
     VALUE_VAR,
+    Value,
+    interned,
 )
 
 
@@ -54,41 +60,41 @@ class EmbeddingError(LiqError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LInt:
+@interned
+class LInt(Value):
     value: int
 
 
-@dataclass(frozen=True)
-class LVar:
+@interned
+class LVar(Value):
     name: str
 
 
-@dataclass(frozen=True)
-class LNeg:
+@interned
+class LNeg(Value):
     arg: "LogicTerm"
 
 
-@dataclass(frozen=True)
-class LAdd:
+@interned
+class LAdd(Value):
     lhs: "LogicTerm"
     rhs: "LogicTerm"
 
 
-@dataclass(frozen=True)
-class LSub:
+@interned
+class LSub(Value):
     lhs: "LogicTerm"
     rhs: "LogicTerm"
 
 
-@dataclass(frozen=True)
-class LMul:
+@interned
+class LMul(Value):
     lhs: "LogicTerm"
     rhs: "LogicTerm"
 
 
-@dataclass(frozen=True)
-class LApp:
+@interned
+class LApp(Value):
     """Application of an uninterpreted function symbol."""
 
     fn: str
@@ -98,46 +104,46 @@ class LApp:
 LogicTerm = Union[LInt, LVar, LNeg, LAdd, LSub, LMul, LApp]
 
 
-@dataclass(frozen=True)
-class FTrue:
+@interned
+class FTrue(Value):
     pass
 
 
-@dataclass(frozen=True)
-class FFalse:
+@interned
+class FFalse(Value):
     pass
 
 
-@dataclass(frozen=True)
-class FAtom:
+@interned
+class FAtom(Value):
     op: str  # = <= >= < >
     lhs: LogicTerm
     rhs: LogicTerm
 
 
-@dataclass(frozen=True)
-class FBoolVar:
+@interned
+class FBoolVar(Value):
     name: str
 
 
-@dataclass(frozen=True)
-class FNot:
+@interned
+class FNot(Value):
     arg: "Formula"
 
 
-@dataclass(frozen=True)
-class FAnd:
+@interned
+class FAnd(Value):
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
-class FImplies:
+@interned
+class FImplies(Value):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class FIff:
+@interned
+class FIff(Value):
     lhs: "Formula"
     rhs: "Formula"
 

@@ -100,6 +100,15 @@ class Token:
     col: int
 
 
+def _int_value(t: Token) -> int:
+    """The value of an int token; `isdigit` also admits digits `int` rejects,
+    such as superscripts, and `int` refuses literals past its digit limit."""
+    try:
+        return int(t.text)
+    except ValueError:
+        raise ParseError(f"bad integer literal of {len(t.text)} characters", t.line, t.col) from None
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     i, line, col = 0, 1, 1
@@ -177,7 +186,7 @@ def _parse_int_atom(ts: _Tokens) -> IntExpr:
     t = ts.peek()
     if t.kind == "int":
         ts.next()
-        return IntExp(int(t.text))
+        return IntExp(_int_value(t))
     if t.text == "-":
         ts.next()
         return NegExp(_parse_int_atom(ts))
@@ -299,7 +308,7 @@ class _TermParser:
         t = self.ts.peek()
         if t.kind == "int":
             self.ts.next()
-            return Const(IntConst(int(t.text)), pos=(t.line, t.col))
+            return Const(IntConst(_int_value(t)), pos=(t.line, t.col))
         if t.text == "true" or t.text == "false":
             self.ts.next()
             return Const(BoolConst(t.text == "true"), pos=(t.line, t.col))
@@ -505,7 +514,7 @@ def _parse_type_expr(ts: _Tokens) -> IntExpr:
     t = ts.peek()
     if t.kind == "int":
         ts.next()
-        return IntExp(int(t.text))
+        return IntExp(_int_value(t))
     if t.text == "-":
         ts.next()
         return NegExp(_parse_type_expr(ts))

@@ -7,7 +7,8 @@ accept the target domain jointly yield a codomain below the target codomain.
 Subtyping asks the validity engine only "Valid?" (need_model=False), so no
 countermodel is searched for on the inference path; any other answer, a
 proved Invalid or an Unknown alike, is conservatively read as "not a
-subtype".
+subtype". A checker decides each judgement once and answers repeats from a
+memo (see `SubtypeChecker`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .logic import DEFAULT_CONFIG, EmbedConfig, conj, embed_arm, embed_env
+from .logic import DEFAULT_CONFIG, EmbedConfig, Formula, conj, embed_arm, embed_env
 from .syntax import (
     Base,
     BaseArm,
@@ -88,6 +89,22 @@ Sorts = Union[Mapping[str, str], _Layer]
 
 
 class SubtypeChecker:
+    """Well-formedness and subtyping judgements under one validity engine.
+
+    A judgement Γ ⊢ τ₁ <: τ₂ depends on Γ only through Γ's formula,
+    `embed_env(Γ)`: its base queries read Γ through that formula alone, and
+    the rest of Γ serves only to pick a binder name for an arrow's codomain
+    that no binding of Γ uses (`_fresh_binder`). Binder names do not matter:
+    the formula and the types mention only names bound in Γ, as
+    well-formedness guarantees, so any fresh binder avoids capture, and the
+    queries made under two choices differ only by a renaming of that bound
+    variable. The engine caches each query under a canonical key that is the
+    same for every renaming, so both choices get the same verdicts. The
+    checker therefore decides each judgement once, keyed by (Γ's formula,
+    τ₁, τ₂), and answers repeats from that memo for as long as it lives:
+    across the `infer` calls of one `Inferencer`, too.
+    """
+
     def __init__(
         self,
         engine: ValidityEngine,
@@ -97,15 +114,14 @@ class SubtypeChecker:
         self.engine = engine
         self.config = config
         self.log = log
+        self._judged: dict[tuple[Formula, LiquidType, LiquidType], bool] = {}
 
     # -- well-formedness ----------------------------------------------------
 
     def wf_check(self, env: Env, s: Union[Scheme, LiquidType]) -> bool:
-        if isinstance(s, LiquidType):
-            s = mono(s)
-        ok = self._wf_type(s.body, env_sorts(env))
+        ok = self._wf_type(s if isinstance(s, LiquidType) else s.body, env_sorts(env))
         if self.log is not None:
-            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {render_scheme(s)}", ok))
+            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(s)}", ok))
         return ok
 
     def _wf_type(self, t: LiquidType, sorts: Sorts) -> bool:
@@ -132,29 +148,35 @@ class SubtypeChecker:
         a: Union[Scheme, LiquidType],
         b: Union[Scheme, LiquidType],
     ) -> bool:
-        if isinstance(a, LiquidType):
-            a = mono(a)
-        if isinstance(b, LiquidType):
-            b = mono(b)
         ok = self._sub_scheme(env, a, b)
         if self.log is not None:
-            self.log.append(
-                LogEntry("sub", f"{_env_str(env)} |- {render_scheme(a)} < {render_scheme(b)}", ok)
-            )
+            self.log.append(LogEntry("sub", f"{_env_str(env)} |- {_render(a)} < {_render(b)}", ok))
         return ok
 
-    def _sub_scheme(self, env: Env, a: Scheme, b: Scheme) -> bool:
-        if len(a.qvars) != len(b.qvars):
+    def _sub_scheme(
+        self, env: Env, a: Union[Scheme, LiquidType], b: Union[Scheme, LiquidType]
+    ) -> bool:
+        qvars_a = a.qvars if isinstance(a, Scheme) else ()
+        qvars_b = b.qvars if isinstance(b, Scheme) else ()
+        if len(qvars_a) != len(qvars_b):
             return False
-        body_b = b.body
-        for qa, qb in zip(a.qvars, b.qvars):
+        body_a = a.body if isinstance(a, Scheme) else a
+        body_b = b.body if isinstance(b, Scheme) else b
+        for qa, qb in zip(qvars_a, qvars_b):
             if qa != qb:
                 body_b = subst_tyvar_liquid(body_b, qb, LiquidType((VarArm(qa),)))
-        return self._sub(env, a.body, body_b)
+        return self._sub(env, body_a, body_b)
 
     def _sub(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
-        if a == b:
+        if a is b:
             return True  # reflexivity needs no solver support
+        key = (embed_env(env, self.config), a, b)
+        known = self._judged.get(key)
+        if known is None:
+            known = self._judged[key] = self._decide(env, a, b)
+        return known
+
+    def _decide(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
         if shape_of(a) != shape_of(b):
             return False
         first = b.arms[0]
@@ -255,6 +277,10 @@ def _type_vars(t: LiquidType) -> set[str]:
             out |= _type_vars(arm.dom)
             out |= _type_vars(arm.cod)
     return out
+
+
+def _render(s: Union[Scheme, LiquidType]) -> str:
+    return render_scheme(s if isinstance(s, Scheme) else mono(s))
 
 
 def _env_str(env: Env) -> str:

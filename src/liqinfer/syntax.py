@@ -4,14 +4,22 @@ the intersection-of-refinements type algebra.
 Types are kept in a canonical form throughout: an intersection is a
 non-empty tuple of arms, deduplicated and sorted by printed form, all
 sharing one simple-type shape.
+
+Refinement expressions, base shapes and liquid types are hash-consed
+(`Interned`): calling a class returns the one live instance with those
+fields, so equality is identity and hashing is O(1). Values are built only
+by calling their classes with positional fields, never by copying or by
+`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from weakref import KeyedRef
 
 VALUE_VAR = "v"
 
@@ -41,6 +49,65 @@ class IllFoundedType(LiqError):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+#
+# A weak table maps a key to a weak reference to its value, so an entry dies
+# with its value: nothing in a table keeps a value alive.
+
+
+def _dropper(table: dict) -> Callable[[KeyedRef], None]:
+    """The weak-reference callback that removes a dead value's entry. It
+    binds the remover, which module teardown may already have cleared."""
+    return lambda ref, remove=_remove_dead_weakref: remove(table, ref.key)
+
+
+def _weak_put(table: dict, key: Hashable, obj: Any, drop: Callable) -> Any:
+    """The live value under `key`, after putting `obj` there if there was
+    none. Atomic: `setdefault` inserts only into an empty slot, and a dead
+    entry whose callback has not run yet is removed only while still dead."""
+    new = KeyedRef(obj, drop, key)
+    while True:
+        ref = table.setdefault(key, new)
+        if ref is new:
+            return obj
+        live = ref()
+        if live is not None:
+            return live
+        _remove_dead_weakref(table, key)
+
+
+class Interned(type):
+    """Metaclass of the hash-consed value classes. Calling such a class with
+    its fields returns the one live instance with those fields, from a weak
+    table per class keyed by the field tuple. Equality and hashing are
+    those of `object`: identity."""
+
+    def __init__(cls, name: str, bases: tuple, ns: dict) -> None:
+        super().__init__(name, bases, ns)
+        cls._table: dict = {}
+        cls._drop = _dropper(cls._table)
+
+    def __call__(cls, *fields: Any) -> Any:
+        ref = cls._table.get(fields)
+        if ref is not None:
+            obj = ref()
+            if obj is not None:
+                return obj
+        return _weak_put(cls._table, fields, super().__call__(*fields), cls._drop)
+
+
+class Value(metaclass=Interned):
+    """Base of the hash-consed classes; see `Interned`."""
+
+    __slots__ = ("__weakref__",)
+
+
+# A hash-consed dataclass: immutable, slotted, compared by identity.
+interned = dataclass(frozen=True, eq=False, slots=True)
+
+
+# ---------------------------------------------------------------------------
 # Refinement expressions
 # ---------------------------------------------------------------------------
 #
@@ -49,37 +116,37 @@ class IllFoundedType(LiqError):
 # multiplication primitive.
 
 
-@dataclass(frozen=True)
-class IntExp:
+@interned
+class IntExp(Value):
     value: int
 
 
-@dataclass(frozen=True)
-class VarExp:
+@interned
+class VarExp(Value):
     """An int-sorted variable (a program variable or the value variable)."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class NegExp:
+@interned
+class NegExp(Value):
     arg: "IntExpr"
 
 
-@dataclass(frozen=True)
-class AddExp:
+@interned
+class AddExp(Value):
     lhs: "IntExpr"
     rhs: "IntExpr"
 
 
-@dataclass(frozen=True)
-class SubExp:
+@interned
+class SubExp(Value):
     lhs: "IntExpr"
     rhs: "IntExpr"
 
 
-@dataclass(frozen=True)
-class MulExp:
+@interned
+class MulExp(Value):
     lhs: "IntExpr"
     rhs: "IntExpr"
 
@@ -87,18 +154,18 @@ class MulExp:
 IntExpr = Union[IntExp, VarExp, NegExp, AddExp, SubExp, MulExp]
 
 
-@dataclass(frozen=True)
-class TopRef:
+@interned
+class TopRef(Value):
     """The empty refinement; satisfied by every value."""
 
 
-@dataclass(frozen=True)
-class BoolRef:
+@interned
+class BoolRef(Value):
     value: bool
 
 
-@dataclass(frozen=True)
-class CmpRef:
+@interned
+class CmpRef(Value):
     """Comparison between two integer expressions; op is one of = <= >= < >."""
 
     op: str
@@ -106,21 +173,21 @@ class CmpRef:
     rhs: IntExpr
 
 
-@dataclass(frozen=True)
-class BoolVarRef:
+@interned
+class BoolVarRef(Value):
     """A bool-sorted variable used as a propositional atom."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class IffRef:
+@interned
+class IffRef(Value):
     lhs: "Refinement"
     rhs: "Refinement"
 
 
-@dataclass(frozen=True)
-class ConjRef:
+@interned
+class ConjRef(Value):
     """Conjunction; appears only in derived refinements, never in qualifiers."""
 
     parts: tuple["Refinement", ...]
@@ -320,8 +387,8 @@ def subst_term(value: Term, name: str, t: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Base:
+@interned
+class Base(Value):
     name: str  # "int" or "bool"
 
 
@@ -359,49 +426,49 @@ def simple_type_vars(t: SimpleType) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-class _Arm:
+class _Arm(Value):
     """Base of the arm classes. Values derived from an arm are computed on
-    first use and kept as attributes that are not fields, so equality,
-    hashing and repr ignore them."""
+    first use and kept in slots that are not fields, so repr ignores them.
+    Since arms are hash-consed, every occurrence of an arm shares them."""
 
-    _rendered = None
+    __slots__ = ("_rendered", "_embedded")
 
     @property
     def rendered(self) -> str:
         """The printed form, the canonical sort key of `make_type`."""
-        text = self._rendered
-        if text is None:
+        try:
+            return self._rendered
+        except AttributeError:
             text = render_arm(self)
             object.__setattr__(self, "_rendered", text)
-        return text
+            return text
+
+    @property
+    def embedded(self) -> dict:
+        """A base arm's refinement as a formula per `logic.EmbedConfig`,
+        filled by `logic.embed_arm`."""
+        try:
+            return self._embedded
+        except AttributeError:
+            memo: dict = {}
+            object.__setattr__(self, "_embedded", memo)
+            return memo
 
 
-@dataclass(frozen=True)
+@interned
 class BaseArm(_Arm):
     base: Base
     ref: Refinement
 
-    _embedded = None
 
-    @property
-    def embedded(self) -> dict:
-        """The refinement's formula per `logic.EmbedConfig`, filled by
-        `logic.embed_arm`."""
-        memo = self._embedded
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_embedded", memo)
-        return memo
-
-
-@dataclass(frozen=True)
+@interned
 class FunArm(_Arm):
     binder: str
     dom: "LiquidType"
     cod: "LiquidType"
 
 
-@dataclass(frozen=True)
+@interned
 class VarArm(_Arm):
     name: str
 
@@ -409,8 +476,8 @@ class VarArm(_Arm):
 Arm = Union[BaseArm, FunArm, VarArm]
 
 
-@dataclass(frozen=True)
-class LiquidType:
+@interned
+class LiquidType(Value):
     """A canonical intersection: deduplicated arms sorted by printed form."""
 
     arms: tuple[Arm, ...]
@@ -420,8 +487,8 @@ class LiquidType:
             raise IllFoundedType("a type must have at least one arm")
 
 
-@dataclass(frozen=True)
-class Scheme:
+@interned
+class Scheme(Value):
     qvars: tuple[str, ...]
     body: LiquidType
 
@@ -434,31 +501,38 @@ def arm_shape(a: Arm) -> SimpleType:
     return Arrow(a.binder, shape_of(a.dom), shape_of(a.cod))
 
 
+# The canonical type of each tuple of arms `make_type` was given, while that
+# type lives.
+_made: dict = {}
+_drop_made = _dropper(_made)
+
+
 def make_type(arms: Iterable[Arm]) -> LiquidType:
     """Canonicalize: flatten is implicit (arms are arms), dedupe, order by
     printed form, and require a common shape.  A base arm refined by Top is
-    absorbed by any other base arm."""
-    todo = list(arms)
+    absorbed by any other base arm. Memoized per tuple of arms."""
+    todo = tuple(arms)
+    ref = _made.get(todo)
+    if ref is not None:
+        made = ref()
+        if made is not None:
+            return made
     if not todo:
         raise IllFoundedType("empty intersection")
     shape = arm_shape(todo[0])
-    seen: set[Arm] = set()
-    uniq: list[Arm] = []
     for a in todo:
         if arm_shape(a) != shape:
             raise IllFoundedType(
                 f"arm shapes differ: {render_simple_type(arm_shape(a))}"
                 f" vs {render_simple_type(shape)}"
             )
-        if a not in seen:
-            seen.add(a)
-            uniq.append(a)
+    uniq = list(dict.fromkeys(todo))
     if len(uniq) > 1 and all(isinstance(a, BaseArm) for a in uniq):
         informative = [a for a in uniq if not isinstance(a.ref, TopRef)]
         if informative:
             uniq = informative
     uniq.sort(key=_render_key)
-    return LiquidType(tuple(uniq))
+    return _weak_put(_made, todo, LiquidType(tuple(uniq)), _drop_made)
 
 
 _render_key = attrgetter("rendered")

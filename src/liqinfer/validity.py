@@ -80,6 +80,9 @@ class Unknown:
 
 Verdict = Union[Valid, Invalid, Unknown]
 
+# Every Valid answer; the verdict carries nothing, so one object serves all.
+VALID = Valid()
+
 # The answer to a caller that reads only Valid when a query is not proved: it
 # may be Invalid or Unknown, and telling which would take a model search.
 NOT_PROVED = Unknown("not proved")
@@ -563,7 +566,7 @@ def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
             return res
         if isinstance(res, Unknown):
             unknown = res.reason
-    return Unknown(unknown) if unknown is not None else Valid()
+    return Unknown(unknown) if unknown is not None else VALID
 
 
 def _implies(hyp: list[Formula], concl: Formula, seed: int, need_model: bool) -> Verdict:
@@ -581,7 +584,7 @@ def _implies(hyp: list[Formula], concl: Formula, seed: int, need_model: bool) ->
             bools, ints = res
             model = tuple(sorted({**bools, **ints}.items()))
             return Invalid(tuple((k, v) for k, v in model if not k.startswith("#")))
-    return Unknown(unknown) if unknown is not None else Valid()
+    return Unknown(unknown) if unknown is not None else VALID
 
 
 def _branch_sat(literals: list[Formula], seed: int, need_model: bool):
@@ -902,9 +905,12 @@ class ValidityEngine:
         return verdict
 
     def check_external(self, q: ValidityQuery) -> Verdict:
+        """One solver process per query: the script asks for a model right
+        after the answer, and a `sat` answer reads its model from the same
+        output."""
         if not self.smt_cmd:
             return Unknown("no external solver configured")
-        script = emit_smtlib(q, nonlinear=self.nonlinear_external)
+        script = emit_smtlib(q, nonlinear=self.nonlinear_external, get_model=True)
         with self._lock:
             self.stats["external_calls"] += 1
         try:
@@ -920,20 +926,11 @@ class ValidityEngine:
                 answer = line
                 break
         if answer == "unsat":
-            return Valid()
+            return VALID
         if answer == "sat":
-            model = self._external_model(q)
-            return Invalid(model)
+            model = parse_model(out)
+            return Invalid(tuple(sorted(model.items())) if model else None)
         return Unknown(f"solver answered {answer or 'nothing'}")
-
-    def _external_model(self, q: ValidityQuery) -> Optional[tuple[tuple[str, object], ...]]:
-        script = emit_smtlib(q, nonlinear=self.nonlinear_external, get_model=True)
-        try:
-            out = run_solver(self.smt_cmd, script, self.timeout)  # type: ignore[arg-type]
-        except (TimeoutError, SolverError):
-            return None
-        model = parse_model(out)
-        return tuple(sorted(model.items())) if model else None
 
     def cache_size(self) -> int:
         with self._lock:

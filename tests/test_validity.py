@@ -31,6 +31,7 @@ from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import BaseArm, CmpRef, Env, INT, IntExp, LiquidType, VarExp, VALUE_VAR, mono
 from liqinfer.validity import (
     NOT_PROVED,
+    VALID,
     Invalid,
     SolverError,
     Unknown,
@@ -227,6 +228,12 @@ class TestEmitSmtlib:
 
 
 class TestCache:
+    def test_every_valid_answer_is_one_object(self):
+        eng = ValidityEngine()
+        assert builtin_decide(neg_query()) is VALID
+        assert builtin_decide(D1_PRIME, need_model=False) is VALID
+        assert eng.check(neg_query()) is VALID and eng.check(neg_query()) is VALID
+
     def test_repeat_query_hits(self):
         eng = ValidityEngine()
         q = neg_query()
@@ -325,6 +332,29 @@ class TestExternalBackend:
         eng = ValidityEngine(backend="external", smt_cmd=cmd)
         assert isinstance(eng.check(neg_query()), Invalid)
         assert list(scratch.iterdir()) == []
+
+    def test_one_launch_per_sat_query_reads_the_model_it_printed(self, tmp_path):
+        launches = tmp_path / "launches"
+        cmd = _mock_solver(tmp_path, f"""\
+            echo launch >> {launches}
+            cat > /dev/null
+            echo sat
+            echo '(model (define-fun v () Int (- 1)) (define-fun b () Bool true))'
+            """)
+        eng = ValidityEngine(backend="external", smt_cmd=cmd)
+        got = eng.check(ValidityQuery(FTrue(), atom(">=", V, LInt(0))))
+        assert got == Invalid((("b", True), ("v", -1)))
+        assert launches.read_text().splitlines() == ["launch"]
+        eng.check(ValidityQuery(FTrue(), atom("<=", X, LInt(3))))
+        assert launches.read_text().splitlines() == ["launch"] * 2
+        assert eng.stats["external_calls"] == 2
+
+    def test_the_script_asks_for_a_model_after_the_answer(self, tmp_path):
+        seen = tmp_path / "script.smt2"
+        cmd = _mock_solver(tmp_path, f"cat > {seen}\necho unsat\n")
+        eng = ValidityEngine(backend="external", smt_cmd=cmd)
+        assert eng.check(neg_query()) is VALID
+        assert seen.read_text().rstrip().endswith("(check-sat)\n(get-model)")
 
     def test_both_backend_falls_back(self, tmp_path):
         cmd = _mock_solver(tmp_path, "echo unsat\n")
