@@ -6,12 +6,17 @@ arms whose refinements mention out-of-scope variables (the temporary type),
 and subtyping against the inferred body keeps only the sound arms.  An
 intersection emptied by filtering collapses to the top-refined skeleton of
 the shape; an application with no accepting arm is an inference failure.
+
+An `Inferencer` builds the template of each shape once, keyed by the shape
+with its binder names, and keeps it for its life, together with the
+candidate arms of every well-formed part of it that a `let` has filtered.
+`fresh` itself stays a pure function of the shape and the qualifiers.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Hashable, Optional, Sequence, Union
 
 from .logic import DEFAULT_CONFIG, EmbedConfig
 from .shapes import ShapeScheme, elaborate, shape_env
@@ -44,7 +49,6 @@ from .syntax import (
     VarArm,
     make_type,
     mono,
-    refinement_vars,
     render_term,
     subst_liquid,
     subst_tyvar_liquid,
@@ -132,15 +136,25 @@ def _has_ty_nodes(t: Term) -> bool:
     return False
 
 
-def _prog_vars(t: LiquidType) -> set[str]:
-    out: set[str] = set()
-    for arm in t.arms:
-        if isinstance(arm, BaseArm):
-            out |= refinement_vars(arm.ref)
-        elif isinstance(arm, FunArm):
-            out |= _prog_vars(arm.dom)
-            out |= _prog_vars(arm.cod) - {arm.binder}
-    return out
+def _shape_key(shape: SimpleType) -> Hashable:
+    """The shape with its binder names, which `Arrow.__eq__` ignores; the
+    template of a shape carries them."""
+    if isinstance(shape, Arrow):
+        return (shape.binder, _shape_key(shape.dom), _shape_key(shape.cod))
+    return shape
+
+
+class _Template:
+    """The fresh template of one shape, its top skeleton, and the candidate
+    arms of `_filter_template` per temporary type made from the template:
+    the surviving arms and the top skeleton's arm, each as a one-arm type."""
+
+    __slots__ = ("template", "top", "candidates")
+
+    def __init__(self, template: LiquidType, top: LiquidType) -> None:
+        self.template = template
+        self.top = top
+        self.candidates: dict[LiquidType, tuple[LiquidType, ...]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +176,7 @@ class Inferencer:
         self.max_arms = max_arms
         self.checker = SubtypeChecker(self.engine, config, constraint_log)
         self._shapes: dict[int, ShapeScheme] = {}
+        self._templates: dict[Hashable, _Template] = {}
 
     # Public entry point.  Accepts a plain (parsed or evaluated) term or an
     # already elaborated one; elaboration is redone internally so template
@@ -180,6 +195,15 @@ class Inferencer:
 
     def _shape_at(self, t: Term) -> ShapeScheme:
         return self._shapes[id(t)]
+
+    def _template(self, shape: SimpleType) -> _Template:
+        """The template of `shape`, built on first use."""
+        key = _shape_key(shape)
+        tpl = self._templates.get(key)
+        if tpl is None:
+            template = fresh(shape, self.qualifiers, self.max_arms)
+            tpl = self._templates[key] = _Template(template, top_skeleton(shape))
+        return tpl
 
     def _infer(self, env: Env, t: Term) -> Scheme:
         if isinstance(t, Var):
@@ -220,10 +244,10 @@ class Inferencer:
     def _infer_lam(self, env: Env, t: Lam) -> Scheme:
         shape = self._shape_at(t).ty
         assert isinstance(shape, Arrow)
-        template = fresh(shape, self.qualifiers, self.max_arms)
-        temp = temporary_type(template, self.checker, env, shape)
-        top = top_skeleton(shape)
-        collapsed = temp == top and top.arms[0] not in template.arms
+        tpl = self._template(shape)
+        temp = temporary_type(tpl.template, self.checker, env, shape)
+        top = tpl.top
+        collapsed = temp == top and top.arms[0] not in tpl.template.arms
         wf_arms = list(temp.arms)
         # one body inference per distinct domain
         bodies: dict[LiquidType, Optional[LiquidType]] = {}
@@ -289,21 +313,23 @@ class Inferencer:
     ) -> LiquidType:
         """Codomains of the arms whose domain accepts the argument, with the
         argument substituted, intersected."""
-        where = render_term(at if at is not None else arg_term)
+        where = at if at is not None else arg_term  # rendered only in errors
         arms = [a for a in fun_type.arms if isinstance(a, FunArm)]
         if not arms:
-            raise InferenceFailure(f"application of a non-function in {where}")
+            raise InferenceFailure(f"application of a non-function in {render_term(where)}")
         survivors = [a for a in arms if self.checker.is_subtype(env, arg_type, a.dom)]
         if not survivors:
-            raise InferenceFailure(f"no function arm accepts the argument in {where}")
+            raise InferenceFailure(
+                f"no function arm accepts the argument in {render_term(where)}"
+            )
         atom = _strip_ty(arg_term)
         out = []
         for arm in survivors:
             if isinstance(atom, (Var, Const)):
                 cod = subst_liquid(arm.cod, {arm.binder: atom})
-            elif arm.binder in _prog_vars(arm.cod):
+            elif arm.binder in arm.cod.free:
                 raise InferenceFailure(
-                    f"non-atomic argument flows into refinements in {where}"
+                    f"non-atomic argument flows into refinements in {render_term(where)}"
                 )
             else:
                 cod = arm.cod
@@ -320,24 +346,25 @@ class Inferencer:
     def _filter_template(
         self, env: Env, inner_env: Env, body: LiquidType, shape: SimpleType, t: Term
     ) -> Scheme:
-        template = fresh(shape, self.qualifiers, self.max_arms)
-        temp = temporary_type(template, self.checker, env, shape)  # wf under the outer env
-        # the top-refined skeleton is always a candidate; keeping it whenever
-        # it is derivable makes let results stable under evaluation, which
-        # substitutes ever more precise types for the bound variable
-        candidates = list(dict.fromkeys(list(temp.arms) + list(top_skeleton(shape).arms)))
+        tpl = self._template(shape)
+        temp = temporary_type(tpl.template, self.checker, env, shape)  # wf under the outer env
+        candidates = tpl.candidates.get(temp)
+        if candidates is None:
+            # the top-refined skeleton is always a candidate; keeping it
+            # whenever it is derivable makes let results stable under
+            # evaluation, which substitutes ever more precise types for the
+            # bound variable
+            arms = dict.fromkeys(temp.arms + tpl.top.arms)
+            candidates = tpl.candidates[temp] = tuple(LiquidType((arm,)) for arm in arms)
         keep = [
-            arm
-            for arm in candidates
-            if self.checker.is_subtype(inner_env, body, LiquidType((arm,)))
+            c.arms[0] for c in candidates if self.checker.is_subtype(inner_env, body, c)
         ]
         if keep:
             return mono(make_type(keep))
         raise InferenceFailure(f"no template arm fits {render_term(t)}")
 
     def _infer_inst(self, env: Env, t: TyInst) -> Scheme:
-        template = fresh(t.ty, self.qualifiers, self.max_arms)
-        instance = temporary_type(template, self.checker, env, t.ty)
+        instance = temporary_type(self._template(t.ty).template, self.checker, env, t.ty)
         inner = self._infer(env, t.body)
         if not inner.qvars:
             raise InferenceFailure(

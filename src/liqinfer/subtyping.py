@@ -8,7 +8,9 @@ Subtyping asks the validity engine only "Valid?" (need_model=False), so no
 countermodel is searched for on the inference path; any other answer, a
 proved Invalid or an Unknown alike, is conservatively read as "not a
 subtype". A checker decides each judgement once and answers repeats from a
-memo (see `SubtypeChecker`).
+memo (see `SubtypeChecker`). A base target refined by Top at every arm is
+settled without a query: every value satisfies {v | true}. Well-formedness
+is memoized per type and sorts of its free variables.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .syntax import (
     IllFoundedType,
     LiquidType,
     Scheme,
+    TOP,
     Var,
     VarArm,
     VALUE_VAR,
@@ -103,6 +106,19 @@ class SubtypeChecker:
     checker therefore decides each judgement once, keyed by (Γ's formula,
     τ₁, τ₂), and answers repeats from that memo for as long as it lives:
     across the `infer` calls of one `Inferencer`, too.
+
+    The Top rule: once the shapes agree, a base target whose every arm is
+    refined by Top holds under any environment, with no query. Such a query
+    would have the conclusion `true`, which the engine answers Valid anyway.
+    A target that mixes a Top arm with an informative one still goes to the
+    engine.
+
+    Well-formedness of τ reads Γ's sorts only at τ's free program variables
+    (`LiquidType.free`): the value variable and an arrow's binder are
+    layered over Γ (`_Layer`) and read nowhere else. So `wf_check` memoizes
+    its verdict under (τ, the sort of each free variable in Γ, or None), a
+    key that determines the verdict exactly. A closed type such as
+    {v | v >= 0} hits under every environment.
     """
 
     def __init__(
@@ -115,11 +131,17 @@ class SubtypeChecker:
         self.config = config
         self.log = log
         self._judged: dict[tuple[Formula, LiquidType, LiquidType], bool] = {}
+        self._wf: dict[tuple[LiquidType, tuple[Optional[str], ...]], bool] = {}
 
     # -- well-formedness ----------------------------------------------------
 
     def wf_check(self, env: Env, s: Union[Scheme, LiquidType]) -> bool:
-        ok = self._wf_type(s if isinstance(s, LiquidType) else s.body, env_sorts(env))
+        t = s if isinstance(s, LiquidType) else s.body
+        sorts = env_sorts(env)
+        key = (t, tuple([sorts.get(x) for x in t.free]))
+        ok = self._wf.get(key)
+        if ok is None:
+            ok = self._wf[key] = self._wf_type(t, sorts)
         if self.log is not None:
             self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(s)}", ok))
         return ok
@@ -134,7 +156,7 @@ class SubtypeChecker:
             else:
                 if not self._wf_type(arm.dom, sorts):
                     return False
-                dom_shape = shape_of(arm.dom)
+                dom_shape = arm.dom.shape
                 sort = dom_shape.name if isinstance(dom_shape, Base) else None
                 if not self._wf_type(arm.cod, _Layer(arm.binder, sort, sorts)):
                     return False
@@ -177,10 +199,12 @@ class SubtypeChecker:
         return known
 
     def _decide(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
-        if shape_of(a) != shape_of(b):
+        if a.shape != b.shape:
             return False
         first = b.arms[0]
         if isinstance(first, BaseArm):
+            if all(arm.ref is TOP for arm in b.arms):
+                return True  # the Top rule
             lhs = [arm for arm in a.arms if isinstance(arm, BaseArm)]
             rhs = [arm for arm in b.arms if isinstance(arm, BaseArm)]
             q = self.base_subtype_query(env, lhs, rhs)

@@ -431,7 +431,17 @@ class _Arm(Value):
     first use and kept in slots that are not fields, so repr ignores them.
     Since arms are hash-consed, every occurrence of an arm shares them."""
 
-    __slots__ = ("_rendered", "_embedded")
+    __slots__ = ("_rendered", "_embedded", "_shape")
+
+    @property
+    def shape(self) -> SimpleType:
+        """The simple type of the arm."""
+        try:
+            return self._shape
+        except AttributeError:
+            shape = _arm_shape(self)
+            object.__setattr__(self, "_shape", shape)
+            return shape
 
     @property
     def rendered(self) -> str:
@@ -476,8 +486,40 @@ class VarArm(_Arm):
 Arm = Union[BaseArm, FunArm, VarArm]
 
 
+class _Type(Value):
+    """Base of `LiquidType`, keeping values derived from a type in slots on
+    first use, as `_Arm` does for arms."""
+
+    __slots__ = ("_shape", "_free")
+
+    @property
+    def shape(self) -> SimpleType:
+        """The simple type every arm shares (`shape_of`)."""
+        try:
+            return self._shape
+        except AttributeError:
+            shape = self.arms[0].shape
+            for a in self.arms[1:]:
+                if a.shape != shape:
+                    raise IllFoundedType("arms with differing shapes") from None
+            object.__setattr__(self, "_shape", shape)
+            return shape
+
+    @property
+    def free(self) -> tuple[str, ...]:
+        """The program variables free in the refinements, sorted: those of
+        each base arm other than the value variable, and those of an arrow's
+        domain and of its codomain other than its binder."""
+        try:
+            return self._free
+        except AttributeError:
+            free = _type_free_vars(self)
+            object.__setattr__(self, "_free", free)
+            return free
+
+
 @interned
-class LiquidType(Value):
+class LiquidType(_Type):
     """A canonical intersection: deduplicated arms sorted by printed form."""
 
     arms: tuple[Arm, ...]
@@ -493,12 +535,24 @@ class Scheme(Value):
     body: LiquidType
 
 
-def arm_shape(a: Arm) -> SimpleType:
+def _arm_shape(a: Arm) -> SimpleType:
     if isinstance(a, BaseArm):
         return a.base
     if isinstance(a, VarArm):
         return TyVar(a.name)
-    return Arrow(a.binder, shape_of(a.dom), shape_of(a.cod))
+    return Arrow(a.binder, a.dom.shape, a.cod.shape)
+
+
+def _type_free_vars(t: LiquidType) -> tuple[str, ...]:
+    out: set[str] = set()
+    for arm in t.arms:
+        if isinstance(arm, BaseArm):
+            out |= refinement_vars(arm.ref)
+        elif isinstance(arm, FunArm):
+            out.update(arm.dom.free)
+            out.update(x for x in arm.cod.free if x != arm.binder)
+    out.discard(VALUE_VAR)
+    return tuple(sorted(out))
 
 
 # The canonical type of each tuple of arms `make_type` was given, while that
@@ -519,11 +573,11 @@ def make_type(arms: Iterable[Arm]) -> LiquidType:
             return made
     if not todo:
         raise IllFoundedType("empty intersection")
-    shape = arm_shape(todo[0])
+    shape = todo[0].shape
     for a in todo:
-        if arm_shape(a) != shape:
+        if a.shape != shape:
             raise IllFoundedType(
-                f"arm shapes differ: {render_simple_type(arm_shape(a))}"
+                f"arm shapes differ: {render_simple_type(a.shape)}"
                 f" vs {render_simple_type(shape)}"
             )
     uniq = list(dict.fromkeys(todo))
@@ -539,20 +593,15 @@ _render_key = attrgetter("rendered")
 
 
 def intersect(a: LiquidType, b: LiquidType) -> LiquidType:
-    if shape_of(a) != shape_of(b):
+    if a.shape != b.shape:
         raise IllFoundedType("cannot intersect types of different shapes")
     return make_type(a.arms + b.arms)
 
 
 def shape_of(t: Union[LiquidType, Scheme]) -> SimpleType:
-    """The unique simple type T with t :: T; quantifiers are erased."""
-    if isinstance(t, Scheme):
-        return shape_of(t.body)
-    shape = arm_shape(t.arms[0])
-    for a in t.arms[1:]:
-        if arm_shape(a) != shape:
-            raise IllFoundedType("arms with differing shapes")
-    return shape
+    """The unique simple type T with t :: T; quantifiers are erased. Built
+    once per type (`LiquidType.shape`)."""
+    return t.body.shape if isinstance(t, Scheme) else t.shape
 
 
 def well_founded(t: Union[LiquidType, Scheme, Arm], shape: SimpleType) -> bool:
@@ -803,8 +852,10 @@ def _subst_arm(a: Arm, rho: dict[str, Term]) -> Arm:
         return BaseArm(a.base, subst_refinement(a.ref, rho))
     if isinstance(a, VarArm):
         return a
+    # the binder scopes over the codomain only: a domain that mentions the
+    # binder's name means an outer variable of that name
     inner = {n: t for n, t in rho.items() if n != a.binder}
-    return FunArm(a.binder, subst_liquid(a.dom, inner), subst_liquid(a.cod, inner))
+    return FunArm(a.binder, subst_liquid(a.dom, rho), subst_liquid(a.cod, inner))
 
 
 def subst_liquid(t: LiquidType, rho: Mapping[str, Term]) -> LiquidType:

@@ -84,6 +84,37 @@ class TestGoldenRun:
         assert "-- wf:" in out and "-- sub:" in out
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+
+class TestConstraintGoldens:
+    """`--emit-constraints` prints every logged judgement, answers from the
+    checker's memos included, in a fixed order; both goldens pin it line for
+    line. `scope.ml` has a qualifier over `y`, which is out of scope before
+    `val y` and in scope after it."""
+
+    @pytest.mark.parametrize(
+        "source, golden",
+        [
+            (ROOT / "demos" / "sign.ml", GOLDEN / "sign.constraints"),
+            (GOLDEN / "scope.ml", GOLDEN / "scope.constraints"),
+        ],
+        ids=["sign", "scope"],
+    )
+    def test_emit_constraints_matches_golden(self, source, golden, capsys):
+        code, out, err = run_cli(capsys, str(source), "--emit-constraints")
+        assert code == 0, err
+        assert out.splitlines() == golden.read_text().splitlines()
+
+    def test_scope_golden_logs_memo_hits_and_out_of_scope_arms(self):
+        lines = (GOLDEN / "scope.constraints").read_text().splitlines()
+        wf = [line for line in lines if line.startswith("-- wf:")]
+        assert len(wf) > len(set(wf))  # repeated judgements still log
+        assert any("(y=5)" in line and line.endswith("[fail]") for line in wf)
+        assert any("(y=5)" in line and line.endswith("[ok]") for line in wf)
+
+
 class TestQualifierScope:
     def test_out_of_scope_qualifier_filtered(self, tmp_path, capsys):
         # a qualifier mentioning an unbound y only prunes template arms

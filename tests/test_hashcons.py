@@ -290,6 +290,23 @@ class TestJudgementMemo:
             fresh = SubtypeChecker(ValidityEngine())
             assert warm.is_subtype(env, lhs, rhs) == fresh.is_subtype(env, lhs, rhs)
 
+    def test_a_renamed_binder_renames_the_inner_domain_that_names_it(self):
+        """In `y: {v=1} -> (y: {v=0} /\\ {v=y} -> {v=y})` the inner domain's
+        `y` is the outer binder. Under an environment that binds `y` the
+        checker renames the outer binder, and that `y` must follow it; then
+        the inner domain contradicts the outer one under both environments."""
+        top = base_top(INT)
+        lhs = make_type([FunArm("x", top, make_type([FunArm("x", top, top)]))])
+        inner = FunArm(
+            "y",
+            _int_type([_cmp("=", IntExp(0)), _cmp("=", VarExp("y"))]),
+            _int_type([_cmp("=", VarExp("y"))]),
+        )
+        rhs = make_type([FunArm("y", _int_type([_cmp("=", IntExp(1))]), make_type([inner]))])
+        hidden = Env().extend("y", mono(LiquidType((FunArm("a", top, top),))))
+        for env in (Env(), hidden):
+            assert SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs)
+
     def test_renamed_binders_share_one_judgement(self):
         """`x` is bound in one environment and not in the other, so the
         arrow's binder is renamed under the first only; both have the same

@@ -26,6 +26,7 @@ from liqinfer.syntax import (
     mono,
     render_scheme,
     shape_of,
+    top_skeleton,
 )
 from liqinfer.validity import ValidityEngine
 
@@ -83,6 +84,40 @@ class TestFresh:
         shape = Arrow("x", INT, Arrow("y", INT, INT))
         with pytest.raises(ArmCapExceeded, match="cap of 4"):
             fresh(shape, sign_qualifiers, max_arms=4)
+
+
+class TestTemplateMemo:
+    def test_binders_tell_equal_shapes_apart(self, inferencer, sign_qualifiers):
+        shapes = [
+            Arrow("x", INT, Arrow("z", INT, INT)),
+            Arrow("y", INT, Arrow("z", INT, INT)),
+            Arrow("x", INT, Arrow("w", INT, INT)),
+        ]
+        assert shapes[0] == shapes[1] == shapes[2]  # Arrow.__eq__ ignores binders
+        templates = [inferencer._template(shape) for shape in shapes]
+        assert len({id(t) for t in templates}) == 3
+        for shape, tpl in zip(shapes, templates):
+            assert tpl.template == fresh(shape, sign_qualifiers)
+            assert tpl.top == top_skeleton(shape)
+        assert len({tpl.template for tpl in templates}) == 3
+        # a new shape object with the same binders finds the same template
+        assert inferencer._template(Arrow("x", INT, Arrow("z", INT, INT))) is templates[0]
+
+    def test_each_shape_is_enumerated_once(self, engine, sign_qualifiers, monkeypatch):
+        from liqinfer import inference
+
+        shapes = []
+        enumerate_ = inference.fresh
+        monkeypatch.setattr(
+            inference, "fresh", lambda shape, *a: shapes.append(shape) or enumerate_(shape, *a)
+        )
+        inf = Inferencer(sign_qualifiers, engine)
+        term = normalize(parse_term("\\x. let a = + x 1 in let b = + a 1 in b"))
+        first = inf.infer(Env(), term)
+        enumerated = len(shapes)
+        assert inf.infer(Env(), term) is first
+        assert len(shapes) == enumerated
+        assert render_scheme(first) == render_scheme(Inferencer(sign_qualifiers).infer(Env(), term))
 
 
 class TestInferGolden:

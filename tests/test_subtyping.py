@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liqinfer.logic import FAnd, FAtom, FTrue, LInt, LVar
 from liqinfer.metatheory import semantic_implication_oracle
-from liqinfer.subtyping import LogEntry, SubtypeC, SubtypeChecker, WellFormedC
+from liqinfer.subtyping import LogEntry, SubtypeC, SubtypeChecker, WellFormedC, env_sorts
 from liqinfer.syntax import (
     BaseArm,
     BOOL,
@@ -24,6 +25,7 @@ from liqinfer.syntax import (
     VarArm,
     VarExp,
     VALUE_VAR,
+    base_top,
     intersect,
     make_type,
     mono,
@@ -250,3 +252,121 @@ class TestLogging:
         kinds = [e.kind for e in log]
         assert "wf" in kinds and "sub" in kinds
         assert all(isinstance(e, LogEntry) for e in log)
+
+
+# -- the well-formedness memo ------------------------------------------------
+
+NAMES = ("x", "y", "b")
+
+# every atom may name a variable out of scope, or in scope at the other sort
+_int_atoms = st.one_of(
+    st.integers(-1, 5).map(IntExp), st.sampled_from((VALUE_VAR,) + NAMES).map(VarExp)
+)
+_bool_atoms = st.sampled_from((VALUE_VAR,) + NAMES).map(BoolVarRef)
+_refs = st.one_of(
+    st.just(TOP),
+    st.builds(CmpRef, st.sampled_from(("=", "<=", ">=")), _int_atoms, _int_atoms),
+    _bool_atoms,
+    st.builds(IffRef, _bool_atoms, _bool_atoms),
+)
+
+
+def _base_types():
+    arms = st.builds(BaseArm, st.sampled_from((INT, BOOL)), _refs)
+    return st.lists(arms, min_size=1, max_size=2).filter(
+        lambda arms: len({a.base for a in arms}) == 1
+    ).map(make_type)
+
+
+_types = st.recursive(
+    _base_types(),
+    lambda inner: st.builds(
+        lambda binder, dom, cod: LiquidType((FunArm(binder, dom, cod),)),
+        st.sampled_from(NAMES), _base_types(), inner,
+    ),
+    max_leaves=3,
+)
+
+_HIDING = (
+    mono(arrow("a", base(TOP), base(TOP))),
+    Scheme(("a",), LiquidType((VarArm("a"),))),
+)
+
+
+@st.composite
+def wf_items(draw):
+    """Environments extended from one another, where a later binding of a
+    name shadows an earlier one, at int or bool, and a function or
+    polymorphic binding hides it; and types whose refinements name bound and
+    unbound variables at either sort. Each type is checked under every
+    environment, in a random order."""
+    envs = [Env()]
+    for _ in range(draw(st.integers(1, 5))):
+        parent = envs[draw(st.integers(0, len(envs) - 1))]
+        scheme = draw(st.one_of(st.sampled_from(_HIDING), _base_types().map(mono)))
+        envs.append(parent.extend(draw(st.sampled_from(NAMES)), scheme))
+    types = draw(st.lists(_types, min_size=1, max_size=4))
+    return draw(st.permutations([(env, t) for env in envs for t in types]))
+
+
+class TestWfMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(wf_items())
+    def test_a_warm_checker_agrees_with_a_fresh_walk(self, items):
+        warm = SubtypeChecker(ValidityEngine())
+        for env, t in items + items:
+            fresh = SubtypeChecker(ValidityEngine())
+            assert warm.wf_check(env, t) == fresh._wf_type(t, env_sorts(env))
+
+    def test_out_of_scope_qualifier_flips_with_the_environment(self, checker):
+        t = arrow("x", base(GE), base(Y_EQ_5))
+        assert not checker.wf_check(Env(), t)
+        assert checker.wf_check(Env().extend("y", mono(base(GE))), t)
+        bool_y = mono(LiquidType((BaseArm(BOOL, TOP),)))
+        assert not checker.wf_check(Env().extend("y", bool_y), t)
+        hidden = Env().extend("y", mono(base(GE))).extend("y", _HIDING[0])
+        assert not checker.wf_check(hidden, t)
+
+    def test_a_closed_type_is_walked_once_and_every_check_logs(self, engine, monkeypatch):
+        log = []
+        chk = SubtypeChecker(engine, log=log)
+        walks = []
+        walk = chk._wf_type
+        monkeypatch.setattr(chk, "_wf_type", lambda t, sorts: walks.append(t) or walk(t, sorts))
+        t = arrow("x", base(GE), base(LE))
+        envs = [Env(), Env().extend("y", mono(base(GE))), Env().extend("x", _HIDING[1])]
+        assert all(chk.wf_check(env, t) for env in envs)
+        assert walks.count(t) == 1  # the other walks are its domain and codomain
+        assert [e.kind for e in log] == ["wf"] * 3
+
+
+# -- the Top rule ------------------------------------------------------------
+
+
+class TestTopTargets:
+    def test_a_top_target_asks_no_query(self):
+        chk = SubtypeChecker(ValidityEngine())
+        env = Env().extend("x", mono(base(GE)))
+        lhs = base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))
+        assert chk.is_subtype(env, lhs, base_top(INT))
+        assert chk.is_subtype(env, lhs, base(TOP, TOP))
+        bool_lhs = LiquidType((BaseArm(BOOL, BoolVarRef(VALUE_VAR)),))
+        assert chk.is_subtype(env, bool_lhs, base_top(BOOL))
+        # an arrow whose codomain is Top asks only about its domain
+        f = arrow("z", base(TOP), lhs)
+        assert chk.is_subtype(env, f, arrow("z", base(GE), base(TOP)))
+        assert chk.engine.stats["queries"] == 0
+
+    def test_an_int_type_is_not_below_a_bool_top(self):
+        chk = SubtypeChecker(ValidityEngine())
+        assert not chk.is_subtype(Env(), base(GE), base_top(BOOL))
+        assert not chk.is_subtype(Env(), base_top(INT), base_top(BOOL))
+        assert chk.engine.stats["queries"] == 0
+
+    def test_a_top_arm_beside_an_informative_arm_still_asks(self):
+        # built directly: make_type would absorb the Top arm
+        mixed = LiquidType((BaseArm(INT, TOP), BaseArm(INT, GE)))
+        chk = SubtypeChecker(ValidityEngine())
+        assert not chk.is_subtype(Env(), base(LE), mixed)
+        assert chk.is_subtype(Env(), base(EQ0), mixed)
+        assert chk.engine.stats["queries"] == 2

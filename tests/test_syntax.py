@@ -10,11 +10,13 @@ from liqinfer.syntax import (
     BaseArm,
     BOOL,
     BoolConst,
+    BoolVarRef,
     CmpRef,
     Const,
     CONSTANTS,
     Env,
     FunArm,
+    IffRef,
     IllFoundedType,
     INT,
     IntConst,
@@ -93,6 +95,34 @@ class TestShapeOf:
     def test_scheme_erases_quantifier(self):
         sch = Scheme(("a",), LiquidType((VarArm("a"),)))
         assert shape_of(sch) == TyVar("a")
+
+    def test_shape_is_built_once_and_keeps_the_first_binder(self):
+        t = make_type([FunArm("x", base(GE), base(GE)), FunArm("y", base(EQ0), base(EQ0))])
+        shape = shape_of(t)
+        assert shape is shape_of(t) is t.arms[0].shape
+        assert shape.binder == t.arms[0].binder
+        assert shape_of(mono(t)) is shape
+
+    def test_a_failed_shape_is_not_kept(self):
+        bad = LiquidType((BaseArm(INT, GE), VarArm("a")))
+        for _ in range(2):
+            with pytest.raises(IllFoundedType):
+                shape_of(bad)
+
+
+class TestFreeVariables:
+    def test_value_variable_and_codomain_binder_are_bound(self):
+        x_le_y = CmpRef("<=", VarExp("x"), VarExp("y"))
+        t = arrow("x", base(CmpRef("=", VarExp(VALUE_VAR), VarExp("z"))), base(x_le_y))
+        assert t.free == ("y", "z")
+
+    def test_a_domain_naming_its_binder_means_the_outer_variable(self):
+        t = arrow("x", base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x"))), base(TOP))
+        assert t.free == ("x",)
+
+    def test_bool_variables_count(self):
+        t = LiquidType((BaseArm(BOOL, IffRef(BoolVarRef(VALUE_VAR), BoolVarRef("p"))),))
+        assert t.free == ("p",)
 
 
 class TestIntersect:
@@ -186,6 +216,14 @@ class TestSubstType:
         one = subst_type(rho2, subst_type(rho1, sch))
         other = subst_type(rho1, subst_type(rho2, sch))
         assert one == other
+
+    def test_a_domain_naming_the_binder_is_substituted(self):
+        # the binder x scopes over the codomain only
+        x_eq = CmpRef("=", VarExp(VALUE_VAR), VarExp("x"))
+        sch = mono(arrow("x", base(x_eq), base(x_eq)))
+        got = subst_type([("x", Var("w"))], sch)
+        w_eq = CmpRef("=", VarExp(VALUE_VAR), VarExp("w"))
+        assert got == mono(arrow("x", base(w_eq), base(x_eq)))
 
     def test_duplicate_domain_rejected(self):
         with pytest.raises(Exception):
