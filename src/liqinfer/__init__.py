@@ -1,7 +1,7 @@
 """Liquid intersection type inference for a tiny ML language."""
 
 from .anf import is_anf, normalize
-from .inference import ArmCapExceeded, Inferencer, InferenceFailure, fresh, infer
+from .inference import ArmCapExceeded, Inferencer, InferenceFailure, fresh
 from .metatheory import (
     generate_corpus,
     recheck,
@@ -37,7 +37,6 @@ from .validity import (
     ValidityEngine,
     ValidityQuery,
     builtin_decide,
-    check_valid,
     emit_smtlib,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "ValidityEngine",
     "ValidityQuery",
     "builtin_decide",
-    "check_valid",
     "delta",
     "elaborate",
     "emit_smtlib",
@@ -70,7 +68,6 @@ __all__ = [
     "evaluate",
     "fresh",
     "generate_corpus",
-    "infer",
     "intersect",
     "is_anf",
     "make_type",

@@ -108,13 +108,11 @@ def fresh(shape: SimpleType, qualifiers: Sequence[Refinement], max_arms: int = 4
 
 
 def temporary_type(
-    template: LiquidType, checker: SubtypeChecker, env: Env, shape: SimpleType
+    singles: Sequence[LiquidType], checker: SubtypeChecker, env: Env, shape: SimpleType
 ) -> LiquidType:
-    """The well-formedness survivors of a fresh template; an emptied
-    intersection collapses to the top-refined skeleton of the shape."""
-    arms = [
-        arm for arm in template.arms if checker.wf_check(env, LiquidType((arm,)))
-    ]
+    """The well-formedness survivors of a fresh template, given as one-arm
+    types; an emptied intersection collapses to the top skeleton."""
+    arms = [single.arms[0] for single in singles if checker.wf_check(env, single)]
     return make_type(arms) if arms else top_skeleton(shape)
 
 
@@ -145,14 +143,15 @@ def _shape_key(shape: SimpleType) -> Hashable:
 
 
 class _Template:
-    """The fresh template of one shape, its top skeleton, and the candidate
-    arms of `_filter_template` per temporary type made from the template:
-    the surviving arms and the top skeleton's arm, each as a one-arm type."""
+    """The fresh template of one shape, its arms as one-arm types, its top
+    skeleton, and the candidate arms of `_filter_template` per temporary
+    type made from the template: the surviving arms and the top arm."""
 
-    __slots__ = ("template", "top", "candidates")
+    __slots__ = ("template", "singles", "top", "candidates")
 
     def __init__(self, template: LiquidType, top: LiquidType) -> None:
         self.template = template
+        self.singles = tuple(LiquidType((arm,)) for arm in template.arms)
         self.top = top
         self.candidates: dict[LiquidType, tuple[LiquidType, ...]] = {}
 
@@ -245,7 +244,7 @@ class Inferencer:
         shape = self._shape_at(t).ty
         assert isinstance(shape, Arrow)
         tpl = self._template(shape)
-        temp = temporary_type(tpl.template, self.checker, env, shape)
+        temp = temporary_type(tpl.singles, self.checker, env, shape)
         top = tpl.top
         collapsed = temp == top and top.arms[0] not in tpl.template.arms
         wf_arms = list(temp.arms)
@@ -347,7 +346,7 @@ class Inferencer:
         self, env: Env, inner_env: Env, body: LiquidType, shape: SimpleType, t: Term
     ) -> Scheme:
         tpl = self._template(shape)
-        temp = temporary_type(tpl.template, self.checker, env, shape)  # wf under the outer env
+        temp = temporary_type(tpl.singles, self.checker, env, shape)  # wf under the outer env
         candidates = tpl.candidates.get(temp)
         if candidates is None:
             # the top-refined skeleton is always a candidate; keeping it
@@ -364,7 +363,7 @@ class Inferencer:
         raise InferenceFailure(f"no template arm fits {render_term(t)}")
 
     def _infer_inst(self, env: Env, t: TyInst) -> Scheme:
-        instance = temporary_type(self._template(t.ty).template, self.checker, env, t.ty)
+        instance = temporary_type(self._template(t.ty).singles, self.checker, env, t.ty)
         inner = self._infer(env, t.body)
         if not inner.qvars:
             raise InferenceFailure(
@@ -397,14 +396,3 @@ def _self_eq(base: Base, name: str):
     if base.name == "int":
         return BaseArm(base, CmpRef("=", VarExp(VALUE_VAR), VarExp(name)))
     return BaseArm(base, IffRef(BoolVarRef(VALUE_VAR), BoolVarRef(name)))
-
-
-def infer(
-    env: Env,
-    term: Term,
-    qualifiers: Sequence[Refinement],
-    engine: Optional[ValidityEngine] = None,
-    max_arms: int = 4096,
-) -> Scheme:
-    """Convenience wrapper constructing a one-shot Inferencer."""
-    return Inferencer(qualifiers, engine, max_arms).infer(env, term)

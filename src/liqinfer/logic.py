@@ -104,46 +104,64 @@ class LApp(Value):
 LogicTerm = Union[LInt, LVar, LNeg, LAdd, LSub, LMul, LApp]
 
 
+class _Formula(Value):
+    """Base of the formula classes. `memo` keeps what the validity engine
+    derives from a formula (its cache-key prefix, its compiled rows) in a
+    slot that is not a field, as `_Arm.embedded` does for arms: every
+    occurrence of the formula shares it, and it dies with the formula."""
+
+    __slots__ = ("_memo",)
+
+    @property
+    def memo(self) -> dict:
+        try:
+            return self._memo
+        except AttributeError:
+            memo: dict = {}
+            object.__setattr__(self, "_memo", memo)
+            return memo
+
+
 @interned
-class FTrue(Value):
+class FTrue(_Formula):
     pass
 
 
 @interned
-class FFalse(Value):
+class FFalse(_Formula):
     pass
 
 
 @interned
-class FAtom(Value):
+class FAtom(_Formula):
     op: str  # = <= >= < >
     lhs: LogicTerm
     rhs: LogicTerm
 
 
 @interned
-class FBoolVar(Value):
+class FBoolVar(_Formula):
     name: str
 
 
 @interned
-class FNot(Value):
+class FNot(_Formula):
     arg: "Formula"
 
 
 @interned
-class FAnd(Value):
+class FAnd(_Formula):
     parts: tuple["Formula", ...]
 
 
 @interned
-class FImplies(Value):
+class FImplies(_Formula):
     lhs: "Formula"
     rhs: "Formula"
 
 
 @interned
-class FIff(Value):
+class FIff(_Formula):
     lhs: "Formula"
     rhs: "Formula"
 

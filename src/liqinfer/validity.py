@@ -6,11 +6,21 @@ integers because a real refutation is), answers Invalid only with an
 explicit verified integer countermodel, and says Unknown otherwise.  The
 external backend speaks SMT-LIB v2 to any conformant solver process.
 
+The built-in backend decides on a linear IR of rows, coefficient dicts over
+program variables and opaque terms; it builds no formula while deciding. A
+hypothesis is compiled once, memoized on the hash-consed formula next to its
+cache-key prefix: its atoms become rows and its unit-coefficient equalities
+are substituted away, as the Omega test (Pugh, CACM 1992) starts. Each
+conclusion conjunct is negated straight into rows, substituted, split into
+cases where booleans or disjunctions occur, and refuted by Fourier-Motzkin
+with gcd tightening. The engine keeps its last hypothesis alive, so the
+conclusions asked in a row against it share the compiled form.
+
 Inference asks only "Valid?" (`check(q, need_model=False)`): the built-in
 walk stops at the first case Fourier-Motzkin does not refute and answers
 NOT_PROVED, with no countermodel search.  The bounded model search runs only
 for callers that want the full verdict, such as the `check-metatheory`
-oracle agreement.
+oracle agreement; it reads each case's rows before substitution.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ import threading
 import zlib
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Union
 
 from .logic import (
     FAnd,
@@ -95,8 +106,25 @@ _MAX_MODEL_EVALS = 60_000
 
 
 # ---------------------------------------------------------------------------
-# Formula flattening and negation
+# The linear IR
 # ---------------------------------------------------------------------------
+#
+# A linear form is a coefficient dict and a constant. Its variables are
+# program variables, by name, and opaque terms: an application of an
+# uninterpreted symbol, or a product of two non-constants, stands for itself,
+# and since terms are hash-consed, one term is one variable. A row is a form
+# read as `form <= 0`.
+
+Lin = tuple[dict, int]
+Row = Lin
+
+
+class _OutsideFragment(Exception):
+    pass
+
+
+class _FMOverflow(Exception):
+    pass
 
 
 def _flatten_conj(f: Formula) -> Optional[list[Formula]]:
@@ -115,42 +143,224 @@ def _flatten_conj(f: Formula) -> Optional[list[Formula]]:
     return None  # implications and the like fall outside the fragment
 
 
-def _negate(f: Formula) -> Optional[list[list[Formula]]]:
-    """Branches whose disjunction is equivalent to the negation of f."""
-    if isinstance(f, FTrue):
-        return []
-    if isinstance(f, FFalse):
-        return [[]]
-    if isinstance(f, FAtom):
-        l, r = f.lhs, f.rhs
-        if f.op == "=":
-            return [[FAtom("<=", l, LSub(r, LInt(1)))], [FAtom(">=", l, LAdd(r, LInt(1)))]]
-        flip = {"<=": FAtom(">=", l, LAdd(r, LInt(1))),
-                ">=": FAtom("<=", l, LSub(r, LInt(1))),
-                "<": FAtom(">=", l, r),
-                ">": FAtom("<=", l, r)}
-        return [[flip[f.op]]]
+def _names(f: Formula, bools: set[str], ints: Optional[dict[str, str]] = None) -> None:
+    """The boolean variables of f into `bools`, and its integer ones into
+    `ints` when given."""
     if isinstance(f, FBoolVar):
-        return [[FNot(f)]]
-    if isinstance(f, FNot):
-        return [[f.arg]]
-    if isinstance(f, FIff):
-        neg_r = _negate(f.rhs)
-        neg_l = _negate(f.lhs)
-        if neg_r is None or neg_l is None:
-            return None
-        branches = [[f.lhs] + nb for nb in neg_r]
-        branches += [nb + [f.rhs] for nb in neg_l]
-        return branches
-    if isinstance(f, FAnd):
-        out: list[list[Formula]] = []
+        bools.add(f.name)
+    elif isinstance(f, FAtom):
+        if ints is not None:
+            term_vars(f.lhs, ints)
+            term_vars(f.rhs, ints)
+    elif isinstance(f, FNot):
+        _names(f.arg, bools, ints)
+    elif isinstance(f, FAnd):
         for p in f.parts:
-            inner = _negate(p)
-            if inner is None:
-                return None
-            out.extend(inner)
-        return out
-    return None
+            _names(p, bools, ints)
+    elif isinstance(f, (FIff, FImplies)):
+        _names(f.lhs, bools, ints)
+        _names(f.rhs, bools, ints)
+
+
+def _linear(t: LogicTerm, opaque: dict) -> Lin:
+    """The linear form of t. Its opaque terms, and those nested in their
+    arguments, are added to the keys of `opaque`."""
+    if isinstance(t, LVar):
+        return {t.name: 1}, 0
+    if isinstance(t, LInt):
+        return {}, t.value
+    if isinstance(t, LNeg):
+        c, k = _linear(t.arg, opaque)
+        return {v: -a for v, a in c.items()}, -k
+    if isinstance(t, (LAdd, LSub)):
+        cl, kl = _linear(t.lhs, opaque)
+        cr, kr = _linear(t.rhs, opaque)
+        sign = 1 if isinstance(t, LAdd) else -1
+        for v, a in cr.items():
+            cl[v] = cl.get(v, 0) + sign * a
+        return cl, kl + sign * kr
+    if isinstance(t, LMul) and (isinstance(t.lhs, LInt) or isinstance(t.rhs, LInt)):
+        scale, other = (t.lhs.value, t.rhs) if isinstance(t.lhs, LInt) else (t.rhs.value, t.lhs)
+        c, k = _linear(other, opaque)
+        return {v: scale * a for v, a in c.items()}, scale * k
+    opaque[t] = None
+    for a in _call(t)[1]:
+        _linear(a, opaque)
+    return {t: 1}, 0
+
+
+def _call(t: LogicTerm) -> tuple[object, tuple]:
+    """Head and arguments of an opaque term."""
+    if isinstance(t, LApp):
+        return (t.fn, len(t.args)), t.args
+    return LMul, (t.lhs, t.rhs)
+
+
+def _difference(a: FAtom, opaque: dict) -> Lin:
+    """lhs - rhs of an atom, as a linear form."""
+    cl, kl = _linear(a.lhs, opaque)
+    cr, kr = _linear(a.rhs, opaque)
+    for v, c in cr.items():
+        cl[v] = cl.get(v, 0) - c
+    return {v: c for v, c in cl.items() if c}, kl - kr
+
+
+# With d = lhs - rhs, an atom `lhs op rhs` holds exactly when every row
+# sign*d + offset <= 0 of _HOLDS[op] holds, and fails exactly when one row of
+# _FAILS[op] holds. Each entry is (sign, offset).
+_HOLDS = {"<=": ((1, 0),), "<": ((1, 1),), ">=": ((-1, 0),), ">": ((-1, 1),), "=": ((1, 0), (-1, 0))}
+_FAILS = {"<=": ((-1, 1),), "<": ((-1, 0),), ">=": ((1, 1),), ">": ((1, 0),), "=": ((1, 1), (-1, 1))}
+
+
+def _rows(d: Lin, signs: tuple[tuple[int, int], ...]) -> list[Row]:
+    coeffs, k = d
+    return [(coeffs if s == 1 else {v: -c for v, c in coeffs.items()}, s * k + offset)
+            for s, offset in signs]
+
+
+def _substitute(form: Lin, subst: dict) -> Lin:
+    """The form with each variable bound in `subst` replaced by its value."""
+    coeffs, k = form
+    if subst.keys().isdisjoint(coeffs):
+        return form
+    out: dict = {}
+    for v, c in coeffs.items():
+        value = subst.get(v)
+        if value is None:
+            out[v] = out.get(v, 0) + c
+        else:
+            for w, a in value[0].items():
+                out[w] = out.get(w, 0) + c * a
+            k += c * value[1]
+    out = {v: c for v, c in out.items() if c}
+    if any(abs(c) > _MAX_COEF for c in out.values()):
+        raise _FMOverflow()
+    return out, k
+
+
+def _solve(eq: Lin, subst: dict, kept: list[Row]) -> bool:
+    """Adds the equality `eq = 0` to `subst`, whose values mention no bound
+    variable. A variable with a unit coefficient is bound to the rest of
+    the equality and replaced in the values bound before it; an equality
+    without one goes to `kept` as two rows. False when the equality is
+    ground and fails."""
+    coeffs, k = _substitute(eq, subst)
+    pivot = next((v for v, c in coeffs.items() if c == 1 or c == -1), None)
+    if pivot is None:
+        kept += _rows((coeffs, k), _HOLDS["="]) if coeffs else ()
+        return bool(coeffs) or k == 0
+    c = coeffs[pivot]
+    value = ({v: -c * a for v, a in coeffs.items() if v != pivot}, -c * k)
+    bind = {pivot: value}
+    for v, e in subst.items():
+        if pivot in e[0]:
+            subst[v] = _substitute(e, bind)
+    subst[pivot] = value
+    return True
+
+
+def _congruences(terms: list, subst: dict) -> list[tuple]:
+    """Pairs of opaque terms equal by congruence, given the equalities in
+    `subst`: applications of one symbol, or two products, whose arguments
+    have equal forms. Each pair found is bound in a copy of `subst`, since
+    it can make further pairs congruent."""
+    subst = dict(subst)
+    pairs: list[tuple] = []
+
+    def form(t: LogicTerm) -> Lin:
+        return _substitute(_linear(t, {}), subst)
+
+    try:
+        changed = True
+        while changed:
+            changed = False
+            for i, t in enumerate(terms):
+                head, args = _call(t)
+                for u in terms[i + 1:]:
+                    other, uargs = _call(u)
+                    if head != other or (t, u) in pairs or form(t) == form(u):
+                        continue
+                    if all(form(a) == form(b) for a, b in zip(args, uargs)):
+                        pairs.append((t, u))
+                        _solve(({t: 1, u: -1}, 0), subst, [])
+                        changed = True
+    except _FMOverflow:
+        pass  # the pairs found so far are sound
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# Compiled hypotheses
+# ---------------------------------------------------------------------------
+
+
+_NO_TERMS: Mapping = MappingProxyType({})
+
+
+class _Hypothesis:
+    """A hypothesis compiled once, for every conclusion asked against it.
+
+    Its linear atoms become rows. Its equalities, and those that congruence
+    adds, are eliminated: `subst` binds each variable that has a unit
+    coefficient in one, and `rows` holds the other rows after substitution
+    (None when a coefficient overflowed). Its other literals (`literals`,
+    with boolean variables `bools`) are split into cases per query. `false`
+    when a literal or a ground equality is false, which refutes every case.
+    It lives as long as the formula, so it keeps no empty container."""
+
+    __slots__ = ("literals", "bools", "opaque", "subst", "rows", "false")
+
+    def __init__(self, literals: list[Formula]) -> None:
+        others: list[Formula] = []
+        bools: set[str] = set()
+        opaque: dict = {}
+        self.false = False
+        eqs: list[Lin] = []
+        rows: list[Row] = []
+        for lit in literals:
+            if isinstance(lit, FAtom):
+                d = _difference(lit, opaque)
+                if lit.op == "=":
+                    eqs.append(d)
+                else:
+                    rows += _rows(d, _HOLDS[lit.op])
+            elif isinstance(lit, FFalse):
+                self.false = True
+            else:
+                others.append(lit)
+                _names(lit, bools)
+        self.literals, self.bools, self.opaque = tuple(others), frozenset(bools), opaque or _NO_TERMS
+        subst: dict = {}
+        kept: list[Row] = []
+        try:
+            self.false |= not all([_solve(d, subst, kept) for d in eqs])
+            for t, u in _congruences(list(opaque), subst):
+                self.false |= not _solve(({t: 1, u: -1}, 0), subst, kept)
+            self.rows: Optional[list[Row]] = [_substitute(r, subst) for r in rows + kept]
+        except _FMOverflow:
+            subst, self.rows = {}, None
+        self.subst = subst or _NO_TERMS
+
+    def refutes(self, extra: list[Row]) -> bool:
+        """Whether Fourier-Motzkin refutes the hypothesis with `extra`."""
+        if self.rows is None:
+            return False
+        try:
+            rows = self.rows + [_substitute(r, self.subst) for r in extra]
+        except _FMOverflow:
+            return False
+        return _fm_refute(rows) is True
+
+
+def _compile(f: Formula) -> Optional[_Hypothesis]:
+    """The hypothesis f compiled, memoized on f; None outside the
+    conjunctive fragment. Two threads may both compile f: they store equal
+    values."""
+    memo = f.memo
+    if "ir" not in memo:
+        literals = _flatten_conj(f)
+        memo["ir"] = None if literals is None else _Hypothesis(literals)
+    return memo["ir"]
 
 
 # ---------------------------------------------------------------------------
@@ -158,232 +368,43 @@ def _negate(f: Formula) -> Optional[list[list[Formula]]]:
 # ---------------------------------------------------------------------------
 
 
-def _bool_names(f: Formula, acc: set[str]) -> None:
-    if isinstance(f, FBoolVar):
-        acc.add(f.name)
-    elif isinstance(f, FNot):
-        _bool_names(f.arg, acc)
-    elif isinstance(f, FAnd):
-        for p in f.parts:
-            _bool_names(p, acc)
-    elif isinstance(f, (FIff, FImplies)):
-        _bool_names(f.lhs, acc)
-        _bool_names(f.rhs, acc)
-
-
-class _OutsideFragment(Exception):
-    pass
-
-
-def _known(f: Formula, asg: dict[str, bool]) -> Optional[bool]:
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, FBoolVar):
-        return asg[f.name]
-    if isinstance(f, FNot):
-        inner = _known(f.arg, asg)
-        return None if inner is None else not inner
-    return None
-
-
-def _reduce(f: Formula, asg: dict[str, bool]) -> Optional[list[list[FAtom]]]:
-    """Alternatives of linear-atom lists equivalent to f under a boolean
-    assignment; None means f is false there."""
-    val = _known(f, asg)
-    if val is True:
-        return [[]]
-    if val is False:
-        return None
+def _reduce(f: Formula, positive: bool, asg: dict[str, bool], opaque: dict) -> Optional[list[list[Row]]]:
+    """Alternatives of row lists equivalent to f, or to its negation unless
+    `positive`, under a boolean assignment; None when that is false there."""
     if isinstance(f, FAtom):
-        return [[f]]
+        d = _difference(f, opaque)
+        if positive:
+            return [_rows(d, _HOLDS[f.op])]
+        return [[row] for row in _rows(d, _FAILS[f.op])]
+    if isinstance(f, (FBoolVar, FTrue, FFalse)):
+        value = asg[f.name] if isinstance(f, FBoolVar) else isinstance(f, FTrue)
+        return [[]] if value == positive else None
     if isinstance(f, FNot):
-        if isinstance(f.arg, FAtom):
-            branches = _negate(f.arg)
-            assert branches is not None
-            return [list(b) for b in branches]  # type: ignore[arg-type]
-        raise _OutsideFragment()
+        return _reduce(f.arg, not positive, asg, opaque)
     if isinstance(f, FIff):
-        lval = _known(f.lhs, asg)
-        rval = _known(f.rhs, asg)
-        if lval is not None:
-            return _reduce(f.rhs, asg) if lval else _reduce(FNot(f.rhs), asg)
-        if rval is not None:
-            return _reduce(f.lhs, asg) if rval else _reduce(FNot(f.lhs), asg)
-        pos_l, pos_r = _reduce(f.lhs, asg), _reduce(f.rhs, asg)
-        neg_l, neg_r = _reduce(FNot(f.lhs), asg), _reduce(FNot(f.rhs), asg)
-        out: list[list[FAtom]] = []
-        if pos_l is not None and pos_r is not None:
-            out.extend([a + b for a in pos_l for b in pos_r])
-        if neg_l is not None and neg_r is not None:
-            out.extend([a + b for a in neg_l for b in neg_r])
+        # (l and r) or (not l and not r); negated, r takes the other polarity
+        out: list[list[Row]] = []
+        for pol in (True, False):
+            lhs = _reduce(f.lhs, pol, asg, opaque)
+            rhs = _reduce(f.rhs, pol == positive, asg, opaque)
+            if lhs is not None and rhs is not None:
+                out += [a + b for a in lhs for b in rhs]
+        return out or None
+    if isinstance(f, FAnd) and not positive:
+        out = []
+        for p in f.parts:
+            out += _reduce(p, False, asg, opaque) or ()
         return out or None
     if isinstance(f, FAnd):
-        alts: list[list[FAtom]] = [[]]
+        alts: list[list[Row]] = [[]]
         for p in f.parts:
-            inner = _reduce(p, asg)
+            inner = _reduce(p, True, asg, opaque)
             if inner is None:
                 return None
             alts = [a + b for a in alts for b in inner]
             if len(alts) > _MAX_ALTERNATIVES:
                 raise _OutsideFragment()
         return alts
-    raise _OutsideFragment()
-
-
-# ---------------------------------------------------------------------------
-# Congruence closure over uninterpreted subterms, then linearization
-# ---------------------------------------------------------------------------
-
-
-class _Linearizer:
-    """Maps maximal uninterpreted subterms to canonical variables, merging
-    congruent terms first."""
-
-    def __init__(self, atoms: list[FAtom]) -> None:
-        self.opaque: list[LogicTerm] = []
-        self.parent: dict[int, int] = {}
-        self._collect_atoms(atoms)
-        self._close(atoms)
-
-    def _collect(self, t: LogicTerm) -> None:
-        if isinstance(t, LApp) or (isinstance(t, LMul) and not self._linear_mul(t)):
-            if t not in self.opaque:
-                self.opaque.append(t)
-            if isinstance(t, LApp):
-                for a in t.args:
-                    self._collect(a)
-            else:
-                self._collect(t.lhs)
-                self._collect(t.rhs)
-        elif isinstance(t, LNeg):
-            self._collect(t.arg)
-        elif isinstance(t, (LAdd, LSub, LMul)):
-            self._collect(t.lhs)
-            self._collect(t.rhs)
-
-    @staticmethod
-    def _linear_mul(t: LMul) -> bool:
-        return isinstance(t.lhs, LInt) or isinstance(t.rhs, LInt)
-
-    def _collect_atoms(self, atoms: list[FAtom]) -> None:
-        for a in atoms:
-            self._collect(a.lhs)
-            self._collect(a.rhs)
-
-    def _find(self, i: int) -> int:
-        while self.parent.get(i, i) != i:
-            self.parent[i] = self.parent.get(self.parent[i], self.parent[i])
-            i = self.parent[i]
-        return i
-
-    def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-    def _close(self, atoms: list[FAtom]) -> None:
-        # seed equalities between whole opaque terms stated directly
-        pairs: list[tuple[LogicTerm, LogicTerm]] = []
-        for a in atoms:
-            if a.op == "=":
-                pairs.append((a.lhs, a.rhs))
-        changed = True
-        while changed:
-            changed = False
-            for l, r in pairs:
-                if l in self.opaque and r in self.opaque:
-                    i, j = self.opaque.index(l), self.opaque.index(r)
-                    if self._find(i) != self._find(j):
-                        self._union(i, j)
-                        changed = True
-            # congruence: equal argument classes force equal application classes
-            for i, t in enumerate(self.opaque):
-                for j in range(i + 1, len(self.opaque)):
-                    u = self.opaque[j]
-                    if self._find(i) == self._find(j):
-                        continue
-                    if self._congruent(t, u):
-                        self._union(i, j)
-                        changed = True
-
-    def _congruent(self, t: LogicTerm, u: LogicTerm) -> bool:
-        if isinstance(t, LApp) and isinstance(u, LApp):
-            if t.fn != u.fn or len(t.args) != len(u.args):
-                return False
-            return all(self._args_eq(a, b) for a, b in zip(t.args, u.args))
-        if isinstance(t, LMul) and isinstance(u, LMul):
-            return self._args_eq(t.lhs, u.lhs) and self._args_eq(t.rhs, u.rhs)
-        return False
-
-    def _args_eq(self, a: LogicTerm, b: LogicTerm) -> bool:
-        if a == b:
-            return True
-        if a in self.opaque and b in self.opaque:
-            return self._find(self.opaque.index(a)) == self._find(self.opaque.index(b))
-        return False
-
-    def var_for(self, t: LogicTerm) -> str:
-        return f"#u{self._find(self.opaque.index(t))}"
-
-    def occurrences(self) -> list[tuple[str, LogicTerm]]:
-        return [(self.var_for(t), t) for t in self.opaque if isinstance(t, (LApp, LMul))]
-
-
-Row = tuple[dict[str, int], int]  # sum(coef*var) + const <= 0
-
-
-class _FMOverflow(Exception):
-    pass
-
-
-def _lin(t: LogicTerm, lz: _Linearizer) -> tuple[dict[str, int], int]:
-    if isinstance(t, (LApp, LMul)) and t in lz.opaque:
-        return {lz.var_for(t): 1}, 0
-    if isinstance(t, LInt):
-        return {}, t.value
-    if isinstance(t, LVar):
-        return {t.name: 1}, 0
-    if isinstance(t, LNeg):
-        c, k = _lin(t.arg, lz)
-        return {v: -a for v, a in c.items()}, -k
-    if isinstance(t, (LAdd, LSub)):
-        cl, kl = _lin(t.lhs, lz)
-        cr, kr = _lin(t.rhs, lz)
-        sign = 1 if isinstance(t, LAdd) else -1
-        out = dict(cl)
-        for v, a in cr.items():
-            out[v] = out.get(v, 0) + sign * a
-        return {v: a for v, a in out.items() if a != 0}, kl + sign * kr
-    if isinstance(t, LMul):
-        if isinstance(t.lhs, LInt):
-            c, k = _lin(t.rhs, lz)
-            return {v: t.lhs.value * a for v, a in c.items()}, t.lhs.value * k
-        if isinstance(t.rhs, LInt):
-            c, k = _lin(t.lhs, lz)
-            return {v: t.rhs.value * a for v, a in c.items()}, t.rhs.value * k
-    raise _OutsideFragment()
-
-
-def _atom_rows(a: FAtom, lz: _Linearizer) -> list[Row]:
-    cl, kl = _lin(a.lhs, lz)
-    cr, kr = _lin(a.rhs, lz)
-    diff = dict(cl)
-    for v, c in cr.items():
-        diff[v] = diff.get(v, 0) - c
-    diff = {v: c for v, c in diff.items() if c != 0}
-    k = kl - kr  # lhs - rhs = sum(diff) + k
-    if a.op == "<=":
-        return [(diff, k)]
-    if a.op == "<":
-        return [(diff, k + 1)]
-    if a.op in (">=", ">"):
-        neg = {v: -c for v, c in diff.items()}
-        return [(neg, -k + (1 if a.op == ">" else 0))]
-    if a.op == "=":
-        neg = {v: -c for v, c in diff.items()}
-        return [(diff, k), (neg, -k)]
     raise _OutsideFragment()
 
 
@@ -396,8 +417,9 @@ def _tighten(row: Row) -> Row:
         g = math.gcd(g, abs(c))
     if g <= 1:
         return row
-    # sum(a*x) <= -k  ==>  sum((a/g)*x) <= floor(-k/g)
-    return {v: c // g for v, c in coeffs.items()}, -math.floor(-k / g)
+    # sum(a*x) <= -k  ==>  sum((a/g)*x) <= floor(-k/g), in integers: a
+    # float quotient rounds past 2**53 and overflows past 10**308
+    return {v: c // g for v, c in coeffs.items()}, -(-k // g)
 
 
 def _fm_refute(rows: list[Row]) -> Optional[bool]:
@@ -416,12 +438,12 @@ def _fm_refute(rows: list[Row]) -> Optional[bool]:
             if not pending:
                 return False
             # pick the variable with the fewest pos*neg combinations
-            occs: dict[str, tuple[int, int]] = {}
+            occs: dict = {}
             for coeffs, _ in pending:
                 for v, c in coeffs.items():
                     p, n = occs.get(v, (0, 0))
                     occs[v] = (p + (c > 0), n + (c < 0))
-            var = min(sorted(occs), key=lambda v: occs[v][0] * occs[v][1])
+            var = min(sorted(occs, key=str), key=lambda v: occs[v][0] * occs[v][1])
             pos = [r for r in pending if r[0].get(var, 0) > 0]
             neg = [r for r in pending if r[0].get(var, 0) < 0]
             rest = [r for r in pending if r[0].get(var, 0) == 0]
@@ -431,7 +453,7 @@ def _fm_refute(rows: list[Row]) -> Optional[bool]:
             for pc, pk in pos:
                 for nc, nk in neg:
                     a, b = pc[var], -nc[var]
-                    comb: dict[str, int] = {}
+                    comb: dict = {}
                     for v, c in pc.items():
                         comb[v] = comb.get(v, 0) + b * c
                     for v, c in nc.items():
@@ -464,41 +486,33 @@ def _candidate_values(rows: list[Row]) -> list[int]:
     return sorted(consts)
 
 
-def _search_model(
-    atoms: list[FAtom], lz: _Linearizer, seed: int
-) -> Optional[dict[str, int]]:
-    rows: list[Row] = []
-    for a in atoms:
-        rows.extend(_atom_rows(a, lz))
-    # every variable of the branch and every opaque class gets a value, also
-    # those that occur only inside an opaque term
-    sorts: dict[str, str] = {}
-    for a in atoms:
-        term_vars(a.lhs, sorts)
-        term_vars(a.rhs, sorts)
-    var_set = set(sorts) | {lz.var_for(t) for t in lz.opaque}
+def _search_model(rows: list[Row], opaque: dict, ints: dict[str, str], seed: int) -> Optional[dict]:
+    """A model of the rows, consistent on the opaque terms, that also gives
+    every integer variable of the query a value (`ints`), those that occur
+    only inside an opaque term too."""
+    var_set = set(ints) | set(opaque)
     for coeffs, _ in rows:
         var_set.update(coeffs)
-    variables = sorted(var_set)
+    variables = sorted(var_set, key=str)
     if not variables:
         return {} if all(k <= 0 for c, k in rows if not c) else None
     values = _candidate_values(rows)
     total = len(values) ** len(variables)
 
-    def ok(asg: dict[str, int]) -> bool:
+    def ok(asg: dict) -> bool:
         for coeffs, k in rows:
             if sum(c * asg[v] for v, c in coeffs.items()) + k > 0:
                 return False
         # congruence consistency of opaque occurrences, and a product is the
         # product of its arguments' values
         table: dict[tuple, int] = {}
-        for var, t in lz.occurrences():
-            key = _occurrence_key(t, lz, asg)
-            if key[0] == "*" and key[1] * key[2] != asg[var]:
+        for t in opaque:
+            key = _occurrence_key(t, opaque, asg)
+            if key[0] == "*" and key[1] * key[2] != asg[t]:
                 return False
-            if key in table and table[key] != asg[var]:
+            if key in table and table[key] != asg[t]:
                 return False
-            table[key] = asg[var]
+            table[key] = asg[t]
         return True
 
     if total <= _MAX_MODEL_EVALS:
@@ -518,13 +532,13 @@ def _search_model(
     return None
 
 
-def _occurrence_key(t: LogicTerm, lz: _Linearizer, asg: dict[str, int]) -> tuple:
+def _occurrence_key(t: LogicTerm, opaque: dict, asg: dict) -> tuple:
     """Symbol and argument values of an opaque occurrence under a full
     assignment; a product's arguments come sorted, since it commutes."""
 
     def ev(u: LogicTerm) -> int:
-        if u in lz.opaque:
-            return asg[lz.var_for(u)]
+        if u in opaque:
+            return asg[u]
         if isinstance(u, LInt):
             return u.value
         if isinstance(u, LVar):
@@ -550,18 +564,34 @@ def _occurrence_key(t: LogicTerm, lz: _Linearizer, asg: dict[str, int]) -> tuple
 
 def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
     """Valid, Invalid with a countermodel, or Unknown. With need_model=False
-    the caller reads only Valid: the walk stops at the first branch it cannot
+    the caller reads only Valid: the walk stops at the first case it cannot
     refute and answers NOT_PROVED without searching for a countermodel."""
-    hyp = _flatten_conj(q.hypothesis)
+    hyp = _compile(q.hypothesis)
     if hyp is None:
         return Unknown("hypothesis outside the conjunctive fragment")
     concl = _flatten_conj(q.conclusion)
     if concl is None:
         return Unknown("conclusion outside the conjunctive fragment")
-    seed = zlib.crc32(repr(q).encode()) if need_model else 0
+    if hyp.false:
+        return VALID
+    search = None
+    if need_model:
+        seed = zlib.crc32(repr(q).encode())
+        ints: dict[str, str] = {}
+        _names(q.hypothesis, set(), ints)
+        _names(q.conclusion, set(), ints)
+
+        original: list[Row] = []  # the hypothesis's atoms as rows, unsubstituted
+        for lit in _flatten_conj(q.hypothesis):
+            if isinstance(lit, FAtom):
+                original += _rows(_difference(lit, {}), _HOLDS[lit.op])
+
+        def search(rows: list[Row], opaque: dict) -> Optional[dict]:
+            return _search_model(original + rows, opaque, ints, seed)
+
     unknown: Optional[str] = None
     for part in concl:
-        res = _implies(hyp, part, seed, need_model)
+        res = _implies(hyp, part, search)
         if isinstance(res, Invalid) or res == NOT_PROVED:
             return res
         if isinstance(res, Unknown):
@@ -569,76 +599,54 @@ def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
     return Unknown(unknown) if unknown is not None else VALID
 
 
-def _implies(hyp: list[Formula], concl: Formula, seed: int, need_model: bool) -> Verdict:
-    branches = _negate(concl)
-    if branches is None:
-        return Unknown("conclusion outside the fragment") if need_model else NOT_PROVED
-    unknown: Optional[str] = None
-    for extra in branches:
-        res = _branch_sat(hyp + list(extra), seed, need_model)
-        if res == "unknown":
-            if not need_model:
-                return NOT_PROVED
-            unknown = "bounded reasoning exhausted"
-        elif res != "unsat":
-            bools, ints = res
-            model = tuple(sorted({**bools, **ints}.items()))
-            return Invalid(tuple((k, v) for k, v in model if not k.startswith("#")))
-    return Unknown(unknown) if unknown is not None else VALID
-
-
-def _branch_sat(literals: list[Formula], seed: int, need_model: bool):
-    """The cases of one branch: "unsat" when every case is refuted, else a
-    (bools, ints) model or "unknown"; without need_model, "unknown" at the
-    first case not refuted."""
-    names: set[str] = set()
-    for f in literals:
-        _bool_names(f, names)
+def _implies(hyp: _Hypothesis, concl: Formula, search) -> Verdict:
+    """Whether the hypothesis implies one conclusion conjunct: each case of
+    the hypothesis with the negated conjunct, one per assignment to their
+    boolean variables and alternative of their disjunctions, must be
+    refuted. Without a model `search`, NOT_PROVED at the first case that is
+    not."""
+    names = set(hyp.bools)
+    _names(concl, names)
     if len(names) > _MAX_BOOL_VARS:
-        return "unknown"
+        return Unknown("bounded reasoning exhausted") if search else NOT_PROVED
     ordered = sorted(names)
-    saw_unknown = False
+    unknown: Optional[str] = None
     for bits in product((False, True), repeat=len(ordered)):
         asg = dict(zip(ordered, bits))
+        opaque: dict = {}
         try:
-            alts: list[list[FAtom]] = [[]]
-            dead = False
-            for f in literals:
-                inner = _reduce(f, asg)
+            alts = _reduce(concl, False, asg, opaque)
+            for lit in hyp.literals:
+                inner = None if alts is None else _reduce(lit, True, asg, opaque)
                 if inner is None:
-                    dead = True
+                    alts = None
                     break
                 alts = [a + b for a in alts for b in inner]
                 if len(alts) > _MAX_ALTERNATIVES:
                     raise _OutsideFragment()
-            if dead:
-                continue
         except _OutsideFragment:
-            if not need_model:
-                return "unknown"
-            saw_unknown = True
+            if search is None:
+                return NOT_PROVED
+            unknown = "outside the fragment"
             continue
-        for atoms in alts:
-            try:
-                lz = _Linearizer(atoms)
-                rows: list[Row] = []
-                for a in atoms:
-                    rows.extend(_atom_rows(a, lz))
-            except _OutsideFragment:
-                if not need_model:
-                    return "unknown"
-                saw_unknown = True
+        if alts is None:
+            continue  # the case is false under this assignment
+        congruent: list[Row] = []
+        if not hyp.opaque.keys() >= opaque.keys():
+            for t, u in _congruences(list({**hyp.opaque, **opaque}), hyp.subst):
+                congruent += _rows(({t: 1, u: -1}, 0), _HOLDS["="])
+        for extra in alts:
+            rows = extra + congruent
+            if hyp.refutes(rows):
                 continue
-            refuted = _fm_refute(rows)
-            if refuted is True:
-                continue
-            if not need_model:
-                return "unknown"
-            model = _search_model(atoms, lz, seed)
+            if search is None:
+                return NOT_PROVED
+            model = search(rows, {**hyp.opaque, **opaque})
             if model is not None:
-                return asg, model
-            saw_unknown = True
-    return "unknown" if saw_unknown else "unsat"
+                model = {**asg, **model}
+                return Invalid(tuple(sorted((v, n) for v, n in model.items() if isinstance(v, str))))
+            unknown = "bounded reasoning exhausted"
+    return Unknown(unknown) if unknown is not None else VALID
 
 
 # ---------------------------------------------------------------------------
@@ -663,40 +671,35 @@ def _sanitize_names(names: Iterable[str]) -> dict[str, str]:
     return out
 
 
-def _smt_term(t: LogicTerm, names: dict[str, str]) -> str:
+def _smt_term(t: LogicTerm, names: dict[str, str], fns: dict[str, str]) -> str:
     if isinstance(t, LInt):
         return str(t.value) if t.value >= 0 else f"(- {-t.value})"
     if isinstance(t, LVar):
         return names[t.name]
     if isinstance(t, LNeg):
-        return f"(- {_smt_term(t.arg, names)})"
-    if isinstance(t, LAdd):
-        return f"(+ {_smt_term(t.lhs, names)} {_smt_term(t.rhs, names)})"
-    if isinstance(t, LSub):
-        return f"(- {_smt_term(t.lhs, names)} {_smt_term(t.rhs, names)})"
-    if isinstance(t, LMul):
-        return f"(* {_smt_term(t.lhs, names)} {_smt_term(t.rhs, names)})"
-    args = " ".join(_smt_term(a, names) for a in t.args)
-    return f"({t.fn} {args})"
+        return f"(- {_smt_term(t.arg, names, fns)})"
+    if isinstance(t, LApp):
+        return f"({fns[t.fn]} {' '.join(_smt_term(a, names, fns) for a in t.args)})"
+    tag = {LAdd: "+", LSub: "-", LMul: "*"}[type(t)]
+    return f"({tag} {_smt_term(t.lhs, names, fns)} {_smt_term(t.rhs, names, fns)})"
 
 
-def _smt_formula(f: Formula, names: dict[str, str]) -> str:
+def _smt_formula(f: Formula, names: dict[str, str], fns: dict[str, str]) -> str:
     if isinstance(f, FTrue):
         return "true"
     if isinstance(f, FFalse):
         return "false"
     if isinstance(f, FAtom):
-        return f"({f.op} {_smt_term(f.lhs, names)} {_smt_term(f.rhs, names)})"
+        return f"({f.op} {_smt_term(f.lhs, names, fns)} {_smt_term(f.rhs, names, fns)})"
     if isinstance(f, FBoolVar):
         return names[f.name]
     if isinstance(f, FNot):
-        return f"(not {_smt_formula(f.arg, names)})"
+        return f"(not {_smt_formula(f.arg, names, fns)})"
     if isinstance(f, FAnd):
-        inner = " ".join(_smt_formula(p, names) for p in f.parts)
+        inner = " ".join(_smt_formula(p, names, fns) for p in f.parts)
         return f"(and {inner})" if f.parts else "true"
-    if isinstance(f, FImplies):
-        return f"(=> {_smt_formula(f.lhs, names)} {_smt_formula(f.rhs, names)})"
-    return f"(= {_smt_formula(f.lhs, names)} {_smt_formula(f.rhs, names)})"
+    tag = "=>" if isinstance(f, FImplies) else "="
+    return f"({tag} {_smt_formula(f.lhs, names, fns)} {_smt_formula(f.rhs, names, fns)})"
 
 
 def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = False) -> str:
@@ -713,34 +716,12 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = Fal
     for v in sorted(sorts):
         smt_sort = "Bool" if sorts[v] == "bool" else "Int"
         lines.append(f"(declare-const {names[v]} {smt_sort})")
-    fn_names = {u: all_names[uf_keys[u]] for u in ufs}
+    fns = {u: all_names[uf_keys[u]] for u in ufs}
     for u, arity in sorted(ufs.items()):
         args = " ".join(["Int"] * arity)
-        lines.append(f"(declare-fun {fn_names[u]} ({args}) Int)")
-    renamed = dict(names)
-
-    def walk_term(t: LogicTerm) -> LogicTerm:
-        if isinstance(t, LApp):
-            return LApp(fn_names[t.fn], tuple(walk_term(a) for a in t.args))
-        if isinstance(t, LNeg):
-            return LNeg(walk_term(t.arg))
-        if isinstance(t, (LAdd, LSub, LMul)):
-            return type(t)(walk_term(t.lhs), walk_term(t.rhs))
-        return t
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, FAtom):
-            return FAtom(f.op, walk_term(f.lhs), walk_term(f.rhs))
-        if isinstance(f, FNot):
-            return FNot(walk(f.arg))
-        if isinstance(f, FAnd):
-            return FAnd(tuple(walk(p) for p in f.parts))
-        if isinstance(f, (FImplies, FIff)):
-            return type(f)(walk(f.lhs), walk(f.rhs))
-        return f
-
-    lines.append(f"(assert {_smt_formula(walk(q.hypothesis), renamed)})")
-    lines.append(f"(assert (not {_smt_formula(walk(q.conclusion), renamed)}))")
+        lines.append(f"(declare-fun {fns[u]} ({args}) Int)")
+    lines.append(f"(assert {_smt_formula(q.hypothesis, names, fns)})")
+    lines.append(f"(assert (not {_smt_formula(q.conclusion, names, fns)}))")
     lines.append("(check-sat)")
     if get_model:
         lines.append("(get-model)")
@@ -801,11 +782,9 @@ def parse_model(output: str) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_key(q: ValidityQuery, names: Optional[dict[str, str]] = None) -> str:
-    """Serialization with variables renamed in first-occurrence order, so
-    alpha-variant queries share one cache entry. When `names` is given, it
-    receives the renaming from the query's names to the canonical ones."""
-    mapping: dict[str, str] = {} if names is None else names
+def _serialize(f: Formula, mapping: dict[str, str]) -> str:
+    """f printed with its variables renamed by `mapping`, which assigns the
+    next canonical name to each variable not in it yet."""
 
     def name(n: str) -> str:
         if n not in mapping:
@@ -840,7 +819,22 @@ def canonical_key(q: ValidityQuery, names: Optional[dict[str, str]] = None) -> s
         tag = "=>" if isinstance(f, FImplies) else "<=>"
         return f"({tag} {sf(f.lhs)} {sf(f.rhs)})"
 
-    return f"{sf(q.hypothesis)} |- {sf(q.conclusion)}"
+    return sf(f)
+
+
+def canonical_key(q: ValidityQuery, names: Optional[dict[str, str]] = None) -> str:
+    """Serialization with variables renamed in first-occurrence order, so
+    alpha-variant queries share one cache entry. When `names` (empty) is
+    given, it receives the renaming from the query's names to the canonical
+    ones. The hypothesis's part, with its renaming, is memoized on it."""
+    memo = q.hypothesis.memo
+    if "key" not in memo:
+        renaming: dict[str, str] = {}
+        memo["key"] = (_serialize(q.hypothesis, renaming), renaming)
+    prefix, renaming = memo["key"]
+    mapping = {} if names is None else names
+    mapping.update(renaming)
+    return f"{prefix} |- {_serialize(q.conclusion, mapping)}"
 
 
 def _rename_model(verdict: Verdict, names: dict[str, str], back: bool = False) -> Verdict:
@@ -874,6 +868,10 @@ class ValidityEngine:
         self.timeout = timeout
         self.nonlinear_external = nonlinear_external
         self._cache: dict[str, Verdict] = {}
+        # the hypothesis of the last query, kept alive so that the queries
+        # asked in a row against one hypothesis (a template's qualifiers)
+        # share what is memoized on it: its key prefix and compiled form
+        self._hypothesis: Optional[Formula] = None
         self._lock = threading.Lock()
         self.stats = {"queries": 0, "cache_hits": 0, "external_calls": 0}
 
@@ -884,6 +882,7 @@ class ValidityEngine:
         names: dict[str, str] = {}
         key = canonical_key(q, names)
         with self._lock:
+            self._hypothesis = q.hypothesis
             self.stats["queries"] += 1
             cached = self._cache.get(key)
             if cached is not None and (not need_model or cached != NOT_PROVED):
@@ -936,7 +935,3 @@ class ValidityEngine:
         with self._lock:
             return len(self._cache)
 
-
-def check_valid(q: ValidityQuery, backend: str = "builtin", **kw) -> Verdict:
-    """One-shot convenience wrapper around ValidityEngine."""
-    return ValidityEngine(backend=backend, **kw).check(q)

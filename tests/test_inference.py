@@ -306,7 +306,7 @@ class TestTemporaryType:
         shape = Arrow("x", INT, INT)
         # every arm mentions the unbound y, so everything is filtered
         template = fresh(shape, [Y5])
-        got = temporary_type(template, checker, Env(), shape)
+        got = temporary_type([LiquidType((a,)) for a in template.arms], checker, Env(), shape)
         assert got == top_skeleton(shape)
 
     def test_survivors_kept(self, engine, sign_qualifiers):
@@ -316,5 +316,5 @@ class TestTemporaryType:
         checker = SubtypeChecker(engine)
         shape = Arrow("x", INT, INT)
         template = fresh(shape, list(sign_qualifiers) + [Y5])
-        got = temporary_type(template, checker, Env(), shape)
+        got = temporary_type([LiquidType((a,)) for a in template.arms], checker, Env(), shape)
         assert len(got.arms) == 4

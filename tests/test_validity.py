@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import stat
@@ -5,6 +6,7 @@ import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liqinfer.anf import normalize
 from liqinfer.inference import Inferencer
@@ -25,6 +27,8 @@ from liqinfer.logic import (
     LVar,
     formula_vars,
 )
+from liqinfer import validity
+from liqinfer.logic import rename_formula
 from liqinfer.metatheory import default_qualifiers, random_base_query, semantic_implication_oracle
 from liqinfer.parser import parse_term
 from liqinfer.subtyping import SubtypeChecker
@@ -147,6 +151,14 @@ class TestBuiltinDecide:
         q = ValidityQuery(atom("<=", LMul(LInt(2), V), LInt(1)), atom("<=", V, LInt(0)))
         assert builtin_decide(q) == Valid()
 
+    def test_tightening_is_exact_on_long_constants(self):
+        # 2x <= 10^400 + 1 gives x <= 5*10^399, not a float quotient
+        big = 10**400
+        hyp = atom("<=", LMul(LInt(2), X), LInt(big + 1))
+        assert builtin_decide(ValidityQuery(hyp, atom("<=", X, LInt(big // 2)))) is VALID
+        got = builtin_decide(ValidityQuery(hyp, atom("<=", X, LInt(big // 2 - 1))), need_model=False)
+        assert got == NOT_PROVED
+
     def test_boolean_iff_case_split(self):
         b = FBoolVar("b")
         hyp = FAnd((FIff(b, atom("<=", X, LInt(0))), b))
@@ -198,6 +210,144 @@ class TestBuiltinDecide:
         parts += [atom(">=", LAdd(LVar(f"x{i}"), LVar(f"x{i+1}")), LInt(1)) for i in range(6)]
         got = builtin_decide(ValidityQuery(FAnd(tuple(parts)), atom("<=", LVar("x0"), LInt(50))))
         assert isinstance(got, Unknown)
+
+
+def xs(i):
+    return LVar(f"x{i}")
+
+
+class TestEqualityElimination:
+    """Each hypothesis is compiled once: its equalities with a unit
+    coefficient are substituted away before Fourier-Motzkin runs."""
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_substitution_chains(self, order):
+        # x0 = 5 and x_{i+1} = x_i + 1, stated in either order
+        eqs = [atom("=", xs(0), LInt(5))]
+        eqs += [atom("=", xs(i + 1), LAdd(xs(i), LInt(1))) for i in range(8)]
+        hyp = FAnd(tuple(eqs[::order]))
+        assert builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(13)))) is VALID
+        assert builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(12))), need_model=False) == NOT_PROVED
+
+    def test_cyclic_equalities_refute_the_hypothesis(self):
+        hyp = FAnd((atom("=", X, LVar("y")), atom("=", LVar("y"), LAdd(X, LInt(1)))))
+        assert builtin_decide(ValidityQuery(hyp, FFalse())) is VALID
+
+    def test_failing_ground_equality(self):
+        hyp = FAnd((atom(">=", X, LInt(0)), atom("=", LInt(0), LInt(1))))
+        assert builtin_decide(ValidityQuery(hyp, atom("<=", X, LInt(-5)))) is VALID
+
+    def test_non_unit_equality_stays_sound(self):
+        # 2x = 3y has no unit coefficient, so it stays as two rows
+        hyp = atom("=", LMul(LInt(2), X), LMul(LInt(3), LVar("y")))
+        at_least_one = FAnd((hyp, atom(">=", LVar("y"), LInt(1))))
+        assert builtin_decide(ValidityQuery(at_least_one, atom(">=", X, LInt(2)))) is VALID
+        got = builtin_decide(ValidityQuery(hyp, atom(">=", LVar("y"), LInt(0))))
+        assert isinstance(got, Invalid)
+        model = dict(got.model)
+        assert 2 * model["x"] == 3 * model["y"] < 0
+
+    def test_congruence_reads_the_substitution(self):
+        # x = y makes f(x) and f(y) one value, and then g(f(x)) and g(f(y))
+        f = lambda t: LApp("f", (t,))  # noqa: E731
+        g = lambda t: LApp("g", (t,))  # noqa: E731
+        hyp = FAnd((atom("=", X, LAdd(LVar("y"), LInt(0))), atom("=", LVar("a"), g(f(X)))))
+        assert builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), g(f(LVar("y")))))) is VALID
+        assert builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), f(LVar("y")))), need_model=False) == NOT_PROVED
+
+    def test_coefficient_blow_up_is_unknown(self):
+        # x4 = 1000^4 * x0 after substitution, past the coefficient bound
+        parts = [atom(">=", xs(0), LInt(0))]
+        parts += [atom("=", xs(i + 1), LMul(LInt(1000), xs(i))) for i in range(4)]
+        q = ValidityQuery(FAnd(tuple(parts)), atom(">=", xs(4), LInt(0)))
+        assert builtin_decide(q, need_model=False) == NOT_PROVED
+        assert isinstance(builtin_decide(q), Unknown)
+
+    def test_one_compilation_per_hypothesis(self, monkeypatch):
+        compiled = []
+
+        class Counting(validity._Hypothesis):
+            __slots__ = ()
+
+            def __init__(self, literals):
+                compiled.append(literals)
+                super().__init__(literals)
+
+        monkeypatch.setattr(validity, "_Hypothesis", Counting)
+        parts = (atom("=", V, LAdd(X, LInt(1))), atom(">=", X, LInt(0)))
+        engine = ValidityEngine()
+        for q in default_qualifiers() + (CmpRef(">=", VarExp(VALUE_VAR), IntExp(1)),):
+            conclusion = FAtom(q.op, LVar(q.lhs.name), LInt(q.rhs.value))
+            # a new conjunction per query, as `base_subtype_query` builds it:
+            # only the engine keeps it alive from one query to the next
+            engine.check(ValidityQuery(FAnd(parts), conclusion), need_model=False)
+        assert len(compiled) == 1
+        del engine
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, Counting)]
+
+
+# random conjunctions of linear atoms over a few variables
+_names = st.sampled_from(("v", "x", "y", "z"))
+_terms = st.one_of(
+    st.builds(LInt, st.integers(-3, 3)),
+    st.builds(LVar, _names),
+    st.builds(lambda n, k: LAdd(LVar(n), LInt(k)), _names, st.integers(-3, 3)),
+    st.builds(lambda n, m: LSub(LVar(n), LVar(m)), _names, _names),
+    st.builds(lambda k, n: LMul(LInt(k), LVar(n)), st.integers(-2, 3), _names),
+)
+_atoms = st.builds(FAtom, st.sampled_from(("=", "<=", ">=", "<", ">")), _terms, _terms)
+_conjunctions = st.lists(_atoms, min_size=1, max_size=4).map(lambda ps: FAnd(tuple(ps)))
+
+
+class TestCompiledHypotheses:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_conjunctions, min_size=1, max_size=3), st.lists(_atoms, min_size=1, max_size=4))
+    def test_warm_and_renamed_queries_answer_as_fresh_ones(self, hyps, concls):
+        queries = [ValidityQuery(h, c) for h in hyps for c in concls]
+
+        def fresh(q):
+            q.hypothesis.memo.clear()  # compiled anew, and keyed anew
+            return ValidityEngine().check(q)
+
+        verdicts = [fresh(q) for q in queries]
+        warm = ValidityEngine()
+        assert [warm.check(q) for q in queries] == verdicts
+        assert [warm.check(q) for q in queries] == verdicts  # from the cache
+        # renamed: the same key and the same proof; a countermodel search
+        # may take another path, since it is seeded by the printed query
+        rename = {"v": "a", "x": "b", "y": "c", "z": "d"}
+        for q, verdict in zip(queries, verdicts):
+            r = ValidityQuery(rename_formula(q.hypothesis, rename), rename_formula(q.conclusion, rename))
+            assert canonical_key(r) == canonical_key(q)
+            assert type(builtin_decide(r, need_model=False)) is type(builtin_decide(q, need_model=False))
+
+
+class TestWrapPoints:
+    def test_one_decision_and_one_key_per_query(self, monkeypatch):
+        """The engine calls the module-level `builtin_decide` once per query
+        it decides and `canonical_key` once per query, so that wrapping them
+        counts queries; compiling a hypothesis happens inside the first."""
+        queries = add3_family_queries() * 2
+        calls = {"decide": 0, "key": 0}
+        decide, key = validity.builtin_decide, validity.canonical_key
+
+        def counting_decide(*args, **kwargs):
+            calls["decide"] += 1
+            return decide(*args, **kwargs)
+
+        def counting_key(*args, **kwargs):
+            calls["key"] += 1
+            return key(*args, **kwargs)
+
+        monkeypatch.setattr(validity, "builtin_decide", counting_decide)
+        monkeypatch.setattr(validity, "canonical_key", counting_key)
+        engine = ValidityEngine()
+        for query in queries:
+            engine.check(query, need_model=False)
+        stats = engine.stats
+        assert calls["key"] == stats["queries"] > 0
+        assert calls["decide"] == stats["queries"] - stats["cache_hits"] > 0
 
 
 class TestEmitSmtlib:
@@ -270,6 +420,14 @@ class TestCache:
         # the full verdict replaced the entry and now answers both kinds
         assert eng.check(q, need_model=False) == Invalid((("x", 1),))
         assert eng.stats["cache_hits"] == 2
+
+    def test_conclusion_names_continue_the_hypothesis_renaming(self):
+        eng = ValidityEngine()
+        hyp = atom(">=", X, LInt(0))
+        assert eng.check(ValidityQuery(hyp, atom(">=", X, LInt(0))), need_model=False) is VALID
+        # the key prefix of hyp is memoized now; y must not be read as x
+        assert eng.check(ValidityQuery(hyp, atom(">=", LVar("y"), LInt(0))), need_model=False) == NOT_PROVED
+        assert eng.stats["cache_hits"] == 0
 
     def test_distinct_queries_independent(self):
         q1 = ValidityQuery(FTrue(), atom(">=", V, LInt(0)))
