@@ -76,7 +76,9 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prover-timeout", type=float, default=5.0,
                    help="seconds per external query (default 5)")
     p.add_argument("--nonlinear", action="store_true",
-                   help="emit real products instead of the uninterpreted times symbol")
+                   help="in scripts for the external solver, write products of two "
+                        "non-constants as real products (QF_UFNIA) instead of the "
+                        "uninterpreted times symbol")
 
 
 def _make_engine(args: argparse.Namespace) -> ValidityEngine:

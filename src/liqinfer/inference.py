@@ -18,7 +18,6 @@ from __future__ import annotations
 from itertools import product
 from typing import Hashable, Optional, Sequence, Union
 
-from .logic import DEFAULT_CONFIG, EmbedConfig
 from .shapes import ShapeScheme, elaborate, shape_env
 from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
@@ -167,13 +166,12 @@ class Inferencer:
         qualifiers: Sequence[Refinement],
         engine: Optional[ValidityEngine] = None,
         max_arms: int = 4096,
-        config: EmbedConfig = DEFAULT_CONFIG,
         constraint_log: Optional[list[LogEntry]] = None,
     ) -> None:
         self.qualifiers = tuple(dict.fromkeys(qualifiers))
         self.engine = engine if engine is not None else ValidityEngine()
         self.max_arms = max_arms
-        self.checker = SubtypeChecker(self.engine, config, constraint_log)
+        self.checker = SubtypeChecker(self.engine, constraint_log)
         self._shapes: dict[int, ShapeScheme] = {}
         self._templates: dict[Hashable, _Template] = {}
 

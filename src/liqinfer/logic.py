@@ -1,10 +1,11 @@
-"""Embedding of refinement expressions, terms and environments into
+"""Embedding of refinement expressions and environments into
 quantifier-free formulas over equality, uninterpreted functions and linear
 integer arithmetic.
 
-Exact multiplication embeds through the uninterpreted symbol ``times`` unless
-the target solver supports nonlinear arithmetic, in which case a real product
-term is emitted (see EmbedConfig).
+A product of two non-constants embeds as an application of the uninterpreted
+symbol ``times``, as in Liquid Types; scaling by a constant stays linear. How
+a solver sees ``times`` is the SMT-LIB emitter's choice
+(`validity.emit_smtlib`).
 
 Logic terms and formulas are hash-consed like the types of `syntax`
 (`Interned`): equality is identity, and values are built only by calling
@@ -13,37 +14,26 @@ their classes with positional fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
     AddExp,
-    App,
-    BoolConst,
     BoolRef,
     BoolVarRef,
     CmpRef,
     ConjRef,
-    Const,
     Env,
     IffRef,
-    IntConst,
     IntExp,
     IntExpr,
-    Lam,
     LiqError,
     MulExp,
-    NameSource,
     NegExp,
-    PartialPrim,
-    PrimConst,
     Refinement,
     BaseArm,
     BaseBinding,
     SubExp,
-    Term,
     TopRef,
-    Var,
     VarExp,
     VALUE_VAR,
     Value,
@@ -52,7 +42,7 @@ from .syntax import (
 
 
 class EmbeddingError(LiqError):
-    """A term or refinement falls outside the embeddable fragment."""
+    """A refinement falls outside the embeddable fragment."""
 
 
 # ---------------------------------------------------------------------------
@@ -188,113 +178,50 @@ def conj(parts: list[Formula]) -> Formula:
     return FAnd(tuple(flat))
 
 
-@dataclass(frozen=True)
-class EmbedConfig:
-    """nonlinear_mul selects real products instead of the uninterpreted
-    ``times`` symbol; only meaningful for solvers that support it."""
-
-    nonlinear_mul: bool = False
-
-
-DEFAULT_CONFIG = EmbedConfig()
-
-
 # ---------------------------------------------------------------------------
 # Embedding
 # ---------------------------------------------------------------------------
 
 
-def embed_int_expr(e: IntExpr, config: EmbedConfig = DEFAULT_CONFIG) -> LogicTerm:
+def embed_int_expr(e: IntExpr) -> LogicTerm:
     if isinstance(e, IntExp):
         return LInt(e.value)
     if isinstance(e, VarExp):
         return LVar(e.name)
     if isinstance(e, NegExp):
-        inner = embed_int_expr(e.arg, config)
+        inner = embed_int_expr(e.arg)
         if isinstance(inner, LInt):
             return LInt(-inner.value)
         return LNeg(inner)
     if isinstance(e, AddExp):
-        return LAdd(embed_int_expr(e.lhs, config), embed_int_expr(e.rhs, config))
+        return LAdd(embed_int_expr(e.lhs), embed_int_expr(e.rhs))
     if isinstance(e, SubExp):
-        return LSub(embed_int_expr(e.lhs, config), embed_int_expr(e.rhs, config))
+        return LSub(embed_int_expr(e.lhs), embed_int_expr(e.rhs))
     if isinstance(e, MulExp):
-        lhs = embed_int_expr(e.lhs, config)
-        rhs = embed_int_expr(e.rhs, config)
+        lhs = embed_int_expr(e.lhs)
+        rhs = embed_int_expr(e.rhs)
         if isinstance(lhs, LInt) and isinstance(rhs, LInt):
             return LInt(lhs.value * rhs.value)
         if isinstance(lhs, LInt) or isinstance(rhs, LInt):
             return LMul(lhs, rhs)  # scaling by a constant stays linear
-        if config.nonlinear_mul:
-            return LMul(lhs, rhs)
         return LApp("times", (lhs, rhs))
     raise EmbeddingError(f"not an integer expression: {e!r}")
 
 
-def embed_refinement(r: Refinement, config: EmbedConfig = DEFAULT_CONFIG) -> Formula:
+def embed_refinement(r: Refinement) -> Formula:
     if isinstance(r, TopRef):
         return TRUE
     if isinstance(r, BoolRef):
         return TRUE if r.value else FALSE
     if isinstance(r, CmpRef):
-        return FAtom(r.op, embed_int_expr(r.lhs, config), embed_int_expr(r.rhs, config))
+        return FAtom(r.op, embed_int_expr(r.lhs), embed_int_expr(r.rhs))
     if isinstance(r, BoolVarRef):
         return FBoolVar(r.name)
     if isinstance(r, IffRef):
-        return FIff(embed_refinement(r.lhs, config), embed_refinement(r.rhs, config))
+        return FIff(embed_refinement(r.lhs), embed_refinement(r.rhs))
     if isinstance(r, ConjRef):
-        return conj([embed_refinement(p, config) for p in r.parts])
+        return conj([embed_refinement(p) for p in r.parts])
     raise EmbeddingError(f"not a boolean refinement expression: {r!r}")
-
-
-_PRIM_BINOPS = {"add": LAdd, "sub": LSub}
-
-
-def embed_term(t: Term, names: Optional[NameSource] = None,
-               config: EmbedConfig = DEFAULT_CONFIG) -> LogicTerm:
-    """Translate a term into the logic.  Arithmetic maps directly; lambda
-    abstractions become fresh uninterpreted constants and applications with
-    non-arithmetic heads go through the uninterpreted binary ``app``."""
-    if names is None:
-        names = NameSource("lam")
-    if isinstance(t, Var):
-        return LVar(t.name)
-    if isinstance(t, Const):
-        c = t.const
-        if isinstance(c, IntConst):
-            return LInt(c.value)
-        if isinstance(c, BoolConst):
-            return LInt(1 if c.value else 0)  # boolean values as 0/1 terms
-        if isinstance(c, (PrimConst, PartialPrim)):
-            return LVar(f"prim_{c.op}")
-        raise EmbeddingError(f"cannot embed constant {c!r}")
-    if isinstance(t, Lam):
-        return LVar(names.fresh())
-    if isinstance(t, App):
-        spine, args = t.fun, [t.arg]
-        while isinstance(spine, App):
-            args.insert(0, spine.arg)
-            spine = spine.fun
-        if isinstance(spine, Const) and isinstance(spine.const, PrimConst):
-            op = spine.const.op
-            if op == "neg" and len(args) == 1:
-                return LNeg(embed_term(args[0], names, config))
-            if op in _PRIM_BINOPS and len(args) == 2:
-                ctor = _PRIM_BINOPS[op]
-                return ctor(embed_term(args[0], names, config), embed_term(args[1], names, config))
-            if op == "mul" and len(args) == 2:
-                lhs = embed_term(args[0], names, config)
-                rhs = embed_term(args[1], names, config)
-                if isinstance(lhs, LInt) and isinstance(rhs, LInt):
-                    return LInt(lhs.value * rhs.value)
-                if isinstance(lhs, LInt) or isinstance(rhs, LInt) or config.nonlinear_mul:
-                    return LMul(lhs, rhs)
-                return LApp("times", (lhs, rhs))
-        acc = embed_term(spine, names, config)
-        for a in args:
-            acc = LApp("app", (acc, embed_term(a, names, config)))
-        return acc
-    raise EmbeddingError("only variables, constants and application chains embed")
 
 
 def rename_formula(f: Formula, mapping: dict[str, str]) -> Formula:
@@ -322,41 +249,43 @@ def rename_formula(f: Formula, mapping: dict[str, str]) -> Formula:
     return type(f)(rename_formula(f.lhs, mapping), rename_formula(f.rhs, mapping))
 
 
-def embed_arm(arm: BaseArm, config: EmbedConfig = DEFAULT_CONFIG) -> Formula:
+def embed_arm(arm: BaseArm) -> Formula:
     """`embed_refinement` of the arm's refinement, memoized on the arm."""
-    f = arm.embedded.get(config)
-    if f is None:
-        f = arm.embedded[config] = embed_refinement(arm.ref, config)
-    return f
+    try:
+        return arm.embedded
+    except AttributeError:
+        f = embed_refinement(arm.ref)
+        object.__setattr__(arm, "embedded", f)
+        return f
 
 
-def _binding_conjuncts(b: BaseBinding, config: EmbedConfig) -> tuple[Formula, ...]:
-    parts = b.embedded.get(config)
+def _binding_conjuncts(b: BaseBinding) -> tuple[Formula, ...]:
+    parts = b.embedded
     if parts is None:
         rename = {VALUE_VAR: b.name}
-        parts = b.embedded[config] = tuple(rename_formula(embed_arm(a, config), rename) for a in b.arms)
+        parts = b.embedded = tuple(rename_formula(embed_arm(a), rename) for a in b.arms)
     return parts
 
 
-def embed_env(env: Env, config: EmbedConfig = DEFAULT_CONFIG) -> Formula:
+def embed_env(env: Env) -> Formula:
     """Conjunction over the base bindings of `env.scope()` of their
     refinements with the value variable renamed to the bound name; other
     bindings contribute nothing. Only the last binding of a name counts
     (shadowing), and one of a non-base type hides the name.
 
-    Built once per scope and config, and shared by every environment with
-    that scope: from the prefix scope's formula when the scope appends one
-    binding to it, otherwise from the conjuncts each binding keeps."""
+    Built once per scope, and shared by every environment with that scope:
+    from the prefix scope's formula when the scope appends one binding to
+    it, otherwise from the conjuncts each binding keeps."""
     scope = env.scope()
-    f = scope.embedded.get(config)
+    f = scope.embedded
     if f is None:
         prefix = scope.prefix
-        if prefix is not None and config in prefix.embedded:
+        if prefix is not None and prefix.embedded is not None:
             last = next(reversed(scope.bindings.values()))
-            f = conj([prefix.embedded[config], *_binding_conjuncts(last, config)])
+            f = conj([prefix.embedded, *_binding_conjuncts(last)])
         else:
-            f = conj([p for b in scope.bindings.values() for p in _binding_conjuncts(b, config)])
-        scope.embedded[config] = f
+            f = conj([p for b in scope.bindings.values() for p in _binding_conjuncts(b)])
+        scope.embedded = f
     return f
 
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .logic import DEFAULT_CONFIG, EmbedConfig, Formula, conj, embed_arm, embed_env
+from .logic import Formula, conj, embed_arm, embed_env
 from .syntax import (
     Base,
     BaseArm,
     Env,
     FunArm,
-    IllFoundedType,
     LiquidType,
     Scheme,
     TOP,
@@ -36,27 +35,10 @@ from .syntax import (
     refinement_sorts_ok,
     refinement_vars,
     render_scheme,
-    shape_of,
     subst_liquid,
     subst_tyvar_liquid,
 )
 from .validity import Valid, ValidityEngine, ValidityQuery
-
-
-@dataclass(frozen=True)
-class WellFormedC:
-    env: Env
-    scheme: Scheme
-
-
-@dataclass(frozen=True)
-class SubtypeC:
-    env: Env
-    lhs: Scheme
-    rhs: Scheme
-
-
-Constraint = Union[WellFormedC, SubtypeC]
 
 
 @dataclass
@@ -124,11 +106,9 @@ class SubtypeChecker:
     def __init__(
         self,
         engine: ValidityEngine,
-        config: EmbedConfig = DEFAULT_CONFIG,
         log: Optional[list[LogEntry]] = None,
     ) -> None:
         self.engine = engine
-        self.config = config
         self.log = log
         self._judged: dict[tuple[Formula, LiquidType, LiquidType], bool] = {}
         self._wf: dict[tuple[LiquidType, tuple[Optional[str], ...]], bool] = {}
@@ -192,7 +172,7 @@ class SubtypeChecker:
     def _sub(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
         if a is b:
             return True  # reflexivity needs no solver support
-        key = (embed_env(env, self.config), a, b)
+        key = (embed_env(env), a, b)
         known = self._judged.get(key)
         if known is None:
             known = self._judged[key] = self._decide(env, a, b)
@@ -243,52 +223,9 @@ class SubtypeChecker:
         return f"{rhs.binder}%{i}"
 
     def base_subtype_query(self, env: Env, lhs_arms: list, rhs_arms: list) -> ValidityQuery:
-        hyp = conj(
-            [embed_env(env, self.config)]
-            + [embed_arm(a, self.config) for a in lhs_arms]
-        )
-        concl = conj([embed_arm(a, self.config) for a in rhs_arms])
+        hyp = conj([embed_env(env)] + [embed_arm(a) for a in lhs_arms])
+        concl = conj([embed_arm(a) for a in rhs_arms])
         return ValidityQuery(hyp, concl)
-
-    # -- constraint simplification ------------------------------------------
-
-    def simplify(self, c: Constraint) -> list[Constraint]:
-        if isinstance(c, WellFormedC):
-            out: list[Constraint] = []
-            for arm in c.scheme.body.arms:
-                if isinstance(arm, (BaseArm, VarArm)):
-                    out.append(WellFormedC(c.env, mono(LiquidType((arm,)))))
-                else:
-                    out.extend(self.simplify(WellFormedC(c.env, mono(arm.dom))))
-                    inner_env = c.env.extend(arm.binder, mono(arm.dom))
-                    out.extend(self.simplify(WellFormedC(inner_env, mono(arm.cod))))
-            return out
-        if shape_of(c.lhs) != shape_of(c.rhs):
-            raise IllFoundedType("subtype constraint between different shapes")
-        lhs_arms, rhs_arms = c.lhs.body.arms, c.rhs.body.arms
-        if all(isinstance(a, BaseArm) for a in lhs_arms) and all(
-            isinstance(a, BaseArm) for a in rhs_arms
-        ):
-            return [c]
-        if len(rhs_arms) > 1:
-            out = []
-            for arm in rhs_arms:
-                out.extend(
-                    self.simplify(SubtypeC(c.env, c.lhs, Scheme(c.rhs.qvars, LiquidType((arm,)))))
-                )
-            return out
-        rhs = rhs_arms[0]
-        if isinstance(rhs, VarArm):
-            return []  # alpha < alpha is an axiom
-        if isinstance(rhs, FunArm) and len(lhs_arms) == 1 and isinstance(lhs_arms[0], FunArm):
-            lhs = lhs_arms[0]
-            out = self.simplify(SubtypeC(c.env, mono(rhs.dom), mono(lhs.dom)))
-            binder = rhs.binder
-            cod_l = lhs.cod if lhs.binder == binder else subst_liquid(lhs.cod, {lhs.binder: Var(binder)})
-            inner = c.env.extend(binder, mono(rhs.dom))
-            out.extend(self.simplify(SubtypeC(inner, mono(cod_l), mono(rhs.cod))))
-            return out
-        return [c]  # intersection-of-arrows below an arrow needs arm selection
 
 
 def _type_vars(t: LiquidType) -> set[str]:

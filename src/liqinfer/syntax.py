@@ -429,9 +429,11 @@ def simple_type_vars(t: SimpleType) -> frozenset[str]:
 class _Arm(Value):
     """Base of the arm classes. Values derived from an arm are computed on
     first use and kept in slots that are not fields, so repr ignores them.
-    Since arms are hash-consed, every occurrence of an arm shares them."""
+    Since arms are hash-consed, every occurrence of an arm shares them.
+    `embedded`, a base arm's refinement as a formula, is unset until
+    `logic.embed_arm` fills it."""
 
-    __slots__ = ("_rendered", "_embedded", "_shape")
+    __slots__ = ("_rendered", "embedded", "_shape")
 
     @property
     def shape(self) -> SimpleType:
@@ -452,17 +454,6 @@ class _Arm(Value):
             text = render_arm(self)
             object.__setattr__(self, "_rendered", text)
             return text
-
-    @property
-    def embedded(self) -> dict:
-        """A base arm's refinement as a formula per `logic.EmbedConfig`,
-        filled by `logic.embed_arm`."""
-        try:
-            return self._embedded
-        except AttributeError:
-            memo: dict = {}
-            object.__setattr__(self, "_embedded", memo)
-            return memo
 
 
 @interned
@@ -662,14 +653,14 @@ def type_vars_of(t: Union[LiquidType, Scheme, Arm]) -> frozenset[str]:
 class BaseBinding:
     """A binding refinements can see: a monomorphic scheme whose arms are
     all base arms. `embedded` keeps its conjuncts, with the value variable
-    renamed to `name`, per `logic.EmbedConfig` (filled by `logic.embed_env`)."""
+    renamed to `name`, once `logic.embed_env` has built them."""
 
     __slots__ = ("name", "arms", "embedded")
 
     def __init__(self, name: str, arms: tuple[BaseArm, ...]) -> None:
         self.name = name
         self.arms = arms
-        self.embedded: dict = {}
+        self.embedded: Optional[tuple] = None
 
     @property
     def sort(self) -> str:
@@ -689,9 +680,9 @@ class RefinementScope:
 
     An extension that changes nothing here shares the scope of its parent,
     and with it the derived values: `sorts()` and `embedded`, the
-    environment's formula per `logic.EmbedConfig` (filled by
-    `logic.embed_env`). `prefix` is the scope this one extends by a single
-    binding at the end, when it was made that way. `bindings` is read-only.
+    environment's formula once `logic.embed_env` has built it. `prefix` is
+    the scope this one extends by a single binding at the end, when it was
+    made that way. `bindings` is read-only.
     """
 
     __slots__ = ("bindings", "prefix", "embedded", "_sorts")
@@ -701,7 +692,7 @@ class RefinementScope:
     ) -> None:
         self.bindings = bindings
         self.prefix = prefix
-        self.embedded: dict = {}
+        self.embedded: Any = None
         self._sorts: Optional[Mapping[str, str]] = None
 
     def extend(self, name: str, scheme: Scheme) -> "RefinementScope":
@@ -891,12 +882,6 @@ def subst_tyvar_liquid(t: LiquidType, name: str, repl: LiquidType) -> LiquidType
         else:
             arms.append(a)
     return make_type(arms)
-
-
-def subst_tyvar_scheme(s: Scheme, name: str, repl: LiquidType) -> Scheme:
-    if name in s.qvars:
-        return s
-    return Scheme(s.qvars, subst_tyvar_liquid(s.body, name, repl))
 
 
 # ---------------------------------------------------------------------------

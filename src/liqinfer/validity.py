@@ -20,7 +20,10 @@ Inference asks only "Valid?" (`check(q, need_model=False)`): the built-in
 walk stops at the first case Fourier-Motzkin does not refute and answers
 NOT_PROVED, with no countermodel search.  The bounded model search runs only
 for callers that want the full verdict, such as the `check-metatheory`
-oracle agreement; it reads each case's rows before substitution.
+oracle agreement. It reads the system Fourier-Motzkin failed to refute, the
+case's rows after substitution: it searches the variables the hypothesis's
+equalities leave free and gives each bound one the value of its binding.
+After a coefficient overflow it answers Unknown.
 """
 
 from __future__ import annotations
@@ -341,15 +344,15 @@ class _Hypothesis:
             subst, self.rows = {}, None
         self.subst = subst or _NO_TERMS
 
-    def refutes(self, extra: list[Row]) -> bool:
-        """Whether Fourier-Motzkin refutes the hypothesis with `extra`."""
+    def system(self, extra: list[Row]) -> Optional[list[Row]]:
+        """The rows of the hypothesis with `extra` added, all under the
+        substitution; None when a coefficient overflows."""
         if self.rows is None:
-            return False
+            return None
         try:
-            rows = self.rows + [_substitute(r, self.subst) for r in extra]
+            return self.rows + [_substitute(r, self.subst) for r in extra]
         except _FMOverflow:
-            return False
-        return _fm_refute(rows) is True
+            return None
 
 
 def _compile(f: Formula) -> Optional[_Hypothesis]:
@@ -486,23 +489,28 @@ def _candidate_values(rows: list[Row]) -> list[int]:
     return sorted(consts)
 
 
-def _search_model(rows: list[Row], opaque: dict, ints: dict[str, str], seed: int) -> Optional[dict]:
-    """A model of the rows, consistent on the opaque terms, that also gives
-    every integer variable of the query a value (`ints`), those that occur
-    only inside an opaque term too."""
+def _search_model(
+    rows: list[Row], subst: Mapping, opaque: dict, ints: dict[str, str], seed: int
+) -> Optional[dict]:
+    """A model of the rows, which `subst` has been applied to, consistent on
+    the opaque terms. It searches the variables `subst` leaves free and gives
+    each bound one the value of its binding, and it gives every integer
+    variable of the query a value (`ints`), those that occur only inside an
+    opaque term too."""
     var_set = set(ints) | set(opaque)
-    for coeffs, _ in rows:
+    for coeffs, _ in [*rows, *subst.values()]:
         var_set.update(coeffs)
-    variables = sorted(var_set, key=str)
-    if not variables:
-        return {} if all(k <= 0 for c, k in rows if not c) else None
+    variables = sorted(var_set.difference(subst), key=str)
     values = _candidate_values(rows)
     total = len(values) ** len(variables)
 
     def ok(asg: dict) -> bool:
+        """Whether the free values in `asg` make a model; adds the bound ones."""
         for coeffs, k in rows:
             if sum(c * asg[v] for v, c in coeffs.items()) + k > 0:
                 return False
+        for v, (coeffs, k) in subst.items():
+            asg[v] = sum(c * asg[w] for w, c in coeffs.items()) + k
         # congruence consistency of opaque occurrences, and a product is the
         # product of its arguments' values
         table: dict[tuple, int] = {}
@@ -581,13 +589,8 @@ def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
         _names(q.hypothesis, set(), ints)
         _names(q.conclusion, set(), ints)
 
-        original: list[Row] = []  # the hypothesis's atoms as rows, unsubstituted
-        for lit in _flatten_conj(q.hypothesis):
-            if isinstance(lit, FAtom):
-                original += _rows(_difference(lit, {}), _HOLDS[lit.op])
-
         def search(rows: list[Row], opaque: dict) -> Optional[dict]:
-            return _search_model(original + rows, opaque, ints, seed)
+            return _search_model(rows, hyp.subst, opaque, ints, seed)
 
     unknown: Optional[str] = None
     for part in concl:
@@ -636,11 +639,14 @@ def _implies(hyp: _Hypothesis, concl: Formula, search) -> Verdict:
             for t, u in _congruences(list({**hyp.opaque, **opaque}), hyp.subst):
                 congruent += _rows(({t: 1, u: -1}, 0), _HOLDS["="])
         for extra in alts:
-            rows = extra + congruent
-            if hyp.refutes(rows):
+            rows = hyp.system(extra + congruent)
+            if rows is not None and _fm_refute(rows) is True:
                 continue
             if search is None:
                 return NOT_PROVED
+            if rows is None:
+                unknown = "coefficient overflow"
+                continue
             model = search(rows, {**hyp.opaque, **opaque})
             if model is not None:
                 model = {**asg, **model}
@@ -704,11 +710,15 @@ def _smt_formula(f: Formula, names: dict[str, str], fns: dict[str, str]) -> str:
 
 def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = False) -> str:
     """SMT-LIB v2 script asserting hypothesis and negated conclusion; an
-    unsat answer means the query is valid."""
+    unsat answer means the query is valid. A product of two non-constants
+    is embedded as the uninterpreted ``times``; `nonlinear` prints it as a
+    real product, `*` in QF_UFNIA, and declares no ``times``."""
     sorts = formula_vars(q.hypothesis, {})
     formula_vars(q.conclusion, sorts)
     ufs = formula_ufs(q.hypothesis, {})
     formula_ufs(q.conclusion, ufs)
+    if nonlinear:
+        ufs.pop("times", None)
     uf_keys = {u: (u if u not in sorts else f"{u}!fn") for u in ufs}
     all_names = _sanitize_names(list(sorts) + list(uf_keys.values()))
     names = {n: all_names[n] for n in sorts}
@@ -717,6 +727,8 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = Fal
         smt_sort = "Bool" if sorts[v] == "bool" else "Int"
         lines.append(f"(declare-const {names[v]} {smt_sort})")
     fns = {u: all_names[uf_keys[u]] for u in ufs}
+    if nonlinear:
+        fns["times"] = "*"
     for u, arity in sorted(ufs.items()):
         args = " ".join(["Int"] * arity)
         lines.append(f"(declare-fun {fns[u]} ({args}) Int)")

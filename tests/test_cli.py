@@ -115,6 +115,38 @@ class TestConstraintGoldens:
         assert any("(y=5)" in line and line.endswith("[ok]") for line in wf)
 
 
+def _recording_solver(tmp_path):
+    """A solver that appends each script it reads to a log, followed by a
+    separator line, and answers unknown."""
+    import stat
+
+    log = tmp_path / "scripts.smt2"
+    solver = tmp_path / "record.sh"
+    solver.write_text(f"#!/bin/sh\ncat >> '{log}'\necho ';; ----' >> '{log}'\necho unknown\n")
+    solver.chmod(solver.stat().st_mode | stat.S_IEXEC)
+    return str(solver), log
+
+
+class TestSolverScripts:
+    """The scripts `demos/sign.ml` sends to an external solver. `mul` squares
+    its argument, so its queries hold the product `x * x`."""
+
+    def run(self, tmp_path, capsys, *flags):
+        solver, log = _recording_solver(tmp_path)
+        sign = str(ROOT / "demos" / "sign.ml")
+        code, _, err = run_cli(capsys, sign, "--backend", "external", "--smt-cmd", solver, *flags)
+        assert code == 0, err
+        return log.read_text()
+
+    def test_default_scripts_match_golden(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys) == (GOLDEN / "sign.external.smt2").read_text()
+
+    def test_nonlinear_scripts_hold_real_products(self, tmp_path, capsys):
+        scripts = self.run(tmp_path, capsys, "--nonlinear")
+        assert "(* x x)" in scripts and "(set-logic QF_UFNIA)" in scripts
+        assert "times" not in scripts
+
+
 class TestQualifierScope:
     def test_out_of_scope_qualifier_filtered(self, tmp_path, capsys):
         # a qualifier mentioning an unbound y only prunes template arms

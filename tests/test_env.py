@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from liqinfer import logic
 from liqinfer.anf import normalize
 from liqinfer.inference import Inferencer
-from liqinfer.logic import DEFAULT_CONFIG, EmbedConfig, conj, embed_env, embed_refinement, rename_formula
+from liqinfer.logic import conj, embed_env, embed_refinement, rename_formula
 from liqinfer.metatheory import _base_bindings
 from liqinfer.parser import parse_program
 from liqinfer.subtyping import env_sorts
@@ -34,14 +34,13 @@ from liqinfer.syntax import (
     mono,
 )
 
-NONLINEAR = EmbedConfig(nonlinear_mul=True)
 NAMES = ("x", "y", "z", "w")
 
 
 # -- the reference: the full walks every query made before the views -------
 
 
-def ref_embed_env(env: Env, config: EmbedConfig) -> logic.Formula:
+def ref_embed_env(env: Env) -> logic.Formula:
     last = {name: i for i, (name, _) in enumerate(env.bindings)}
     parts = []
     for i, (name, sch) in enumerate(env.bindings):
@@ -51,7 +50,7 @@ def ref_embed_env(env: Env, config: EmbedConfig) -> logic.Formula:
         if not all(isinstance(a, BaseArm) for a in arms):
             continue
         for arm in arms:
-            parts.append(rename_formula(embed_refinement(arm.ref, config), {VALUE_VAR: name}))
+            parts.append(rename_formula(embed_refinement(arm.ref), {VALUE_VAR: name}))
     return conj(parts)
 
 
@@ -92,7 +91,7 @@ int_terms = st.one_of(
 int_refs = st.one_of(
     st.just(TOP),
     st.builds(CmpRef, st.sampled_from(("=", "<=", ">=", "<", ">")), st.just(VarExp(VALUE_VAR)), int_terms),
-    # a product of two variables embeds differently under the two configs
+    # a product of two variables embeds as an application of `times`
     st.builds(lambda a, b: CmpRef("=", VarExp(VALUE_VAR), MulExp(VarExp(a), VarExp(b))),
               st.sampled_from(NAMES), st.sampled_from(NAMES)),
 )
@@ -130,18 +129,15 @@ def env_families(draw):
         parent = envs[draw(st.integers(0, len(envs) - 1))]
         envs.append(parent.extend(draw(st.sampled_from(NAMES)), draw(schemes)))
     order = draw(st.permutations(range(len(envs))))
-    configs = draw(st.permutations((DEFAULT_CONFIG, NONLINEAR)))
-    return [envs[i] for i in order], configs
+    return [envs[i] for i in order]
 
 
 class TestViewsMatchTheFullWalk:
     @settings(max_examples=300, deadline=None)
     @given(env_families())
-    def test_every_reader_agrees_with_the_reference(self, family):
-        envs, configs = family
+    def test_every_reader_agrees_with_the_reference(self, envs):
         for env in envs:
-            for config in configs:
-                assert embed_env(env, config) == ref_embed_env(env, config)
+            assert embed_env(env) == ref_embed_env(env)
             assert dict(env_sorts(env)) == ref_env_sorts(env)
             assert env.names() == frozenset(n for n, _ in env.bindings)
             for name in NAMES:

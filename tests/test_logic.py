@@ -1,5 +1,4 @@
 from liqinfer.logic import (
-    EmbedConfig,
     FAnd,
     FAtom,
     FBoolVar,
@@ -8,23 +7,19 @@ from liqinfer.logic import (
     FImplies,
     FNot,
     FTrue,
-    LAdd,
     LApp,
     LInt,
     LMul,
     LNeg,
-    LSub,
     LVar,
     conj,
     embed_env,
     embed_int_expr,
     embed_refinement,
-    embed_term,
     formula_ufs,
     formula_vars,
     rename_formula,
 )
-from liqinfer.parser import parse_term
 from liqinfer.syntax import (
     BaseArm,
     BoolVarRef,
@@ -37,7 +32,6 @@ from liqinfer.syntax import (
     IntExp,
     LiquidType,
     MulExp,
-    NameSource,
     NegExp,
     subst_refinement,
     TOP,
@@ -82,44 +76,10 @@ class TestEmbedRefinement:
         got = embed_refinement(ref)
         assert got == FAtom("=", LVar(VALUE_VAR), LApp("times", (LVar("x"), LVar("y"))))
 
-    def test_mul_nonlinear_when_configured(self):
-        ref = CmpRef("=", VarExp(VALUE_VAR), MulExp(VarExp("x"), VarExp("y")))
-        got = embed_refinement(ref, EmbedConfig(nonlinear_mul=True))
-        assert got == FAtom("=", LVar(VALUE_VAR), LMul(LVar("x"), LVar("y")))
-
     def test_mul_by_literal_stays_linear(self):
         got = embed_int_expr(MulExp(IntExp(2), VarExp("x")))
         assert got == LMul(LInt(2), LVar("x"))
         assert embed_int_expr(MulExp(IntExp(3), IntExp(4))) == LInt(12)
-
-
-class TestEmbedTerm:
-    def test_literal(self):
-        assert embed_term(parse_term("5")) == LInt(5)
-
-    def test_variable(self):
-        assert embed_term(parse_term("x")) == LVar("x")
-
-    def test_uninterpreted_application(self):
-        got = embed_term(parse_term("f y"))
-        assert got == LApp("app", (LVar("f"), LVar("y")))
-
-    def test_arithmetic_heads_map_directly(self):
-        assert embed_term(parse_term("+ x y")) == LAdd(LVar("x"), LVar("y"))
-        assert embed_term(parse_term("sub x y")) == LSub(LVar("x"), LVar("y"))
-        assert embed_term(parse_term("- x")) == LNeg(LVar("x"))
-
-    def test_lambda_becomes_fresh_constant(self):
-        names = NameSource("lam")
-        one = embed_term(parse_term("\\x. x"), names)
-        two = embed_term(parse_term("\\x. x"), names)
-        assert isinstance(one, LVar) and isinstance(two, LVar)
-        assert one != two
-
-    def test_congruence_of_equal_chains(self):
-        a = embed_term(parse_term("f (g y)"))
-        b = embed_term(parse_term("f (g y)"))
-        assert a == b
 
 
 class TestEmbedEnv:
@@ -198,12 +158,3 @@ class TestEmbeddingErrors:
 
         with pytest.raises(EmbeddingError):
             embed_refinement(VarExp("x"))  # an integer expression is not a refinement
-
-    def test_non_embeddable_term_rejected(self):
-        import pytest
-
-        from liqinfer.logic import EmbeddingError
-        from liqinfer.parser import parse_term
-
-        with pytest.raises(EmbeddingError):
-            embed_term(parse_term("let x = 1 in x"))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from liqinfer.logic import FAnd, FAtom, FTrue, LInt, LVar
 from liqinfer.metatheory import semantic_implication_oracle
-from liqinfer.subtyping import LogEntry, SubtypeC, SubtypeChecker, WellFormedC, env_sorts
+from liqinfer.subtyping import LogEntry, SubtypeChecker, env_sorts
 from liqinfer.syntax import (
     BaseArm,
     BOOL,
@@ -15,7 +15,6 @@ from liqinfer.syntax import (
     Env,
     FunArm,
     IffRef,
-    IllFoundedType,
     INT,
     IntExp,
     LiquidType,
@@ -210,37 +209,6 @@ class TestBaseSubtypeQuery:
     def test_top_to_top(self, checker):
         q = checker.base_subtype_query(Env(), [BaseArm(INT, TOP)], [BaseArm(INT, TOP)])
         assert q.hypothesis == FTrue() and q.conclusion == FTrue()
-
-
-class TestSimplify:
-    def test_wf_splits_intersection(self, checker):
-        c = WellFormedC(Env(), mono(intersect(base(GE), base(LE))))
-        atoms = checker.simplify(c)
-        assert len(atoms) == 2
-        assert all(isinstance(a, WellFormedC) for a in atoms)
-
-    def test_wf_function_splits_into_domain_and_codomain(self, checker):
-        c = WellFormedC(Env(), mono(arrow("x", base(GE), base(LE))))
-        atoms = checker.simplify(c)
-        assert len(atoms) == 2
-        assert atoms[1].env.lookup("x") is not None
-
-    def test_atomic_stays(self, checker):
-        c = WellFormedC(Env(), mono(base(TOP)))
-        assert checker.simplify(c) == [c]
-
-    def test_arrow_subtype_splits_contravariantly(self, checker):
-        lhs = arrow("x", base(TOP), base(LE))
-        rhs = arrow("x", base(GE), base(TOP))
-        atoms = checker.simplify(SubtypeC(Env(), mono(lhs), mono(rhs)))
-        assert len(atoms) == 2
-        first, second = atoms
-        assert first.lhs.body == base(GE) and first.rhs.body == base(TOP)
-        assert second.env.lookup("x") is not None
-
-    def test_shape_mismatch_raises(self, checker):
-        with pytest.raises(IllFoundedType):
-            checker.simplify(SubtypeC(Env(), mono(base(GE)), mono(LiquidType((BaseArm(BOOL, TOP),)))))
 
 
 class TestLogging:

@@ -228,6 +228,10 @@ class TestEqualityElimination:
         hyp = FAnd(tuple(eqs[::order]))
         assert builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(13)))) is VALID
         assert builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(12))), need_model=False) == NOT_PROVED
+        # the model search reads the substituted system: every x_i is bound
+        got = builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(12))))
+        assert isinstance(got, Invalid)
+        assert dict(got.model) == {f"x{i}": 5 + i for i in range(9)}
 
     def test_cyclic_equalities_refute_the_hypothesis(self):
         hyp = FAnd((atom("=", X, LVar("y")), atom("=", LVar("y"), LAdd(X, LInt(1)))))
@@ -261,7 +265,7 @@ class TestEqualityElimination:
         parts += [atom("=", xs(i + 1), LMul(LInt(1000), xs(i))) for i in range(4)]
         q = ValidityQuery(FAnd(tuple(parts)), atom(">=", xs(4), LInt(0)))
         assert builtin_decide(q, need_model=False) == NOT_PROVED
-        assert isinstance(builtin_decide(q), Unknown)
+        assert builtin_decide(q) == Unknown("coefficient overflow")
 
     def test_one_compilation_per_hypothesis(self, monkeypatch):
         compiled = []
@@ -369,8 +373,11 @@ class TestEmitSmtlib:
         assert "(declare-fun times (Int Int) Int)" in script
 
     def test_nonlinear_logic_flag(self):
-        q = ValidityQuery(atom("=", V, LMul(X, X)), FTrue())
-        assert "(set-logic QF_UFNIA)" in emit_smtlib(q, nonlinear=True)
+        # the embedding's `times` is written as a real product, undeclared
+        q = ValidityQuery(atom("=", V, LApp("times", (X, X))), FTrue())
+        script = emit_smtlib(q, nonlinear=True)
+        assert "(set-logic QF_UFNIA)" in script
+        assert "(assert (= v (* x x)))" in script and "times" not in script
 
     def test_model_parsing(self):
         out = "sat\n(model (define-fun x () Int (- 3)) (define-fun b () Bool true))"
