@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Hashable, Optional, Sequence, Union
 
-from .shapes import ShapeScheme, elaborate, shape_env
+from .shapes import ShapeScheme, elaborate, erase, shape_env
 from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
     App,
@@ -121,18 +121,6 @@ def _strip_ty(t: Term) -> Term:
     return t
 
 
-def _has_ty_nodes(t: Term) -> bool:
-    if isinstance(t, (TyAbs, TyInst)):
-        return True
-    if isinstance(t, Lam):
-        return _has_ty_nodes(t.body)
-    if isinstance(t, App):
-        return _has_ty_nodes(t.fun) or _has_ty_nodes(t.arg)
-    if isinstance(t, Let):
-        return _has_ty_nodes(t.bound) or _has_ty_nodes(t.body)
-    return False
-
-
 def _shape_key(shape: SimpleType) -> Hashable:
     """The shape with its binder names, which `Arrow.__eq__` ignores; the
     template of a shape carries them."""
@@ -179,10 +167,7 @@ class Inferencer:
     # already elaborated one; elaboration is redone internally so template
     # shapes stay aligned with the inserted type abstractions.
     def infer(self, env: Env, term: Term) -> Scheme:
-        from .shapes import erase
-
-        plain = erase(term) if _has_ty_nodes(term) else term
-        elab = elaborate(shape_env(env), plain)
+        elab = elaborate(shape_env(env), erase(term))
         old = self._shapes
         self._shapes = elab.shapes
         try:

@@ -2,10 +2,15 @@
 quantifier-free formulas over equality, uninterpreted functions and linear
 integer arithmetic.
 
+The vocabulary is what the embedding builds. Terms are integer literals,
+variables, negation, sum, difference, scaling by a constant (`LMul`) and
+applications of uninterpreted symbols. Formulas are true, false, comparison
+atoms, boolean variables, conjunction and `<=>`; there is no negation or
+implication, since the validity engine negates a conclusion itself.
+
 A product of two non-constants embeds as an application of the uninterpreted
-symbol ``times``, as in Liquid Types; scaling by a constant stays linear. How
-a solver sees ``times`` is the SMT-LIB emitter's choice
-(`validity.emit_smtlib`).
+symbol ``times``, as in Liquid Types. How a solver sees ``times`` is the
+SMT-LIB emitter's choice (`validity.emit_smtlib`).
 
 Logic terms and formulas are hash-consed like the types of `syntax`
 (`Interned`): equality is identity, and values are built only by calling
@@ -14,7 +19,7 @@ their classes with positional fields.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .syntax import (
     AddExp,
@@ -79,6 +84,8 @@ class LSub(Value):
 
 @interned
 class LMul(Value):
+    """Scaling by a constant: one side is an `LInt`."""
+
     lhs: "LogicTerm"
     rhs: "LogicTerm"
 
@@ -135,19 +142,8 @@ class FBoolVar(_Formula):
 
 
 @interned
-class FNot(_Formula):
-    arg: "Formula"
-
-
-@interned
 class FAnd(_Formula):
     parts: tuple["Formula", ...]
-
-
-@interned
-class FImplies(_Formula):
-    lhs: "Formula"
-    rhs: "Formula"
 
 
 @interned
@@ -156,7 +152,7 @@ class FIff(_Formula):
     rhs: "Formula"
 
 
-Formula = Union[FTrue, FFalse, FAtom, FBoolVar, FNot, FAnd, FImplies, FIff]
+Formula = Union[FTrue, FFalse, FAtom, FBoolVar, FAnd, FIff]
 
 TRUE = FTrue()
 FALSE = FFalse()
@@ -242,11 +238,9 @@ def rename_formula(f: Formula, mapping: dict[str, str]) -> Formula:
         return FAtom(f.op, rt(f.lhs), rt(f.rhs))
     if isinstance(f, FBoolVar):
         return FBoolVar(mapping.get(f.name, f.name))
-    if isinstance(f, FNot):
-        return FNot(rename_formula(f.arg, mapping))
     if isinstance(f, FAnd):
         return FAnd(tuple(rename_formula(p, mapping) for p in f.parts))
-    return type(f)(rename_formula(f.lhs, mapping), rename_formula(f.rhs, mapping))
+    return FIff(rename_formula(f.lhs, mapping), rename_formula(f.rhs, mapping))
 
 
 def embed_arm(arm: BaseArm) -> Formula:
@@ -290,78 +284,29 @@ def embed_env(env: Env) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Variable and symbol collection (used by the validity engine and SMT-LIB)
+# Symbols (for the validity engine and SMT-LIB)
 # ---------------------------------------------------------------------------
 
 
-def term_vars(t: LogicTerm, acc: dict[str, str]) -> None:
-    if isinstance(t, LVar):
-        prev = acc.get(t.name)
-        if prev == "bool":
-            raise EmbeddingError(f"variable {t.name!r} used at both sorts")
-        acc[t.name] = "int"
-    elif isinstance(t, LNeg):
-        term_vars(t.arg, acc)
-    elif isinstance(t, (LAdd, LSub, LMul)):
-        term_vars(t.lhs, acc)
-        term_vars(t.rhs, acc)
-    elif isinstance(t, LApp):
-        for a in t.args:
-            term_vars(a, acc)
-
-
-def formula_vars(f: Formula, acc: Optional[dict[str, str]] = None) -> dict[str, str]:
-    """Free variables with their sorts ("int" or "bool")."""
-    if acc is None:
-        acc = {}
-    if isinstance(f, (FTrue, FFalse)):
-        return acc
-    if isinstance(f, FAtom):
-        term_vars(f.lhs, acc)
-        term_vars(f.rhs, acc)
-        return acc
-    if isinstance(f, FBoolVar):
-        prev = acc.get(f.name)
-        if prev == "int":
-            raise EmbeddingError(f"variable {f.name!r} used at both sorts")
-        acc[f.name] = "bool"
-        return acc
-    if isinstance(f, FNot):
-        return formula_vars(f.arg, acc)
-    if isinstance(f, FAnd):
-        for p in f.parts:
-            formula_vars(p, acc)
-        return acc
-    formula_vars(f.lhs, acc)
-    formula_vars(f.rhs, acc)
-    return acc
-
-
-def formula_ufs(f: Formula, acc: Optional[dict[str, int]] = None) -> dict[str, int]:
-    """Uninterpreted function symbols with arities."""
-    if acc is None:
-        acc = {}
-
-    def tw(t: LogicTerm) -> None:
-        if isinstance(t, LApp):
-            acc[t.fn] = len(t.args)
-            for a in t.args:
-                tw(a)
-        elif isinstance(t, LNeg):
-            tw(t.arg)
-        elif isinstance(t, (LAdd, LSub, LMul)):
-            tw(t.lhs)
-            tw(t.rhs)
-
-    if isinstance(f, FAtom):
-        tw(f.lhs)
-        tw(f.rhs)
-    elif isinstance(f, FNot):
-        formula_ufs(f.arg, acc)
-    elif isinstance(f, FAnd):
-        for p in f.parts:
-            formula_ufs(p, acc)
-    elif isinstance(f, (FImplies, FIff)):
-        formula_ufs(f.lhs, acc)
-        formula_ufs(f.rhs, acc)
-    return acc
+def symbols(*formulas: Formula) -> tuple[dict[str, str], dict[str, int]]:
+    """The variables of the formulas with their sorts ("int" or "bool"), and
+    their uninterpreted function symbols with their arities."""
+    sorts: dict[str, str] = {}
+    ufs: dict[str, int] = {}
+    todo: list = list(formulas)
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (LVar, FBoolVar)):
+            sort = "int" if isinstance(x, LVar) else "bool"
+            if sorts.setdefault(x.name, sort) != sort:
+                raise EmbeddingError(f"variable {x.name!r} used at both sorts")
+        elif isinstance(x, LApp):
+            ufs[x.fn] = len(x.args)
+            todo += x.args
+        elif isinstance(x, LNeg):
+            todo.append(x.arg)
+        elif isinstance(x, FAnd):
+            todo += x.parts
+        elif isinstance(x, (FAtom, FIff, LAdd, LSub, LMul)):
+            todo += (x.lhs, x.rhs)
+    return sorts, ufs

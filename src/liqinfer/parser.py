@@ -402,14 +402,6 @@ def parse_scheme(text: str) -> Scheme:
     return Scheme(tuple(qvars), body)
 
 
-def parse_type(text: str) -> LiquidType:
-    ts = _Tokens(tokenize(text))
-    t = _parse_liquid(ts)
-    if ts.peek().kind != "eof":
-        raise ts.fail("trailing input after type")
-    return t
-
-
 def _parse_liquid(ts: _Tokens) -> LiquidType:
     arms = [_parse_arm(ts)]
     while ts.peek().text == "/\\":

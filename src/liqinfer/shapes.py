@@ -169,6 +169,27 @@ class _W:
             acc.extend(u for u in inner if u not in sch.qvars)
         return set(acc)
 
+    def generalize(self, env: ShapeEnv, ty: SimpleType, term: Term) -> tuple[ShapeScheme, Term]:
+        """The scheme of `term`'s type `ty` over the unification variables
+        free in it and not in env, each named by a fresh type variable, and
+        the term wrapped in one type abstraction per name."""
+        resolved = self.resolve(ty)
+        outside = self.env_uvars(env)
+        gen: list[str] = []
+        self._free_uvars(resolved, gen)
+        gen = [u for u in gen if u not in outside]
+        rigid: list[str] = []
+        for u in gen:
+            if u in self.gen_named:
+                raise ShapeError("type variable generalized twice")
+            name = self.tyvars.fresh()
+            self.gen_named[u] = name
+            rigid.append(name)
+        for name in reversed(rigid):
+            term = TyAbs(name, term)
+            self.types[id(term)] = resolved
+        return ShapeScheme(tuple(gen), resolved), term
+
     def infer(self, env: ShapeEnv, t: Term) -> tuple[SimpleType, Term]:
         if isinstance(t, Var):
             sch = env.get(t.name)
@@ -199,23 +220,7 @@ class _W:
             self.types[id(node)] = res
             return res, node
         if isinstance(t, Let):
-            bound_ty, bound = self.infer(env, t.bound)
-            resolved = self.resolve(bound_ty)
-            outside = self.env_uvars(env)
-            gen: list[str] = []
-            self._free_uvars(resolved, gen)
-            gen = [u for u in gen if u not in outside]
-            rigid: list[str] = []
-            for u in gen:
-                if u in self.gen_named:
-                    raise ShapeError("type variable generalized twice")
-                name = self.tyvars.fresh()
-                self.gen_named[u] = name
-                rigid.append(name)
-            for name in reversed(rigid):
-                bound = TyAbs(name, bound)
-                self.types[id(bound)] = resolved
-            sch = ShapeScheme(tuple(gen), resolved)
+            sch, bound = self.generalize(env, *self.infer(env, t.bound))
             body_ty, body = self.infer({**env, t.binder: sch}, t.body)
             node = Let(t.binder, bound, body, pos=t.pos)
             self.types[id(node)] = body_ty
@@ -277,29 +282,11 @@ def _replace_tyvars(t: SimpleType, mapping: dict[str, SimpleType]) -> SimpleType
     return t
 
 
-def _generalize_top(w: _W, env: ShapeEnv, ty: SimpleType, term: Term) -> tuple[ShapeScheme, Term]:
-    resolved = w.resolve(ty)
-    outside = w.env_uvars(env)
-    gen: list[str] = []
-    w._free_uvars(resolved, gen)
-    gen = [u for u in gen if u not in outside]
-    rigid = []
-    for u in gen:
-        name = w.tyvars.fresh()
-        w.gen_named[u] = name
-        rigid.append(name)
-    for name in reversed(rigid):
-        term = TyAbs(name, term)
-        w.types[id(term)] = resolved
-    return ShapeScheme(tuple(gen), resolved), term
-
-
 def elaborate(senv: ShapeEnv, term: Term) -> Elaboration:
     """Infer shapes and insert explicit type abstraction and instantiation."""
     w = _W()
     _reserve_names(w, term)
-    ty, elab = w.infer(senv, term)
-    sch, elab = _generalize_top(w, senv, ty, elab)
+    sch, elab = w.generalize(senv, *w.infer(senv, term))
     table: dict[int, ShapeScheme] = {}
     final = w.finalize_term(elab, table)
     return Elaboration(final, w.finalize_scheme(sch), table)
@@ -319,13 +306,17 @@ def _reserve_names(w: _W, term: Term) -> None:
 
 
 def erase(t: Term) -> Term:
-    """Drop explicit type abstractions and instantiations."""
-    if isinstance(t, (Var, Const)):
-        return t
+    """Drop explicit type abstractions and instantiations; a term that holds
+    none comes back unchanged, the same object."""
+    if isinstance(t, (TyAbs, TyInst)):
+        return erase(t.body)
     if isinstance(t, Lam):
-        return Lam(t.binder, erase(t.body), pos=t.pos)
+        body = erase(t.body)
+        return t if body is t.body else Lam(t.binder, body, pos=t.pos)
     if isinstance(t, App):
-        return App(erase(t.fun), erase(t.arg), pos=t.pos)
+        fun, arg = erase(t.fun), erase(t.arg)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg, pos=t.pos)
     if isinstance(t, Let):
-        return Let(t.binder, erase(t.bound), erase(t.body), pos=t.pos)
-    return erase(t.body)
+        bound, body = erase(t.bound), erase(t.body)
+        return t if bound is t.bound and body is t.body else Let(t.binder, bound, body, pos=t.pos)
+    return t

@@ -79,15 +79,15 @@ class SubtypeChecker:
     A judgement Γ ⊢ τ₁ <: τ₂ depends on Γ only through Γ's formula,
     `embed_env(Γ)`: its base queries read Γ through that formula alone, and
     the rest of Γ serves only to pick a binder name for an arrow's codomain
-    that no binding of Γ uses (`_fresh_binder`). Binder names do not matter:
-    the formula and the types mention only names bound in Γ, as
-    well-formedness guarantees, so any fresh binder avoids capture, and the
-    queries made under two choices differ only by a renaming of that bound
-    variable. The engine caches each query under a canonical key that is the
-    same for every renaming, so both choices get the same verdicts. The
-    checker therefore decides each judgement once, keyed by (Γ's formula,
-    τ₁, τ₂), and answers repeats from that memo for as long as it lives:
-    across the `infer` calls of one `Inferencer`, too.
+    that no binding of Γ uses and no codomain binds (`_fresh_binder`).
+    Binder names do not matter: the formula and the types mention only
+    names bound in Γ, as well-formedness guarantees, so such a binder avoids
+    capture, and the queries made under two choices differ only by a
+    renaming of that bound variable. The engine caches each query under a
+    canonical key that is the same for every renaming, so both choices get
+    the same verdicts. The checker therefore decides each judgement once,
+    keyed by (Γ's formula, τ₁, τ₂), and answers repeats from that memo for
+    as long as it lives: across the `infer` calls of one `Inferencer`, too.
 
     The Top rule: once the shapes agree, a base target whose every arm is
     refined by Top holds under any environment, with no query. Such a query
@@ -211,8 +211,13 @@ class SubtypeChecker:
         return self._sub(env2, make_type(cods), target)
 
     def _fresh_binder(self, env: Env, rhs: FunArm, survivors: list) -> str:
+        """The target's binder, unless Γ binds it or a survivor's codomain
+        mentions it under another binder: renaming that binder to it could
+        capture (`subst_liquid` does not rename inner binders)."""
         names = env.names()
-        if rhs.binder not in names:
+        if rhs.binder not in names and not any(
+            arm.binder != rhs.binder and rhs.binder in _type_vars(arm.cod) for arm in survivors
+        ):
             return rhs.binder
         taken: set[str] = set()
         for arm in survivors + [rhs]:

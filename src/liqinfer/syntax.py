@@ -23,8 +23,6 @@ from weakref import KeyedRef
 
 VALUE_VAR = "v"
 
-PRIM_OPS = ("neg", "add", "sub", "mul", "le", "ge", "lt", "gt", "eq", "ite", "fix")
-
 PRIM_SURFACE = {
     "neg": "-",
     "add": "+",
@@ -196,8 +194,6 @@ class ConjRef(Value):
 Refinement = Union[TopRef, BoolRef, CmpRef, BoolVarRef, IffRef, ConjRef]
 
 TOP = TopRef()
-
-CMP_OPS = ("=", "<=", ">=", "<", ">")
 
 
 def int_expr_vars(e: IntExpr) -> frozenset[str]:
@@ -413,14 +409,6 @@ INT = Base("int")
 BOOL = Base("bool")
 
 
-def simple_type_vars(t: SimpleType) -> frozenset[str]:
-    if isinstance(t, Base):
-        return frozenset()
-    if isinstance(t, TyVar):
-        return frozenset((t.name,))
-    return simple_type_vars(t.dom) | simple_type_vars(t.cod)
-
-
 # ---------------------------------------------------------------------------
 # Liquid intersection types
 # ---------------------------------------------------------------------------
@@ -631,18 +619,6 @@ def top_skeleton(shape: SimpleType) -> LiquidType:
 
 def mono(t: LiquidType) -> Scheme:
     return Scheme((), t)
-
-
-def type_vars_of(t: Union[LiquidType, Scheme, Arm]) -> frozenset[str]:
-    if isinstance(t, Scheme):
-        return type_vars_of(t.body) - frozenset(t.qvars)
-    if isinstance(t, LiquidType):
-        return frozenset().union(*(type_vars_of(a) for a in t.arms))
-    if isinstance(t, VarArm):
-        return frozenset((t.name,))
-    if isinstance(t, FunArm):
-        return type_vars_of(t.dom) | type_vars_of(t.cod)
-    return frozenset()
 
 
 # ---------------------------------------------------------------------------

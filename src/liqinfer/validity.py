@@ -16,6 +16,11 @@ cases where booleans or disjunctions occur, and refuted by Fourier-Motzkin
 with gcd tightening. The engine keeps its last hypothesis alive, so the
 conclusions asked in a row against it share the compiled form.
 
+The fragment is the vocabulary of `logic`. Its only opaque terms are
+uninterpreted applications; a product of two non-constants (a hand-built
+`LMul`, since the embedding writes ``times``) has no linear form, so a query
+holding one is answered Unknown, and no model interprets a product.
+
 Inference asks only "Valid?" (`check(q, need_model=False)`): the built-in
 walk stops at the first case Fourier-Motzkin does not refute and answers
 NOT_PROVED, with no countermodel search.  The bounded model search runs only
@@ -24,6 +29,11 @@ oracle agreement. It reads the system Fourier-Motzkin failed to refute, the
 case's rows after substitution: it searches the variables the hypothesis's
 equalities leave free and gives each bound one the value of its binding.
 After a coefficient overflow it answers Unknown.
+
+Cache keys and solver scripts come from one SMT-LIB printer. A key prints
+the query with its variables renamed in first-occurrence order, each
+canonical name carrying its sort, so that alpha-variant queries share an
+entry and `p <=> q` and `x = y` do not.
 """
 
 from __future__ import annotations
@@ -40,16 +50,14 @@ import zlib
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .logic import (
+    EmbeddingError,
     FAnd,
     FAtom,
     FBoolVar,
     FFalse,
-    FIff,
-    FImplies,
-    FNot,
     FTrue,
     Formula,
     LAdd,
@@ -60,9 +68,7 @@ from .logic import (
     LSub,
     LVar,
     LogicTerm,
-    formula_ufs,
-    formula_vars,
-    term_vars,
+    symbols,
 )
 from .syntax import LiqError
 
@@ -114,9 +120,10 @@ _MAX_MODEL_EVALS = 60_000
 #
 # A linear form is a coefficient dict and a constant. Its variables are
 # program variables, by name, and opaque terms: an application of an
-# uninterpreted symbol, or a product of two non-constants, stands for itself,
-# and since terms are hash-consed, one term is one variable. A row is a form
-# read as `form <= 0`.
+# uninterpreted symbol stands for itself, and since terms are hash-consed,
+# one term is one variable. A product of two non-constants has no form: a
+# query with one falls outside the fragment. A row is a form read as
+# `form <= 0`.
 
 Lin = tuple[dict, int]
 Row = Lin
@@ -130,39 +137,17 @@ class _FMOverflow(Exception):
     pass
 
 
-def _flatten_conj(f: Formula) -> Optional[list[Formula]]:
+def _conjuncts(f: Formula) -> list[Formula]:
     if isinstance(f, FTrue):
         return []
     if isinstance(f, FAnd):
-        out: list[Formula] = []
-        for p in f.parts:
-            inner = _flatten_conj(p)
-            if inner is None:
-                return None
-            out.extend(inner)
-        return out
-    if isinstance(f, (FAtom, FBoolVar, FIff, FFalse, FNot)):
-        return [f]
-    return None  # implications and the like fall outside the fragment
+        return [c for p in f.parts for c in _conjuncts(p)]
+    return [f]
 
 
-def _names(f: Formula, bools: set[str], ints: Optional[dict[str, str]] = None) -> None:
-    """The boolean variables of f into `bools`, and its integer ones into
-    `ints` when given."""
-    if isinstance(f, FBoolVar):
-        bools.add(f.name)
-    elif isinstance(f, FAtom):
-        if ints is not None:
-            term_vars(f.lhs, ints)
-            term_vars(f.rhs, ints)
-    elif isinstance(f, FNot):
-        _names(f.arg, bools, ints)
-    elif isinstance(f, FAnd):
-        for p in f.parts:
-            _names(p, bools, ints)
-    elif isinstance(f, (FIff, FImplies)):
-        _names(f.lhs, bools, ints)
-        _names(f.rhs, bools, ints)
+def _variables(sort: str, *formulas: Formula) -> set[str]:
+    """The variables of the formulas of one sort, "int" or "bool"."""
+    return {n for n, s in symbols(*formulas)[0].items() if s == sort}
 
 
 def _linear(t: LogicTerm, opaque: dict) -> Lin:
@@ -186,17 +171,17 @@ def _linear(t: LogicTerm, opaque: dict) -> Lin:
         scale, other = (t.lhs.value, t.rhs) if isinstance(t.lhs, LInt) else (t.rhs.value, t.lhs)
         c, k = _linear(other, opaque)
         return {v: scale * a for v, a in c.items()}, scale * k
+    if not isinstance(t, LApp):
+        raise _OutsideFragment()  # a product of two non-constants
     opaque[t] = None
-    for a in _call(t)[1]:
+    for a in t.args:
         _linear(a, opaque)
     return {t: 1}, 0
 
 
-def _call(t: LogicTerm) -> tuple[object, tuple]:
-    """Head and arguments of an opaque term."""
-    if isinstance(t, LApp):
-        return (t.fn, len(t.args)), t.args
-    return LMul, (t.lhs, t.rhs)
+def _value(form: Lin, asg: dict) -> int:
+    coeffs, k = form
+    return sum(c * asg[v] for v, c in coeffs.items()) + k
 
 
 def _difference(a: FAtom, opaque: dict) -> Lin:
@@ -264,9 +249,9 @@ def _solve(eq: Lin, subst: dict, kept: list[Row]) -> bool:
 
 def _congruences(terms: list, subst: dict) -> list[tuple]:
     """Pairs of opaque terms equal by congruence, given the equalities in
-    `subst`: applications of one symbol, or two products, whose arguments
-    have equal forms. Each pair found is bound in a copy of `subst`, since
-    it can make further pairs congruent."""
+    `subst`: applications of one symbol whose arguments have equal forms.
+    Each pair found is bound in a copy of `subst`, since it can make further
+    pairs congruent."""
     subst = dict(subst)
     pairs: list[tuple] = []
 
@@ -278,12 +263,10 @@ def _congruences(terms: list, subst: dict) -> list[tuple]:
         while changed:
             changed = False
             for i, t in enumerate(terms):
-                head, args = _call(t)
                 for u in terms[i + 1:]:
-                    other, uargs = _call(u)
-                    if head != other or (t, u) in pairs or form(t) == form(u):
+                    if (t.fn, len(t.args)) != (u.fn, len(u.args)) or (t, u) in pairs or form(t) == form(u):
                         continue
-                    if all(form(a) == form(b) for a, b in zip(args, uargs)):
+                    if all(form(a) == form(b) for a, b in zip(t.args, u.args)):
                         pairs.append((t, u))
                         _solve(({t: 1, u: -1}, 0), subst, [])
                         changed = True
@@ -315,7 +298,6 @@ class _Hypothesis:
 
     def __init__(self, literals: list[Formula]) -> None:
         others: list[Formula] = []
-        bools: set[str] = set()
         opaque: dict = {}
         self.false = False
         eqs: list[Lin] = []
@@ -331,8 +313,8 @@ class _Hypothesis:
                 self.false = True
             else:
                 others.append(lit)
-                _names(lit, bools)
-        self.literals, self.bools, self.opaque = tuple(others), frozenset(bools), opaque or _NO_TERMS
+        self.literals, self.opaque = tuple(others), opaque or _NO_TERMS
+        self.bools = frozenset(_variables("bool", *others))
         subst: dict = {}
         kept: list[Row] = []
         try:
@@ -356,13 +338,15 @@ class _Hypothesis:
 
 
 def _compile(f: Formula) -> Optional[_Hypothesis]:
-    """The hypothesis f compiled, memoized on f; None outside the
-    conjunctive fragment. Two threads may both compile f: they store equal
-    values."""
+    """The hypothesis f compiled, memoized on f; None outside the fragment
+    (a product of two non-constants, a variable at both sorts). Two threads
+    may both compile f: they store equal values."""
     memo = f.memo
     if "ir" not in memo:
-        literals = _flatten_conj(f)
-        memo["ir"] = None if literals is None else _Hypothesis(literals)
+        try:
+            memo["ir"] = _Hypothesis(_conjuncts(f))
+        except (_OutsideFragment, EmbeddingError):
+            memo["ir"] = None
     return memo["ir"]
 
 
@@ -382,9 +366,7 @@ def _reduce(f: Formula, positive: bool, asg: dict[str, bool], opaque: dict) -> O
     if isinstance(f, (FBoolVar, FTrue, FFalse)):
         value = asg[f.name] if isinstance(f, FBoolVar) else isinstance(f, FTrue)
         return [[]] if value == positive else None
-    if isinstance(f, FNot):
-        return _reduce(f.arg, not positive, asg, opaque)
-    if isinstance(f, FIff):
+    if not isinstance(f, FAnd):  # `<=>`
         # (l and r) or (not l and not r); negated, r takes the other polarity
         out: list[list[Row]] = []
         for pol in (True, False):
@@ -393,22 +375,20 @@ def _reduce(f: Formula, positive: bool, asg: dict[str, bool], opaque: dict) -> O
             if lhs is not None and rhs is not None:
                 out += [a + b for a in lhs for b in rhs]
         return out or None
-    if isinstance(f, FAnd) and not positive:
+    if not positive:
         out = []
         for p in f.parts:
             out += _reduce(p, False, asg, opaque) or ()
         return out or None
-    if isinstance(f, FAnd):
-        alts: list[list[Row]] = [[]]
-        for p in f.parts:
-            inner = _reduce(p, True, asg, opaque)
-            if inner is None:
-                return None
-            alts = [a + b for a in alts for b in inner]
-            if len(alts) > _MAX_ALTERNATIVES:
-                raise _OutsideFragment()
-        return alts
-    raise _OutsideFragment()
+    alts: list[list[Row]] = [[]]
+    for p in f.parts:
+        inner = _reduce(p, True, asg, opaque)
+        if inner is None:
+            return None
+        alts = [a + b for a in alts for b in inner]
+        if len(alts) > _MAX_ALTERNATIVES:
+            raise _OutsideFragment()
+    return alts
 
 
 def _tighten(row: Row) -> Row:
@@ -503,24 +483,19 @@ def _search_model(
     variables = sorted(var_set.difference(subst), key=str)
     values = _candidate_values(rows)
     total = len(values) ** len(variables)
+    calls = [(t, t.fn, [_linear(a, {}) for a in t.args]) for t in opaque]
 
     def ok(asg: dict) -> bool:
         """Whether the free values in `asg` make a model; adds the bound ones."""
-        for coeffs, k in rows:
-            if sum(c * asg[v] for v, c in coeffs.items()) + k > 0:
-                return False
-        for v, (coeffs, k) in subst.items():
-            asg[v] = sum(c * asg[w] for w, c in coeffs.items()) + k
-        # congruence consistency of opaque occurrences, and a product is the
-        # product of its arguments' values
+        if any(_value(row, asg) > 0 for row in rows):
+            return False
+        for v, form in subst.items():
+            asg[v] = _value(form, asg)
+        # congruence: applications of one symbol to equal values are equal
         table: dict[tuple, int] = {}
-        for t in opaque:
-            key = _occurrence_key(t, opaque, asg)
-            if key[0] == "*" and key[1] * key[2] != asg[t]:
+        for t, fn, args in calls:
+            if table.setdefault((fn, *(_value(a, asg) for a in args)), asg[t]) != asg[t]:
                 return False
-            if key in table and table[key] != asg[t]:
-                return False
-            table[key] = asg[t]
         return True
 
     if total <= _MAX_MODEL_EVALS:
@@ -540,31 +515,6 @@ def _search_model(
     return None
 
 
-def _occurrence_key(t: LogicTerm, opaque: dict, asg: dict) -> tuple:
-    """Symbol and argument values of an opaque occurrence under a full
-    assignment; a product's arguments come sorted, since it commutes."""
-
-    def ev(u: LogicTerm) -> int:
-        if u in opaque:
-            return asg[u]
-        if isinstance(u, LInt):
-            return u.value
-        if isinstance(u, LVar):
-            return asg[u.name]
-        if isinstance(u, LNeg):
-            return -ev(u.arg)
-        l, r = ev(u.lhs), ev(u.rhs)
-        if isinstance(u, LAdd):
-            return l + r
-        if isinstance(u, LSub):
-            return l - r
-        return l * r
-
-    if isinstance(t, LApp):
-        return (t.fn,) + tuple(ev(a) for a in t.args)
-    return ("*",) + tuple(sorted((ev(t.lhs), ev(t.rhs))))
-
-
 # ---------------------------------------------------------------------------
 # The built-in decision procedure
 # ---------------------------------------------------------------------------
@@ -576,29 +526,27 @@ def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
     refute and answers NOT_PROVED without searching for a countermodel."""
     hyp = _compile(q.hypothesis)
     if hyp is None:
-        return Unknown("hypothesis outside the conjunctive fragment")
-    concl = _flatten_conj(q.conclusion)
-    if concl is None:
-        return Unknown("conclusion outside the conjunctive fragment")
+        return Unknown("hypothesis outside the fragment")
     if hyp.false:
         return VALID
-    search = None
-    if need_model:
-        seed = zlib.crc32(repr(q).encode())
-        ints: dict[str, str] = {}
-        _names(q.hypothesis, set(), ints)
-        _names(q.conclusion, set(), ints)
+    try:
+        search = None
+        if need_model:
+            seed = zlib.crc32(repr(q).encode())
+            ints = _variables("int", q.hypothesis, q.conclusion)
 
-        def search(rows: list[Row], opaque: dict) -> Optional[dict]:
-            return _search_model(rows, hyp.subst, opaque, ints, seed)
+            def search(rows: list[Row], opaque: dict) -> Optional[dict]:
+                return _search_model(rows, hyp.subst, opaque, ints, seed)
 
-    unknown: Optional[str] = None
-    for part in concl:
-        res = _implies(hyp, part, search)
-        if isinstance(res, Invalid) or res == NOT_PROVED:
-            return res
-        if isinstance(res, Unknown):
-            unknown = res.reason
+        unknown: Optional[str] = None
+        for part in _conjuncts(q.conclusion):
+            res = _implies(hyp, part, search)
+            if isinstance(res, Invalid) or res == NOT_PROVED:
+                return res
+            if isinstance(res, Unknown):
+                unknown = res.reason
+    except EmbeddingError as e:
+        return Unknown(str(e))
     return Unknown(unknown) if unknown is not None else VALID
 
 
@@ -608,8 +556,8 @@ def _implies(hyp: _Hypothesis, concl: Formula, search) -> Verdict:
     boolean variables and alternative of their disjunctions, must be
     refuted. Without a model `search`, NOT_PROVED at the first case that is
     not."""
-    names = set(hyp.bools)
-    _names(concl, names)
+    # an atom holds no boolean, as the hypothesis's atoms do not
+    names = hyp.bools if isinstance(concl, FAtom) else hyp.bools | _variables("bool", concl)
     if len(names) > _MAX_BOOL_VARS:
         return Unknown("bounded reasoning exhausted") if search else NOT_PROVED
     ordered = sorted(names)
@@ -677,35 +625,38 @@ def _sanitize_names(names: Iterable[str]) -> dict[str, str]:
     return out
 
 
-def _smt_term(t: LogicTerm, names: dict[str, str], fns: dict[str, str]) -> str:
+# The SMT-LIB printer, for solver scripts and cache keys alike. It asks
+# `name(n, sort)` for the printed name of each variable, with sort "int" or
+# "bool", and of each uninterpreted symbol, with sort "fn".
+Namer = Callable[[str, str], str]
+
+
+def _smt_term(t: LogicTerm, name: Namer) -> str:
     if isinstance(t, LInt):
         return str(t.value) if t.value >= 0 else f"(- {-t.value})"
     if isinstance(t, LVar):
-        return names[t.name]
+        return name(t.name, "int")
     if isinstance(t, LNeg):
-        return f"(- {_smt_term(t.arg, names, fns)})"
+        return f"(- {_smt_term(t.arg, name)})"
     if isinstance(t, LApp):
-        return f"({fns[t.fn]} {' '.join(_smt_term(a, names, fns) for a in t.args)})"
+        return f"({name(t.fn, 'fn')} {' '.join(_smt_term(a, name) for a in t.args)})"
     tag = {LAdd: "+", LSub: "-", LMul: "*"}[type(t)]
-    return f"({tag} {_smt_term(t.lhs, names, fns)} {_smt_term(t.rhs, names, fns)})"
+    return f"({tag} {_smt_term(t.lhs, name)} {_smt_term(t.rhs, name)})"
 
 
-def _smt_formula(f: Formula, names: dict[str, str], fns: dict[str, str]) -> str:
+def _smt_formula(f: Formula, name: Namer) -> str:
     if isinstance(f, FTrue):
         return "true"
     if isinstance(f, FFalse):
         return "false"
     if isinstance(f, FAtom):
-        return f"({f.op} {_smt_term(f.lhs, names, fns)} {_smt_term(f.rhs, names, fns)})"
+        return f"({f.op} {_smt_term(f.lhs, name)} {_smt_term(f.rhs, name)})"
     if isinstance(f, FBoolVar):
-        return names[f.name]
-    if isinstance(f, FNot):
-        return f"(not {_smt_formula(f.arg, names, fns)})"
+        return name(f.name, "bool")
     if isinstance(f, FAnd):
-        inner = " ".join(_smt_formula(p, names, fns) for p in f.parts)
+        inner = " ".join(_smt_formula(p, name) for p in f.parts)
         return f"(and {inner})" if f.parts else "true"
-    tag = "=>" if isinstance(f, FImplies) else "="
-    return f"({tag} {_smt_formula(f.lhs, names, fns)} {_smt_formula(f.rhs, names, fns)})"
+    return f"(= {_smt_formula(f.lhs, name)} {_smt_formula(f.rhs, name)})"
 
 
 def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = False) -> str:
@@ -713,10 +664,7 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = Fal
     unsat answer means the query is valid. A product of two non-constants
     is embedded as the uninterpreted ``times``; `nonlinear` prints it as a
     real product, `*` in QF_UFNIA, and declares no ``times``."""
-    sorts = formula_vars(q.hypothesis, {})
-    formula_vars(q.conclusion, sorts)
-    ufs = formula_ufs(q.hypothesis, {})
-    formula_ufs(q.conclusion, ufs)
+    sorts, ufs = symbols(q.hypothesis, q.conclusion)
     if nonlinear:
         ufs.pop("times", None)
     uf_keys = {u: (u if u not in sorts else f"{u}!fn") for u in ufs}
@@ -732,8 +680,12 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = Fal
     for u, arity in sorted(ufs.items()):
         args = " ".join(["Int"] * arity)
         lines.append(f"(declare-fun {fns[u]} ({args}) Int)")
-    lines.append(f"(assert {_smt_formula(q.hypothesis, names, fns)})")
-    lines.append(f"(assert (not {_smt_formula(q.conclusion, names, fns)}))")
+
+    def name(n: str, sort: str) -> str:
+        return fns[n] if sort == "fn" else names[n]
+
+    lines.append(f"(assert {_smt_formula(q.hypothesis, name)})")
+    lines.append(f"(assert (not {_smt_formula(q.conclusion, name)}))")
     lines.append("(check-sat)")
     if get_model:
         lines.append("(get-model)")
@@ -794,59 +746,36 @@ def parse_model(output: str) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _serialize(f: Formula, mapping: dict[str, str]) -> str:
-    """f printed with its variables renamed by `mapping`, which assigns the
-    next canonical name to each variable not in it yet."""
+class _Canonical(dict):
+    """The renaming of a query's variables to canonical names, given in
+    first-occurrence order. A canonical name carries the sort it is first
+    printed at, since `p <=> q` and `x = y` print alike in SMT-LIB."""
 
-    def name(n: str) -> str:
-        if n not in mapping:
-            mapping[n] = f"v{len(mapping)}"
-        return mapping[n]
-
-    def st(t: LogicTerm) -> str:
-        if isinstance(t, LInt):
-            return str(t.value)
-        if isinstance(t, LVar):
-            return name(t.name)
-        if isinstance(t, LNeg):
-            return f"(neg {st(t.arg)})"
-        if isinstance(t, LApp):
-            return f"({t.fn} {' '.join(st(a) for a in t.args)})"
-        tag = {LAdd: "+", LSub: "-", LMul: "*"}[type(t)]
-        return f"({tag} {st(t.lhs)} {st(t.rhs)})"
-
-    def sf(f: Formula) -> str:
-        if isinstance(f, FTrue):
-            return "T"
-        if isinstance(f, FFalse):
-            return "F"
-        if isinstance(f, FAtom):
-            return f"({f.op} {st(f.lhs)} {st(f.rhs)})"
-        if isinstance(f, FBoolVar):
-            return name(f.name)
-        if isinstance(f, FNot):
-            return f"(not {sf(f.arg)})"
-        if isinstance(f, FAnd):
-            return f"(and {' '.join(sf(p) for p in f.parts)})"
-        tag = "=>" if isinstance(f, FImplies) else "<=>"
-        return f"({tag} {sf(f.lhs)} {sf(f.rhs)})"
-
-    return sf(f)
+    def name(self, n: str, sort: str) -> str:
+        if sort == "fn":
+            return n
+        c = self.get(n)
+        if c is None:
+            c = self[n] = f"{sort[0]}{len(self)}"
+        return c
 
 
 def canonical_key(q: ValidityQuery, names: Optional[dict[str, str]] = None) -> str:
-    """Serialization with variables renamed in first-occurrence order, so
-    alpha-variant queries share one cache entry. When `names` (empty) is
-    given, it receives the renaming from the query's names to the canonical
-    ones. The hypothesis's part, with its renaming, is memoized on it."""
+    """The query printed by the SMT-LIB printer under `_Canonical` names, so
+    that alpha-variant queries share one cache entry. When `names` (empty)
+    is given, it receives the renaming from the query's names to the
+    canonical ones. The hypothesis's part, with its renaming, is memoized on
+    it."""
     memo = q.hypothesis.memo
     if "key" not in memo:
-        renaming: dict[str, str] = {}
-        memo["key"] = (_serialize(q.hypothesis, renaming), renaming)
+        renaming = _Canonical()
+        memo["key"] = (_smt_formula(q.hypothesis, renaming.name), renaming)
     prefix, renaming = memo["key"]
-    mapping = {} if names is None else names
-    mapping.update(renaming)
-    return f"{prefix} |- {_serialize(q.conclusion, mapping)}"
+    mapping = _Canonical(renaming)
+    key = f"{prefix} |- {_smt_formula(q.conclusion, mapping.name)}"
+    if names is not None:
+        names.update(mapping)
+    return key
 
 
 def _rename_model(verdict: Verdict, names: dict[str, str], back: bool = False) -> Verdict:

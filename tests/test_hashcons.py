@@ -15,8 +15,6 @@ from liqinfer.logic import (
     FAtom,
     FBoolVar,
     FIff,
-    FImplies,
-    FNot,
     FTrue,
     LAdd,
     LApp,
@@ -137,8 +135,7 @@ formulas = st.recursive(
         st.tuples(st.just(FBoolVar), names),
     ),
     lambda sub: st.one_of(
-        st.tuples(st.just(FNot), sub),
-        st.tuples(st.sampled_from((FImplies, FIff)), sub, sub),
+        st.tuples(st.just(FIff), sub, sub),
         st.lists(sub, max_size=2).map(lambda ps: (FAnd, ("tuple", *ps))),
     ),
     max_leaves=4,

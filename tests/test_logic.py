@@ -4,8 +4,6 @@ from liqinfer.logic import (
     FBoolVar,
     FFalse,
     FIff,
-    FImplies,
-    FNot,
     FTrue,
     LApp,
     LInt,
@@ -16,9 +14,8 @@ from liqinfer.logic import (
     embed_env,
     embed_int_expr,
     embed_refinement,
-    formula_ufs,
-    formula_vars,
     rename_formula,
+    symbols,
 )
 from liqinfer.syntax import (
     BaseArm,
@@ -120,17 +117,15 @@ class TestSubstitutionCommutes:
         assert embed_refinement(subbed) == FAtom("<=", LInt(7), LInt(3))
 
 
-QF_NODES = (FTrue, FFalse, FAtom, FBoolVar, FNot, FAnd, FImplies, FIff)
+QF_NODES = (FTrue, FFalse, FAtom, FBoolVar, FAnd, FIff)
 
 
 def _scan_quantifier_free(f):
     assert isinstance(f, QF_NODES)
-    if isinstance(f, FNot):
-        _scan_quantifier_free(f.arg)
-    elif isinstance(f, FAnd):
+    if isinstance(f, FAnd):
         for p in f.parts:
             _scan_quantifier_free(p)
-    elif isinstance(f, (FImplies, FIff)):
+    elif isinstance(f, FIff):
         _scan_quantifier_free(f.lhs)
         _scan_quantifier_free(f.rhs)
 
@@ -143,11 +138,11 @@ class TestQuantifierFree:
 
     def test_formula_vars_sorts(self):
         f = FAnd((FAtom("<=", LVar("x"), LInt(1)), FBoolVar("b")))
-        assert formula_vars(f) == {"x": "int", "b": "bool"}
+        assert symbols(f) == ({"x": "int", "b": "bool"}, {})
 
     def test_uf_collection(self):
         f = FAtom("=", LVar("v"), LApp("times", (LVar("x"), LVar("x"))))
-        assert formula_ufs(f) == {"times": 2}
+        assert symbols(f) == ({"v": "int", "x": "int"}, {"times": 2})
 
 
 class TestEmbeddingErrors:

@@ -6,7 +6,6 @@ from liqinfer.parser import (
     parse_qualifier,
     parse_scheme,
     parse_term,
-    parse_type,
     pretty_print,
 )
 from liqinfer.syntax import (
@@ -156,4 +155,4 @@ class TestTypeParser:
 
     def test_parse_type_rejects_trailing(self):
         with pytest.raises(ParseError):
-            parse_type("{v : int | true} junk")
+            parse_scheme("{v : int | true} junk")

@@ -1,0 +1,107 @@
+"""Every top-level function, class and constant of `src/liqinfer`, and every
+non-dunder method, is referenced from the program itself: from `src/`,
+`demos/`, `perfbench/` or an `__all__` list, somewhere other than inside its
+own definition. Code that only the tests reach fails this check.
+
+References are matched by name, not resolved: a use of `.infer` anywhere
+counts for every method named `infer`. Imports are not uses. A string that
+parses as a Python expression, such as a quoted annotation, an `__all__`
+entry or a `perfbench/spans.py` wrap point like "Inferencer.infer", counts
+for the names in it; a docstring does not.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "liqinfer"
+PROGRAM_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "perfbench")
+
+# (module, qualified name): why a definition that nothing in the program
+# reaches stays
+ALLOWED = {
+    ("syntax", "free_vars"): "free variables of a term; the substitution and closedness tests state their properties with it",
+    ("shapes", "Elaboration.shape_at"): "reads an elaboration's shape table by node; the shape tests read it so",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of each top-level function, class
+    and constant, and of each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name):
+                        yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not _is_dunder(target.id):
+                    yield target.id, target.id, node
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            out.add(id(node.value))
+    return out
+
+
+def _references(tree: ast.AST):
+    """(name, line) of each use of a name in the module."""
+    skip = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            try:
+                inner = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            for name, _ in _references(inner):
+                yield name, node.lineno
+
+
+def _program_files():
+    for directory in PROGRAM_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            if "tests" not in path.relative_to(ROOT).parts:
+                yield path
+
+
+def unreached() -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in _program_files()}
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((path, line))
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name, node in _definitions(trees[path]):
+            if (path.stem, qualified) in ALLOWED:
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or line not in inside for p, line in uses.get(name, ())):
+                out.append(f"{path.stem}.{qualified}")
+    return out
+
+
+def test_every_definition_is_reached_from_the_program():
+    assert unreached() == []
+
+
+def test_allowed_names_exist():
+    # an allowlist entry whose definition is gone would hide nothing
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        defined |= {(path.stem, q) for q, _, _ in _definitions(ast.parse(path.read_text()))}
+    assert [entry for entry in ALLOWED if entry not in defined] == []

@@ -175,6 +175,20 @@ class TestIsSubtype:
     def test_different_shapes_rejected(self, checker):
         assert not checker.is_subtype(Env(), base(GE), LiquidType((BaseArm(BOOL, TOP),)))
 
+    def test_target_binder_is_not_captured_by_an_inner_binder(self):
+        # x: int -> (x: int -> {v = x}) /\ (y: int -> {v < x}) is not below
+        # y: int -> (x: int -> {v = 0}). Comparing the codomains under the
+        # target's binder y would let the inner y capture the outer x, and
+        # {v = x} /\ {v < x} proves anything.
+        top = base_top(INT)
+        lhs_cod = make_type([
+            FunArm("x", top, base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))),
+            FunArm("y", top, base(CmpRef("<", VarExp(VALUE_VAR), VarExp("x")))),
+        ])
+        rhs = arrow("y", top, arrow("x", top, base(EQ0)))
+        for env in (Env(), Env().extend("y", mono(top))):
+            assert not SubtypeChecker(ValidityEngine()).is_subtype(env, arrow("x", top, lhs_cod), rhs)
+
     def test_unknown_is_not_a_subtype(self):
         class AlwaysUnknown(ValidityEngine):
             def check(self, q, need_model=True):

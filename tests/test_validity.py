@@ -16,7 +16,6 @@ from liqinfer.logic import (
     FBoolVar,
     FFalse,
     FIff,
-    FNot,
     FTrue,
     LAdd,
     LApp,
@@ -25,7 +24,7 @@ from liqinfer.logic import (
     LNeg,
     LSub,
     LVar,
-    formula_vars,
+    symbols,
 )
 from liqinfer import validity
 from liqinfer.logic import rename_formula
@@ -95,8 +94,6 @@ def evaluate(f, asg):
         return {"=": l == r, "<=": l <= r, ">=": l >= r, "<": l < r, ">": l > r}[f.op]
     if isinstance(f, FBoolVar):
         return asg[f.name]
-    if isinstance(f, FNot):
-        return not evaluate(f.arg, asg)
     if isinstance(f, FAnd):
         return all(evaluate(p, asg) for p in f.parts)
     assert isinstance(f, FIff)
@@ -174,16 +171,18 @@ class TestBuiltinDecide:
         got = builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), LVar("b"))))
         assert not isinstance(got, Invalid)
 
-    def test_products_are_evaluated_in_models(self):
-        # x*x is opaque to Fourier-Motzkin; a model must still give x a value
-        # and give the product the value of x times x
+    def test_non_constant_products_are_unknown(self):
+        # the embedding writes x*x as `times`; a hand-built LMul of two
+        # non-constants has no linear form and falls outside the fragment
         x_is_3 = ValidityQuery(atom("=", X, LInt(3)), atom("=", LMul(X, X), LInt(9)))
         square = ValidityQuery(FTrue(), atom(">=", LMul(X, X), LInt(0)))
         assert not isinstance(builtin_decide(x_is_3), Invalid)
         assert not isinstance(builtin_decide(square), Invalid)
-        got = builtin_decide(ValidityQuery(FTrue(), atom("<=", LMul(X, X), LInt(3))))
-        assert isinstance(got, Invalid)
-        assert dict(got.model)["x"] ** 2 > 3
+        in_hypothesis = ValidityQuery(atom("=", LMul(X, LVar("y")), LInt(3)), atom("<=", X, LInt(3)))
+        in_conclusion = ValidityQuery(FTrue(), atom("<=", LMul(X, X), LInt(3)))
+        for q in (in_hypothesis, in_conclusion):
+            assert isinstance(builtin_decide(q), Unknown)
+            assert isinstance(builtin_decide(q, need_model=False), Unknown)
 
     def test_invalid_models_falsify_criterion_7_queries(self):
         invalid = 0
@@ -197,7 +196,7 @@ class TestBuiltinDecide:
                 # one false conjunct already makes the conclusion false
                 parts = q.conclusion.parts if isinstance(q.conclusion, FAnd) else (q.conclusion,)
                 assert any(
-                    not evaluate(p, model) for p in parts if formula_vars(p).keys() <= model.keys()
+                    not evaluate(p, model) for p in parts if symbols(p)[0].keys() <= model.keys()
                 ), (q, model)
         assert invalid > 0
 
@@ -435,6 +434,13 @@ class TestCache:
         # the key prefix of hyp is memoized now; y must not be read as x
         assert eng.check(ValidityQuery(hyp, atom(">=", LVar("y"), LInt(0))), need_model=False) == NOT_PROVED
         assert eng.stats["cache_hits"] == 0
+
+    def test_keys_tell_iff_from_equality(self):
+        # both print as `(= _ _)` in SMT-LIB; the canonical names carry sorts
+        p, q = FBoolVar("p"), FBoolVar("q")
+        iff = ValidityQuery(FIff(p, q), FIff(p, q))
+        eq = ValidityQuery(atom("=", X, LVar("y")), atom("=", X, LVar("y")))
+        assert canonical_key(iff) != canonical_key(eq)
 
     def test_distinct_queries_independent(self):
         q1 = ValidityQuery(FTrue(), atom(">=", V, LInt(0)))
