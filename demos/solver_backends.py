@@ -6,7 +6,7 @@ the SMT-LIB script it would hand to an external solver.
 """
 
 from liqinfer import emit_smtlib
-from liqinfer.logic import FAnd, FAtom, FTrue, LInt, LNeg, LVar
+from liqinfer.syntax import FAnd, FAtom, FTrue, LInt, LNeg, LVar
 from liqinfer.validity import ValidityQuery, builtin_decide
 
 # with x >= 0 in scope: does v = -x entail v <= 0?

@@ -16,14 +16,13 @@ import sys
 from typing import Optional
 
 from .anf import normalize
-from .inference import ArmCapExceeded, Inferencer, InferenceFailure
+from .inference import ArmCapExceeded, Inferencer
 from .metatheory import (
     default_qualifiers,
     run_oracle_agreement,
     run_subject_reduction,
 )
 from .parser import ParseError, parse_program
-from .shapes import ShapeError
 from .subtyping import LogEntry
 from .syntax import Env, LiqError, render_refinement, render_scheme, render_term
 from .validity import SolverError, ValidityEngine, run_solver
@@ -140,9 +139,6 @@ def _run_infer(args: argparse.Namespace) -> int:
         except ArmCapExceeded as e:
             print(f"arm cap exceeded at {name!r}: {e}", file=sys.stderr)
             return EXIT_CAP
-        except (InferenceFailure, ShapeError) as e:
-            print(f"inference failure at {name!r}: {e}", file=sys.stderr)
-            return EXIT_INFER
         except LiqError as e:
             print(f"inference failure at {name!r}: {e}", file=sys.stderr)
             return EXIT_INFER

@@ -29,15 +29,19 @@ from .syntax import (
     Const,
     CONSTANTS,
     Env,
+    FAtom,
+    FBoolVar,
+    FIff,
+    Formula,
     FunArm,
     IntConst,
     Lam,
+    LVar,
     Let,
     LiqError,
     LiquidType,
     PartialPrim,
     PrimConst,
-    Refinement,
     Scheme,
     SimpleType,
     Term,
@@ -46,6 +50,7 @@ from .syntax import (
     TyVar,
     Var,
     VarArm,
+    VALUE_VAR,
     make_type,
     mono,
     render_term,
@@ -87,7 +92,7 @@ def _arm_with(shape: SimpleType, quals) -> Union[BaseArm, FunArm, VarArm]:
     return FunArm(shape.binder, dom, cod)
 
 
-def fresh(shape: SimpleType, qualifiers: Sequence[Refinement], max_arms: int = 4096) -> LiquidType:
+def fresh(shape: SimpleType, qualifiers: Sequence[Formula], max_arms: int = 4096) -> LiquidType:
     """One arm per function from the base positions of the shape into the
     qualifier set; |Q|^k arms for k positions.  The empty product collapses
     to the top skeleton."""
@@ -151,7 +156,7 @@ class _Template:
 class Inferencer:
     def __init__(
         self,
-        qualifiers: Sequence[Refinement],
+        qualifiers: Sequence[Formula],
         engine: Optional[ValidityEngine] = None,
         max_arms: int = 4096,
         constraint_log: Optional[list[LogEntry]] = None,
@@ -374,8 +379,6 @@ class Inferencer:
 
 
 def _self_eq(base: Base, name: str):
-    from .syntax import CmpRef, IffRef, BoolVarRef, VarExp, VALUE_VAR
-
     if base.name == "int":
-        return BaseArm(base, CmpRef("=", VarExp(VALUE_VAR), VarExp(name)))
-    return BaseArm(base, IffRef(BoolVarRef(VALUE_VAR), BoolVarRef(name)))
+        return BaseArm(base, FAtom("=", LVar(VALUE_VAR), LVar(name)))
+    return BaseArm(base, FIff(FBoolVar(VALUE_VAR), FBoolVar(name)))

@@ -6,46 +6,46 @@ brute-force enumeration over small integer grids.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .anf import _all_names, normalize
 from .inference import Inferencer
 from .semantics import AtValue, Stuck, step
 from .subtyping import SubtypeChecker
 from .syntax import (
-    AddExp,
     App,
     BaseArm,
     BoolConst,
-    BoolRef,
-    BoolVarRef,
-    CmpRef,
-    ConjRef,
     Const,
     Env,
-    IffRef,
+    FAnd,
+    FAtom,
+    FBoolVar,
+    FIff,
+    Formula,
+    FTrue,
     IntConst,
-    IntExp,
-    IntExpr,
+    LAdd,
     Lam,
     Let,
+    LInt,
     LiqError,
-    MulExp,
+    LMul,
+    LNeg,
+    LogicTerm,
+    LSub,
+    LVar,
     NameSource,
-    NegExp,
     PrimConst,
-    Refinement,
     Scheme,
-    SubExp,
     Term,
-    TopRef,
     Var,
-    VarExp,
     VALUE_VAR,
-    refinement_vars,
     render_term,
+    symbols,
 )
 from .validity import ValidityEngine
 
@@ -64,7 +64,7 @@ def recheck(
     env: Env,
     term: Term,
     scheme: Scheme,
-    qualifiers: Sequence[Refinement],
+    qualifiers: Sequence[Formula],
     engine: Optional[ValidityEngine] = None,
     inferencer: Optional[Inferencer] = None,
 ) -> bool:
@@ -97,7 +97,7 @@ class TrialReport:
 
 def subject_reduction_trial(
     term: Term,
-    qualifiers: Sequence[Refinement],
+    qualifiers: Sequence[Formula],
     fuel: int,
     engine: Optional[ValidityEngine] = None,
     inferencer: Optional[Inferencer] = None,
@@ -134,43 +134,30 @@ def subject_reduction_trial(
 # ---------------------------------------------------------------------------
 
 
-def eval_int_expr(e: IntExpr, asg: dict[str, object]) -> int:
-    if isinstance(e, IntExp):
-        return e.value
-    if isinstance(e, VarExp):
-        v = asg[e.name]
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise OracleInapplicable(f"{e.name} is not an integer")
-        return v
-    if isinstance(e, NegExp):
-        return -eval_int_expr(e.arg, asg)
-    if isinstance(e, AddExp):
-        return eval_int_expr(e.lhs, asg) + eval_int_expr(e.rhs, asg)
-    if isinstance(e, SubExp):
-        return eval_int_expr(e.lhs, asg) - eval_int_expr(e.rhs, asg)
-    if isinstance(e, MulExp):
-        return eval_int_expr(e.lhs, asg) * eval_int_expr(e.rhs, asg)
-    raise OracleInapplicable(f"cannot evaluate {e!r}")
+_COMPARE = {"=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+_COMBINE = {LAdd: operator.add, LSub: operator.sub, LMul: operator.mul, FIff: operator.eq}
 
 
-def eval_refinement(r: Refinement, asg: dict[str, object]) -> bool:
-    if isinstance(r, TopRef):
-        return True
-    if isinstance(r, BoolRef):
+def eval_refinement(r: Union[Formula, LogicTerm], asg: dict[str, object]) -> Union[bool, int]:
+    """The truth of a refinement, or the value of an integer term, under
+    `asg`; a product is a product."""
+    if isinstance(r, LInt):
         return r.value
-    if isinstance(r, CmpRef):
-        l, rr = eval_int_expr(r.lhs, asg), eval_int_expr(r.rhs, asg)
-        return {"=": l == rr, "<=": l <= rr, ">=": l >= rr, "<": l < rr, ">": l > rr}[r.op]
-    if isinstance(r, BoolVarRef):
+    if isinstance(r, (LVar, FBoolVar)):
         v = asg[r.name]
-        if not isinstance(v, bool):
-            raise OracleInapplicable(f"{r.name} is not a boolean")
+        if isinstance(v, bool) != isinstance(r, FBoolVar):
+            sort = "a boolean" if isinstance(r, FBoolVar) else "an integer"
+            raise OracleInapplicable(f"{r.name} is not {sort}")
         return v
-    if isinstance(r, IffRef):
-        return eval_refinement(r.lhs, asg) == eval_refinement(r.rhs, asg)
-    if isinstance(r, ConjRef):
+    if isinstance(r, LNeg):
+        return -eval_refinement(r.arg, asg)
+    if isinstance(r, FAnd):
         return all(eval_refinement(p, asg) for p in r.parts)
-    raise OracleInapplicable(f"cannot evaluate {r!r}")
+    if isinstance(r, FAtom):
+        return _COMPARE[r.op](eval_refinement(r.lhs, asg), eval_refinement(r.rhs, asg))
+    if isinstance(r, (LAdd, LSub, LMul, FIff)):
+        return _COMBINE[type(r)](eval_refinement(r.lhs, asg), eval_refinement(r.rhs, asg))
+    return isinstance(r, FTrue)
 
 
 def _base_bindings(env: Env) -> list[tuple[str, str, tuple]]:
@@ -179,34 +166,10 @@ def _base_bindings(env: Env) -> list[tuple[str, str, tuple]]:
     return [(b.name, b.sort, b.refs) for b in env.scope().bindings.values()]
 
 
-def _nu_sort(refs: Sequence[Refinement]) -> str:
-    def scan(r: Refinement) -> Optional[str]:
-        if isinstance(r, CmpRef):
-            if VALUE_VAR in refinement_vars(r):
-                return "int"
-            return None
-        if isinstance(r, BoolVarRef):
-            return "bool" if r.name == VALUE_VAR else None
-        if isinstance(r, IffRef):
-            return scan(r.lhs) or scan(r.rhs)
-        if isinstance(r, ConjRef):
-            for p in r.parts:
-                s = scan(p)
-                if s:
-                    return s
-        return None
-
-    for r in refs:
-        s = scan(r)
-        if s:
-            return s
-    return "int"
-
-
 def semantic_implication_oracle(
     env: Env,
-    lhs: Refinement,
-    rhs: Refinement,
+    lhs: Formula,
+    rhs: Formula,
     bound: int = 4,
 ) -> bool:
     """Enumerate every substitution of integers in [-bound, bound] (booleans
@@ -216,13 +179,13 @@ def semantic_implication_oracle(
     evaluates to true the right one does too."""
     bindings = _base_bindings(env)
     known = {name for name, _, _ in bindings} | {VALUE_VAR}
-    free = (refinement_vars(lhs) | refinement_vars(rhs)) - known
+    used = symbols(lhs, rhs)[0]
+    free = used.keys() - known
     if free:
         raise OracleInapplicable(f"variables without a base type in scope: {sorted(free)}")
-    nu = _nu_sort([lhs, rhs])
     names = [name for name, _, _ in bindings] + [VALUE_VAR]
     sorts = {name: sort for name, sort, _ in bindings}
-    sorts[VALUE_VAR] = nu
+    sorts[VALUE_VAR] = used.get(VALUE_VAR, "int")
 
     def domain(sort: str):
         return (False, True) if sort == "bool" else range(-bound, bound + 1)
@@ -342,7 +305,7 @@ def random_term(
 
 def generate_corpus(
     n: int,
-    qualifiers: Sequence[Refinement],
+    qualifiers: Sequence[Formula],
     seed: int = 0,
     engine: Optional[ValidityEngine] = None,
     config: GenConfig = GenConfig(),
@@ -383,7 +346,7 @@ class SuiteReport:
 def run_subject_reduction(
     trials: int,
     fuel: int = 100,
-    qualifiers: Optional[Sequence[Refinement]] = None,
+    qualifiers: Optional[Sequence[Formula]] = None,
     seed: int = 0,
     bound: int = 4,
     engine: Optional[ValidityEngine] = None,
@@ -412,9 +375,9 @@ def run_subject_reduction(
     return report
 
 
-def default_qualifiers() -> tuple[Refinement, ...]:
-    ge = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-    le = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
+def default_qualifiers() -> tuple[Formula, ...]:
+    ge = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+    le = FAtom("<=", LVar(VALUE_VAR), LInt(0))
     return (ge, le)
 
 
@@ -432,22 +395,22 @@ def random_base_query(
 
     var_names = ["x", "y"][: rng.randint(0, 2)]
 
-    def expr(vars_ok: list[str]) -> IntExpr:
+    def expr(vars_ok: list[str]) -> LogicTerm:
         roll = rng.random()
         if roll < 0.45 or not vars_ok:
-            return IntExp(rng.randint(-3, 3))
+            return LInt(rng.randint(-3, 3))
         if roll < 0.8:
-            return VarExp(rng.choice(vars_ok))
-        lhs = VarExp(rng.choice(vars_ok))
-        rhs = IntExp(rng.randint(-3, 3))
-        return AddExp(lhs, rhs) if rng.random() < 0.5 else SubExp(lhs, rhs)
+            return LVar(rng.choice(vars_ok))
+        lhs = LVar(rng.choice(vars_ok))
+        rhs = LInt(rng.randint(-3, 3))
+        return LAdd(lhs, rhs) if rng.random() < 0.5 else LSub(lhs, rhs)
 
-    def cmp(vars_ok: list[str], with_nu: bool) -> Refinement:
+    def cmp(vars_ok: list[str], with_nu: bool) -> Formula:
         op = rng.choice(["=", "<=", ">=", "<", ">"])
-        lhs: IntExpr = VarExp(VALUE_VAR) if with_nu else expr(vars_ok)
+        lhs: LogicTerm = LVar(VALUE_VAR) if with_nu else expr(vars_ok)
         if not with_nu and rng.random() < 0.5:
             lhs = expr(vars_ok)
-        return CmpRef(op, lhs, expr(vars_ok))
+        return FAtom(op, lhs, expr(vars_ok))
 
     env = Env()
     avail: list[str] = []
@@ -494,8 +457,8 @@ def run_oracle_agreement(
         q = checker.base_subtype_query(env, lhs_arms, rhs_arms)
         verdict = engine.check(q)
         report.queries += 1
-        lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else ConjRef(tuple(a.ref for a in lhs_arms))
-        rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else ConjRef(tuple(a.ref for a in rhs_arms))
+        lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))
+        rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else FAnd(tuple(a.ref for a in rhs_arms))
         oracle_ok = semantic_implication_oracle(env, lhs, rhs, bound)
         if isinstance(verdict, Valid):
             report.valid += 1

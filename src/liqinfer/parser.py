@@ -18,39 +18,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    AddExp,
     App,
     Arm,
     BaseArm,
     BOOL,
     BoolConst,
-    BoolRef,
-    BoolVarRef,
-    CmpRef,
-    ConjRef,
     Const,
+    FALSE,
+    FAnd,
+    FAtom,
+    FBoolVar,
+    FIff,
+    Formula,
     FunArm,
-    IffRef,
     INT,
     IntConst,
-    IntExp,
-    IntExpr,
+    LAdd,
     Lam,
     Let,
+    LInt,
     LiqError,
     LiquidType,
+    LMul,
+    LNeg,
+    LogicTerm,
+    LSub,
+    LVar,
     NameSource,
-    NegExp,
     PrimConst,
-    Refinement,
     Scheme,
-    SubExp,
-    MulExp,
     Term,
-    TOP,
+    TRUE,
     Var,
     VarArm,
-    VarExp,
     VALUE_VAR,
     make_type,
 )
@@ -65,9 +65,11 @@ class ParseError(LiqError):
 
 @dataclass(frozen=True)
 class Program:
-    qualifiers: tuple[Refinement, ...]
+    qualifiers: tuple[Formula, ...]
     bindings: tuple[tuple[str, Term], ...]
 
+
+CMP_OPS = ("=", "<=", ">=", "<", ">")
 
 KEYWORDS = {"Qualifiers", "val", "let", "in", "true", "false", "if", "fix"}
 
@@ -182,17 +184,17 @@ class _Tokens:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_atom(ts: _Tokens) -> IntExpr:
+def _parse_int_atom(ts: _Tokens) -> LogicTerm:
     t = ts.peek()
     if t.kind == "int":
         ts.next()
-        return IntExp(_int_value(t))
+        return LInt(_int_value(t))
     if t.text == "-":
         ts.next()
-        return NegExp(_parse_int_atom(ts))
+        return LNeg(_parse_int_atom(ts))
     if t.kind == "ident" and t.text not in KEYWORDS:
         ts.next()
-        return VarExp(t.text)
+        return LVar(t.text)
     if t.text == "(":
         ts.next()
         e = _parse_int_sum(ts)
@@ -201,23 +203,23 @@ def _parse_int_atom(ts: _Tokens) -> IntExpr:
     raise ts.fail(f"expected an integer expression, found {t.text!r}")
 
 
-def _parse_int_sum(ts: _Tokens) -> IntExpr:
+def _parse_int_sum(ts: _Tokens) -> LogicTerm:
     e = _parse_int_atom(ts)
     while ts.peek().text in ("+", "-"):
         op = ts.next().text
         rhs = _parse_int_atom(ts)
-        e = AddExp(e, rhs) if op == "+" else SubExp(e, rhs)
+        e = LAdd(e, rhs) if op == "+" else LSub(e, rhs)
     return e
 
 
-def _parse_qualifier(ts: _Tokens) -> Refinement:
+def _parse_qualifier(ts: _Tokens) -> Formula:
     t = ts.peek()
     if t.text == "true":
         ts.next()
-        return TOP
+        return TRUE
     if t.text == "false":
         ts.next()
-        return BoolRef(False)
+        return FALSE
     if t.text == "(":
         # could be a parenthesized qualifier or grouping inside an expression
         mark = ts.i
@@ -230,17 +232,17 @@ def _parse_qualifier(ts: _Tokens) -> Refinement:
             ts.i = mark
     lhs = _parse_int_sum(ts)
     op = ts.peek().text
-    if op in ("=", "<=", ">=", "<", ">"):
+    if op in CMP_OPS:
         ts.next()
         rhs = _parse_int_sum(ts)
-        return CmpRef(op, lhs, rhs)
-    if isinstance(lhs, VarExp):
+        return FAtom(op, lhs, rhs)
+    if isinstance(lhs, LVar):
         # a bare variable is a boolean atom
-        return BoolVarRef(lhs.name)
+        return FBoolVar(lhs.name)
     raise ts.fail("a qualifier must be a comparison or a boolean expression")
 
 
-def parse_qualifier(text: str) -> Refinement:
+def parse_qualifier(text: str) -> Formula:
     ts = _Tokens(tokenize(text))
     q = _parse_qualifier(ts)
     if ts.peek().kind != "eof":
@@ -339,7 +341,7 @@ def parse_term(text: str, names: NameSource | None = None) -> Term:
 
 def parse_program(text: str) -> Program:
     ts = _Tokens(tokenize(text))
-    quals: list[Refinement] = []
+    quals: list[Formula] = []
     ts.expect("Qualifiers")
     ts.expect("{")
     if ts.peek().text != "}":
@@ -440,20 +442,14 @@ def _parse_arm(ts: _Tokens) -> Arm:
     raise ts.fail(f"expected a type arm, found {t.text!r}")
 
 
-def _ref_from_expr(e: IntExpr, ts: _Tokens) -> Refinement:
-    if isinstance(e, VarExp):
-        return BoolVarRef(e.name)
-    raise ts.fail("expected a boolean expression")
-
-
-def _parse_ref(ts: _Tokens) -> Refinement:
+def _parse_ref(ts: _Tokens) -> Formula:
     t = ts.peek()
     if t.text == "true":
         ts.next()
-        return TOP
+        return TRUE
     if t.text == "false":
         ts.next()
-        return BoolRef(False)
+        return FALSE
     if t.text == "(":
         ts.next()
         inner = _parse_ref_body(ts)
@@ -461,69 +457,63 @@ def _parse_ref(ts: _Tokens) -> Refinement:
         return inner
     if t.kind == "ident":
         ts.next()
-        return BoolVarRef(t.text)
+        return FBoolVar(t.text)
     raise ts.fail(f"expected a refinement, found {t.text!r}")
 
 
-def _parse_ref_body(ts: _Tokens) -> Refinement:
+def _parse_ref_body(ts: _Tokens) -> Formula:
     # already inside parentheses: comparison, biconditional or conjunction
-    t = ts.peek()
-    first: Refinement | None = None
-    if t.text in ("true", "false") or t.text == "(":
-        first = _parse_ref(ts)
-    else:
-        lhs = _parse_type_expr(ts)
-        op = ts.peek().text
-        if op in ("=", "<=", ">=", "<", ">"):
-            ts.next()
-            rhs = _parse_type_expr(ts)
-            first = CmpRef(op, lhs, rhs)
-        else:
-            first = _ref_from_expr(lhs, ts)
+    first = _parse_ref_part(ts)
     if ts.peek().text == "<=>":
         ts.next()
-        rhs_ref = _parse_ref(ts) if ts.peek().text in ("true", "false", "(") else _parse_ref_tail(ts)
-        return IffRef(first, rhs_ref)
+        return FIff(first, _parse_ref_part(ts))
     if ts.peek().text == "&&":
         parts = [first]
         while ts.peek().text == "&&":
             ts.next()
-            parts.append(_parse_ref(ts) if ts.peek().text in ("true", "false", "(") else _parse_ref_tail(ts))
-        return ConjRef(tuple(parts))
+            parts.append(_parse_ref_part(ts))
+        return FAnd(tuple(parts))
     return first
 
 
-def _parse_ref_tail(ts: _Tokens) -> Refinement:
-    lhs = _parse_type_expr(ts)
-    op = ts.peek().text
-    if op in ("=", "<=", ">=", "<", ">"):
-        ts.next()
-        return CmpRef(op, lhs, _parse_type_expr(ts))
-    return _ref_from_expr(lhs, ts)
+def _parse_ref_part(ts: _Tokens) -> Formula:
+    """A comparison, or else a refinement. Both may open with a parenthesis,
+    so the comparison is tried first and abandoned on the first token that
+    does not fit it."""
+    mark = ts.i
+    try:
+        lhs = _parse_type_expr(ts)
+        op = ts.peek().text
+        if op in CMP_OPS:
+            ts.next()
+            return FAtom(op, lhs, _parse_type_expr(ts))
+    except ParseError:
+        pass
+    ts.i = mark
+    return _parse_ref(ts)
 
 
-def _parse_type_expr(ts: _Tokens) -> IntExpr:
+def _parse_type_expr(ts: _Tokens) -> LogicTerm:
     t = ts.peek()
     if t.kind == "int":
         ts.next()
-        return IntExp(_int_value(t))
+        return LInt(_int_value(t))
     if t.text == "-":
         ts.next()
-        return NegExp(_parse_type_expr(ts))
+        return LNeg(_parse_type_expr(ts))
     if t.kind == "ident":
         ts.next()
-        return VarExp(t.text)
+        return LVar(t.text)
     if t.text == "(":
         ts.next()
         lhs = _parse_type_expr(ts)
+        if ts.peek().text == ")":  # a compound term under a negation, -((x + 1))
+            ts.next()
+            return lhs
         op = ts.next()
         if op.text not in ("+", "-", "*"):
             raise ParseError(f"expected an arithmetic operator, found {op.text!r}", op.line, op.col)
         rhs = _parse_type_expr(ts)
         ts.expect(")")
-        if op.text == "+":
-            return AddExp(lhs, rhs)
-        if op.text == "-":
-            return SubExp(lhs, rhs)
-        return MulExp(lhs, rhs)
+        return {"+": LAdd, "-": LSub, "*": LMul}[op.text](lhs, rhs)
     raise ts.fail(f"expected an integer expression, found {t.text!r}")

@@ -18,22 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .logic import Formula, conj, embed_arm, embed_env
+from .logic import conj, embed_env
 from .syntax import (
     Base,
     BaseArm,
     Env,
+    Formula,
     FunArm,
     LiquidType,
     Scheme,
-    TOP,
+    TRUE,
     Var,
     VarArm,
     VALUE_VAR,
     make_type,
     mono,
-    refinement_sorts_ok,
-    refinement_vars,
     render_scheme,
     subst_liquid,
     subst_tyvar_liquid,
@@ -59,7 +58,7 @@ class _Layer:
     """The sort of one binder inside a type, layered over the sorts in scope
     around it rather than copied into them, since the scope can be large. A
     binder whose shape is not a base type has sort None, which hides the
-    name. Read through `get`, the one method `refinement_sorts_ok` uses."""
+    name. Read through `get`, the one method `_wf_type` uses."""
 
     __slots__ = ("name", "sort", "outer")
 
@@ -129,7 +128,9 @@ class SubtypeChecker:
     def _wf_type(self, t: LiquidType, sorts: Sorts) -> bool:
         for arm in t.arms:
             if isinstance(arm, BaseArm):
-                if not refinement_sorts_ok(arm.ref, _Layer(VALUE_VAR, arm.base.name, sorts)):
+                # a variable used at both sorts matches no sort in scope
+                layer = _Layer(VALUE_VAR, arm.base.name, sorts)
+                if any(layer.get(x) != sort for x, sort in arm.ref.sorts.items()):
                     return False
             elif isinstance(arm, VarArm):
                 continue
@@ -183,7 +184,7 @@ class SubtypeChecker:
             return False
         first = b.arms[0]
         if isinstance(first, BaseArm):
-            if all(arm.ref is TOP for arm in b.arms):
+            if all(arm.ref is TRUE for arm in b.arms):
                 return True  # the Top rule
             lhs = [arm for arm in a.arms if isinstance(arm, BaseArm)]
             rhs = [arm for arm in b.arms if isinstance(arm, BaseArm)]
@@ -228,8 +229,8 @@ class SubtypeChecker:
         return f"{rhs.binder}%{i}"
 
     def base_subtype_query(self, env: Env, lhs_arms: list, rhs_arms: list) -> ValidityQuery:
-        hyp = conj([embed_env(env)] + [embed_arm(a) for a in lhs_arms])
-        concl = conj([embed_arm(a) for a in rhs_arms])
+        hyp = conj([embed_env(env)] + [a.ref for a in lhs_arms])
+        concl = conj([a.ref for a in rhs_arms])
         return ValidityQuery(hyp, concl)
 
 
@@ -237,7 +238,7 @@ def _type_vars(t: LiquidType) -> set[str]:
     out: set[str] = set()
     for arm in t.arms:
         if isinstance(arm, BaseArm):
-            out |= refinement_vars(arm.ref)
+            out.update(arm.ref.sorts)
         elif isinstance(arm, FunArm):
             out.add(arm.binder)
             out |= _type_vars(arm.dom)

@@ -1,11 +1,16 @@
-"""Core syntax: lambda terms, ML simple types, refinement expressions and
-the intersection-of-refinements type algebra.
+"""Core syntax: lambda terms, ML simple types, refinements and the
+intersection-of-refinements type algebra.
+
+A refinement is a formula of the validity engine's logic (`Formula`, over
+integer terms `LogicTerm`), as in Liquid Types: subtyping hands a base
+arm's refinement to the engine as it is, and `logic` only conjoins an
+environment's refinements.
 
 Types are kept in a canonical form throughout: an intersection is a
 non-empty tuple of arms, deduplicated and sorted by printed form, all
 sharing one simple-type shape.
 
-Refinement expressions, base shapes and liquid types are hash-consed
+Refinements, base shapes and liquid types are hash-consed
 (`Interned`): calling a class returns the one live instance with those
 fields, so equality is identity and hashing is O(1). Values are built only
 by calling their classes with positional fields, never by copying or by
@@ -106,142 +111,159 @@ interned = dataclass(frozen=True, eq=False, slots=True)
 
 
 # ---------------------------------------------------------------------------
-# Refinement expressions
+# Refinements: quantifier-free formulas
 # ---------------------------------------------------------------------------
 #
-# Integer expressions are linear combinations of literals and variables;
-# MulExp only ever appears in the exact-product refinement of the
-# multiplication primitive.
+# A refinement is a formula of the validity engine's logic, handed to it as it
+# is. Integer terms are literals, variables, negation, sum, difference and
+# product. Formulas are true, false, comparison atoms, boolean variables,
+# conjunction and `<=>`; there is no negation or implication, since the
+# validity engine negates a conclusion itself.
+#
+# A product with a side that has no variables is scaling (`is_scaling`). Any
+# other product only ever appears in the exact-product refinement of the
+# multiplication primitive; its readers treat it as the uninterpreted
+# ``times`` (`symbols`, and the validity engine).
 
 
 @interned
-class IntExp(Value):
+class LInt(Value):
     value: int
 
 
 @interned
-class VarExp(Value):
+class LVar(Value):
     """An int-sorted variable (a program variable or the value variable)."""
 
     name: str
 
 
 @interned
-class NegExp(Value):
-    arg: "IntExpr"
+class LNeg(Value):
+    arg: "LogicTerm"
 
 
 @interned
-class AddExp(Value):
-    lhs: "IntExpr"
-    rhs: "IntExpr"
+class LAdd(Value):
+    lhs: "LogicTerm"
+    rhs: "LogicTerm"
 
 
 @interned
-class SubExp(Value):
-    lhs: "IntExpr"
-    rhs: "IntExpr"
+class LSub(Value):
+    lhs: "LogicTerm"
+    rhs: "LogicTerm"
 
 
 @interned
-class MulExp(Value):
-    lhs: "IntExpr"
-    rhs: "IntExpr"
+class LMul(Value):
+    lhs: "LogicTerm"
+    rhs: "LogicTerm"
 
 
-IntExpr = Union[IntExp, VarExp, NegExp, AddExp, SubExp, MulExp]
+LogicTerm = Union[LInt, LVar, LNeg, LAdd, LSub, LMul]
+
+
+class _Formula(Value):
+    """Base of the formula classes. `memo` keeps what the validity engine
+    derives from a formula (its cache-key prefix, its compiled rows) in a
+    slot that is not a field: every occurrence of the formula shares it, and
+    it dies with the formula."""
+
+    __slots__ = ("_memo",)
+
+    @property
+    def memo(self) -> dict:
+        try:
+            return self._memo
+        except AttributeError:
+            memo: dict = {}
+            object.__setattr__(self, "_memo", memo)
+            return memo
+
+    @property
+    def sorts(self) -> Mapping[str, str]:
+        """The variables of the formula with their sorts (`symbols`),
+        computed once per formula; read-only."""
+        memo = self.memo
+        sorts = memo.get("sorts")
+        if sorts is None:
+            sorts = memo["sorts"] = MappingProxyType(symbols(self)[0])
+        return sorts
 
 
 @interned
-class TopRef(Value):
+class FTrue(_Formula):
     """The empty refinement; satisfied by every value."""
 
 
 @interned
-class BoolRef(Value):
-    value: bool
+class FFalse(_Formula):
+    pass
 
 
 @interned
-class CmpRef(Value):
-    """Comparison between two integer expressions; op is one of = <= >= < >."""
+class FAtom(_Formula):
+    """Comparison between two integer terms; op is one of = <= >= < >."""
 
     op: str
-    lhs: IntExpr
-    rhs: IntExpr
+    lhs: LogicTerm
+    rhs: LogicTerm
 
 
 @interned
-class BoolVarRef(Value):
+class FBoolVar(_Formula):
     """A bool-sorted variable used as a propositional atom."""
 
     name: str
 
 
 @interned
-class IffRef(Value):
-    lhs: "Refinement"
-    rhs: "Refinement"
+class FAnd(_Formula):
+    """Conjunction; appears only in derived refinements, never in qualifiers."""
+
+    parts: tuple["Formula", ...]
 
 
 @interned
-class ConjRef(Value):
-    """Conjunction; appears only in derived refinements, never in qualifiers."""
-
-    parts: tuple["Refinement", ...]
-
-
-Refinement = Union[TopRef, BoolRef, CmpRef, BoolVarRef, IffRef, ConjRef]
-
-TOP = TopRef()
+class FIff(_Formula):
+    lhs: "Formula"
+    rhs: "Formula"
 
 
-def int_expr_vars(e: IntExpr) -> frozenset[str]:
-    if isinstance(e, IntExp):
-        return frozenset()
-    if isinstance(e, VarExp):
-        return frozenset((e.name,))
-    if isinstance(e, NegExp):
-        return int_expr_vars(e.arg)
-    return int_expr_vars(e.lhs) | int_expr_vars(e.rhs)
+Formula = Union[FTrue, FFalse, FAtom, FBoolVar, FAnd, FIff]
+
+TRUE = FTrue()
+FALSE = FFalse()
 
 
-def refinement_vars(r: Refinement) -> frozenset[str]:
-    if isinstance(r, (TopRef, BoolRef)):
-        return frozenset()
-    if isinstance(r, CmpRef):
-        return int_expr_vars(r.lhs) | int_expr_vars(r.rhs)
-    if isinstance(r, BoolVarRef):
-        return frozenset((r.name,))
-    if isinstance(r, IffRef):
-        return refinement_vars(r.lhs) | refinement_vars(r.rhs)
-    return frozenset().union(*(refinement_vars(p) for p in r.parts)) if r.parts else frozenset()
+def symbols(*formulas: Union[Formula, LogicTerm]) -> tuple[dict[str, str], dict[str, int]]:
+    """The variables of the formulas or terms with their sorts, "int" or
+    "bool" ("both" for one used at both), and the uninterpreted symbols with
+    their arities: ``times``, 2, when a product is not a scaling."""
+    sorts: dict[str, str] = {}
+    ufs: dict[str, int] = {}
+    todo: list = list(formulas)
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (LVar, FBoolVar)):
+            sort = "int" if isinstance(x, LVar) else "bool"
+            if sorts.setdefault(x.name, sort) != sort:
+                sorts[x.name] = "both"
+        elif isinstance(x, LNeg):
+            todo.append(x.arg)
+        elif isinstance(x, FAnd):
+            todo += x.parts
+        elif isinstance(x, (FAtom, FIff, LAdd, LSub, LMul)):
+            if isinstance(x, LMul) and not is_scaling(x):
+                ufs["times"] = 2
+            todo += (x.lhs, x.rhs)
+    return sorts, ufs
 
 
-def refinement_sorts_ok(r: Refinement, sorts: Mapping[str, str]) -> bool:
-    """True iff r is a bool-sorted expression with every variable used at the
-    sort recorded in `sorts` (values "int" or "bool")."""
-
-    def int_ok(e: IntExpr) -> bool:
-        if isinstance(e, IntExp):
-            return True
-        if isinstance(e, VarExp):
-            return sorts.get(e.name) == "int"
-        if isinstance(e, NegExp):
-            return int_ok(e.arg)
-        return int_ok(e.lhs) and int_ok(e.rhs)
-
-    if isinstance(r, (TopRef, BoolRef)):
-        return True
-    if isinstance(r, CmpRef):
-        return int_ok(r.lhs) and int_ok(r.rhs)
-    if isinstance(r, BoolVarRef):
-        return sorts.get(r.name) == "bool"
-    if isinstance(r, IffRef):
-        return refinement_sorts_ok(r.lhs, sorts) and refinement_sorts_ok(r.rhs, sorts)
-    if isinstance(r, ConjRef):
-        return all(refinement_sorts_ok(p, sorts) for p in r.parts)
-    return False
+def is_scaling(p: LMul) -> bool:
+    """Whether a side of the product has no variables."""
+    return not symbols(p.lhs)[0] or not symbols(p.rhs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +439,9 @@ BOOL = Base("bool")
 class _Arm(Value):
     """Base of the arm classes. Values derived from an arm are computed on
     first use and kept in slots that are not fields, so repr ignores them.
-    Since arms are hash-consed, every occurrence of an arm shares them.
-    `embedded`, a base arm's refinement as a formula, is unset until
-    `logic.embed_arm` fills it."""
+    Since arms are hash-consed, every occurrence of an arm shares them."""
 
-    __slots__ = ("_rendered", "embedded", "_shape")
+    __slots__ = ("_rendered", "_shape")
 
     @property
     def shape(self) -> SimpleType:
@@ -447,7 +467,7 @@ class _Arm(Value):
 @interned
 class BaseArm(_Arm):
     base: Base
-    ref: Refinement
+    ref: Formula
 
 
 @interned
@@ -526,7 +546,7 @@ def _type_free_vars(t: LiquidType) -> tuple[str, ...]:
     out: set[str] = set()
     for arm in t.arms:
         if isinstance(arm, BaseArm):
-            out |= refinement_vars(arm.ref)
+            out.update(arm.ref.sorts)
         elif isinstance(arm, FunArm):
             out.update(arm.dom.free)
             out.update(x for x in arm.cod.free if x != arm.binder)
@@ -542,8 +562,8 @@ _drop_made = _dropper(_made)
 
 def make_type(arms: Iterable[Arm]) -> LiquidType:
     """Canonicalize: flatten is implicit (arms are arms), dedupe, order by
-    printed form, and require a common shape.  A base arm refined by Top is
-    absorbed by any other base arm. Memoized per tuple of arms."""
+    printed form, and require a common shape.  A base arm refined by `true`
+    is absorbed by any other base arm. Memoized per tuple of arms."""
     todo = tuple(arms)
     ref = _made.get(todo)
     if ref is not None:
@@ -561,7 +581,7 @@ def make_type(arms: Iterable[Arm]) -> LiquidType:
             )
     uniq = list(dict.fromkeys(todo))
     if len(uniq) > 1 and all(isinstance(a, BaseArm) for a in uniq):
-        informative = [a for a in uniq if not isinstance(a.ref, TopRef)]
+        informative = [a for a in uniq if a.ref is not TRUE]
         if informative:
             uniq = informative
     uniq.sort(key=_render_key)
@@ -603,11 +623,11 @@ def well_founded(t: Union[LiquidType, Scheme, Arm], shape: SimpleType) -> bool:
 
 
 def base_top(base: Base) -> LiquidType:
-    return LiquidType((BaseArm(base, TOP),))
+    return LiquidType((BaseArm(base, TRUE),))
 
 
 def top_skeleton(shape: SimpleType) -> LiquidType:
-    """The shape refined with Top at every base position."""
+    """The shape refined with `true` at every base position."""
     if isinstance(shape, Base):
         return base_top(shape)
     if isinstance(shape, TyVar):
@@ -643,7 +663,7 @@ class BaseBinding:
         return self.arms[0].base.name
 
     @property
-    def refs(self) -> tuple[Refinement, ...]:
+    def refs(self) -> tuple[Formula, ...]:
         return tuple(a.ref for a in self.arms)
 
 
@@ -777,41 +797,31 @@ class Env:
 ValueSubst = Sequence[tuple[str, Term]]
 
 
-def _subst_int_expr(e: IntExpr, rho: Mapping[str, Term]) -> IntExpr:
-    if isinstance(e, IntExp):
-        return e
-    if isinstance(e, VarExp):
-        t = rho.get(e.name)
-        if t is None:
-            return e
-        if isinstance(t, Var):
-            return VarExp(t.name)
-        if isinstance(t, Const) and isinstance(t.const, IntConst):
-            return IntExp(t.const.value)
-        raise LiqError(f"cannot substitute a non-atomic term for {e.name} in a refinement")
-    if isinstance(e, NegExp):
-        return NegExp(_subst_int_expr(e.arg, rho))
-    cls = type(e)
-    return cls(_subst_int_expr(e.lhs, rho), _subst_int_expr(e.rhs, rho))
-
-
-def subst_refinement(r: Refinement, rho: Mapping[str, Term]) -> Refinement:
-    if isinstance(r, (TopRef, BoolRef)):
-        return r
-    if isinstance(r, CmpRef):
-        return CmpRef(r.op, _subst_int_expr(r.lhs, rho), _subst_int_expr(r.rhs, rho))
-    if isinstance(r, BoolVarRef):
+def subst_refinement(r: Formula, rho: Mapping[str, Term]) -> Formula:
+    """r with each variable that `rho` binds replaced by its value, which
+    must be a variable or a literal of the variable's sort."""
+    if isinstance(r, (LVar, FBoolVar)):
         t = rho.get(r.name)
         if t is None:
             return r
         if isinstance(t, Var):
-            return BoolVarRef(t.name)
-        if isinstance(t, Const) and isinstance(t.const, BoolConst):
-            return BoolRef(t.const.value)
+            return type(r)(t.name)
+        if isinstance(t, Const) and isinstance(t.const, IntConst if isinstance(r, LVar) else BoolConst):
+            value = t.const.value
+            return LInt(value) if isinstance(r, LVar) else TRUE if value else FALSE
         raise LiqError(f"cannot substitute a non-atomic term for {r.name} in a refinement")
-    if isinstance(r, IffRef):
-        return IffRef(subst_refinement(r.lhs, rho), subst_refinement(r.rhs, rho))
-    return ConjRef(tuple(subst_refinement(p, rho) for p in r.parts))
+    if isinstance(r, FAtom):
+        return FAtom(r.op, subst_refinement(r.lhs, rho), subst_refinement(r.rhs, rho))
+    if isinstance(r, (LInt, FTrue, FFalse)):
+        return r
+    if isinstance(r, LNeg):
+        # a negative literal, which only evaluation makes, under a negation
+        # is the positive literal: `- -3` gets {v = 3}, one formula with `3`
+        arg = subst_refinement(r.arg, rho)
+        return LInt(-arg.value) if isinstance(arg, LInt) and arg.value < 0 else LNeg(arg)
+    if isinstance(r, FAnd):
+        return FAnd(tuple(subst_refinement(p, rho) for p in r.parts))
+    return type(r)(subst_refinement(r.lhs, rho), subst_refinement(r.rhs, rho))
 
 
 def _subst_arm(a: Arm, rho: dict[str, Term]) -> Arm:
@@ -865,25 +875,22 @@ def subst_tyvar_liquid(t: LiquidType, name: str, repl: LiquidType) -> LiquidType
 # ---------------------------------------------------------------------------
 
 
-def _v() -> VarExp:
-    return VarExp(VALUE_VAR)
-
-
-def int_literal_expr(n: int) -> IntExpr:
-    # negative literals are carried as negations so printing stays invertible
-    return NegExp(IntExp(-n)) if n < 0 else IntExp(n)
+def _v() -> LVar:
+    return LVar(VALUE_VAR)
 
 
 def _base_eq(n: int) -> LiquidType:
-    return LiquidType((BaseArm(INT, CmpRef("=", _v(), int_literal_expr(n))),))
+    # a negative literal is carried as a negation, as the parser reads it back
+    literal = LNeg(LInt(-n)) if n < 0 else LInt(n)
+    return LiquidType((BaseArm(INT, FAtom("=", _v(), literal)),))
 
 
-def _ref_arm(ref: Refinement) -> LiquidType:
+def _ref_arm(ref: Formula) -> LiquidType:
     return LiquidType((BaseArm(INT, ref),))
 
 
 def _sign(op: str) -> LiquidType:
-    return _ref_arm(CmpRef(op, _v(), IntExp(0)))
+    return _ref_arm(FAtom(op, _v(), LInt(0)))
 
 
 def _fun(binder: str, dom: LiquidType, cod: LiquidType) -> FunArm:
@@ -892,15 +899,15 @@ def _fun(binder: str, dom: LiquidType, cod: LiquidType) -> FunArm:
 
 def _cmp_prim(op: str) -> Scheme:
     result = LiquidType(
-        (BaseArm(BOOL, IffRef(BoolVarRef(VALUE_VAR), CmpRef(op, VarExp("a"), VarExp("b")))),)
+        (BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), FAtom(op, LVar("a"), LVar("b")))),)
     )
     return mono(
         make_type([_fun("a", base_top(INT), make_type([_fun("b", base_top(INT), result)]))])
     )
 
 
-def _arith_prim(expr: IntExpr) -> Scheme:
-    result = _ref_arm(CmpRef("=", _v(), expr))
+def _arith_prim(expr: LogicTerm) -> Scheme:
+    result = _ref_arm(FAtom("=", _v(), expr))
     return mono(
         make_type([_fun("a", base_top(INT), make_type([_fun("b", base_top(INT), result)]))])
     )
@@ -911,7 +918,7 @@ def _mul_scheme() -> Scheme:
     exact = _fun(
         "a",
         base_top(INT),
-        make_type([_fun("b", base_top(INT), _ref_arm(CmpRef("=", _v(), MulExp(VarExp("a"), VarExp("b")))))]),
+        make_type([_fun("b", base_top(INT), _ref_arm(FAtom("=", _v(), LMul(LVar("a"), LVar("b")))))]),
     )
     signs = [
         _fun("a", ge, make_type([_fun("b", ge, ge)])),
@@ -926,11 +933,11 @@ class ConstantTable:
     """Maps constants to their refined type schemes."""
 
     def __init__(self) -> None:
-        neg_cod = _ref_arm(CmpRef("=", _v(), NegExp(VarExp("a"))))
+        neg_cod = _ref_arm(FAtom("=", _v(), LNeg(LVar("a"))))
         self._prims: dict[str, Scheme] = {
             "neg": mono(make_type([_fun("a", base_top(INT), neg_cod)])),
-            "add": _arith_prim(AddExp(VarExp("a"), VarExp("b"))),
-            "sub": _arith_prim(SubExp(VarExp("a"), VarExp("b"))),
+            "add": _arith_prim(LAdd(LVar("a"), LVar("b"))),
+            "sub": _arith_prim(LSub(LVar("a"), LVar("b"))),
             "mul": _mul_scheme(),
             "le": _cmp_prim("<="),
             "ge": _cmp_prim(">="),
@@ -986,7 +993,7 @@ class ConstantTable:
             return mono(_base_eq(c.value))
         if isinstance(c, BoolConst):
             return mono(
-                LiquidType((BaseArm(BOOL, IffRef(BoolVarRef(VALUE_VAR), BoolRef(c.value))),))
+                LiquidType((BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), TRUE if c.value else FALSE)),))
             )
         if isinstance(c, PrimConst):
             return self._prims[c.op]
@@ -998,30 +1005,28 @@ class ConstantTable:
 # ---------------------------------------------------------------------------
 
 
-def render_int_expr(e: IntExpr) -> str:
-    if isinstance(e, IntExp):
-        return str(e.value)
-    if isinstance(e, VarExp):
-        return e.name
-    if isinstance(e, NegExp):
-        inner = render_int_expr(e.arg)
-        if isinstance(e.arg, (IntExp, VarExp)):
+def _render_term(t: LogicTerm) -> str:
+    if isinstance(t, LInt):
+        return str(t.value)
+    if isinstance(t, LVar):
+        return t.name
+    if isinstance(t, LNeg):
+        inner = _render_term(t.arg)
+        if isinstance(t.arg, LVar) or isinstance(t.arg, LInt) and t.arg.value >= 0:
             return f"-{inner}"
-        return f"-({inner})"
-    op = {AddExp: "+", SubExp: "-", MulExp: "*"}[type(e)]
-    return f"({render_int_expr(e.lhs)} {op} {render_int_expr(e.rhs)})"
+        return f"-({inner})"  # not `--`, which opens a comment
+    op = {LAdd: "+", LSub: "-", LMul: "*"}[type(t)]
+    return f"({_render_term(t.lhs)} {op} {_render_term(t.rhs)})"
 
 
-def render_refinement(r: Refinement) -> str:
-    if isinstance(r, TopRef):
-        return "true"
-    if isinstance(r, BoolRef):
-        return "true" if r.value else "false"
-    if isinstance(r, CmpRef):
-        return f"({render_int_expr(r.lhs)}{r.op}{render_int_expr(r.rhs)})"
-    if isinstance(r, BoolVarRef):
+def render_refinement(r: Formula) -> str:
+    if isinstance(r, (FTrue, FFalse)):
+        return "true" if r is TRUE else "false"
+    if isinstance(r, FAtom):
+        return f"({_render_term(r.lhs)}{r.op}{_render_term(r.rhs)})"
+    if isinstance(r, FBoolVar):
         return r.name
-    if isinstance(r, IffRef):
+    if isinstance(r, FIff):
         return f"({render_refinement(r.lhs)} <=> {render_refinement(r.rhs)})"
     return "(" + " && ".join(render_refinement(p) for p in r.parts) + ")"
 

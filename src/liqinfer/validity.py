@@ -16,10 +16,12 @@ cases where booleans or disjunctions occur, and refuted by Fourier-Motzkin
 with gcd tightening. The engine keeps its last hypothesis alive, so the
 conclusions asked in a row against it share the compiled form.
 
-The fragment is the vocabulary of `logic`. Its only opaque terms are
-uninterpreted applications; a product of two non-constants (a hand-built
-`LMul`, since the embedding writes ``times``) has no linear form, so a query
-holding one is answered Unknown, and no model interprets a product.
+A query is made of refinements (`syntax.Formula`). A product with a side
+that has no variables is scaling and stays linear. Any other product is the
+uninterpreted ``times``: an opaque term to Fourier-Motzkin, so Valid stays
+sound, and congruent to another with equal sides. The query still holds a
+real product, so an Invalid model must give each such product the product
+of its sides' values; where the search finds none, the answer is Unknown.
 
 Inference asks only "Valid?" (`check(q, need_model=False)`): the built-in
 walk stops at the first case Fourier-Motzkin does not refute and answers
@@ -52,8 +54,8 @@ from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .logic import (
-    EmbeddingError,
+from .logic import EmbeddingError
+from .syntax import (
     FAnd,
     FAtom,
     FBoolVar,
@@ -61,16 +63,16 @@ from .logic import (
     FTrue,
     Formula,
     LAdd,
-    LApp,
     LInt,
+    LiqError,
     LMul,
     LNeg,
     LSub,
     LVar,
     LogicTerm,
+    is_scaling,
     symbols,
 )
-from .syntax import LiqError
 
 
 class SolverError(LiqError):
@@ -119,11 +121,10 @@ _MAX_MODEL_EVALS = 60_000
 # ---------------------------------------------------------------------------
 #
 # A linear form is a coefficient dict and a constant. Its variables are
-# program variables, by name, and opaque terms: an application of an
-# uninterpreted symbol stands for itself, and since terms are hash-consed,
-# one term is one variable. A product of two non-constants has no form: a
-# query with one falls outside the fragment. A row is a form read as
-# `form <= 0`.
+# program variables, by name, and opaque terms: a product that is not a
+# scaling is the uninterpreted ``times`` of its two sides and stands for
+# itself, and since terms are hash-consed, one term is one variable. A row is
+# a form read as `form <= 0`.
 
 Lin = tuple[dict, int]
 Row = Lin
@@ -145,9 +146,18 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
+def _symbols(*formulas: Formula) -> tuple[dict[str, str], dict[str, int]]:
+    """`symbols`, raising EmbeddingError on a variable used at both sorts."""
+    sorts, ufs = symbols(*formulas)
+    for n, s in sorts.items():
+        if s == "both":
+            raise EmbeddingError(f"variable {n!r} used at both sorts")
+    return sorts, ufs
+
+
 def _variables(sort: str, *formulas: Formula) -> set[str]:
     """The variables of the formulas of one sort, "int" or "bool"."""
-    return {n for n, s in symbols(*formulas)[0].items() if s == sort}
+    return {n for n, s in _symbols(*formulas)[0].items() if s == sort}
 
 
 def _linear(t: LogicTerm, opaque: dict) -> Lin:
@@ -167,15 +177,14 @@ def _linear(t: LogicTerm, opaque: dict) -> Lin:
         for v, a in cr.items():
             cl[v] = cl.get(v, 0) + sign * a
         return cl, kl + sign * kr
-    if isinstance(t, LMul) and (isinstance(t.lhs, LInt) or isinstance(t.rhs, LInt)):
-        scale, other = (t.lhs.value, t.rhs) if isinstance(t.lhs, LInt) else (t.rhs.value, t.lhs)
-        c, k = _linear(other, opaque)
+    if is_scaling(t):
+        # the side without variables has no coefficients
+        (cl, kl), (cr, kr) = _linear(t.lhs, opaque), _linear(t.rhs, opaque)
+        scale, (c, k) = (kl, (cr, kr)) if not cl else (kr, (cl, kl))
         return {v: scale * a for v, a in c.items()}, scale * k
-    if not isinstance(t, LApp):
-        raise _OutsideFragment()  # a product of two non-constants
     opaque[t] = None
-    for a in t.args:
-        _linear(a, opaque)
+    _linear(t.lhs, opaque)
+    _linear(t.rhs, opaque)
     return {t: 1}, 0
 
 
@@ -249,7 +258,7 @@ def _solve(eq: Lin, subst: dict, kept: list[Row]) -> bool:
 
 def _congruences(terms: list, subst: dict) -> list[tuple]:
     """Pairs of opaque terms equal by congruence, given the equalities in
-    `subst`: applications of one symbol whose arguments have equal forms.
+    `subst`: products whose sides have equal forms.
     Each pair found is bound in a copy of `subst`, since it can make further
     pairs congruent."""
     subst = dict(subst)
@@ -264,9 +273,9 @@ def _congruences(terms: list, subst: dict) -> list[tuple]:
             changed = False
             for i, t in enumerate(terms):
                 for u in terms[i + 1:]:
-                    if (t.fn, len(t.args)) != (u.fn, len(u.args)) or (t, u) in pairs or form(t) == form(u):
+                    if (t, u) in pairs or form(t) == form(u):
                         continue
-                    if all(form(a) == form(b) for a, b in zip(t.args, u.args)):
+                    if form(t.lhs) == form(u.lhs) and form(t.rhs) == form(u.rhs):
                         pairs.append((t, u))
                         _solve(({t: 1, u: -1}, 0), subst, [])
                         changed = True
@@ -339,13 +348,13 @@ class _Hypothesis:
 
 def _compile(f: Formula) -> Optional[_Hypothesis]:
     """The hypothesis f compiled, memoized on f; None outside the fragment
-    (a product of two non-constants, a variable at both sorts). Two threads
-    may both compile f: they store equal values."""
+    (a variable at both sorts). Two threads may both compile f: they store
+    equal values."""
     memo = f.memo
     if "ir" not in memo:
         try:
             memo["ir"] = _Hypothesis(_conjuncts(f))
-        except (_OutsideFragment, EmbeddingError):
+        except EmbeddingError:
             memo["ir"] = None
     return memo["ir"]
 
@@ -472,18 +481,18 @@ def _candidate_values(rows: list[Row]) -> list[int]:
 def _search_model(
     rows: list[Row], subst: Mapping, opaque: dict, ints: dict[str, str], seed: int
 ) -> Optional[dict]:
-    """A model of the rows, which `subst` has been applied to, consistent on
-    the opaque terms. It searches the variables `subst` leaves free and gives
-    each bound one the value of its binding, and it gives every integer
-    variable of the query a value (`ints`), those that occur only inside an
-    opaque term too."""
+    """A model of the rows, which `subst` has been applied to, that gives
+    each opaque product the product of its sides. It searches the variables
+    `subst` leaves free and gives each bound one the value of its binding,
+    and it gives every integer variable of the query a value (`ints`), those
+    that occur only inside an opaque term too."""
     var_set = set(ints) | set(opaque)
     for coeffs, _ in [*rows, *subst.values()]:
         var_set.update(coeffs)
     variables = sorted(var_set.difference(subst), key=str)
     values = _candidate_values(rows)
     total = len(values) ** len(variables)
-    calls = [(t, t.fn, [_linear(a, {}) for a in t.args]) for t in opaque]
+    products = [(t, _linear(t.lhs, {}), _linear(t.rhs, {})) for t in opaque]
 
     def ok(asg: dict) -> bool:
         """Whether the free values in `asg` make a model; adds the bound ones."""
@@ -491,12 +500,7 @@ def _search_model(
             return False
         for v, form in subst.items():
             asg[v] = _value(form, asg)
-        # congruence: applications of one symbol to equal values are equal
-        table: dict[tuple, int] = {}
-        for t, fn, args in calls:
-            if table.setdefault((fn, *(_value(a, asg) for a in args)), asg[t]) != asg[t]:
-                return False
-        return True
+        return all(asg[t] == _value(lhs, asg) * _value(rhs, asg) for t, lhs, rhs in products)
 
     if total <= _MAX_MODEL_EVALS:
         for combo in product(values, repeat=len(variables)):
@@ -638,9 +642,9 @@ def _smt_term(t: LogicTerm, name: Namer) -> str:
         return name(t.name, "int")
     if isinstance(t, LNeg):
         return f"(- {_smt_term(t.arg, name)})"
-    if isinstance(t, LApp):
-        return f"({name(t.fn, 'fn')} {' '.join(_smt_term(a, name) for a in t.args)})"
     tag = {LAdd: "+", LSub: "-", LMul: "*"}[type(t)]
+    if isinstance(t, LMul) and not is_scaling(t):
+        tag = name("times", "fn")
     return f"({tag} {_smt_term(t.lhs, name)} {_smt_term(t.rhs, name)})"
 
 
@@ -661,10 +665,10 @@ def _smt_formula(f: Formula, name: Namer) -> str:
 
 def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = False) -> str:
     """SMT-LIB v2 script asserting hypothesis and negated conclusion; an
-    unsat answer means the query is valid. A product of two non-constants
-    is embedded as the uninterpreted ``times``; `nonlinear` prints it as a
+    unsat answer means the query is valid. A product that is not a scaling
+    is written as the uninterpreted ``times``; `nonlinear` prints it as a
     real product, `*` in QF_UFNIA, and declares no ``times``."""
-    sorts, ufs = symbols(q.hypothesis, q.conclusion)
+    sorts, ufs = _symbols(q.hypothesis, q.conclusion)
     if nonlinear:
         ufs.pop("times", None)
     uf_keys = {u: (u if u not in sorts else f"{u}!fn") for u in ufs}

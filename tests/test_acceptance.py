@@ -27,14 +27,14 @@ from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
     Arrow,
     BaseArm,
-    CmpRef,
-    ConjRef,
+    FAtom,
+    FAnd,
     Env,
     FunArm,
     INT,
-    IntExp,
+    LInt,
     LiquidType,
-    VarExp,
+    LVar,
     VALUE_VAR,
     intersect,
     make_type,
@@ -44,9 +44,9 @@ from liqinfer.syntax import (
 )
 from liqinfer.validity import Unknown, Valid, ValidityEngine
 
-GE = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-LE = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
-Y5 = CmpRef("=", VarExp("y"), IntExp(5))
+GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
+Y5 = FAtom("=", LVar("y"), LInt(5))
 SIGN_QUALIFIERS = (GE, LE)
 
 SIGN_FILE = """Qualifiers
@@ -161,14 +161,14 @@ def test_criterion_3_well_formedness_filtering(engine):
 def test_criterion_4_derivation_queries(engine):
     env = Env().extend("x", mono(base(GE)))
     checker = SubtypeChecker(engine)
-    from liqinfer.syntax import NegExp, TOP
+    from liqinfer.syntax import LNeg, TRUE
 
     q1 = checker.base_subtype_query(
-        env, [BaseArm(INT, CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))], [BaseArm(INT, TOP)]
+        env, [BaseArm(INT, FAtom("=", LVar(VALUE_VAR), LVar("x")))], [BaseArm(INT, TRUE)]
     )
     q2 = checker.base_subtype_query(
         env,
-        [BaseArm(INT, CmpRef("=", VarExp(VALUE_VAR), NegExp(VarExp("x"))))],
+        [BaseArm(INT, FAtom("=", LVar(VALUE_VAR), LNeg(LVar("x"))))],
         [BaseArm(INT, LE)],
     )
     assert engine.check(q1) == Valid()
@@ -238,8 +238,8 @@ def test_criterion_7_oracle_soundness():
         env, lhs_arms, rhs_arms = random_base_query(rng, 4)
         q = checker.base_subtype_query(env, lhs_arms, rhs_arms)
         verdict = engine.check(q)
-        lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else ConjRef(tuple(a.ref for a in lhs_arms))
-        rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else ConjRef(tuple(a.ref for a in rhs_arms))
+        lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))
+        rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else FAnd(tuple(a.ref for a in rhs_arms))
         oracle_true = semantic_implication_oracle(env, lhs, rhs, 4)
         if isinstance(verdict, Valid) and not oracle_true:
             unsound += 1

@@ -73,6 +73,15 @@ class TestGoldenRun:
             assert render_scheme(sch) == binding["type"]
             assert len(binding["arms"]) == 2
 
+    def test_json_round_trips_a_negated_compound_term(self, tmp_path, capsys):
+        path = tmp_path / "neg.ml"
+        path.write_text("Qualifiers { v >= -(x + 1), v >= 0 }\nval f = \\x. + x 1\n")
+        code, out, _ = run_cli(capsys, str(path), "--json")
+        assert code == 0
+        printed = json.loads(out)["bindings"][0]["type"]
+        assert "(v>=-((x + 1)))" in printed
+        assert render_scheme(parse_scheme(printed)) == printed
+
     def test_emit_anf(self, sign_file, capsys):
         code, out, _ = run_cli(capsys, sign_file, "--emit-anf")
         assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from liqinfer import logic
 from liqinfer.anf import normalize
 from liqinfer.inference import Inferencer
-from liqinfer.logic import conj, embed_env, embed_refinement, rename_formula
+from liqinfer.logic import conj, embed_env
 from liqinfer.metatheory import _base_bindings
 from liqinfer.parser import parse_program
 from liqinfer.subtyping import env_sorts
@@ -15,23 +15,26 @@ from liqinfer.syntax import (
     BOOL,
     INT,
     BaseArm,
-    BoolRef,
-    BoolVarRef,
-    CmpRef,
-    ConjRef,
     Env,
+    FALSE,
+    FAnd,
+    FAtom,
+    FBoolVar,
+    FIff,
+    Formula,
     FunArm,
-    IffRef,
-    IntExp,
+    LInt,
     LiquidType,
-    MulExp,
+    LMul,
+    LVar,
     Scheme,
-    TOP,
+    TRUE,
+    Var,
     VarArm,
-    VarExp,
     VALUE_VAR,
     base_top,
     mono,
+    subst_refinement,
 )
 
 NAMES = ("x", "y", "z", "w")
@@ -40,7 +43,7 @@ NAMES = ("x", "y", "z", "w")
 # -- the reference: the full walks every query made before the views -------
 
 
-def ref_embed_env(env: Env) -> logic.Formula:
+def ref_embed_env(env: Env) -> Formula:
     last = {name: i for i, (name, _) in enumerate(env.bindings)}
     parts = []
     for i, (name, sch) in enumerate(env.bindings):
@@ -50,7 +53,7 @@ def ref_embed_env(env: Env) -> logic.Formula:
         if not all(isinstance(a, BaseArm) for a in arms):
             continue
         for arm in arms:
-            parts.append(rename_formula(embed_refinement(arm.ref), {VALUE_VAR: name}))
+            parts.append(subst_refinement(arm.ref, {VALUE_VAR: Var(name)}))
     return conj(parts)
 
 
@@ -85,20 +88,20 @@ def ref_lookup(env: Env, name: str):
 # -- random environments ---------------------------------------------------
 
 int_terms = st.one_of(
-    st.integers(-3, 3).map(IntExp),
-    st.sampled_from((VALUE_VAR,) + NAMES).map(VarExp),
+    st.integers(-3, 3).map(LInt),
+    st.sampled_from((VALUE_VAR,) + NAMES).map(LVar),
 )
 int_refs = st.one_of(
-    st.just(TOP),
-    st.builds(CmpRef, st.sampled_from(("=", "<=", ">=", "<", ">")), st.just(VarExp(VALUE_VAR)), int_terms),
-    # a product of two variables embeds as an application of `times`
-    st.builds(lambda a, b: CmpRef("=", VarExp(VALUE_VAR), MulExp(VarExp(a), VarExp(b))),
+    st.just(TRUE),
+    st.builds(FAtom, st.sampled_from(("=", "<=", ">=", "<", ">")), st.just(LVar(VALUE_VAR)), int_terms),
+    # a product of two variables, the uninterpreted `times` to the engine
+    st.builds(lambda a, b: FAtom("=", LVar(VALUE_VAR), LMul(LVar(a), LVar(b))),
               st.sampled_from(NAMES), st.sampled_from(NAMES)),
 )
-int_refs = st.one_of(int_refs, st.lists(int_refs, min_size=2, max_size=3).map(lambda ps: ConjRef(tuple(ps))))
+int_refs = st.one_of(int_refs, st.lists(int_refs, min_size=2, max_size=3).map(lambda ps: FAnd(tuple(ps))))
 bool_refs = st.one_of(
-    st.just(TOP),
-    st.builds(lambda b: IffRef(BoolVarRef(VALUE_VAR), BoolRef(b)), st.booleans()),
+    st.just(TRUE),
+    st.builds(lambda b: FIff(FBoolVar(VALUE_VAR), TRUE if b else FALSE), st.booleans()),
 )
 
 
@@ -162,7 +165,7 @@ class TestViewsMatchTheFullWalk:
 class TestDeepEnvironments:
     def test_views_of_an_env_deeper_than_the_recursion_limit(self):
         env = Env()
-        ge = mono(LiquidType((BaseArm(INT, CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))),)))
+        ge = mono(LiquidType((BaseArm(INT, FAtom(">=", LVar(VALUE_VAR), LInt(0))),)))
         for i in range(5000):
             env = env.extend(f"x{i}", ge)
         assert len(env.names()) == 5000
@@ -182,15 +185,15 @@ def let_chain(n: int) -> str:
 class TestLetChainCost:
     def test_embeddings_grow_linearly_with_the_chain(self, monkeypatch):
         """Each binding is embedded once, not once per query: doubling a let
-        chain at most about doubles the calls to `embed_refinement` (a full
-        walk per query made the ratio 3.9)."""
+        chain at most about doubles the refinements `embed_env` renames (a
+        full walk per query made the ratio 3.9)."""
         calls = [0]
 
         def counting(*args, **kwargs):
             calls[0] += 1
-            return embed_refinement(*args, **kwargs)
+            return subst_refinement(*args, **kwargs)
 
-        monkeypatch.setattr(logic, "embed_refinement", counting)
+        monkeypatch.setattr(logic, "subst_refinement", counting)
         counts = {}
         for n in (100, 200):
             prog = parse_program(f"Qualifiers {{ v >= 0, v <= 0 }}\nval f = {let_chain(n)}\n")

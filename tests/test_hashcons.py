@@ -10,44 +10,30 @@ import threading
 from hypothesis import given, settings, strategies as st
 
 from liqinfer import syntax, validity
-from liqinfer.logic import (
-    FAnd,
-    FAtom,
-    FBoolVar,
-    FIff,
-    FTrue,
-    LAdd,
-    LApp,
-    LInt,
-    LMul,
-    LNeg,
-    LSub,
-    LVar,
-)
 from liqinfer.metatheory import run_subject_reduction
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
     INT,
-    AddExp,
     Base,
     BaseArm,
-    BoolRef,
-    BoolVarRef,
-    CmpRef,
-    ConjRef,
     Env,
+    FAnd,
+    FAtom,
+    FBoolVar,
+    FFalse,
+    FIff,
+    FTrue,
     FunArm,
-    IffRef,
-    IntExp,
+    LAdd,
+    LInt,
     LiquidType,
-    MulExp,
-    NegExp,
+    LMul,
+    LNeg,
+    LSub,
+    LVar,
     Scheme,
-    SubExp,
-    TOP,
-    TopRef,
+    TRUE,
     VarArm,
-    VarExp,
     VALUE_VAR,
     base_top,
     make_type,
@@ -87,23 +73,23 @@ def ref_eq(x, y) -> bool:
 
 names = st.sampled_from((VALUE_VAR, "x", "y"))
 int_exprs = st.recursive(
-    st.one_of(st.tuples(st.just(IntExp), st.integers(-2, 2)), st.tuples(st.just(VarExp), names)),
+    st.one_of(st.tuples(st.just(LInt), st.integers(-2, 2)), st.tuples(st.just(LVar), names)),
     lambda sub: st.one_of(
-        st.tuples(st.just(NegExp), sub),
-        st.tuples(st.sampled_from((AddExp, SubExp, MulExp)), sub, sub),
+        st.tuples(st.just(LNeg), sub),
+        st.tuples(st.sampled_from((LAdd, LSub, LMul)), sub, sub),
     ),
     max_leaves=4,
 )
 refinements = st.recursive(
     st.one_of(
-        st.just((TopRef,)),
-        st.tuples(st.just(BoolRef), st.booleans()),
-        st.tuples(st.just(CmpRef), st.sampled_from(("=", "<=", ">=")), int_exprs, int_exprs),
-        st.tuples(st.just(BoolVarRef), names),
+        st.just((FTrue,)),
+        st.just((FFalse,)),
+        st.tuples(st.just(FAtom), st.sampled_from(("=", "<=", ">=")), int_exprs, int_exprs),
+        st.tuples(st.just(FBoolVar), names),
     ),
     lambda sub: st.one_of(
-        st.tuples(st.just(IffRef), sub, sub),
-        st.lists(sub, min_size=1, max_size=2).map(lambda ps: (ConjRef, ("tuple", *ps))),
+        st.tuples(st.just(FIff), sub, sub),
+        st.lists(sub, min_size=1, max_size=2).map(lambda ps: (FAnd, ("tuple", *ps))),
     ),
     max_leaves=4,
 )
@@ -119,28 +105,7 @@ liquid_types = st.recursive(
     max_leaves=3,
 )
 schemes = st.tuples(st.just(Scheme), st.lists(names, max_size=2).map(lambda q: ("tuple", *q)), liquid_types)
-logic_terms = st.recursive(
-    st.one_of(st.tuples(st.just(LInt), st.integers(-2, 2)), st.tuples(st.just(LVar), names)),
-    lambda sub: st.one_of(
-        st.tuples(st.just(LNeg), sub),
-        st.tuples(st.sampled_from((LAdd, LSub, LMul)), sub, sub),
-        st.tuples(st.just(LApp), st.just("f"), st.lists(sub, min_size=1, max_size=2).map(lambda a: ("tuple", *a))),
-    ),
-    max_leaves=4,
-)
-formulas = st.recursive(
-    st.one_of(
-        st.just((FTrue,)),
-        st.tuples(st.just(FAtom), st.sampled_from(("=", "<=")), logic_terms, logic_terms),
-        st.tuples(st.just(FBoolVar), names),
-    ),
-    lambda sub: st.one_of(
-        st.tuples(st.just(FIff), sub, sub),
-        st.lists(sub, max_size=2).map(lambda ps: (FAnd, ("tuple", *ps))),
-    ),
-    max_leaves=4,
-)
-values = st.one_of(refinements, liquid_types.map(lambda t: t[1][1]), liquid_types, schemes, formulas)
+values = st.one_of(refinements, liquid_types.map(lambda t: t[1][1]), liquid_types, schemes)
 
 
 class TestHashConsing:
@@ -154,7 +119,7 @@ class TestHashConsing:
             assert hash(one) == hash(two)
 
     def test_intern_tables_shrink_once_the_values_are_dropped(self):
-        tables = [CmpRef._table, BaseArm._table, LiquidType._table, FAtom._table, syntax._made]
+        tables = [FAtom._table, BaseArm._table, LiquidType._table, syntax._made]
 
         def sizes():
             gc.collect()
@@ -164,8 +129,8 @@ class TestHashConsing:
         kept = []
         for i in range(50):
             name = f"gc_probe_{i}"
-            arm = BaseArm(INT, CmpRef(">=", VarExp(VALUE_VAR), VarExp(name)))
-            t = make_type([arm, BaseArm(INT, TOP)])
+            arm = BaseArm(INT, FAtom(">=", LVar(VALUE_VAR), LVar(name)))
+            t = make_type([arm, BaseArm(INT, TRUE)])
             kept.append((t, FAtom("=", LVar(name), LInt(i))))
         grown = sizes()
         assert all(g > b for g, b in zip(grown, before)), (before, grown)
@@ -178,9 +143,9 @@ class TestHashConsing:
 
         def work(kept):
             for i in range(3000):
-                CmpRef(">=", VarExp(f"race_{i % 40}"), IntExp(i % 3))  # dropped at once
+                FAtom(">=", LVar(f"race_{i % 40}"), LInt(i % 3))  # dropped at once
                 if i % 2:
-                    kept.append(((i % 40, i % 3), CmpRef(">=", VarExp(f"race_{i % 40}"), IntExp(i % 3))))
+                    kept.append(((i % 40, i % 3), FAtom(">=", LVar(f"race_{i % 40}"), LInt(i % 3))))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -202,10 +167,11 @@ class TestHashConsing:
         assert len(seen) == 60  # odd i modulo 120
 
     def test_memo_slots_are_shared_by_every_occurrence(self):
-        arm = BaseArm(INT, CmpRef(">=", VarExp(VALUE_VAR), IntExp(0)))
+        arm = BaseArm(INT, FAtom(">=", LVar(VALUE_VAR), LInt(0)))
         assert arm.rendered == "{v : int | (v>=0)}"
-        again = BaseArm(Base("int"), CmpRef(">=", VarExp("v"), IntExp(0)))
-        assert again is arm and again.embedded is arm.embedded
+        again = BaseArm(Base("int"), FAtom(">=", LVar("v"), LInt(0)))
+        assert again is arm and again.rendered is arm.rendered
+        assert again.ref.memo is arm.ref.memo
 
 
 # -- the judgement memo ----------------------------------------------------
@@ -214,7 +180,7 @@ BINDERS = ("x", "y")
 
 
 def _cmp(op, rhs):
-    return CmpRef(op, VarExp(VALUE_VAR), rhs)
+    return FAtom(op, LVar(VALUE_VAR), rhs)
 
 
 def _int_type(refs):
@@ -223,7 +189,7 @@ def _int_type(refs):
 
 # refinements over the value variable, literals and the names in `scope`
 def _refs(scope):
-    atoms = [st.integers(-1, 1).map(IntExp)] + [st.just(VarExp(n)) for n in scope]
+    atoms = [st.integers(-1, 1).map(LInt)] + [st.just(LVar(n)) for n in scope]
     ref = st.builds(_cmp, st.sampled_from(("=", "<=", ">=", "<")), st.one_of(*atoms))
     return st.lists(ref, max_size=2, unique=True)
 
@@ -296,10 +262,10 @@ class TestJudgementMemo:
         lhs = make_type([FunArm("x", top, make_type([FunArm("x", top, top)]))])
         inner = FunArm(
             "y",
-            _int_type([_cmp("=", IntExp(0)), _cmp("=", VarExp("y"))]),
-            _int_type([_cmp("=", VarExp("y"))]),
+            _int_type([_cmp("=", LInt(0)), _cmp("=", LVar("y"))]),
+            _int_type([_cmp("=", LVar("y"))]),
         )
-        rhs = make_type([FunArm("y", _int_type([_cmp("=", IntExp(1))]), make_type([inner]))])
+        rhs = make_type([FunArm("y", _int_type([_cmp("=", LInt(1))]), make_type([inner]))])
         hidden = Env().extend("y", mono(LiquidType((FunArm("a", top, top),))))
         for env in (Env(), hidden):
             assert SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs)
@@ -308,9 +274,9 @@ class TestJudgementMemo:
         """`x` is bound in one environment and not in the other, so the
         arrow's binder is renamed under the first only; both have the same
         formula, so the second judgement is answered from the memo."""
-        ge = _int_type([_cmp(">=", IntExp(0))])
-        lhs = make_type([FunArm("x", base_top(INT), _int_type([_cmp(">=", VarExp("x"))]))])
-        rhs = make_type([FunArm("x", ge, _int_type([_cmp(">=", IntExp(0))]))])
+        ge = _int_type([_cmp(">=", LInt(0))])
+        lhs = make_type([FunArm("x", base_top(INT), _int_type([_cmp(">=", LVar("x"))]))])
+        rhs = make_type([FunArm("x", ge, _int_type([_cmp(">=", LInt(0))]))])
         hidden = Env().extend("x", mono(LiquidType((VarArm("a"),))))
         checker = SubtypeChecker(ValidityEngine())
         assert checker.is_subtype(hidden, lhs, rhs)

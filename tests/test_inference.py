@@ -9,18 +9,18 @@ from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
     Arrow,
     BaseArm,
-    CmpRef,
+    FAtom,
     Const,
     Env,
     FunArm,
     INT,
     IntConst,
-    IntExp,
+    LInt,
     LiquidType,
-    NegExp,
-    TOP,
+    LNeg,
+    TRUE,
     VarArm,
-    VarExp,
+    LVar,
     VALUE_VAR,
     make_type,
     mono,
@@ -30,9 +30,9 @@ from liqinfer.syntax import (
 )
 from liqinfer.validity import ValidityEngine
 
-GE = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-LE = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
-Y5 = CmpRef("=", VarExp("y"), IntExp(5))
+GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
+Y5 = FAtom("=", LVar("y"), LInt(5))
 
 
 def base(*refs):
@@ -56,7 +56,7 @@ class TestFresh:
     def test_square_cardinality(self):
         shape = Arrow("x", INT, INT)
         for n in (1, 2, 3):
-            quals = [CmpRef(">=", VarExp(VALUE_VAR), IntExp(k)) for k in range(n)]
+            quals = [FAtom(">=", LVar(VALUE_VAR), LInt(k)) for k in range(n)]
             assert len(fresh(shape, quals).arms) == n * n
 
     def test_four_arm_listing(self, sign_qualifiers):
@@ -70,7 +70,7 @@ class TestFresh:
         assert len(got.arms) == 9
 
     def test_empty_qualifier_set_collapses_to_top(self):
-        assert fresh(INT, []) == base(TOP)
+        assert fresh(INT, []) == base(TRUE)
 
     def test_type_variable_positions_unrefined(self, sign_qualifiers):
         from liqinfer.syntax import TyVar
@@ -133,7 +133,7 @@ class TestInferGolden:
 
     def test_integer_literal(self, inferencer):
         got = inferencer.infer(Env(), Const(IntConst(5)))
-        assert got == mono(base(CmpRef("=", VarExp(VALUE_VAR), IntExp(5))))
+        assert got == mono(base(FAtom("=", LVar(VALUE_VAR), LInt(5))))
 
     def test_filtering_stages(self, engine, sign_qualifiers):
         # 9 template arms -> 4 well-formed -> 2 after subtyping
@@ -154,20 +154,20 @@ class TestApplyResult:
     def test_survivor_selection(self, inferencer):
         # one validity query per arm; {v=3} < {v>=0} holds (oracle-checked in
         # the metatheory suite), so only the nonnegative-domain arm survives
-        arg = base(CmpRef("=", VarExp(VALUE_VAR), IntExp(3)))
+        arg = base(FAtom("=", LVar(VALUE_VAR), LInt(3)))
         got = inferencer.apply_result(Env(), NEG_RESULT, arg, Const(IntConst(3)))
         assert got == base(LE)
 
     def test_single_arm_plain_substitution(self, inferencer):
         ident = LiquidType(
-            (FunArm("x", base(TOP), base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))),)
+            (FunArm("x", base(TRUE), base(FAtom("=", LVar(VALUE_VAR), LVar("x")))),)
         )
-        got = inferencer.apply_result(Env(), ident, base(CmpRef("=", VarExp(VALUE_VAR), IntExp(7))), Const(IntConst(7)))
-        assert got == base(CmpRef("=", VarExp(VALUE_VAR), IntExp(7)))
+        got = inferencer.apply_result(Env(), ident, base(FAtom("=", LVar(VALUE_VAR), LInt(7))), Const(IntConst(7)))
+        assert got == base(FAtom("=", LVar(VALUE_VAR), LInt(7)))
 
     def test_empty_survivors_fail(self, inferencer):
         neg_only = make_type([arm(GE, LE)])
-        arg = base(CmpRef("=", VarExp(VALUE_VAR), NegExp(IntExp(1))))
+        arg = base(FAtom("=", LVar(VALUE_VAR), LNeg(LInt(1))))
         with pytest.raises(InferenceFailure, match="no function arm"):
             inferencer.apply_result(Env(), neg_only, arg, Const(IntConst(-1)))
 
@@ -176,7 +176,7 @@ class TestInferForms:
     def test_application_of_neg(self, inferencer):
         term = normalize(parse_term("- 3"))
         got = inferencer.infer(Env(), term)
-        assert got == mono(base(CmpRef("=", VarExp(VALUE_VAR), NegExp(IntExp(3)))))
+        assert got == mono(base(FAtom("=", LVar(VALUE_VAR), LNeg(LInt(3)))))
 
     def test_let_result_filtered_by_templates(self, inferencer):
         term = normalize(parse_term("let x = 2 in + x x"))
@@ -208,7 +208,7 @@ class TestInferForms:
     def test_variable_at_base_shape(self, inferencer):
         env = Env().extend("n", mono(base(GE)))
         got = inferencer.infer(env, parse_term("n"))
-        assert got == mono(base(CmpRef("=", VarExp(VALUE_VAR), VarExp("n"))))
+        assert got == mono(base(FAtom("=", LVar(VALUE_VAR), LVar("n"))))
 
     def test_variable_at_function_shape(self, inferencer):
         env = Env().extend("f", mono(NEG_RESULT))
@@ -259,7 +259,7 @@ class TestInvariants:
             # collapsed top skeleton does not count
             return {
                 a for a in scheme.body.arms
-                if not (isinstance(a, BaseArm) and isinstance(a.ref, TOP.__class__))
+                if not (isinstance(a, BaseArm) and isinstance(a.ref, TRUE.__class__))
             }
 
         kept = 0

@@ -1,82 +1,85 @@
-from liqinfer.logic import (
+import pytest
+
+from liqinfer.logic import EmbeddingError, conj, embed_env
+from liqinfer.syntax import (
+    BOOL,
+    INT,
+    BaseArm,
+    Const,
+    Env,
     FAnd,
     FAtom,
     FBoolVar,
     FFalse,
     FIff,
     FTrue,
-    LApp,
+    FunArm,
+    IntConst,
+    LAdd,
     LInt,
+    LiquidType,
     LMul,
     LNeg,
     LVar,
-    conj,
-    embed_env,
-    embed_int_expr,
-    embed_refinement,
-    rename_formula,
+    TRUE,
+    VALUE_VAR,
+    Var,
+    is_scaling,
+    mono,
+    subst_refinement,
     symbols,
 )
-from liqinfer.syntax import (
-    BaseArm,
-    BoolVarRef,
-    CmpRef,
-    ConjRef,
-    Env,
-    FunArm,
-    IffRef,
-    INT,
-    IntExp,
-    LiquidType,
-    MulExp,
-    NegExp,
-    subst_refinement,
-    TOP,
-    Var,
-    VarExp,
-    VALUE_VAR,
-    mono,
-    Const,
-    IntConst,
-)
+from liqinfer.validity import ValidityQuery, emit_smtlib
 
-GE = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-LE = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
+GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
 
 
 def base(ref):
     return LiquidType((BaseArm(INT, ref),))
 
 
+def embedded(ref, name="x", sort=INT):
+    """The formula a binding of `name` refined by `ref` contributes."""
+    return embed_env(Env().extend(name, mono(LiquidType((BaseArm(sort, ref),)))))
+
+
 class TestEmbedRefinement:
+    """A refinement is a formula: a binding contributes it as it is, with
+    the value variable renamed to the bound name."""
+
     def test_sign_atom(self):
-        assert embed_refinement(GE) == FAtom(">=", LVar(VALUE_VAR), LInt(0))
+        assert embedded(GE) == FAtom(">=", LVar("x"), LInt(0))
 
     def test_top(self):
-        assert embed_refinement(TOP) == FTrue()
+        assert embedded(TRUE) == FTrue()
 
     def test_negated_variable_equation(self):
-        ref = CmpRef("=", VarExp(VALUE_VAR), NegExp(VarExp("x")))
-        assert embed_refinement(ref) == FAtom("=", LVar(VALUE_VAR), LNeg(LVar("x")))
+        ref = FAtom("=", LVar(VALUE_VAR), LNeg(LVar("y")))
+        assert embedded(ref) == FAtom("=", LVar("x"), LNeg(LVar("y")))
 
     def test_boolean_value_variable_iff(self):
-        ref = IffRef(BoolVarRef(VALUE_VAR), CmpRef("<=", VarExp("a"), VarExp("b")))
-        got = embed_refinement(ref)
-        assert got == FIff(FBoolVar(VALUE_VAR), FAtom("<=", LVar("a"), LVar("b")))
+        ref = FIff(FBoolVar(VALUE_VAR), FAtom("<=", LVar("a"), LVar("b")))
+        got = embedded(ref, "p", BOOL)
+        assert got == FIff(FBoolVar("p"), FAtom("<=", LVar("a"), LVar("b")))
 
     def test_conjunction_flattens(self):
-        got = embed_refinement(ConjRef((GE, TOP, LE)))
-        assert got == FAnd((embed_refinement(GE), embed_refinement(LE)))
+        assert conj([FAnd((GE, LE)), TRUE, GE]) == FAnd((GE, LE, GE))
+        env = Env().extend("x", mono(base(FAnd((GE, LE))))).extend("y", mono(base(GE)))
+        x, y = LVar("x"), LVar("y")
+        assert embed_env(env) == FAnd((FAtom(">=", x, LInt(0)), FAtom("<=", x, LInt(0)), FAtom(">=", y, LInt(0))))
 
     def test_mul_uninterpreted_by_default(self):
-        ref = CmpRef("=", VarExp(VALUE_VAR), MulExp(VarExp("x"), VarExp("y")))
-        got = embed_refinement(ref)
-        assert got == FAtom("=", LVar(VALUE_VAR), LApp("times", (LVar("x"), LVar("y"))))
+        ref = FAtom("=", LVar(VALUE_VAR), LMul(LVar("x"), LVar("y")))
+        assert symbols(ref) == ({VALUE_VAR: "int", "x": "int", "y": "int"}, {"times": 2})
+        assert "(= v (times x y))" in emit_smtlib(ValidityQuery(ref, TRUE))
 
     def test_mul_by_literal_stays_linear(self):
-        got = embed_int_expr(MulExp(IntExp(2), VarExp("x")))
-        assert got == LMul(LInt(2), LVar("x"))
-        assert embed_int_expr(MulExp(IntExp(3), IntExp(4))) == LInt(12)
+        # a side without variables makes a scaling, however it is written
+        for p in (LMul(LInt(2), LVar("x")), LMul(LVar("x"), LNeg(LAdd(LInt(1), LInt(2)))), LMul(LInt(3), LInt(4))):
+            assert is_scaling(p)
+            assert symbols(FAtom("=", LVar(VALUE_VAR), p))[1] == {}
+        assert not is_scaling(LMul(LVar("x"), LAdd(LVar("y"), LInt(1))))
 
 
 class TestEmbedEnv:
@@ -105,16 +108,20 @@ class TestEmbedEnv:
 
 class TestSubstitutionCommutes:
     def test_with_variable(self):
-        ref = CmpRef("=", VarExp(VALUE_VAR), VarExp("x"))
+        ref = FAtom("=", LVar(VALUE_VAR), LVar("x"))
         subbed = subst_refinement(ref, {"x": Var("z")})
-        lhs = embed_refinement(subbed)
-        rhs = rename_formula(embed_refinement(ref), {"x": "z"})
-        assert lhs == rhs
+        assert subbed == FAtom("=", LVar(VALUE_VAR), LVar("z"))
+        assert embedded(subbed, "y") == subst_refinement(embedded(ref, "y"), {"x": Var("z")})
 
     def test_with_literal(self):
-        ref = CmpRef("<=", VarExp("x"), IntExp(3))
+        ref = FAtom("<=", LVar("x"), LInt(3))
         subbed = subst_refinement(ref, {"x": Const(IntConst(7))})
-        assert embed_refinement(subbed) == FAtom("<=", LInt(7), LInt(3))
+        assert subbed == FAtom("<=", LInt(7), LInt(3))
+
+    def test_negated_negative_literal(self):
+        ref = FAtom("=", LVar(VALUE_VAR), LNeg(LVar("a")))
+        assert subst_refinement(ref, {"a": Const(IntConst(-3))}) == FAtom("=", LVar(VALUE_VAR), LInt(3))
+        assert subst_refinement(ref, {"a": Const(IntConst(3))}) == FAtom("=", LVar(VALUE_VAR), LNeg(LInt(3)))
 
 
 QF_NODES = (FTrue, FFalse, FAtom, FBoolVar, FAnd, FIff)
@@ -132,24 +139,27 @@ def _scan_quantifier_free(f):
 
 class TestQuantifierFree:
     def test_embeddings_are_quantifier_free(self):
-        refs = [GE, TOP, IffRef(BoolVarRef(VALUE_VAR), GE), ConjRef((GE, LE))]
-        for r in refs:
-            _scan_quantifier_free(embed_refinement(r))
+        refs = [GE, TRUE, FIff(FBoolVar(VALUE_VAR), GE), FAnd((GE, LE))]
+        env = Env()
+        for i, r in enumerate(refs):
+            _scan_quantifier_free(r)
+            env = env.extend(f"x{i}", mono(base(r)))
+        _scan_quantifier_free(embed_env(env))
 
     def test_formula_vars_sorts(self):
         f = FAnd((FAtom("<=", LVar("x"), LInt(1)), FBoolVar("b")))
         assert symbols(f) == ({"x": "int", "b": "bool"}, {})
 
     def test_uf_collection(self):
-        f = FAtom("=", LVar("v"), LApp("times", (LVar("x"), LVar("x"))))
+        f = FAtom("=", LVar("v"), LMul(LVar("x"), LVar("x")))
         assert symbols(f) == ({"v": "int", "x": "int"}, {"times": 2})
 
 
 class TestEmbeddingErrors:
     def test_non_boolean_expression_rejected(self):
-        import pytest
-
-        from liqinfer.logic import EmbeddingError
-
-        with pytest.raises(EmbeddingError):
-            embed_refinement(VarExp("x"))  # an integer expression is not a refinement
+        # an integer variable used as a boolean atom: the walk marks it, and
+        # the engine refuses the query
+        f = FAnd((FAtom(">=", LVar("x"), LInt(0)), FBoolVar("x")))
+        assert symbols(f)[0] == {"x": "both"}
+        with pytest.raises(EmbeddingError, match="both sorts"):
+            emit_smtlib(ValidityQuery(f, TRUE))

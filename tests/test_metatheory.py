@@ -17,15 +17,15 @@ from liqinfer.metatheory import (
 from liqinfer.parser import parse_term
 from liqinfer.syntax import (
     BaseArm,
-    CmpRef,
-    ConjRef,
+    FAtom,
+    FAnd,
     Env,
     FunArm,
     INT,
-    IntExp,
-    NegExp,
-    TOP,
-    VarExp,
+    LInt,
+    LNeg,
+    TRUE,
+    LVar,
     VALUE_VAR,
     free_vars,
     make_type,
@@ -33,8 +33,8 @@ from liqinfer.syntax import (
 )
 from liqinfer.validity import Invalid, Valid, ValidityEngine
 
-GE = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-LE = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
+GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
 
 
 def base(*refs):
@@ -60,8 +60,8 @@ class TestRecheck:
 
     def test_literal_at_wrong_singleton(self, sign_qualifiers, engine):
         # the enumeration oracle refutes v=5 => v=6 first
-        five = CmpRef("=", VarExp(VALUE_VAR), IntExp(5))
-        six = CmpRef("=", VarExp(VALUE_VAR), IntExp(6))
+        five = FAtom("=", LVar(VALUE_VAR), LInt(5))
+        six = FAtom("=", LVar(VALUE_VAR), LInt(6))
         assert not semantic_implication_oracle(Env(), five, six, bound=8)
         assert not recheck(Env(), parse_term("5"), mono(base(six)), sign_qualifiers, engine)
 
@@ -98,27 +98,27 @@ class TestSubjectReductionTrial:
 class TestOracle:
     def test_matches_negation_derivation(self):
         env = Env().extend("x", mono(base(GE)))
-        lhs = CmpRef("=", VarExp(VALUE_VAR), NegExp(VarExp("x")))
+        lhs = FAtom("=", LVar(VALUE_VAR), LNeg(LVar("x")))
         assert semantic_implication_oracle(env, lhs, LE, 4)
 
     def test_explicit_countermodel(self):
-        assert not semantic_implication_oracle(Env(), TOP, GE, 4)
+        assert not semantic_implication_oracle(Env(), TRUE, GE, 4)
 
     def test_reflexivity(self):
-        for ref in (GE, LE, TOP, ConjRef((GE, LE))):
+        for ref in (GE, LE, TRUE, FAnd((GE, LE))):
             assert semantic_implication_oracle(Env(), ref, ref, 3)
 
     def test_non_base_variable_rejected(self):
         env = Env().extend("f", mono(NEG_TYPE))
         with pytest.raises(OracleInapplicable):
-            semantic_implication_oracle(env, CmpRef("=", VarExp(VALUE_VAR), VarExp("f")), TOP, 2)
+            semantic_implication_oracle(env, FAtom("=", LVar(VALUE_VAR), LVar("f")), TRUE, 2)
 
     def test_boolean_variables_enumerate(self):
-        from liqinfer.syntax import BoolVarRef, IffRef
+        from liqinfer.syntax import FBoolVar, FIff
 
-        lhs = IffRef(BoolVarRef(VALUE_VAR), TOP)
-        assert semantic_implication_oracle(Env(), lhs, BoolVarRef(VALUE_VAR), 2)
-        assert not semantic_implication_oracle(Env(), TOP, BoolVarRef(VALUE_VAR), 2)
+        lhs = FIff(FBoolVar(VALUE_VAR), TRUE)
+        assert semantic_implication_oracle(Env(), lhs, FBoolVar(VALUE_VAR), 2)
+        assert not semantic_implication_oracle(Env(), TRUE, FBoolVar(VALUE_VAR), 2)
 
 
 class TestOracleEngineAgreement:
@@ -131,8 +131,8 @@ class TestOracleEngineAgreement:
             env, lhs_arms, rhs_arms = random_base_query(rng, 4)
             verdict = engine.check(checker.base_subtype_query(env, lhs_arms, rhs_arms))
             if isinstance(verdict, Valid):
-                lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else ConjRef(tuple(a.ref for a in lhs_arms))
-                rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else ConjRef(tuple(a.ref for a in rhs_arms))
+                lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))
+                rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else FAnd(tuple(a.ref for a in rhs_arms))
                 assert semantic_implication_oracle(env, lhs, rhs, 4)
 
     def test_invalid_models_are_genuine(self, engine):
@@ -140,7 +140,7 @@ class TestOracleEngineAgreement:
         from liqinfer.subtyping import SubtypeChecker
 
         checker = SubtypeChecker(engine)
-        q = checker.base_subtype_query(Env(), [BaseArm(INT, TOP)], [BaseArm(INT, GE)])
+        q = checker.base_subtype_query(Env(), [BaseArm(INT, TRUE)], [BaseArm(INT, GE)])
         verdict = engine.check(q)
         assert isinstance(verdict, Invalid)
         assert dict(verdict.model)[VALUE_VAR] < 0

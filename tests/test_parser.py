@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liqinfer.parser import (
     ParseError,
@@ -10,19 +11,29 @@ from liqinfer.parser import (
 )
 from liqinfer.syntax import (
     App,
-    BoolRef,
-    BoolVarRef,
-    CmpRef,
     Const,
+    FALSE,
+    FAtom,
+    FBoolVar,
     IntConst,
-    IntExp,
     Lam,
     Let,
+    LInt,
+    LVar,
     PrimConst,
-    TOP,
+    TRUE,
     Var,
-    VarExp,
     VALUE_VAR,
+    BaseArm,
+    FAnd,
+    FIff,
+    INT,
+    LAdd,
+    LiquidType,
+    LMul,
+    LNeg,
+    LSub,
+    Scheme,
     render_scheme,
     render_term,
 )
@@ -43,8 +54,8 @@ class TestParseProgram:
     def test_sign_example_file(self):
         prog = parse_program(SIGN_FILE)
         assert prog.qualifiers == (
-            CmpRef(">=", VarExp(VALUE_VAR), IntExp(0)),
-            CmpRef("<=", VarExp(VALUE_VAR), IntExp(0)),
+            FAtom(">=", LVar(VALUE_VAR), LInt(0)),
+            FAtom("<=", LVar(VALUE_VAR), LInt(0)),
         )
         assert [n for n, _ in prog.bindings] == ["mul", "neg"]
         mul = prog.bindings[0][1]
@@ -96,23 +107,23 @@ class TestParseProgram:
 
 class TestParseQualifier:
     def test_sign(self):
-        assert parse_qualifier("v >= 0") == CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
+        assert parse_qualifier("v >= 0") == FAtom(">=", LVar(VALUE_VAR), LInt(0))
 
     def test_program_variable(self):
-        assert parse_qualifier("y = 5") == CmpRef("=", VarExp("y"), IntExp(5))
+        assert parse_qualifier("y = 5") == FAtom("=", LVar("y"), LInt(5))
 
     def test_malformed(self):
         with pytest.raises(ParseError):
             parse_qualifier("v + ")
 
     def test_true_is_top(self):
-        assert parse_qualifier("true") == TOP
+        assert parse_qualifier("true") == TRUE
 
     def test_boolean_atom(self):
-        assert parse_qualifier("flag") == BoolVarRef("flag")
+        assert parse_qualifier("flag") == FBoolVar("flag")
 
     def test_false(self):
-        assert parse_qualifier("false") == BoolRef(False)
+        assert parse_qualifier("false") == FALSE
 
 
 class TestRoundTrip:
@@ -156,3 +167,43 @@ class TestTypeParser:
     def test_parse_type_rejects_trailing(self):
         with pytest.raises(ParseError):
             parse_scheme("{v : int | true} junk")
+
+
+# printed refinements: negations of compound terms, nested negations and
+# products among them
+_names = st.sampled_from((VALUE_VAR, "x", "y"))
+_terms = st.recursive(
+    st.one_of(st.builds(LInt, st.integers(-3, 3)), st.builds(LVar, _names)),
+    lambda sub: st.one_of(
+        st.builds(LNeg, sub),
+        st.builds(lambda op, lhs, rhs: op(lhs, rhs), st.sampled_from((LAdd, LSub, LMul)), sub, sub),
+    ),
+    max_leaves=5,
+)
+_refinements = st.recursive(
+    st.one_of(
+        st.just(TRUE),
+        st.just(FALSE),
+        st.builds(FBoolVar, _names),
+        st.builds(FAtom, st.sampled_from(("=", "<=", ">=", "<", ">")), _terms, _terms),
+    ),
+    lambda sub: st.one_of(
+        st.builds(FIff, sub, sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: FAnd(tuple(ps))),
+    ),
+    max_leaves=4,
+)
+
+
+class TestPrintedRefinementsRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(_refinements)
+    def test_render_parse_render(self, ref):
+        printed = render_scheme(Scheme((), LiquidType((BaseArm(INT, ref),))))
+        assert render_scheme(parse_scheme(printed)) == printed
+
+    @pytest.mark.parametrize("text", ["{v : int | (v>=-((x + 1)))}", "{v : int | (v=-(-x))}",
+                                      "{v : int | ((x * y)<=-((x * -2)))}", "{v : int | (v=-(-3))}",
+                                      "{v : int | (v>-1)}"])
+    def test_negated_compound_terms(self, text):
+        assert render_scheme(parse_scheme(text)) == text

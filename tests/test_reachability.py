@@ -3,6 +3,10 @@ non-dunder method, is referenced from the program itself: from `src/`,
 `demos/`, `perfbench/` or an `__all__` list, somewhere other than inside its
 own definition. Code that only the tests reach fails this check.
 
+Every class is also constructed somewhere in the program, unless it is a
+base class or a metaclass of another class of the package: a class that is
+only tested for (`isinstance`) or caught is a leftover.
+
 References are matched by name, not resolved: a use of `.infer` anywhere
 counts for every method named `infer`. Imports are not uses. A string that
 parses as a Python expression, such as a quoted annotation, an `__all__`
@@ -71,6 +75,28 @@ def _references(tree: ast.AST):
                 yield name, node.lineno
 
 
+def _constructed(tree: ast.AST):
+    """Names of the classes a module may construct: callees of calls, names
+    raised, and classes handed on as values (a table's values, a call's
+    arguments) from which something else builds them. Not the classes an
+    `isinstance` or `issubclass` asks about, nor a table's keys."""
+    for node in ast.walk(tree):
+        found: list[ast.expr] = []
+        if isinstance(node, ast.Call):
+            found.append(node.func)
+            if not (isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass")):
+                found += node.args
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            found.append(node.exc)
+        elif isinstance(node, ast.Dict):
+            found += node.values
+        for expr in found:
+            if isinstance(expr, ast.Name):
+                yield expr.id
+            elif isinstance(expr, ast.Attribute):
+                yield expr.attr
+
+
 def _program_files():
     for directory in PROGRAM_DIRS:
         for path in sorted(directory.rglob("*.py")):
@@ -78,8 +104,12 @@ def _program_files():
                 yield path
 
 
+def _program_trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in _program_files()}
+
+
 def unreached() -> list[str]:
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in _program_files()}
+    trees = _program_trees()
     uses: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for name, line in _references(tree):
@@ -95,8 +125,26 @@ def unreached() -> list[str]:
     return out
 
 
+def unconstructed() -> list[str]:
+    trees = _program_trees()
+    built = {name for tree in trees.values() for name in _constructed(tree)}
+    classes = {}
+    exempt = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = path.stem
+                for base in node.bases + [k.value for k in node.keywords]:
+                    exempt.add(base.id if isinstance(base, ast.Name) else getattr(base, "attr", None))
+    return [f"{stem}.{name}" for name, stem in classes.items() if name not in built | exempt]
+
+
 def test_every_definition_is_reached_from_the_program():
     assert unreached() == []
+
+
+def test_every_class_is_constructed_by_the_program():
+    assert unconstructed() == []
 
 
 def test_allowed_names_exist():

@@ -13,25 +13,25 @@ from liqinfer.shapes import (
 from liqinfer.syntax import (
     Arrow,
     Base,
-    CmpRef,
+    FAtom,
     Env,
     INT,
-    IntExp,
+    LInt,
     LiquidType,
     BaseArm,
     FunArm,
     TyAbs,
     TyInst,
     TyVar,
-    VarExp,
+    LVar,
     VALUE_VAR,
     mono,
     make_type,
     render_simple_type,
 )
 
-GE = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-LE = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
+GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
 
 
 def _contains_node(term, kind):

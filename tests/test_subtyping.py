@@ -3,26 +3,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liqinfer.logic import FAnd, FAtom, FTrue, LInt, LVar
 from liqinfer.metatheory import semantic_implication_oracle
 from liqinfer.subtyping import LogEntry, SubtypeChecker, env_sorts
 from liqinfer.syntax import (
     BaseArm,
     BOOL,
-    BoolVarRef,
-    CmpRef,
-    ConjRef,
+    FBoolVar,
+    FAtom,
+    FAnd,
     Env,
+    FTrue,
     FunArm,
-    IffRef,
+    FIff,
     INT,
-    IntExp,
+    LInt,
     LiquidType,
-    NegExp,
+    LNeg,
     Scheme,
-    TOP,
+    TRUE,
     VarArm,
-    VarExp,
+    LVar,
     VALUE_VAR,
     base_top,
     intersect,
@@ -32,10 +32,10 @@ from liqinfer.syntax import (
 )
 from liqinfer.validity import Unknown, Valid, ValidityEngine
 
-GE = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-LE = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
-EQ0 = CmpRef("=", VarExp(VALUE_VAR), IntExp(0))
-Y_EQ_5 = CmpRef("=", VarExp("y"), IntExp(5))
+GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
+EQ0 = FAtom("=", LVar(VALUE_VAR), LInt(0))
+Y_EQ_5 = FAtom("=", LVar("y"), LInt(5))
 
 
 def base(*refs):
@@ -64,34 +64,34 @@ class TestWfCheck:
         assert checker.wf_check(Env(), LiquidType((VarArm("a"),)))
 
     def test_dependent_codomain(self, checker):
-        cod = base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))
-        assert checker.wf_check(Env(), arrow("x", base(TOP), cod))
+        cod = base(FAtom("=", LVar(VALUE_VAR), LVar("x")))
+        assert checker.wf_check(Env(), arrow("x", base(TRUE), cod))
 
     def test_bool_position_rejects_integer_comparison(self, checker):
         t = LiquidType((BaseArm(BOOL, GE),))
         assert not checker.wf_check(Env(), t)
 
     def test_bool_atom_ok(self, checker):
-        t = LiquidType((BaseArm(BOOL, IffRef(BoolVarRef(VALUE_VAR), TOP)),))
+        t = LiquidType((BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), TRUE)),))
         assert checker.wf_check(Env(), t)
 
     def test_binders_shadow_the_environment(self, checker):
         env = Env().extend("x", mono(base(GE)))
-        uses_x = base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))
+        uses_x = base(FAtom("=", LVar(VALUE_VAR), LVar("x")))
         assert checker.wf_check(env, arrow("y", base(GE), uses_x))
         # a function-typed binder x hides the int x of the environment
-        assert not checker.wf_check(env, arrow("x", arrow("z", base(TOP), base(TOP)), uses_x))
+        assert not checker.wf_check(env, arrow("x", arrow("z", base(TRUE), base(TRUE)), uses_x))
         # a bool binder x makes x a bool inside the codomain
-        bool_x = LiquidType((BaseArm(BOOL, TOP),))
+        bool_x = LiquidType((BaseArm(BOOL, TRUE),))
         assert not checker.wf_check(env, arrow("x", bool_x, uses_x))
-        assert checker.wf_check(env, arrow("x", bool_x, LiquidType((BaseArm(BOOL, BoolVarRef("x")),))))
+        assert checker.wf_check(env, arrow("x", bool_x, LiquidType((BaseArm(BOOL, FBoolVar("x")),))))
 
 
 class TestIsSubtype:
     def test_derivation_premise(self, checker):
         # with x >= 0 in scope: {v = -x} < {v <= 0}
         env = Env().extend("x", mono(base(GE)))
-        lhs = base(CmpRef("=", VarExp(VALUE_VAR), NegExp(VarExp("x"))))
+        lhs = base(FAtom("=", LVar(VALUE_VAR), LNeg(LVar("x"))))
         assert checker.is_subtype(env, lhs, base(LE))
 
     def test_elimination(self, checker):
@@ -157,13 +157,13 @@ class TestIsSubtype:
 
     def test_base_soundness_vs_oracle(self, checker):
         rng = random.Random(17)
-        refs = [GE, LE, EQ0, CmpRef("<", VarExp(VALUE_VAR), IntExp(2))]
+        refs = [GE, LE, EQ0, FAtom("<", LVar(VALUE_VAR), LInt(2))]
         for _ in range(150):
             lhs = base(*rng.sample(refs, rng.randint(1, 2)))
             rhs = base(*rng.sample(refs, rng.randint(1, 2)))
             if checker.is_subtype(Env(), lhs, rhs):
-                lref = lhs.arms[0].ref if len(lhs.arms) == 1 else ConjRef(tuple(a.ref for a in lhs.arms))
-                rref = rhs.arms[0].ref if len(rhs.arms) == 1 else ConjRef(tuple(a.ref for a in rhs.arms))
+                lref = lhs.arms[0].ref if len(lhs.arms) == 1 else FAnd(tuple(a.ref for a in lhs.arms))
+                rref = rhs.arms[0].ref if len(rhs.arms) == 1 else FAnd(tuple(a.ref for a in rhs.arms))
                 assert semantic_implication_oracle(Env(), lref, rref, 4)
 
     def test_scheme_quantifiers_stripped_pairwise(self, checker):
@@ -173,7 +173,7 @@ class TestIsSubtype:
         assert not checker.is_subtype(Env(), a, mono(LiquidType((VarArm("a"),))))
 
     def test_different_shapes_rejected(self, checker):
-        assert not checker.is_subtype(Env(), base(GE), LiquidType((BaseArm(BOOL, TOP),)))
+        assert not checker.is_subtype(Env(), base(GE), LiquidType((BaseArm(BOOL, TRUE),)))
 
     def test_target_binder_is_not_captured_by_an_inner_binder(self):
         # x: int -> (x: int -> {v = x}) /\ (y: int -> {v < x}) is not below
@@ -182,8 +182,8 @@ class TestIsSubtype:
         # {v = x} /\ {v < x} proves anything.
         top = base_top(INT)
         lhs_cod = make_type([
-            FunArm("x", top, base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))),
-            FunArm("y", top, base(CmpRef("<", VarExp(VALUE_VAR), VarExp("x")))),
+            FunArm("x", top, base(FAtom("=", LVar(VALUE_VAR), LVar("x")))),
+            FunArm("y", top, base(FAtom("<", LVar(VALUE_VAR), LVar("x")))),
         ])
         rhs = arrow("y", top, arrow("x", top, base(EQ0)))
         for env in (Env(), Env().extend("y", mono(top))):
@@ -204,7 +204,7 @@ class TestBaseSubtypeQuery:
     def test_derivation_shape(self, checker):
         env = Env().extend("x", mono(base(GE)))
         q = checker.base_subtype_query(
-            env, [BaseArm(INT, CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))], [BaseArm(INT, TOP)]
+            env, [BaseArm(INT, FAtom("=", LVar(VALUE_VAR), LVar("x")))], [BaseArm(INT, TRUE)]
         )
         assert q.hypothesis == FAnd(
             (FAtom(">=", LVar("x"), LInt(0)), FAtom("=", LVar(VALUE_VAR), LVar("x")))
@@ -217,11 +217,11 @@ class TestBaseSubtypeQuery:
         )
         assert isinstance(q.hypothesis, FAnd) and len(q.hypothesis.parts) == 2
         # confirmed by enumeration: v>=0 /\ v<=0 => v=0 over the integers
-        assert semantic_implication_oracle(Env(), ConjRef((GE, LE)), EQ0, 4)
+        assert semantic_implication_oracle(Env(), FAnd((GE, LE)), EQ0, 4)
         assert checker.engine.check(q) == Valid()
 
     def test_top_to_top(self, checker):
-        q = checker.base_subtype_query(Env(), [BaseArm(INT, TOP)], [BaseArm(INT, TOP)])
+        q = checker.base_subtype_query(Env(), [BaseArm(INT, TRUE)], [BaseArm(INT, TRUE)])
         assert q.hypothesis == FTrue() and q.conclusion == FTrue()
 
 
@@ -230,7 +230,7 @@ class TestLogging:
         log = []
         chk = SubtypeChecker(engine, log=log)
         chk.wf_check(Env(), base(GE))
-        chk.is_subtype(Env(), base(GE), base(TOP))
+        chk.is_subtype(Env(), base(GE), base(TRUE))
         kinds = [e.kind for e in log]
         assert "wf" in kinds and "sub" in kinds
         assert all(isinstance(e, LogEntry) for e in log)
@@ -242,14 +242,14 @@ NAMES = ("x", "y", "b")
 
 # every atom may name a variable out of scope, or in scope at the other sort
 _int_atoms = st.one_of(
-    st.integers(-1, 5).map(IntExp), st.sampled_from((VALUE_VAR,) + NAMES).map(VarExp)
+    st.integers(-1, 5).map(LInt), st.sampled_from((VALUE_VAR,) + NAMES).map(LVar)
 )
-_bool_atoms = st.sampled_from((VALUE_VAR,) + NAMES).map(BoolVarRef)
+_bool_atoms = st.sampled_from((VALUE_VAR,) + NAMES).map(FBoolVar)
 _refs = st.one_of(
-    st.just(TOP),
-    st.builds(CmpRef, st.sampled_from(("=", "<=", ">=")), _int_atoms, _int_atoms),
+    st.just(TRUE),
+    st.builds(FAtom, st.sampled_from(("=", "<=", ">=")), _int_atoms, _int_atoms),
     _bool_atoms,
-    st.builds(IffRef, _bool_atoms, _bool_atoms),
+    st.builds(FIff, _bool_atoms, _bool_atoms),
 )
 
 
@@ -270,7 +270,7 @@ _types = st.recursive(
 )
 
 _HIDING = (
-    mono(arrow("a", base(TOP), base(TOP))),
+    mono(arrow("a", base(TRUE), base(TRUE))),
     Scheme(("a",), LiquidType((VarArm("a"),))),
 )
 
@@ -304,7 +304,7 @@ class TestWfMemo:
         t = arrow("x", base(GE), base(Y_EQ_5))
         assert not checker.wf_check(Env(), t)
         assert checker.wf_check(Env().extend("y", mono(base(GE))), t)
-        bool_y = mono(LiquidType((BaseArm(BOOL, TOP),)))
+        bool_y = mono(LiquidType((BaseArm(BOOL, TRUE),)))
         assert not checker.wf_check(Env().extend("y", bool_y), t)
         hidden = Env().extend("y", mono(base(GE))).extend("y", _HIDING[0])
         assert not checker.wf_check(hidden, t)
@@ -329,14 +329,14 @@ class TestTopTargets:
     def test_a_top_target_asks_no_query(self):
         chk = SubtypeChecker(ValidityEngine())
         env = Env().extend("x", mono(base(GE)))
-        lhs = base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x")))
+        lhs = base(FAtom("=", LVar(VALUE_VAR), LVar("x")))
         assert chk.is_subtype(env, lhs, base_top(INT))
-        assert chk.is_subtype(env, lhs, base(TOP, TOP))
-        bool_lhs = LiquidType((BaseArm(BOOL, BoolVarRef(VALUE_VAR)),))
+        assert chk.is_subtype(env, lhs, base(TRUE, TRUE))
+        bool_lhs = LiquidType((BaseArm(BOOL, FBoolVar(VALUE_VAR)),))
         assert chk.is_subtype(env, bool_lhs, base_top(BOOL))
         # an arrow whose codomain is Top asks only about its domain
-        f = arrow("z", base(TOP), lhs)
-        assert chk.is_subtype(env, f, arrow("z", base(GE), base(TOP)))
+        f = arrow("z", base(TRUE), lhs)
+        assert chk.is_subtype(env, f, arrow("z", base(GE), base(TRUE)))
         assert chk.engine.stats["queries"] == 0
 
     def test_an_int_type_is_not_below_a_bool_top(self):
@@ -347,7 +347,7 @@ class TestTopTargets:
 
     def test_a_top_arm_beside_an_informative_arm_still_asks(self):
         # built directly: make_type would absorb the Top arm
-        mixed = LiquidType((BaseArm(INT, TOP), BaseArm(INT, GE)))
+        mixed = LiquidType((BaseArm(INT, TRUE), BaseArm(INT, GE)))
         chk = SubtypeChecker(ValidityEngine())
         assert not chk.is_subtype(Env(), base(LE), mixed)
         assert chk.is_subtype(Env(), base(EQ0), mixed)

@@ -10,27 +10,27 @@ from liqinfer.syntax import (
     BaseArm,
     BOOL,
     BoolConst,
-    BoolVarRef,
-    CmpRef,
+    FBoolVar,
+    FAtom,
     Const,
     CONSTANTS,
     Env,
     FunArm,
-    IffRef,
+    FIff,
     IllFoundedType,
     INT,
     IntConst,
-    IntExp,
+    LInt,
     Lam,
     LiquidType,
     NameSource,
     PrimConst,
     Scheme,
-    TOP,
+    TRUE,
     TyVar,
     Var,
     VarArm,
-    VarExp,
+    LVar,
     VALUE_VAR,
     free_vars,
     intersect,
@@ -44,9 +44,9 @@ from liqinfer.syntax import (
     well_founded,
 )
 
-GE = CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))
-LE = CmpRef("<=", VarExp(VALUE_VAR), IntExp(0))
-EQ0 = CmpRef("=", VarExp(VALUE_VAR), IntExp(0))
+GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
+LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
+EQ0 = FAtom("=", LVar(VALUE_VAR), LInt(0))
 
 
 def base(ref):
@@ -60,7 +60,7 @@ def arrow(binder, dom, cod):
 NEG_TYPE = intersect(arrow("x", base(GE), base(LE)), arrow("x", base(LE), base(GE)))
 
 
-REFS = [GE, LE, EQ0, CmpRef("<", VarExp(VALUE_VAR), IntExp(3))]
+REFS = [GE, LE, EQ0, FAtom("<", LVar(VALUE_VAR), LInt(3))]
 
 
 def random_shape(rng: random.Random, depth: int = 0):
@@ -112,16 +112,16 @@ class TestShapeOf:
 
 class TestFreeVariables:
     def test_value_variable_and_codomain_binder_are_bound(self):
-        x_le_y = CmpRef("<=", VarExp("x"), VarExp("y"))
-        t = arrow("x", base(CmpRef("=", VarExp(VALUE_VAR), VarExp("z"))), base(x_le_y))
+        x_le_y = FAtom("<=", LVar("x"), LVar("y"))
+        t = arrow("x", base(FAtom("=", LVar(VALUE_VAR), LVar("z"))), base(x_le_y))
         assert t.free == ("y", "z")
 
     def test_a_domain_naming_its_binder_means_the_outer_variable(self):
-        t = arrow("x", base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x"))), base(TOP))
+        t = arrow("x", base(FAtom("=", LVar(VALUE_VAR), LVar("x"))), base(TRUE))
         assert t.free == ("x",)
 
     def test_bool_variables_count(self):
-        t = LiquidType((BaseArm(BOOL, IffRef(BoolVarRef(VALUE_VAR), BoolVarRef("p"))),))
+        t = LiquidType((BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), FBoolVar("p"))),))
         assert t.free == ("p",)
 
 
@@ -140,10 +140,10 @@ class TestIntersect:
 
     def test_shape_mismatch(self):
         with pytest.raises(IllFoundedType):
-            intersect(base(GE), LiquidType((BaseArm(BOOL, TOP),)))
+            intersect(base(GE), LiquidType((BaseArm(BOOL, TRUE),)))
 
     def test_top_absorbed_by_informative_base_arm(self):
-        got = intersect(base(GE), base(TOP))
+        got = intersect(base(GE), base(TRUE))
         assert got == base(GE)
 
     def test_algebra_on_random_types(self):
@@ -165,7 +165,7 @@ class TestWellFounded:
         assert well_founded(intersect(base(GE), base(LE)), INT)
 
     def test_base_mismatch(self):
-        assert not well_founded(LiquidType((BaseArm(INT, TOP),)), BOOL)
+        assert not well_founded(LiquidType((BaseArm(INT, TRUE),)), BOOL)
 
     def test_neg_type(self):
         assert well_founded(NEG_TYPE, Arrow("x", INT, INT))
@@ -200,16 +200,16 @@ class TestSubstTerm:
 
 class TestSubstType:
     def test_base_clause(self):
-        sch = mono(base(CmpRef("=", VarExp(VALUE_VAR), VarExp("x"))))
+        sch = mono(base(FAtom("=", LVar(VALUE_VAR), LVar("x"))))
         got = subst_type([("x", Const(IntConst(5)))], sch)
-        assert got == mono(base(CmpRef("=", VarExp(VALUE_VAR), IntExp(5))))
+        assert got == mono(base(FAtom("=", LVar(VALUE_VAR), LInt(5))))
 
     def test_type_variable_clause(self):
         sch = mono(LiquidType((VarArm("a"),)))
         assert subst_type([("x", Const(IntConst(1)))], sch) == sch
 
     def test_composition_commutes_on_disjoint_domains(self):
-        ref = CmpRef("<=", VarExp("x"), VarExp("y"))
+        ref = FAtom("<=", LVar("x"), LVar("y"))
         sch = mono(base(ref))
         rho1 = [("x", Const(IntConst(1)))]
         rho2 = [("y", Const(IntConst(2)))]
@@ -219,21 +219,21 @@ class TestSubstType:
 
     def test_a_domain_naming_the_binder_is_substituted(self):
         # the binder x scopes over the codomain only
-        x_eq = CmpRef("=", VarExp(VALUE_VAR), VarExp("x"))
+        x_eq = FAtom("=", LVar(VALUE_VAR), LVar("x"))
         sch = mono(arrow("x", base(x_eq), base(x_eq)))
         got = subst_type([("x", Var("w"))], sch)
-        w_eq = CmpRef("=", VarExp(VALUE_VAR), VarExp("w"))
+        w_eq = FAtom("=", LVar(VALUE_VAR), LVar("w"))
         assert got == mono(arrow("x", base(w_eq), base(x_eq)))
 
     def test_duplicate_domain_rejected(self):
         with pytest.raises(Exception):
-            subst_type([("x", Var("y")), ("x", Var("z"))], mono(base(TOP)))
+            subst_type([("x", Var("y")), ("x", Var("z"))], mono(base(TRUE)))
 
 
 class TestConstantTable:
     def test_integer_literal(self):
         sch = CONSTANTS.type_of(IntConst(7))
-        assert sch == mono(base(CmpRef("=", VarExp(VALUE_VAR), IntExp(7))))
+        assert sch == mono(base(FAtom("=", LVar(VALUE_VAR), LInt(7))))
 
     def test_boolean_literal_shape(self):
         sch = CONSTANTS.type_of(BoolConst(True))

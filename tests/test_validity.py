@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from liqinfer.anf import normalize
 from liqinfer.inference import Inferencer
-from liqinfer.logic import (
+from liqinfer import validity
+from liqinfer.metatheory import default_qualifiers, random_base_query, semantic_implication_oracle
+from liqinfer.parser import parse_term
+from liqinfer.subtyping import SubtypeChecker
+from liqinfer.syntax import (
+    INT,
+    BaseArm,
+    Env,
     FAnd,
     FAtom,
     FBoolVar,
@@ -18,20 +25,18 @@ from liqinfer.logic import (
     FIff,
     FTrue,
     LAdd,
-    LApp,
     LInt,
+    LiquidType,
     LMul,
     LNeg,
     LSub,
     LVar,
+    Var,
+    VALUE_VAR,
+    mono,
+    subst_refinement,
     symbols,
 )
-from liqinfer import validity
-from liqinfer.logic import rename_formula
-from liqinfer.metatheory import default_qualifiers, random_base_query, semantic_implication_oracle
-from liqinfer.parser import parse_term
-from liqinfer.subtyping import SubtypeChecker
-from liqinfer.syntax import BaseArm, CmpRef, Env, INT, IntExp, LiquidType, VarExp, VALUE_VAR, mono
 from liqinfer.validity import (
     NOT_PROVED,
     VALID,
@@ -61,8 +66,6 @@ D1_PRIME = ValidityQuery(FAnd((atom(">=", X, LInt(0)), atom("=", V, X))), FTrue(
 
 
 def neg_query():
-    from liqinfer.logic import LNeg
-
     hyp = FAnd((atom(">=", X, LInt(0)), atom("=", V, LNeg(X))))
     return ValidityQuery(hyp, atom("<=", V, LInt(0)))
 
@@ -75,7 +78,7 @@ def criterion_7_queries():
 
 
 def evaluate(f, asg):
-    """Direct evaluation of a formula without uninterpreted symbols."""
+    """Direct evaluation of a formula; a product is a product."""
 
     def ev(t):
         if isinstance(t, LInt):
@@ -111,8 +114,8 @@ class TestBuiltinDecide:
         # expected value computed first with the enumeration oracle:
         # v -> -1 refutes true => v >= 0 inside [-4, 4]
         assert not semantic_implication_oracle(
-            Env(), CmpRef("=", VarExp(VALUE_VAR), VarExp(VALUE_VAR)),
-            CmpRef(">=", VarExp(VALUE_VAR), IntExp(0)), 4,
+            Env(), FAtom("=", LVar(VALUE_VAR), LVar(VALUE_VAR)),
+            FAtom(">=", LVar(VALUE_VAR), LInt(0)), 4,
         )
         got = builtin_decide(ValidityQuery(FTrue(), atom(">=", V, LInt(0))))
         assert isinstance(got, Invalid)
@@ -121,19 +124,19 @@ class TestBuiltinDecide:
 
     def test_linear_consequence(self):
         # enumeration over [-4,4] confirms x>=0 /\ v=x => v>=0 first
-        env = Env().extend("x", mono(LiquidType((BaseArm(INT, CmpRef(">=", VarExp(VALUE_VAR), IntExp(0))),))))
+        env = Env().extend("x", mono(LiquidType((BaseArm(INT, FAtom(">=", LVar(VALUE_VAR), LInt(0))),))))
         assert semantic_implication_oracle(
-            env, CmpRef("=", VarExp(VALUE_VAR), VarExp("x")),
-            CmpRef(">=", VarExp(VALUE_VAR), IntExp(0)), 4,
+            env, FAtom("=", LVar(VALUE_VAR), LVar("x")),
+            FAtom(">=", LVar(VALUE_VAR), LInt(0)), 4,
         )
         q = ValidityQuery(FAnd((atom(">=", X, LInt(0)), atom("=", V, X))), atom(">=", V, LInt(0)))
         assert builtin_decide(q) == Valid()
 
     def test_uninterpreted_square_is_not_proved(self):
-        hyp = atom("=", V, LApp("times", (X, X)))
+        hyp = atom("=", V, LMul(X, X))
         got = builtin_decide(ValidityQuery(hyp, atom(">=", V, LInt(0))))
-        # times is uninterpreted, so this must not be Valid; the engine may
-        # exhibit a countermodel or give up
+        # x * x is the uninterpreted `times` to the procedure, so this is not
+        # proved; a countermodel must square x, so none is found
         assert not isinstance(got, Valid)
         if isinstance(got, Invalid) and got.model:
             model = dict(got.model)
@@ -163,26 +166,37 @@ class TestBuiltinDecide:
         assert builtin_decide(q) == Valid()
 
     def test_congruence_closure(self):
-        # x = y forces times(x,x) = times(y,y)... stated directly on terms
-        t1 = LApp("times", (X, X))
-        t2 = LApp("times", (LVar("y"), LVar("y")))
+        # x = y forces x * x = y * y
+        t1 = LMul(X, X)
+        t2 = LMul(LVar("y"), LVar("y"))
         hyp = FAnd((atom("=", X, LVar("y")), atom("=", LVar("a"), t1), atom("=", LVar("b"), t2)))
         # without congruence the conclusion a = b would be unprovable
         got = builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), LVar("b"))))
         assert not isinstance(got, Invalid)
 
-    def test_non_constant_products_are_unknown(self):
-        # the embedding writes x*x as `times`; a hand-built LMul of two
-        # non-constants has no linear form and falls outside the fragment
+    def test_products_are_evaluated_in_models(self):
+        # a product of two non-constants is opaque to the procedure, but an
+        # Invalid model must give it the product of its sides
         x_is_3 = ValidityQuery(atom("=", X, LInt(3)), atom("=", LMul(X, X), LInt(9)))
-        square = ValidityQuery(FTrue(), atom(">=", LMul(X, X), LInt(0)))
-        assert not isinstance(builtin_decide(x_is_3), Invalid)
-        assert not isinstance(builtin_decide(square), Invalid)
+        square = ValidityQuery(atom("=", V, LMul(X, X)), atom(">=", V, LInt(0)))
+        for q in (x_is_3, square):
+            assert not isinstance(builtin_decide(q), Invalid)
+            assert not isinstance(builtin_decide(q, need_model=False), Invalid)
+        # x * y = 3 leaves x in {-3, -1, 1, 3}: no model, though not proved
         in_hypothesis = ValidityQuery(atom("=", LMul(X, LVar("y")), LInt(3)), atom("<=", X, LInt(3)))
+        assert isinstance(builtin_decide(in_hypothesis), Unknown)
         in_conclusion = ValidityQuery(FTrue(), atom("<=", LMul(X, X), LInt(3)))
-        for q in (in_hypothesis, in_conclusion):
-            assert isinstance(builtin_decide(q), Unknown)
-            assert isinstance(builtin_decide(q, need_model=False), Unknown)
+        got = builtin_decide(in_conclusion)
+        assert isinstance(got, Invalid) and dict(got.model)["x"] ** 2 > 3
+        assert evaluate(in_conclusion.conclusion, dict(got.model)) is False
+
+    def test_scaling_by_a_ground_side_stays_linear(self):
+        # (1 + 1) * x and x * -(2) are scalings, however the constant is written
+        two_x = LMul(LAdd(LInt(1), LInt(1)), X)
+        q = ValidityQuery(atom("=", V, two_x), atom("=", V, LMul(X, LNeg(LNeg(LInt(2))))))
+        assert builtin_decide(q) is VALID
+        got = builtin_decide(ValidityQuery(atom(">=", X, LInt(1)), atom("<=", two_x, LInt(2))))
+        assert isinstance(got, Invalid) and 2 * dict(got.model)["x"] > 2
 
     def test_invalid_models_falsify_criterion_7_queries(self):
         invalid = 0
@@ -251,9 +265,10 @@ class TestEqualityElimination:
         assert 2 * model["x"] == 3 * model["y"] < 0
 
     def test_congruence_reads_the_substitution(self):
-        # x = y makes f(x) and f(y) one value, and then g(f(x)) and g(f(y))
-        f = lambda t: LApp("f", (t,))  # noqa: E731
-        g = lambda t: LApp("g", (t,))  # noqa: E731
+        # x = y makes x * x and y * y one value, and then their products
+        # with z
+        f = lambda t: LMul(t, t)  # noqa: E731
+        g = lambda t: LMul(t, LVar("z"))  # noqa: E731
         hyp = FAnd((atom("=", X, LAdd(LVar("y"), LInt(0))), atom("=", LVar("a"), g(f(X)))))
         assert builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), g(f(LVar("y")))))) is VALID
         assert builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), f(LVar("y")))), need_model=False) == NOT_PROVED
@@ -279,7 +294,7 @@ class TestEqualityElimination:
         monkeypatch.setattr(validity, "_Hypothesis", Counting)
         parts = (atom("=", V, LAdd(X, LInt(1))), atom(">=", X, LInt(0)))
         engine = ValidityEngine()
-        for q in default_qualifiers() + (CmpRef(">=", VarExp(VALUE_VAR), IntExp(1)),):
+        for q in default_qualifiers() + (FAtom(">=", LVar(VALUE_VAR), LInt(1)),):
             conclusion = FAtom(q.op, LVar(q.lhs.name), LInt(q.rhs.value))
             # a new conjunction per query, as `base_subtype_query` builds it:
             # only the engine keeps it alive from one query to the next
@@ -321,7 +336,8 @@ class TestCompiledHypotheses:
         # may take another path, since it is seeded by the printed query
         rename = {"v": "a", "x": "b", "y": "c", "z": "d"}
         for q, verdict in zip(queries, verdicts):
-            r = ValidityQuery(rename_formula(q.hypothesis, rename), rename_formula(q.conclusion, rename))
+            rename_vars = {old: Var(new) for old, new in rename.items()}
+            r = ValidityQuery(subst_refinement(q.hypothesis, rename_vars), subst_refinement(q.conclusion, rename_vars))
             assert canonical_key(r) == canonical_key(q)
             assert type(builtin_decide(r, need_model=False)) is type(builtin_decide(q, need_model=False))
 
@@ -367,13 +383,13 @@ class TestEmitSmtlib:
         assert "(assert true)" in script and "(assert (not true))" in script
 
     def test_uninterpreted_declared(self):
-        q = ValidityQuery(atom("=", V, LApp("times", (X, X))), FTrue())
+        q = ValidityQuery(atom("=", V, LMul(X, X)), FTrue())
         script = emit_smtlib(q)
         assert "(declare-fun times (Int Int) Int)" in script
 
     def test_nonlinear_logic_flag(self):
-        # the embedding's `times` is written as a real product, undeclared
-        q = ValidityQuery(atom("=", V, LApp("times", (X, X))), FTrue())
+        # `times` is written as a real product, undeclared
+        q = ValidityQuery(atom("=", V, LMul(X, X)), FTrue())
         script = emit_smtlib(q, nonlinear=True)
         assert "(set-logic QF_UFNIA)" in script
         assert "(assert (= v (* x x)))" in script and "times" not in script
@@ -545,7 +561,7 @@ def add3_family_queries():
             seen.setdefault(canonical_key(q), q)
             return super().check(q, need_model)
 
-    three = default_qualifiers() + (CmpRef("=", VarExp(VALUE_VAR), IntExp(0)),)
+    three = default_qualifiers() + (FAtom("=", LVar(VALUE_VAR), LInt(0)),)
     for quals, src in ((default_qualifiers(), "\\x.\\y.\\z. + x (+ y z)"), (three, "\\x.\\y. + x y")):
         Inferencer(quals, Recording()).infer(Env(), normalize(parse_term(src)))
     return list(seen.values())
