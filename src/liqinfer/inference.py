@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Hashable, Optional, Sequence, Union
 
-from .shapes import ShapeScheme, elaborate, erase, shape_env
+from .shapes import Elaboration, elaborate, erase, shape_env
 from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
     App,
@@ -165,7 +165,7 @@ class Inferencer:
         self.engine = engine if engine is not None else ValidityEngine()
         self.max_arms = max_arms
         self.checker = SubtypeChecker(self.engine, constraint_log)
-        self._shapes: dict[int, ShapeScheme] = {}
+        self._elab: Optional[Elaboration] = None
         self._templates: dict[Hashable, _Template] = {}
 
     # Public entry point.  Accepts a plain (parsed or evaluated) term or an
@@ -173,15 +173,11 @@ class Inferencer:
     # shapes stay aligned with the inserted type abstractions.
     def infer(self, env: Env, term: Term) -> Scheme:
         elab = elaborate(shape_env(env), erase(term))
-        old = self._shapes
-        self._shapes = elab.shapes
+        old, self._elab = self._elab, elab
         try:
             return self._infer(env, elab.term)
         finally:
-            self._shapes = old
-
-    def _shape_at(self, t: Term) -> ShapeScheme:
-        return self._shapes[id(t)]
+            self._elab = old
 
     def _template(self, shape: SimpleType) -> _Template:
         """The template of `shape`, built on first use."""
@@ -194,7 +190,7 @@ class Inferencer:
 
     def _infer(self, env: Env, t: Term) -> Scheme:
         if isinstance(t, Var):
-            sch = self._shape_at(t)
+            sch = self._elab.shape_at(t)
             bound = env.lookup(t.name)
             if not sch.qvars and isinstance(sch.ty, Base):
                 if bound is None:
@@ -229,7 +225,7 @@ class Inferencer:
         return sch.body
 
     def _infer_lam(self, env: Env, t: Lam) -> Scheme:
-        shape = self._shape_at(t).ty
+        shape = self._elab.shape_at(t).ty
         assert isinstance(shape, Arrow)
         tpl = self._template(shape)
         temp = temporary_type(tpl.singles, self.checker, env, shape)
@@ -279,7 +275,7 @@ class Inferencer:
             arg_sch = self._infer(env, t.arg)
             inner_env = env.extend(t.fun.binder, arg_sch)
             body = self._mono_body(self._infer(inner_env, t.fun.body), t.fun.body)
-            shape = self._shape_at(t).ty
+            shape = self._elab.shape_at(t).ty
             return self._filter_template(env, inner_env, body, shape, t)
         fun = self._infer(env, t.fun)
         if fun.qvars:
@@ -324,7 +320,7 @@ class Inferencer:
         return make_type(out)
 
     def _infer_let(self, env: Env, t: Let) -> Scheme:
-        shape = self._shape_at(t).ty
+        shape = self._elab.shape_at(t).ty
         bound = self._infer(env, t.bound)
         inner_env = env.extend(t.binder, bound)
         body = self._mono_body(self._infer(inner_env, t.body), t.body)

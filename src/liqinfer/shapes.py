@@ -1,20 +1,28 @@
 """Damas-Milner shape inference (algorithm W) over the term language, plus
 elaboration: explicit type abstractions at generalizing lets and explicit
-instantiations at polymorphic variable and constant uses.
+instantiations at polymorphic variable and constant uses. Shapes are the
+refinement-free simple types that liquid intersection types refine;
+inference templates are generated from them.
 
-Shapes are the refinement-free simple types that liquid intersection types
-refine; inference templates are generated from them.
+Unification variables are union-find cells ranked by let level (Remy, INRIA
+RR-1766, 1992). Binding a cell lowers the free cells of its type to the
+cell's level, in the walk of the occurs check, and a let's bound expression
+is inferred one level deeper. So the cells of its type still deeper than
+the let are those no binding of the environment reaches, and generalization
+walks the type alone. It names them in first-occurrence order, domain
+before codomain. Of two free cells the left is bound to the right: the cell
+kept is the one whose `?n` error messages print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
+from .anf import _all_names
 from .syntax import (
     App,
     Arrow,
-    Base,
     Const,
     CONSTANTS,
     Env,
@@ -77,133 +85,144 @@ def constant_shape(c) -> ShapeScheme:
     return ShapeScheme(sch.qvars, shape_of(sch.body))
 
 
-def _is_uvar(t: SimpleType) -> bool:
-    return isinstance(t, TyVar) and t.name.startswith("?")
+class _Cell:
+    """A unification variable. `level` is the let depth it belongs to, `n`
+    its number in messages (`?n`)."""
+
+    __slots__ = ("n", "level", "link", "name")
+
+    def __init__(self, n: int, level: int) -> None:
+        self.n, self.level = n, level
+        self.link: Optional[SimpleType] = None  # the type it is bound to
+        self.name: Optional[str] = None  # the type variable it is generalized as
+
+
+def _repr(t):
+    """The representative of t: t itself unless t is a bound cell."""
+    while isinstance(t, _Cell) and t.link is not None:
+        t = t.link
+    return t
+
+
+def _occurs_lowering(cell: _Cell, t) -> bool:
+    """Whether `cell` occurs in t; lowers every free cell of t to the level
+    of `cell` on the way, since binding `cell` to t puts them at its depth."""
+    t = _repr(t)
+    if t is cell:
+        return True
+    if isinstance(t, _Cell):
+        t.level = min(t.level, cell.level)
+    elif isinstance(t, Arrow):
+        return _occurs_lowering(cell, t.dom) or _occurs_lowering(cell, t.cod)
+    return False
+
+
+def _read(t, unbound) -> SimpleType:
+    """t with each cell read through its links, and `unbound(cell)` at the end."""
+    t = _repr(t)
+    if isinstance(t, _Cell):
+        return unbound(t)
+    if isinstance(t, Arrow):
+        return Arrow(t.binder, _read(t.dom, unbound), _read(t.cod, unbound))
+    return t
+
+
+def _show(t) -> str:
+    return render_simple_type(_read(t, lambda c: TyVar(f"?{c.n}")))
+
+
+def _final(c: _Cell) -> SimpleType:
+    return TyVar(c.name) if c.name is not None else INT  # unconstrained shapes default to int
+
+
+def _copy(t, fresh: dict):
+    """t with each quantified cell or type variable name in `fresh` replaced."""
+    t = _repr(t)
+    if isinstance(t, _Cell):
+        return fresh.get(t, t)
+    if isinstance(t, TyVar):
+        return fresh.get(t.name, t)
+    if isinstance(t, Arrow):
+        return Arrow(t.binder, _copy(t.dom, fresh), _copy(t.cod, fresh))
+    return t
 
 
 class _W:
     def __init__(self) -> None:
-        self.subst: dict[str, SimpleType] = {}
-        self.gen_named: dict[str, str] = {}
         self.counter = 0
+        self.level = 0
         self.tyvars = NameSource("a")
         self.binders = NameSource("x")
         self.types: dict[int, Union[SimpleType, ShapeScheme]] = {}
-        # schemes without unification variables, by id (the value keeps the
-        # id from being reused): the substitution only ever binds
-        # unification variables, so these stay ground
-        self.ground: dict[int, ShapeScheme] = {}
 
-    def fresh(self) -> TyVar:
+    def fresh(self) -> _Cell:
         self.counter += 1
-        return TyVar(f"?{self.counter}")
+        return _Cell(self.counter, self.level)
 
-    def resolve(self, t: SimpleType) -> SimpleType:
-        if isinstance(t, TyVar) and t.name in self.subst:
-            return self.resolve(self.subst[t.name])
-        if isinstance(t, Arrow):
-            return Arrow(t.binder, self.resolve(t.dom), self.resolve(t.cod))
-        return t
-
-    def _occurs(self, name: str, t: SimpleType) -> bool:
-        t = self.resolve(t)
-        if isinstance(t, TyVar):
-            return t.name == name
-        if isinstance(t, Arrow):
-            return self._occurs(name, t.dom) or self._occurs(name, t.cod)
-        return False
-
-    def unify(self, a: SimpleType, b: SimpleType) -> None:
-        a, b = self.resolve(a), self.resolve(b)
-        if _is_uvar(a):
-            if not (_is_uvar(b) and b.name == a.name):
-                if self._occurs(a.name, b):
-                    raise ShapeError(f"occurs check failed: {a.name} in {render_simple_type(b)}")
-                self.subst[a.name] = b
+    def unify(self, a, b) -> None:
+        a, b = _repr(a), _repr(b)
+        if a is b or isinstance(a, TyVar) and a == b:  # bases are interned
             return
-        if _is_uvar(b):
+        if isinstance(a, _Cell):
+            if _occurs_lowering(a, b):
+                raise ShapeError(f"occurs check failed: ?{a.n} in {_show(b)}")
+            a.link = b
+        elif isinstance(b, _Cell):
             self.unify(b, a)
-            return
-        if isinstance(a, Base) and isinstance(b, Base) and a.name == b.name:
-            return
-        if isinstance(a, TyVar) and isinstance(b, TyVar) and a.name == b.name:
-            return
-        if isinstance(a, Arrow) and isinstance(b, Arrow):
+        elif isinstance(a, Arrow) and isinstance(b, Arrow):
             self.unify(a.dom, b.dom)
             self.unify(a.cod, b.cod)
-            return
-        raise ShapeError(
-            f"cannot unify {render_simple_type(a)} with {render_simple_type(b)}"
-        )
+        else:
+            raise ShapeError(f"cannot unify {_show(a)} with {_show(b)}")
 
     def _instantiate(self, sch: ShapeScheme, node: Term) -> tuple[SimpleType, Term]:
+        self.types[id(node)] = sch
         if not sch.qvars:
             return sch.ty, node
-        mapping = {q: self.fresh() for q in sch.qvars}
-        elab = node
+        fresh = {q: self.fresh() for q in sch.qvars}
         for q in sch.qvars:  # first quantifier instantiated innermost
-            elab = TyInst(mapping[q], elab)
-            self.types[id(elab)] = mapping[q]
-        return _replace_tyvars(sch.ty, mapping), elab
+            node = TyInst(fresh[q], node)
+            self.types[id(node)] = fresh[q]
+        return _copy(sch.ty, fresh), node
 
-    def _free_uvars(self, t: SimpleType, acc: list[str]) -> None:
-        t = self.resolve(t)
-        if isinstance(t, TyVar):
-            if t.name.startswith("?") and t.name not in acc:
-                acc.append(t.name)
+    def _deeper(self, t, acc: list[_Cell]) -> None:
+        t = _repr(t)
+        if isinstance(t, _Cell):
+            if t.level > self.level and t not in acc:
+                acc.append(t)
         elif isinstance(t, Arrow):
-            self._free_uvars(t.dom, acc)
-            self._free_uvars(t.cod, acc)
+            self._deeper(t.dom, acc)
+            self._deeper(t.cod, acc)
 
-    def env_uvars(self, env: ShapeEnv) -> set[str]:
-        """Free unification variables of the environment; ground schemes are
-        skipped, so the cost follows the open schemes, not the size of env."""
-        acc: list[str] = []
-        for sch in env.values():
-            if id(sch) in self.ground:
-                continue
-            inner: list[str] = []
-            self._free_uvars(sch.ty, inner)
-            if not inner:
-                self.ground[id(sch)] = sch
-            acc.extend(u for u in inner if u not in sch.qvars)
-        return set(acc)
+    def generalize(self, ty: SimpleType, term: Term) -> tuple[ShapeScheme, Term]:
+        """The scheme of `term`'s type `ty` over its cells deeper than the
+        current level, each named by a fresh type variable, and the term
+        wrapped in one type abstraction per name. The scheme quantifies over
+        the cells; `finalize_scheme` prints their names."""
+        gen: list[_Cell] = []
+        self._deeper(ty, gen)
+        for cell in gen:
+            cell.name = self.tyvars.fresh()
+        for cell in reversed(gen):
+            term = TyAbs(cell.name, term)
+            self.types[id(term)] = ty
+        return ShapeScheme(tuple(gen), ty), term
 
-    def generalize(self, env: ShapeEnv, ty: SimpleType, term: Term) -> tuple[ShapeScheme, Term]:
-        """The scheme of `term`'s type `ty` over the unification variables
-        free in it and not in env, each named by a fresh type variable, and
-        the term wrapped in one type abstraction per name."""
-        resolved = self.resolve(ty)
-        outside = self.env_uvars(env)
-        gen: list[str] = []
-        self._free_uvars(resolved, gen)
-        gen = [u for u in gen if u not in outside]
-        rigid: list[str] = []
-        for u in gen:
-            if u in self.gen_named:
-                raise ShapeError("type variable generalized twice")
-            name = self.tyvars.fresh()
-            self.gen_named[u] = name
-            rigid.append(name)
-        for name in reversed(rigid):
-            term = TyAbs(name, term)
-            self.types[id(term)] = resolved
-        return ShapeScheme(tuple(gen), resolved), term
+    def infer_generalized(self, env: ShapeEnv, t: Term) -> tuple[ShapeScheme, Term]:
+        """Infers t one level deeper, then generalizes at this level."""
+        self.level += 1
+        ty, term = self.infer(env, t)
+        self.level -= 1
+        return self.generalize(ty, term)
 
     def infer(self, env: ShapeEnv, t: Term) -> tuple[SimpleType, Term]:
         if isinstance(t, Var):
             sch = env.get(t.name)
             if sch is None:
                 raise ShapeError(f"unbound variable {t.name!r}")
-            node = Var(t.name, pos=t.pos)
-            self.types[id(node)] = sch
-            ty, elab = self._instantiate(sch, node)
-            return ty, elab
+            return self._instantiate(sch, Var(t.name, pos=t.pos))
         if isinstance(t, Const):
-            sch = constant_shape(t.const)
-            node = Const(t.const, pos=t.pos)
-            self.types[id(node)] = sch
-            return self._instantiate(sch, node)
+            return self._instantiate(constant_shape(t.const), Const(t.const, pos=t.pos))
         if isinstance(t, Lam):
             u = self.fresh()
             body_ty, body = self.infer({**env, t.binder: ShapeScheme((), u)}, t.body)
@@ -220,73 +239,46 @@ class _W:
             self.types[id(node)] = res
             return res, node
         if isinstance(t, Let):
-            sch, bound = self.generalize(env, *self.infer(env, t.bound))
+            sch, bound = self.infer_generalized(env, t.bound)
             body_ty, body = self.infer({**env, t.binder: sch}, t.body)
             node = Let(t.binder, bound, body, pos=t.pos)
             self.types[id(node)] = body_ty
             return body_ty, node
         raise ShapeError("explicit type nodes are inserted by elaboration; erase first")
 
-    def finalize_type(self, t: SimpleType) -> SimpleType:
-        t = self.resolve(t)
-        if isinstance(t, TyVar):
-            if t.name in self.gen_named:
-                return TyVar(self.gen_named[t.name])
-            if t.name.startswith("?"):
-                return INT  # unconstrained shapes default to int
-        if isinstance(t, Arrow):
-            return Arrow(t.binder, self.finalize_type(t.dom), self.finalize_type(t.cod))
-        return t
-
     def finalize_scheme(self, sch: Union[SimpleType, ShapeScheme]) -> ShapeScheme:
         if isinstance(sch, ShapeScheme):
-            qvars = tuple(self.gen_named.get(q, q) for q in sch.qvars)
-            return ShapeScheme(qvars, self.finalize_type(sch.ty))
-        return ShapeScheme((), self.finalize_type(sch))
+            qvars = tuple(q.name if isinstance(q, _Cell) else q for q in sch.qvars)
+            return ShapeScheme(qvars, _read(sch.ty, _final))
+        return ShapeScheme((), _read(sch, _final))
 
     def finalize_term(self, t: Term, table: dict[int, ShapeScheme]) -> Term:
-        if isinstance(t, Var):
-            node = Var(t.name, pos=t.pos)
-        elif isinstance(t, Const):
-            node = Const(t.const, pos=t.pos)
+        if isinstance(t, (Var, Const)):
+            node = t  # built by `infer` for this occurrence alone
         elif isinstance(t, Lam):
             node = Lam(t.binder, self.finalize_term(t.body, table), pos=t.pos)
         elif isinstance(t, App):
-            node = App(
-                self.finalize_term(t.fun, table),
-                self.finalize_term(t.arg, table),
-                pos=t.pos,
-            )
+            node = App(self.finalize_term(t.fun, table), self.finalize_term(t.arg, table), pos=t.pos)
         elif isinstance(t, Let):
-            node = Let(
-                t.binder,
-                self.finalize_term(t.bound, table),
-                self.finalize_term(t.body, table),
-                pos=t.pos,
-            )
+            bound, body = self.finalize_term(t.bound, table), self.finalize_term(t.body, table)
+            node = Let(t.binder, bound, body, pos=t.pos)
         elif isinstance(t, TyAbs):
             node = TyAbs(t.tyvar, self.finalize_term(t.body, table), pos=t.pos)
         else:
-            node = TyInst(self.finalize_type(t.ty), self.finalize_term(t.body, table), pos=t.pos)
+            node = TyInst(_read(t.ty, _final), self.finalize_term(t.body, table), pos=t.pos)
         recorded = self.types.get(id(t))
         if recorded is not None:
             table[id(node)] = self.finalize_scheme(recorded)
         return node
 
 
-def _replace_tyvars(t: SimpleType, mapping: dict[str, SimpleType]) -> SimpleType:
-    if isinstance(t, TyVar):
-        return mapping.get(t.name, t)
-    if isinstance(t, Arrow):
-        return Arrow(t.binder, _replace_tyvars(t.dom, mapping), _replace_tyvars(t.cod, mapping))
-    return t
-
-
 def elaborate(senv: ShapeEnv, term: Term) -> Elaboration:
     """Infer shapes and insert explicit type abstraction and instantiation."""
     w = _W()
-    _reserve_names(w, term)
-    sch, elab = w.generalize(senv, *w.infer(senv, term))
+    names = _all_names(term)
+    w.binders.reserve(names)
+    w.tyvars.reserve(names)
+    sch, elab = w.infer_generalized(senv, term)
     table: dict[int, ShapeScheme] = {}
     final = w.finalize_term(elab, table)
     return Elaboration(final, w.finalize_scheme(sch), table)
@@ -295,14 +287,6 @@ def elaborate(senv: ShapeEnv, term: Term) -> Elaboration:
 def w_infer(senv: ShapeEnv, term: Term) -> ShapeScheme:
     """Principal ML shape, generalized against the environment."""
     return elaborate(senv, term).scheme
-
-
-def _reserve_names(w: _W, term: Term) -> None:
-    from .anf import _all_names
-
-    names = _all_names(term)
-    w.binders.reserve(names)
-    w.tyvars.reserve(names)
 
 
 def erase(t: Term) -> Term:

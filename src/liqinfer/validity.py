@@ -468,12 +468,16 @@ def _fm_refute(rows: list[Row]) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_values(rows: list[Row]) -> list[int]:
+def _candidate_values(rows: list[Row], products: bool) -> list[int]:
     consts = {0, 1, -1}
     for coeffs, k in rows:
         for d in (-k, k):
             if abs(d) <= 40:
                 consts.update((d, d - 1, d + 1))
+        if products:
+            # a product of two sides just past the square root of k passes k
+            root = math.isqrt(abs(k)) + 1
+            consts.update((root, -root))
     consts.update(range(-6, 7))
     return sorted(consts)
 
@@ -482,25 +486,39 @@ def _search_model(
     rows: list[Row], subst: Mapping, opaque: dict, ints: dict[str, str], seed: int
 ) -> Optional[dict]:
     """A model of the rows, which `subst` has been applied to, that gives
-    each opaque product the product of its sides. It searches the variables
-    `subst` leaves free and gives each bound one the value of its binding,
-    and it gives every integer variable of the query a value (`ints`), those
-    that occur only inside an opaque term too."""
-    var_set = set(ints) | set(opaque)
-    for coeffs, _ in [*rows, *subst.values()]:
-        var_set.update(coeffs)
-    variables = sorted(var_set.difference(subst), key=str)
-    values = _candidate_values(rows)
+    each opaque product the product of its sides. It searches the integer
+    variables of the query (`ints`) that `subst` leaves free, and computes
+    each bound one from its binding and each other product from its sides,
+    after what they mention. A product on a cycle of these dependencies is
+    searched too."""
+    sides = {t: (_linear(t.lhs, {}), _linear(t.rhs, {})) for t in opaque}
+    deps = {v: form[0].keys() for v, form in subst.items()}
+    deps.update((t, lhs[0].keys() | rhs[0].keys()) for t, (lhs, rhs) in sides.items() if t not in subst)
+    variables, order = sorted(set(ints).difference(subst)), []
+    known, pending = set(variables), list(deps)
+    while pending:
+        ready = [v for v in pending if known.issuperset(deps[v])]
+        if ready:
+            order += ready
+        else:  # a binding never mentions a bound variable, so the cycle has such a product
+            ready = [next(v for v in pending if v not in subst)]
+            variables += ready
+        known.update(ready)
+        pending = [v for v in pending if v not in known]
+    values = _candidate_values(rows, bool(sides))
     total = len(values) ** len(variables)
-    products = [(t, _linear(t.lhs, {}), _linear(t.rhs, {})) for t in opaque]
 
     def ok(asg: dict) -> bool:
-        """Whether the free values in `asg` make a model; adds the bound ones."""
+        """Whether the searched values in `asg` make a model; adds the others."""
+        for v in order:
+            if v in subst:
+                asg[v] = _value(subst[v], asg)
+            else:
+                lhs, rhs = sides[v]
+                asg[v] = _value(lhs, asg) * _value(rhs, asg)
         if any(_value(row, asg) > 0 for row in rows):
             return False
-        for v, form in subst.items():
-            asg[v] = _value(form, asg)
-        return all(asg[t] == _value(lhs, asg) * _value(rhs, asg) for t, lhs, rhs in products)
+        return all(asg[t] == _value(lhs, asg) * _value(rhs, asg) for t, (lhs, rhs) in sides.items())
 
     if total <= _MAX_MODEL_EVALS:
         for combo in product(values, repeat=len(variables)):

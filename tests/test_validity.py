@@ -55,6 +55,7 @@ from liqinfer.validity import (
 
 V = LVar(VALUE_VAR)
 X = LVar("x")
+Y = LVar("y")
 
 
 def atom(op, l, r):
@@ -189,6 +190,18 @@ class TestBuiltinDecide:
         got = builtin_decide(in_conclusion)
         assert isinstance(got, Invalid) and dict(got.model)["x"] ** 2 > 3
         assert evaluate(in_conclusion.conclusion, dict(got.model)) is False
+
+    def test_products_are_computed_from_their_sides(self):
+        # x = 8 refutes it: the product takes the value its side gives it,
+        # and x is searched past the square root of the bound
+        past_50 = ValidityQuery(FTrue(), atom("<=", LMul(X, X), LInt(50)))
+        got = builtin_decide(past_50)
+        assert isinstance(got, Invalid) and dict(got.model)["x"] ** 2 > 50
+        assert evaluate(past_50.conclusion, dict(got.model)) is False
+        # y is bound to its own square: the product is searched and checked
+        fixed_point = ValidityQuery(atom("=", Y, LMul(Y, Y)), atom("=", Y, LInt(0)))
+        got = builtin_decide(fixed_point)
+        assert isinstance(got, Invalid) and dict(got.model)["y"] == 1
 
     def test_scaling_by_a_ground_side_stays_linear(self):
         # (1 + 1) * x and x * -(2) are scalings, however the constant is written
