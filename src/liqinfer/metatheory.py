@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Union
 
 from .anf import _all_names, normalize
 from .inference import Inferencer
+from .parser import parse_qualifier
 from .semantics import AtValue, Stuck, step
 from .subtyping import SubtypeChecker
 from .syntax import (
@@ -376,9 +377,7 @@ def run_subject_reduction(
 
 
 def default_qualifiers() -> tuple[Formula, ...]:
-    ge = FAtom(">=", LVar(VALUE_VAR), LInt(0))
-    le = FAtom("<=", LVar(VALUE_VAR), LInt(0))
-    return (ge, le)
+    return (parse_qualifier("v >= 0"), parse_qualifier("v <= 0"))
 
 
 # ---------------------------------------------------------------------------

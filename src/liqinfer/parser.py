@@ -1,5 +1,6 @@
 """Parser for the tiny-ML input format: a qualifier set followed by val
-bindings, plus a parser for printed types (used by the JSON round trip).
+bindings, plus a parser for printed types, which reads the JSON output back
+and the constant table's schemes (`syntax.PRIM_SCHEMES`).
 
 A file looks like::
 
@@ -8,6 +9,7 @@ A file looks like::
     val mul = \\x . * x x
     val neg = \\x. - x
 
+Qualifiers and printed refinements are read by one precedence grammar.
 Inside qualifiers ``v`` is the reserved value-variable spelling.  Line
 comments start with ``--``.  Every binder is made globally unique during
 parsing (names only change when they would collide).
@@ -16,6 +18,7 @@ parsing (names only change when they would collide).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Union
 
 from .syntax import (
     App,
@@ -53,6 +56,8 @@ from .syntax import (
     VarArm,
     VALUE_VAR,
     make_type,
+    render_refinement,
+    render_term,
 )
 
 
@@ -180,71 +185,97 @@ class _Tokens:
 
 
 # ---------------------------------------------------------------------------
-# Qualifier expressions (infix comparison grammar)
+# Refinements: one precedence grammar
 # ---------------------------------------------------------------------------
+#
+# Qualifiers and printed refinements are one language, read by precedence
+# climbing (Pratt, POPL 1973). From loosest to tightest: `<=>`, `&&`,
+# comparison, `+ -`, `*`, unary `-`. Binary operators group to the left, and
+# an `&&` chain is one n-ary conjunction. A bare name is an integer variable
+# until a formula is wanted, and there it is a boolean variable.
+
+_PRECEDENCE = {"<=>": 1, "&&": 2, "+": 4, "-": 4, "*": 5, **dict.fromkeys(CMP_OPS, 3)}
+_ARITH = {"+": LAdd, "-": LSub, "*": LMul}
+_TERMS = (LInt, LVar, LNeg, LAdd, LSub, LMul)
 
 
-def _parse_int_atom(ts: _Tokens) -> LogicTerm:
-    t = ts.peek()
-    if t.kind == "int":
-        ts.next()
-        return LInt(_int_value(t))
-    if t.text == "-":
-        ts.next()
-        return LNeg(_parse_int_atom(ts))
-    if t.kind == "ident" and t.text not in KEYWORDS:
-        ts.next()
-        return LVar(t.text)
-    if t.text == "(":
-        ts.next()
-        e = _parse_int_sum(ts)
-        ts.expect(")")
+def _term(e: Union[LogicTerm, Formula], at: Token) -> LogicTerm:
+    if isinstance(e, _TERMS):
         return e
-    raise ts.fail(f"expected an integer expression, found {t.text!r}")
+    raise ParseError("expected an integer term, found a formula", at.line, at.col)
 
 
-def _parse_int_sum(ts: _Tokens) -> LogicTerm:
-    e = _parse_int_atom(ts)
-    while ts.peek().text in ("+", "-"):
-        op = ts.next().text
-        rhs = _parse_int_atom(ts)
-        e = LAdd(e, rhs) if op == "+" else LSub(e, rhs)
+def _formula(e: Union[LogicTerm, Formula], at: Token) -> Formula:
+    if isinstance(e, LVar):
+        return FBoolVar(e.name)
+    if isinstance(e, _TERMS):
+        raise ParseError("expected a formula, found an integer term", at.line, at.col)
     return e
 
 
-def _parse_qualifier(ts: _Tokens) -> Formula:
-    t = ts.peek()
-    if t.text == "true":
+def _operand(ts: _Tokens, level: int, want: Callable) -> Union[LogicTerm, Formula]:
+    at = ts.peek()
+    return want(_refinement(ts, level), at)
+
+
+def _refinement(ts: _Tokens, level: int = 1) -> Union[LogicTerm, Formula]:
+    """An expression whose binary operators bind at `level` or tighter."""
+    start = t = ts.next()
+    if t.kind == "int":
+        lhs = LInt(_int_value(t))
+    elif t.text in ("true", "false"):
+        lhs = TRUE if t.text == "true" else FALSE
+    elif t.kind == "ident" and t.text not in KEYWORDS:
+        lhs = LVar(t.text)
+    elif t.text == "-":
+        lhs = LNeg(_operand(ts, 6, _term))  # tighter than every binary operator
+    elif t.text == "(":
+        lhs = _refinement(ts)
+        ts.expect(")")
+    else:
+        raise ParseError(f"expected a refinement, found {t.text or 'end of input'!r}", t.line, t.col)
+    while True:
+        op = ts.peek()
+        prec = _PRECEDENCE.get(op.text, 0)
+        if prec < level:
+            return lhs
         ts.next()
-        return TRUE
-    if t.text == "false":
-        ts.next()
-        return FALSE
-    if t.text == "(":
-        # could be a parenthesized qualifier or grouping inside an expression
-        mark = ts.i
-        try:
-            ts.next()
-            q = _parse_qualifier(ts)
-            ts.expect(")")
-            return q
-        except ParseError:
-            ts.i = mark
-    lhs = _parse_int_sum(ts)
-    op = ts.peek().text
-    if op in CMP_OPS:
-        ts.next()
-        rhs = _parse_int_sum(ts)
-        return FAtom(op, lhs, rhs)
-    if isinstance(lhs, LVar):
-        # a bare variable is a boolean atom
-        return FBoolVar(lhs.name)
-    raise ts.fail("a qualifier must be a comparison or a boolean expression")
+        if op.text == "&&":
+            parts = [_formula(lhs, start), _operand(ts, prec + 1, _formula)]
+            while ts.peek().text == "&&":
+                ts.next()
+                parts.append(_operand(ts, prec + 1, _formula))
+            lhs = FAnd(tuple(parts))
+        elif op.text == "<=>":
+            lhs = FIff(_formula(lhs, start), _operand(ts, prec + 1, _formula))
+        else:
+            lhs = _term(lhs, start)
+            rhs = _operand(ts, prec + 1, _term)
+            lhs = FAtom(op.text, lhs, rhs) if op.text in CMP_OPS else _ARITH[op.text](lhs, rhs)
+
+
+def _is_plain(e: Union[LogicTerm, Formula]) -> bool:
+    """Whether `e` has no conjunction, biconditional or product."""
+    if isinstance(e, (FAtom, LAdd, LSub)):
+        return _is_plain(e.lhs) and _is_plain(e.rhs)
+    return _is_plain(e.arg) if isinstance(e, LNeg) else not isinstance(e, (FAnd, FIff, LMul))
+
+
+def _qualifier(ts: _Tokens) -> Formula:
+    """A refinement of the qualifier language: one comparison of sums, a
+    boolean variable, `true` or `false`. These are the plain formulas, since
+    a comparison's sides are terms."""
+    at = ts.peek()
+    q = _operand(ts, 1, _formula)
+    if not _is_plain(q):
+        message = "a qualifier must be one comparison of sums, a boolean variable, true or false"
+        raise ParseError(message, at.line, at.col)
+    return q
 
 
 def parse_qualifier(text: str) -> Formula:
     ts = _Tokens(tokenize(text))
-    q = _parse_qualifier(ts)
+    q = _qualifier(ts)
     if ts.peek().kind != "eof":
         raise ts.fail("trailing input after qualifier")
     return q
@@ -345,10 +376,10 @@ def parse_program(text: str) -> Program:
     ts.expect("Qualifiers")
     ts.expect("{")
     if ts.peek().text != "}":
-        quals.append(_parse_qualifier(ts))
+        quals.append(_qualifier(ts))
         while ts.peek().text == ",":
             ts.next()
-            quals.append(_parse_qualifier(ts))
+            quals.append(_qualifier(ts))
     ts.expect("}")
     bindings: list[tuple[str, Term]] = []
     seen: set[str] = set()
@@ -374,19 +405,15 @@ def parse_program(text: str) -> Program:
 
 def pretty_print(program: Program) -> str:
     """Inverse of parse_program on canonical ASTs."""
-    from .syntax import render_refinement, render_term
-
-    lines = ["Qualifiers { " + ", ".join(render_refinement(q) for q in program.qualifiers) + " }"]
-    if not program.qualifiers:
-        lines = ["Qualifiers { }"]
-    lines.append("")
+    quals = ",".join(f" {render_refinement(q)}" for q in program.qualifiers)
+    lines = ["Qualifiers {" + quals + " }", ""]
     for name, term in program.bindings:
         lines.append(f"val {name} = {render_term(term)}")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Printed-type parser (for the machine-readable output round trip)
+# Printed-type parser (the JSON round trip and the constant table)
 # ---------------------------------------------------------------------------
 
 
@@ -422,7 +449,7 @@ def _parse_arm(ts: _Tokens) -> Arm:
         if base_tok.text not in ("int", "bool"):
             raise ParseError(f"unknown base type {base_tok.text!r}", base_tok.line, base_tok.col)
         ts.expect("|")
-        ref = _parse_ref(ts)
+        ref = _operand(ts, 1, _formula)
         ts.expect("}")
         return BaseArm(INT if base_tok.text == "int" else BOOL, ref)
     if t.text == "(":
@@ -440,80 +467,3 @@ def _parse_arm(ts: _Tokens) -> Arm:
         ts.next()
         return VarArm(t.text)
     raise ts.fail(f"expected a type arm, found {t.text!r}")
-
-
-def _parse_ref(ts: _Tokens) -> Formula:
-    t = ts.peek()
-    if t.text == "true":
-        ts.next()
-        return TRUE
-    if t.text == "false":
-        ts.next()
-        return FALSE
-    if t.text == "(":
-        ts.next()
-        inner = _parse_ref_body(ts)
-        ts.expect(")")
-        return inner
-    if t.kind == "ident":
-        ts.next()
-        return FBoolVar(t.text)
-    raise ts.fail(f"expected a refinement, found {t.text!r}")
-
-
-def _parse_ref_body(ts: _Tokens) -> Formula:
-    # already inside parentheses: comparison, biconditional or conjunction
-    first = _parse_ref_part(ts)
-    if ts.peek().text == "<=>":
-        ts.next()
-        return FIff(first, _parse_ref_part(ts))
-    if ts.peek().text == "&&":
-        parts = [first]
-        while ts.peek().text == "&&":
-            ts.next()
-            parts.append(_parse_ref_part(ts))
-        return FAnd(tuple(parts))
-    return first
-
-
-def _parse_ref_part(ts: _Tokens) -> Formula:
-    """A comparison, or else a refinement. Both may open with a parenthesis,
-    so the comparison is tried first and abandoned on the first token that
-    does not fit it."""
-    mark = ts.i
-    try:
-        lhs = _parse_type_expr(ts)
-        op = ts.peek().text
-        if op in CMP_OPS:
-            ts.next()
-            return FAtom(op, lhs, _parse_type_expr(ts))
-    except ParseError:
-        pass
-    ts.i = mark
-    return _parse_ref(ts)
-
-
-def _parse_type_expr(ts: _Tokens) -> LogicTerm:
-    t = ts.peek()
-    if t.kind == "int":
-        ts.next()
-        return LInt(_int_value(t))
-    if t.text == "-":
-        ts.next()
-        return LNeg(_parse_type_expr(ts))
-    if t.kind == "ident":
-        ts.next()
-        return LVar(t.text)
-    if t.text == "(":
-        ts.next()
-        lhs = _parse_type_expr(ts)
-        if ts.peek().text == ")":  # a compound term under a negation, -((x + 1))
-            ts.next()
-            return lhs
-        op = ts.next()
-        if op.text not in ("+", "-", "*"):
-            raise ParseError(f"expected an arithmetic operator, found {op.text!r}", op.line, op.col)
-        rhs = _parse_type_expr(ts)
-        ts.expect(")")
-        return {"+": LAdd, "-": LSub, "*": LMul}[op.text](lhs, rhs)
-    raise ts.fail(f"expected an integer expression, found {t.text!r}")

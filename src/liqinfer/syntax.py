@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
@@ -875,118 +876,42 @@ def subst_tyvar_liquid(t: LiquidType, name: str, repl: LiquidType) -> LiquidType
 # ---------------------------------------------------------------------------
 
 
-def _v() -> LVar:
-    return LVar(VALUE_VAR)
-
-
 def _base_eq(n: int) -> LiquidType:
     # a negative literal is carried as a negation, as the parser reads it back
     literal = LNeg(LInt(-n)) if n < 0 else LInt(n)
-    return LiquidType((BaseArm(INT, FAtom("=", _v(), literal)),))
+    return LiquidType((BaseArm(INT, FAtom("=", LVar(VALUE_VAR), literal)),))
 
 
-def _ref_arm(ref: Formula) -> LiquidType:
-    return LiquidType((BaseArm(INT, ref),))
-
-
-def _sign(op: str) -> LiquidType:
-    return _ref_arm(FAtom(op, _v(), LInt(0)))
-
-
-def _fun(binder: str, dom: LiquidType, cod: LiquidType) -> FunArm:
-    return FunArm(binder, dom, cod)
-
-
-def _cmp_prim(op: str) -> Scheme:
-    result = LiquidType(
-        (BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), FAtom(op, LVar("a"), LVar("b")))),)
-    )
-    return mono(
-        make_type([_fun("a", base_top(INT), make_type([_fun("b", base_top(INT), result)]))])
-    )
-
-
-def _arith_prim(expr: LogicTerm) -> Scheme:
-    result = _ref_arm(FAtom("=", _v(), expr))
-    return mono(
-        make_type([_fun("a", base_top(INT), make_type([_fun("b", base_top(INT), result)]))])
-    )
-
-
-def _mul_scheme() -> Scheme:
-    ge, le = _sign(">="), _sign("<=")
-    exact = _fun(
-        "a",
-        base_top(INT),
-        make_type([_fun("b", base_top(INT), _ref_arm(FAtom("=", _v(), LMul(LVar("a"), LVar("b")))))]),
-    )
-    signs = [
-        _fun("a", ge, make_type([_fun("b", ge, ge)])),
-        _fun("a", le, make_type([_fun("b", le, ge)])),
-        _fun("a", ge, make_type([_fun("b", le, le)])),
-        _fun("a", le, make_type([_fun("b", ge, le)])),
-    ]
-    return mono(make_type([exact] + signs))
+# The schemes of the primitives, printed: each text is its scheme's canonical
+# printed form. Multiplication has one arm per pair of signs and an exact arm.
+PRIM_SCHEMES = {
+    "neg": "(a: {v : int | true} -> {v : int | (v=-a)})",
+    "add": "(a: {v : int | true} -> (b: {v : int | true} -> {v : int | (v=(a + b))}))",
+    "sub": "(a: {v : int | true} -> (b: {v : int | true} -> {v : int | (v=(a - b))}))",
+    "mul": "(a: {v : int | (v<=0)} -> (b: {v : int | (v<=0)} -> {v : int | (v>=0)}))"
+           " /\\ (a: {v : int | (v<=0)} -> (b: {v : int | (v>=0)} -> {v : int | (v<=0)}))"
+           " /\\ (a: {v : int | (v>=0)} -> (b: {v : int | (v<=0)} -> {v : int | (v<=0)}))"
+           " /\\ (a: {v : int | (v>=0)} -> (b: {v : int | (v>=0)} -> {v : int | (v>=0)}))"
+           " /\\ (a: {v : int | true} -> (b: {v : int | true} -> {v : int | (v=(a * b))}))",
+    "le": "(a: {v : int | true} -> (b: {v : int | true} -> {v : bool | (v <=> (a<=b))}))",
+    "ge": "(a: {v : int | true} -> (b: {v : int | true} -> {v : bool | (v <=> (a>=b))}))",
+    "lt": "(a: {v : int | true} -> (b: {v : int | true} -> {v : bool | (v <=> (a<b))}))",
+    "gt": "(a: {v : int | true} -> (b: {v : int | true} -> {v : bool | (v <=> (a>b))}))",
+    "eq": "(a: {v : int | true} -> (b: {v : int | true} -> {v : bool | (v <=> (a=b))}))",
+    "ite": "forall a. (c: {v : bool | true} -> (t: a -> (e: a -> a)))",
+    "fix": "forall a. (f: (x: a -> a) -> a)",
+}
 
 
 class ConstantTable:
     """Maps constants to their refined type schemes."""
 
-    def __init__(self) -> None:
-        neg_cod = _ref_arm(FAtom("=", _v(), LNeg(LVar("a"))))
-        self._prims: dict[str, Scheme] = {
-            "neg": mono(make_type([_fun("a", base_top(INT), neg_cod)])),
-            "add": _arith_prim(LAdd(LVar("a"), LVar("b"))),
-            "sub": _arith_prim(LSub(LVar("a"), LVar("b"))),
-            "mul": _mul_scheme(),
-            "le": _cmp_prim("<="),
-            "ge": _cmp_prim(">="),
-            "lt": _cmp_prim("<"),
-            "gt": _cmp_prim(">"),
-            "eq": _cmp_prim("="),
-            "ite": Scheme(
-                ("a",),
-                make_type(
-                    [
-                        _fun(
-                            "c",
-                            base_top(BOOL),
-                            make_type(
-                                [
-                                    _fun(
-                                        "t",
-                                        LiquidType((VarArm("a"),)),
-                                        make_type(
-                                            [
-                                                _fun(
-                                                    "e",
-                                                    LiquidType((VarArm("a"),)),
-                                                    LiquidType((VarArm("a"),)),
-                                                )
-                                            ]
-                                        ),
-                                    )
-                                ]
-                            ),
-                        )
-                    ]
-                ),
-            ),
-            "fix": Scheme(
-                ("a",),
-                make_type(
-                    [
-                        _fun(
-                            "f",
-                            make_type(
-                                [_fun("x", LiquidType((VarArm("a"),)), LiquidType((VarArm("a"),)))]
-                            ),
-                            LiquidType((VarArm("a"),)),
-                        )
-                    ]
-                ),
-            ),
-        }
+    @cached_property
+    def _prims(self) -> dict[str, Scheme]:
+        # imported on first use: the parser imports this module
+        from .parser import parse_scheme
+
+        return {op: parse_scheme(text) for op, text in PRIM_SCHEMES.items()}
 
     def type_of(self, c: Constant) -> Scheme:
         if isinstance(c, IntConst):
@@ -998,6 +923,9 @@ class ConstantTable:
         if isinstance(c, PrimConst):
             return self._prims[c.op]
         raise LiqError(f"no table entry for partially applied constant {c}")
+
+
+CONSTANTS = ConstantTable()
 
 
 # ---------------------------------------------------------------------------
@@ -1127,6 +1055,3 @@ class NameSource:
             if cand not in self.used:
                 self.used.add(cand)
                 return cand
-
-
-CONSTANTS = ConstantTable()  # instantiated last: the canonical arm order needs the printer

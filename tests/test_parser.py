@@ -125,6 +125,19 @@ class TestParseQualifier:
     def test_false(self):
         assert parse_qualifier("false") == FALSE
 
+    @pytest.mark.parametrize("paren, plain", [("(v) >= 0", "v >= 0"), ("(x) + 1 >= v", "x + 1 >= v")])
+    def test_parenthesized_variable_opens_a_comparison(self, paren, plain):
+        assert parse_qualifier(paren) is parse_qualifier(plain)
+        prog = parse_program(f"Qualifiers {{ {paren}, {plain} }} val a = 1")
+        assert prog.qualifiers[0] is prog.qualifiers[1] is parse_qualifier(plain)
+
+    @pytest.mark.parametrize("text", ["v >= 2 * x", "v >= 0 && v <= 1", "a <=> b", "x < y < z"])
+    def test_outside_the_qualifier_language(self, text):
+        with pytest.raises(ParseError):
+            parse_qualifier(text)
+        with pytest.raises(ParseError):
+            parse_program(f"Qualifiers {{ {text} }} val a = 1")
+
 
 class TestRoundTrip:
     PROGRAMS = [
@@ -195,6 +208,23 @@ _refinements = st.recursive(
 )
 
 
+class TestRefinementPrecedence:
+    def test_loosest_to_tightest(self):
+        # <=>, &&, comparison, + -, *, unary -
+        sch = parse_scheme("{v : bool | v <=> a <= -b * 2 + c && d && e}")
+        le = FAtom("<=", LVar("a"), LAdd(LMul(LNeg(LVar("b")), LInt(2)), LVar("c")))
+        assert sch.body.arms[0].ref is FIff(FBoolVar("v"), FAnd((le, FBoolVar("d"), FBoolVar("e"))))
+
+    def test_parentheses_are_optional_at_the_top(self):
+        assert parse_scheme("{v : int | v >= 0}") is parse_scheme("{v : int | (v>=0)}")
+
+    def test_a_bare_name_is_a_formula_only_where_one_is_wanted(self):
+        with pytest.raises(ParseError, match="expected an integer term"):
+            parse_scheme("{v : int | (v >= 0) + 1 >= 0}")
+        with pytest.raises(ParseError, match="expected a formula"):
+            parse_scheme("{v : int | v + 1}")
+
+
 class TestPrintedRefinementsRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(_refinements)
@@ -207,3 +237,46 @@ class TestPrintedRefinementsRoundTrip:
                                       "{v : int | (v>-1)}"])
     def test_negated_compound_terms(self, text):
         assert render_scheme(parse_scheme(text)) == text
+
+
+# the qualifier language: comparisons of sums, boolean variables, true, false
+_sums = st.recursive(
+    st.one_of(st.builds(LInt, st.integers(0, 20)), st.builds(LVar, _names)),
+    lambda sub: st.one_of(
+        st.builds(LNeg, sub),
+        st.builds(lambda op, lhs, rhs: op(lhs, rhs), st.sampled_from((LAdd, LSub)), sub, sub),
+    ),
+    max_leaves=6,
+)
+_qualifiers = st.one_of(
+    st.just(TRUE),
+    st.just(FALSE),
+    st.builds(FBoolVar, _names),
+    st.builds(FAtom, st.sampled_from(("=", "<=", ">=", "<", ">")), _sums, _sums),
+)
+
+
+def _infix(e, right=False):
+    """`e` printed with only the parentheses that precedence and left
+    grouping need; `right` is whether `e` is the right side of a sum."""
+    if isinstance(e, LInt):
+        return str(e.value)
+    if isinstance(e, (LVar, FBoolVar)):
+        return e.name
+    if isinstance(e, LNeg):
+        arg = _infix(e.arg)
+        return f"-{arg}" if isinstance(e.arg, (LInt, LVar)) else f"-({arg})"
+    if isinstance(e, FAtom):
+        return f"{_infix(e.lhs)} {e.op} {_infix(e.rhs)}"
+    if e is TRUE or e is FALSE:
+        return "true" if e is TRUE else "false"
+    text = f"{_infix(e.lhs)} {'+' if isinstance(e, LAdd) else '-'} {_infix(e.rhs, right=True)}"
+    return f"({text})" if right else text
+
+
+class TestQualifierLanguageRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(_qualifiers)
+    def test_infix_parses_back(self, q):
+        assert parse_qualifier(_infix(q)) is q
+        assert parse_program(f"Qualifiers {{ {_infix(q)} }}").qualifiers == (q,)

@@ -24,6 +24,7 @@ from liqinfer.syntax import (
     Lam,
     LiquidType,
     NameSource,
+    PRIM_SCHEMES,
     PrimConst,
     Scheme,
     TRUE,
@@ -248,6 +249,15 @@ class TestConstantTable:
     def test_mul_has_exact_and_sign_arms(self):
         sch = CONSTANTS.type_of(PrimConst("mul"))
         assert len(sch.body.arms) == 5
+
+
+class TestPrimitiveSchemeTexts:
+    def test_every_primitive_has_a_text(self):
+        assert set(PRIM_SCHEMES) == {"neg", "add", "sub", "mul", "le", "ge", "lt", "gt", "eq", "ite", "fix"}
+
+    @pytest.mark.parametrize("op", sorted(PRIM_SCHEMES))
+    def test_text_is_the_printed_scheme(self, op):
+        assert render_scheme(CONSTANTS.type_of(PrimConst(op))) == PRIM_SCHEMES[op]
 
 
 class TestTopSkeleton:
