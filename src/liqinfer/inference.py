@@ -11,6 +11,14 @@ An `Inferencer` builds the template of each shape once, keyed by the shape
 with its binder names, and keeps it for its life, together with the
 candidate arms of every well-formed part of it that a `let` has filtered.
 `fresh` itself stays a pure function of the shape and the qualifiers.
+
+It also infers each non-atomic node once per environment: `_infer` keeps
+its answer, a scheme or a failure's text, under (environment, elaborated
+node), an exact O(1) key: both are hash-consed, and a node carries the
+shapes of all nodes under it. Each top-level `infer` starts a generation
+and keeps only the entries it or the one before touched, so the reducts of
+a term share their subterms while the memo stays small. The memo is off
+while a constraint log is attached, since a memo hit logs nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Hashable, Optional, Sequence, Union
 
-from .shapes import Elaboration, elaborate, erase, shape_env
+from .shapes import elaborate, erase, shape_env
 from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
     App,
@@ -54,6 +62,7 @@ from .syntax import (
     make_type,
     mono,
     render_term,
+    shape_key,
     subst_liquid,
     subst_tyvar_liquid,
     top_skeleton,
@@ -126,14 +135,6 @@ def _strip_ty(t: Term) -> Term:
     return t
 
 
-def _shape_key(shape: SimpleType) -> Hashable:
-    """The shape with its binder names, which `Arrow.__eq__` ignores; the
-    template of a shape carries them."""
-    if isinstance(shape, Arrow):
-        return (shape.binder, _shape_key(shape.dom), _shape_key(shape.cod))
-    return shape
-
-
 class _Template:
     """The fresh template of one shape, its arms as one-arm types, its top
     skeleton, and the candidate arms of `_filter_template` per temporary
@@ -165,23 +166,25 @@ class Inferencer:
         self.engine = engine if engine is not None else ValidityEngine()
         self.max_arms = max_arms
         self.checker = SubtypeChecker(self.engine, constraint_log)
-        self._elab: Optional[Elaboration] = None
         self._templates: dict[Hashable, _Template] = {}
+        # `_infer`'s answers per (env, node), of this generation and the last
+        self._memo, self._old = None, {}
 
-    # Public entry point.  Accepts a plain (parsed or evaluated) term or an
-    # already elaborated one; elaboration is redone internally so template
-    # shapes stay aligned with the inserted type abstractions.
     def infer(self, env: Env, term: Term) -> Scheme:
+        """The scheme of a plain or an elaborated term, which is elaborated
+        afresh, so template shapes stay aligned with its type abstractions."""
         elab = elaborate(shape_env(env), erase(term))
-        old, self._elab = self._elab, elab
-        try:
-            return self._infer(env, elab.term)
-        finally:
-            self._elab = old
+        self._age()
+        return self._infer(env, elab.term)
+
+    def _age(self) -> None:
+        """Start a generation of the memo; none while a log is attached."""
+        self._old = self._memo if self._memo is not None else {}
+        self._memo = {} if self.checker.log is None else None
 
     def _template(self, shape: SimpleType) -> _Template:
         """The template of `shape`, built on first use."""
-        key = _shape_key(shape)
+        key = shape_key(shape)
         tpl = self._templates.get(key)
         if tpl is None:
             template = fresh(shape, self.qualifiers, self.max_arms)
@@ -190,32 +193,45 @@ class Inferencer:
 
     def _infer(self, env: Env, t: Term) -> Scheme:
         if isinstance(t, Var):
-            sch = self._elab.shape_at(t)
             bound = env.lookup(t.name)
-            if not sch.qvars and isinstance(sch.ty, Base):
-                if bound is None:
-                    raise InferenceFailure(f"unbound variable {t.name!r}")
-                ref_eq = _self_eq(sch.ty, t.name)
-                return mono(LiquidType((ref_eq,)))
             if bound is None:
                 raise InferenceFailure(f"unbound variable {t.name!r}")
+            if not bound.qvars and isinstance(t.shape, Base):
+                return mono(LiquidType((_self_eq(t.shape, t.name),)))
             return bound
         if isinstance(t, Const):
             if isinstance(t.const, PartialPrim):
                 return self._partial_type(env, t.const)
             return CONSTANTS.type_of(t.const)
-        if isinstance(t, Lam):
-            return self._infer_lam(env, t)
-        if isinstance(t, App):
-            return self._infer_app(env, t)
-        if isinstance(t, Let):
-            return self._infer_let(env, t)
-        if isinstance(t, TyAbs):
-            inner = self._infer(env, t.body)
-            return Scheme((t.tyvar,) + inner.qvars, inner.body)
-        if isinstance(t, TyInst):
-            return self._infer_inst(env, t)
-        raise InferenceFailure(f"cannot infer a type for {render_term(t)}")
+        # the memo, checked here, as a wrapper would cost a frame per level
+        memo = self._memo
+        if memo is not None:
+            key = (env, t)
+            known = memo.get(key) or self._old.get(key)
+            if known is not None:
+                memo[key] = known
+                if isinstance(known, str):
+                    raise InferenceFailure(known)
+                return known
+        try:
+            if isinstance(t, Lam):
+                sch = self._infer_lam(env, t)
+            elif isinstance(t, App):
+                sch = self._infer_app(env, t)
+            elif isinstance(t, Let):
+                sch = self._infer_let(env, t)
+            elif isinstance(t, TyAbs):
+                inner = self._infer(env, t.body)
+                sch = Scheme((t.tyvar,) + inner.qvars, inner.body)
+            else:
+                sch = self._infer_inst(env, t)
+        except InferenceFailure as e:
+            if memo is not None:
+                memo[key] = str(e)
+            raise
+        if memo is not None:
+            memo[key] = sch
+        return sch
 
     def _mono_body(self, sch: Scheme, t: Term) -> LiquidType:
         if sch.qvars:
@@ -225,7 +241,7 @@ class Inferencer:
         return sch.body
 
     def _infer_lam(self, env: Env, t: Lam) -> Scheme:
-        shape = self._elab.shape_at(t).ty
+        shape = t.shape
         assert isinstance(shape, Arrow)
         tpl = self._template(shape)
         temp = temporary_type(tpl.singles, self.checker, env, shape)
@@ -243,27 +259,22 @@ class Inferencer:
                 bodies[arm.dom] = self._mono_body(sch, t.body)
             except InferenceFailure:
                 bodies[arm.dom] = None
-        survivors = []
-        for arm in wf_arms:
-            body = bodies[arm.dom]
-            if body is None:
-                continue
-            inner = env.extend(arm.binder, mono(arm.dom))
-            if self.checker.is_subtype(inner, body, arm.cod):
-                survivors.append(arm)
+        survivors = [
+            arm for arm in wf_arms
+            if bodies[arm.dom] is not None
+            and self.checker.is_subtype(env.extend(arm.binder, mono(arm.dom)), bodies[arm.dom], arm.cod)
+        ]
         if survivors:
             return mono(make_type(survivors))
         if not collapsed:
             top_arm = top.arms[0]
             assert isinstance(top_arm, FunArm)
+            inner = env.extend(top_arm.binder, mono(top_arm.dom))
             try:
-                sch = self._infer(env.extend(top_arm.binder, mono(top_arm.dom)), t.body)
-                body = self._mono_body(sch, t.body)
+                body = self._mono_body(self._infer(inner, t.body), t.body)
             except InferenceFailure:
                 body = None
-            if body is not None and self.checker.is_subtype(
-                env.extend(top_arm.binder, mono(top_arm.dom)), body, top_arm.cod
-            ):
+            if body is not None and self.checker.is_subtype(inner, body, top_arm.cod):
                 return mono(top)
         raise InferenceFailure(f"no template arm fits {render_term(t)}")
 
@@ -275,8 +286,7 @@ class Inferencer:
             arg_sch = self._infer(env, t.arg)
             inner_env = env.extend(t.fun.binder, arg_sch)
             body = self._mono_body(self._infer(inner_env, t.fun.body), t.fun.body)
-            shape = self._elab.shape_at(t).ty
-            return self._filter_template(env, inner_env, body, shape, t)
+            return self._filter_template(env, inner_env, body, t.shape, t)
         fun = self._infer(env, t.fun)
         if fun.qvars:
             raise InferenceFailure(
@@ -320,11 +330,10 @@ class Inferencer:
         return make_type(out)
 
     def _infer_let(self, env: Env, t: Let) -> Scheme:
-        shape = self._elab.shape_at(t).ty
         bound = self._infer(env, t.bound)
         inner_env = env.extend(t.binder, bound)
         body = self._mono_body(self._infer(inner_env, t.body), t.body)
-        return self._filter_template(env, inner_env, body, shape, t)
+        return self._filter_template(env, inner_env, body, t.shape, t)
 
     def _filter_template(
         self, env: Env, inner_env: Env, body: LiquidType, shape: SimpleType, t: Term

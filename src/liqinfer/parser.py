@@ -286,17 +286,20 @@ def parse_qualifier(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 
 
+def _check_binder(b: Token, reserved=KEYWORDS | PRIM_TOKENS.keys()) -> None:
+    """A binder may not spell the value variable or a reserved word, which
+    no use could refer to. A `val` name may spell a primitive that is not a
+    keyword: the paper's sign example binds `mul` and `neg`."""
+    if b.text == VALUE_VAR:
+        raise ParseError(f"{VALUE_VAR!r} is reserved for the value variable", b.line, b.col)
+    if b.text in reserved:
+        raise ParseError(f"{b.text!r} cannot be used as a binder", b.line, b.col)
+
+
 class _TermParser:
     def __init__(self, ts: _Tokens, names: NameSource) -> None:
         self.ts = ts
         self.names = names
-
-    def _bind(self, surface: str, line: int, col: int) -> str:
-        if surface == VALUE_VAR:
-            raise ParseError(f"{VALUE_VAR!r} is reserved for the value variable", line, col)
-        if surface in KEYWORDS or surface in PRIM_TOKENS:
-            raise ParseError(f"{surface!r} cannot be used as a binder", line, col)
-        return self.names.fresh(surface)
 
     def term(self, scope: dict[str, str]) -> Term:
         t = self.ts.peek()
@@ -306,22 +309,24 @@ class _TermParser:
             if b.kind != "ident":
                 raise self.ts.fail("expected a binder after \\")
             self.ts.next()
-            fresh = self._bind(b.text, b.line, b.col)
+            _check_binder(b)
+            fresh = self.names.fresh(b.text)
             self.ts.expect(".")
             body = self.term({**scope, b.text: fresh})
-            return Lam(fresh, body, pos=(t.line, t.col))
+            return Lam(fresh, body)
         if t.text == "let":
             self.ts.next()
             b = self.ts.peek()
             if b.kind != "ident":
                 raise self.ts.fail("expected a binder after let")
             self.ts.next()
-            fresh = self._bind(b.text, b.line, b.col)
+            _check_binder(b)
+            fresh = self.names.fresh(b.text)
             self.ts.expect("=")
             bound = self.term(scope)
             self.ts.expect("in")
             body = self.term({**scope, b.text: fresh})
-            return Let(fresh, bound, body, pos=(t.line, t.col))
+            return Let(fresh, bound, body)
         return self.app(scope)
 
     def app(self, scope: dict[str, str]) -> Term:
@@ -332,7 +337,7 @@ class _TermParser:
                 if nxt.text in ("in", "val") or nxt.kind == "eof":
                     break
                 arg = self.atom(scope)
-                head = App(head, arg, pos=(nxt.line, nxt.col))
+                head = App(head, arg)
             else:
                 break
         return head
@@ -341,10 +346,10 @@ class _TermParser:
         t = self.ts.peek()
         if t.kind == "int":
             self.ts.next()
-            return Const(IntConst(_int_value(t)), pos=(t.line, t.col))
+            return Const(IntConst(_int_value(t)))
         if t.text == "true" or t.text == "false":
             self.ts.next()
-            return Const(BoolConst(t.text == "true"), pos=(t.line, t.col))
+            return Const(BoolConst(t.text == "true"))
         if t.text == "(":
             self.ts.next()
             inner = self.term(scope)
@@ -354,10 +359,10 @@ class _TermParser:
             return self.term(scope)
         if t.text in PRIM_TOKENS and (t.kind == "sym" or t.text in ("if", "fix", "neg", "add", "sub", "mul")):
             self.ts.next()
-            return Const(PrimConst(PRIM_TOKENS[t.text]), pos=(t.line, t.col))
+            return Const(PrimConst(PRIM_TOKENS[t.text]))
         if t.kind == "ident" and t.text not in KEYWORDS:
             self.ts.next()
-            return Var(scope.get(t.text, t.text), pos=(t.line, t.col))
+            return Var(scope.get(t.text, t.text))
         raise self.ts.fail(f"expected a term, found {t.text or 'end of input'!r}")
 
 
@@ -390,8 +395,7 @@ def parse_program(text: str) -> Program:
             raise ts.fail("expected a binding name after val")
         if nm.text in seen:
             raise ParseError(f"duplicate binding name {nm.text!r}", nm.line, nm.col)
-        if nm.text == VALUE_VAR:
-            raise ParseError(f"{VALUE_VAR!r} is reserved for the value variable", nm.line, nm.col)
+        _check_binder(nm, KEYWORDS)
         ts.next()
         seen.add(nm.text)
         ts.expect("=")

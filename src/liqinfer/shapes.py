@@ -16,8 +16,8 @@ kept is the one whose `?n` error messages print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .anf import _all_names
 from .syntax import (
@@ -62,14 +62,9 @@ def shape_env(env: Env) -> ShapeEnv:
     return {name: ShapeScheme(s.qvars, shape_of(s.body)) for name, s in env.bindings}
 
 
-@dataclass
-class Elaboration:
+class Elaboration(NamedTuple):
     term: Term
     scheme: ShapeScheme
-    shapes: dict[int, ShapeScheme] = field(default_factory=dict)
-
-    def shape_at(self, node: Term) -> ShapeScheme:
-        return self.shapes[id(node)]
 
 
 def constant_shape(c) -> ShapeScheme:
@@ -147,13 +142,30 @@ def _copy(t, fresh: dict):
     return t
 
 
+def _finalize(t) -> Term:
+    """The term the pre-term `t` stands for, its shapes read through their
+    cells. A pre-term is a term class and its fields, with pre-terms for
+    sub-terms and unread shapes; a constant stands for itself."""
+    if not isinstance(t, tuple):
+        return t
+    fields = list(t[1:])
+    for i, f in enumerate(fields):
+        if isinstance(f, tuple):
+            fields[i] = _finalize(f)
+        elif isinstance(f, (_Cell, Arrow)):
+            fields[i] = _read(f, _final)
+    return t[0](*fields)
+
+
 class _W:
+    """Algorithm W over one term. `infer` returns a term's type and its
+    elaboration as a pre-term (`_finalize`), while cells are being bound."""
+
     def __init__(self) -> None:
         self.counter = 0
         self.level = 0
         self.tyvars = NameSource("a")
         self.binders = NameSource("x")
-        self.types: dict[int, Union[SimpleType, ShapeScheme]] = {}
 
     def fresh(self) -> _Cell:
         self.counter += 1
@@ -175,14 +187,12 @@ class _W:
         else:
             raise ShapeError(f"cannot unify {_show(a)} with {_show(b)}")
 
-    def _instantiate(self, sch: ShapeScheme, node: Term) -> tuple[SimpleType, Term]:
-        self.types[id(node)] = sch
+    def _instantiate(self, sch: ShapeScheme, node) -> tuple[SimpleType, tuple]:
         if not sch.qvars:
             return sch.ty, node
         fresh = {q: self.fresh() for q in sch.qvars}
         for q in sch.qvars:  # first quantifier instantiated innermost
-            node = TyInst(fresh[q], node)
-            self.types[id(node)] = fresh[q]
+            node = (TyInst, fresh[q], node)
         return _copy(sch.ty, fresh), node
 
     def _deeper(self, t, acc: list[_Cell]) -> None:
@@ -194,94 +204,63 @@ class _W:
             self._deeper(t.dom, acc)
             self._deeper(t.cod, acc)
 
-    def generalize(self, ty: SimpleType, term: Term) -> tuple[ShapeScheme, Term]:
+    def generalize(self, ty: SimpleType, term: tuple) -> tuple[ShapeScheme, tuple]:
         """The scheme of `term`'s type `ty` over its cells deeper than the
         current level, each named by a fresh type variable, and the term
         wrapped in one type abstraction per name. The scheme quantifies over
-        the cells; `finalize_scheme` prints their names."""
+        the cells; `elaborate` prints their names."""
         gen: list[_Cell] = []
         self._deeper(ty, gen)
         for cell in gen:
             cell.name = self.tyvars.fresh()
         for cell in reversed(gen):
-            term = TyAbs(cell.name, term)
-            self.types[id(term)] = ty
+            term = (TyAbs, cell.name, term)
         return ShapeScheme(tuple(gen), ty), term
 
-    def infer_generalized(self, env: ShapeEnv, t: Term) -> tuple[ShapeScheme, Term]:
+    def infer_generalized(self, env: ShapeEnv, t: Term) -> tuple[ShapeScheme, tuple]:
         """Infers t one level deeper, then generalizes at this level."""
         self.level += 1
         ty, term = self.infer(env, t)
         self.level -= 1
         return self.generalize(ty, term)
 
-    def infer(self, env: ShapeEnv, t: Term) -> tuple[SimpleType, Term]:
+    def infer(self, env: ShapeEnv, t: Term) -> tuple[SimpleType, tuple]:
         if isinstance(t, Var):
             sch = env.get(t.name)
             if sch is None:
                 raise ShapeError(f"unbound variable {t.name!r}")
-            return self._instantiate(sch, Var(t.name, pos=t.pos))
+            return self._instantiate(sch, (Var, t.name, sch.ty))
         if isinstance(t, Const):
-            return self._instantiate(constant_shape(t.const), Const(t.const, pos=t.pos))
+            return self._instantiate(constant_shape(t.const), t)
         if isinstance(t, Lam):
             u = self.fresh()
             body_ty, body = self.infer({**env, t.binder: ShapeScheme((), u)}, t.body)
-            node = Lam(t.binder, body, pos=t.pos)
             arrow = Arrow(t.binder, u, body_ty)
-            self.types[id(node)] = arrow
-            return arrow, node
+            return arrow, (Lam, t.binder, body, arrow)
         if isinstance(t, App):
             fun_ty, fun = self.infer(env, t.fun)
             arg_ty, arg = self.infer(env, t.arg)
             res = self.fresh()
             self.unify(fun_ty, Arrow(self.binders.fresh(), arg_ty, res))
-            node = App(fun, arg, pos=t.pos)
-            self.types[id(node)] = res
-            return res, node
+            return res, (App, fun, arg, res)
         if isinstance(t, Let):
             sch, bound = self.infer_generalized(env, t.bound)
             body_ty, body = self.infer({**env, t.binder: sch}, t.body)
-            node = Let(t.binder, bound, body, pos=t.pos)
-            self.types[id(node)] = body_ty
-            return body_ty, node
+            return body_ty, (Let, t.binder, bound, body, body_ty)
         raise ShapeError("explicit type nodes are inserted by elaboration; erase first")
-
-    def finalize_scheme(self, sch: Union[SimpleType, ShapeScheme]) -> ShapeScheme:
-        if isinstance(sch, ShapeScheme):
-            qvars = tuple(q.name if isinstance(q, _Cell) else q for q in sch.qvars)
-            return ShapeScheme(qvars, _read(sch.ty, _final))
-        return ShapeScheme((), _read(sch, _final))
-
-    def finalize_term(self, t: Term, table: dict[int, ShapeScheme]) -> Term:
-        if isinstance(t, (Var, Const)):
-            node = t  # built by `infer` for this occurrence alone
-        elif isinstance(t, Lam):
-            node = Lam(t.binder, self.finalize_term(t.body, table), pos=t.pos)
-        elif isinstance(t, App):
-            node = App(self.finalize_term(t.fun, table), self.finalize_term(t.arg, table), pos=t.pos)
-        elif isinstance(t, Let):
-            bound, body = self.finalize_term(t.bound, table), self.finalize_term(t.body, table)
-            node = Let(t.binder, bound, body, pos=t.pos)
-        elif isinstance(t, TyAbs):
-            node = TyAbs(t.tyvar, self.finalize_term(t.body, table), pos=t.pos)
-        else:
-            node = TyInst(_read(t.ty, _final), self.finalize_term(t.body, table), pos=t.pos)
-        recorded = self.types.get(id(t))
-        if recorded is not None:
-            table[id(node)] = self.finalize_scheme(recorded)
-        return node
 
 
 def elaborate(senv: ShapeEnv, term: Term) -> Elaboration:
-    """Infer shapes and insert explicit type abstraction and instantiation."""
+    """Infer shapes and insert explicit type abstraction and instantiation.
+    Each `Var`, `Lam`, `App` and `Let` node carries its finalized shape; a
+    variable's is that of its scheme before instantiation."""
     w = _W()
     names = _all_names(term)
     w.binders.reserve(names)
     w.tyvars.reserve(names)
     sch, elab = w.infer_generalized(senv, term)
-    table: dict[int, ShapeScheme] = {}
-    final = w.finalize_term(elab, table)
-    return Elaboration(final, w.finalize_scheme(sch), table)
+    qvars = tuple(cell.name for cell in sch.qvars)
+    return Elaboration(_finalize(elab), ShapeScheme(qvars, _read(sch.ty, _final)))
 
 
 def w_infer(senv: ShapeEnv, term: Term) -> ShapeScheme:
@@ -290,17 +269,19 @@ def w_infer(senv: ShapeEnv, term: Term) -> ShapeScheme:
 
 
 def erase(t: Term) -> Term:
-    """Drop explicit type abstractions and instantiations; a term that holds
-    none comes back unchanged, the same object."""
+    """Drop explicit type abstractions and instantiations, and the shapes of
+    the nodes; a term that holds none comes back unchanged, the same object."""
     if isinstance(t, (TyAbs, TyInst)):
         return erase(t.body)
+    if isinstance(t, Var):
+        return t if t.shape is None else Var(t.name)
     if isinstance(t, Lam):
         body = erase(t.body)
-        return t if body is t.body else Lam(t.binder, body, pos=t.pos)
+        return t if body is t.body and t.shape is None else Lam(t.binder, body)
     if isinstance(t, App):
         fun, arg = erase(t.fun), erase(t.arg)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg, pos=t.pos)
+        return t if fun is t.fun and arg is t.arg and t.shape is None else App(fun, arg)
     if isinstance(t, Let):
         bound, body = erase(t.bound), erase(t.body)
-        return t if bound is t.bound and body is t.body else Let(t.binder, bound, body, pos=t.pos)
+        return t if bound is t.bound and body is t.body and t.shape is None else Let(t.binder, bound, body)
     return t

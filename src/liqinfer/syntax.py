@@ -10,22 +10,22 @@ Types are kept in a canonical form throughout: an intersection is a
 non-empty tuple of arms, deduplicated and sorted by printed form, all
 sharing one simple-type shape.
 
-Refinements, base shapes and liquid types are hash-consed
-(`Interned`): calling a class returns the one live instance with those
-fields, so equality is identity and hashing is O(1). Values are built only
-by calling their classes with positional fields, never by copying or by
-`dataclasses.replace`.
+Refinements, base shapes, liquid types, terms and environments are
+hash-consed (`Interned`): calling a class returns the one live instance
+with those fields, so equality is identity and hashing is O(1). Values are
+built only by calling their classes with positional fields, never by
+copying or by `dataclasses.replace`.
 """
 
 from __future__ import annotations
 
+import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
-from weakref import KeyedRef
 
 VALUE_VAR = "v"
 
@@ -60,17 +60,24 @@ class IllFoundedType(LiqError):
 # with its value: nothing in a table keeps a value alive.
 
 
-def _dropper(table: dict) -> Callable[[KeyedRef], None]:
+def _dropper(table: dict) -> Callable[[_KeyedRef], None]:
     """The weak-reference callback that removes a dead value's entry. It
     binds the remover, which module teardown may already have cleared."""
     return lambda ref, remove=_remove_dead_weakref: remove(table, ref.key)
+
+
+class _KeyedRef(weakref.ref):
+    """`weakref.KeyedRef` without its constructors written in Python."""
+
+    __slots__ = ("key",)
 
 
 def _weak_put(table: dict, key: Hashable, obj: Any, drop: Callable) -> Any:
     """The live value under `key`, after putting `obj` there if there was
     none. Atomic: `setdefault` inserts only into an empty slot, and a dead
     entry whose callback has not run yet is removed only while still dead."""
-    new = KeyedRef(obj, drop, key)
+    new = _KeyedRef(obj, drop)
+    new.key = key
     while True:
         ref = table.setdefault(key, new)
         if ref is new:
@@ -93,12 +100,16 @@ class Interned(type):
         cls._drop = _dropper(cls._table)
 
     def __call__(cls, *fields: Any) -> Any:
-        ref = cls._table.get(fields)
+        return cls._intern(fields, fields)
+
+    def _intern(cls, key: Hashable, fields: tuple) -> Any:
+        """The live instance under `key`, made from `fields` if none lives."""
+        ref = cls._table.get(key)
         if ref is not None:
             obj = ref()
             if obj is not None:
                 return obj
-        return _weak_put(cls._table, fields, super().__call__(*fields), cls._drop)
+        return _weak_put(cls._table, key, super().__call__(*fields), cls._drop)
 
 
 class Value(metaclass=Interned):
@@ -301,76 +312,76 @@ class PartialPrim:
 Constant = Union[IntConst, BoolConst, PrimConst, PartialPrim]
 
 
-Pos = Optional[tuple[int, int]]
+class _ShapedClass(Interned):
+    """Metaclass of the term classes with a shape field, at `_shape_at`, which
+    parsed and evaluated terms leave empty. Hash-consed as `Interned` values
+    are, except that a shape enters the key with its binder names
+    (`shape_key`), which `Arrow.__eq__` ignores but templates keep."""
+
+    def __call__(cls, *fields: Any) -> Any:
+        key = fields
+        if len(fields) > cls._shape_at:
+            shape = fields[cls._shape_at]
+            if shape.__class__ is Arrow:
+                key = fields + (shape_key(shape),)
+        return cls._intern(key, fields)
 
 
-@dataclass(frozen=True)
-class Var:
+@interned
+class Var(Value, metaclass=_ShapedClass):
     name: str
-    pos: Pos = field(default=None, compare=False, repr=False)
+    shape: Optional["SimpleType"] = None
+    _shape_at = 1
 
 
-@dataclass(frozen=True)
-class Const:
+@interned
+class Const(Value):
     const: Constant
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Lam:
+@interned
+class Lam(Value, metaclass=_ShapedClass):
     binder: str
     body: "Term"
-    pos: Pos = field(default=None, compare=False, repr=False)
+    shape: Optional["SimpleType"] = None
+    _shape_at = 2
 
 
-@dataclass(frozen=True)
-class App:
+@interned
+class App(Value, metaclass=_ShapedClass):
     fun: "Term"
     arg: "Term"
-    pos: Pos = field(default=None, compare=False, repr=False)
+    shape: Optional["SimpleType"] = None
+    _shape_at = 2
 
 
-@dataclass(frozen=True)
-class Let:
+@interned
+class Let(Value, metaclass=_ShapedClass):
     binder: str
     bound: "Term"
     body: "Term"
-    pos: Pos = field(default=None, compare=False, repr=False)
+    shape: Optional["SimpleType"] = None
+    _shape_at = 3
 
 
-@dataclass(frozen=True)
-class TyAbs:
+@interned
+class TyAbs(Value):
     """Explicit type abstraction; inserted by elaboration, never parsed."""
 
     tyvar: str
     body: "Term"
-    pos: Pos = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class TyInst:
+@interned
+class TyInst(Value, metaclass=_ShapedClass):
     """Explicit type instantiation at a simple type; inserted by elaboration."""
 
     ty: "SimpleType"
     body: "Term"
-    pos: Pos = field(default=None, compare=False, repr=False)
+    _shape_at = 0
 
 
 Term = Union[Var, Const, Lam, App, Let, TyAbs, TyInst]
-
-
-def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.binder}
-    if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    if isinstance(t, Let):
-        return free_vars(t.bound) | (free_vars(t.body) - {t.binder})
-    return free_vars(t.body)
 
 
 def subst_term(value: Term, name: str, t: Term) -> Term:
@@ -427,6 +438,13 @@ class Arrow:
 
 
 SimpleType = Union[Base, TyVar, Arrow]
+
+
+def shape_key(shape: SimpleType) -> Hashable:
+    """The shape with its binder names, which `Arrow.__eq__` ignores."""
+    if isinstance(shape, Arrow):
+        return (shape.binder, shape_key(shape.dom), shape_key(shape.cod))
+    return shape
 
 INT = Base("int")
 BOOL = Base("bool")
@@ -719,32 +737,27 @@ def _add_name(names: frozenset[str], name: str, scheme: Scheme) -> frozenset[str
     return names if name in names else names | {name}
 
 
-class Env:
+class Env(Value):
     """Ordered bindings; order is significant (no exchange). `Env()` is the
     empty environment.
 
-    Persistent: `extend` links a new node to its parent in O(1), so an
-    environment shares every prefix with the ones it was extended from.
-    Each node builds its views once, on first use, from the views of its
-    parent: the name set (`names()`) and the base bindings refinements can
-    see (`scope()`, where the last binding of a name wins). Equality,
-    hashing and repr depend on the binding sequence alone.
+    Persistent and hash-consed: `extend` returns in O(1) the one live node
+    with that parent, name and scheme, so an environment shares every
+    prefix with the ones it was extended from, and equal binding sequences
+    are one object. Each node builds its views once, on first use, from the
+    views of its parent: the name set (`names()`) and the base bindings
+    refinements can see (`scope()`, where the last binding of a name wins).
     """
 
     __slots__ = ("parent", "name", "scheme", "_names", "_scope")
 
-    def __init__(self) -> None:
-        self.parent: Optional[Env] = None
-        self.name: Optional[str] = None
-        self.scheme: Optional[Scheme] = None
-        self._names: Optional[frozenset[str]] = frozenset()
-        self._scope: Optional[RefinementScope] = _EMPTY_SCOPE
+    def __init__(self, parent: Optional[Env] = None, name: Optional[str] = None,
+                 scheme: Optional[Scheme] = None) -> None:
+        self.parent, self.name, self.scheme = parent, name, scheme
+        self._names, self._scope = (frozenset(), _EMPTY_SCOPE) if parent is None else (None, None)
 
     def extend(self, name: str, scheme: Scheme) -> "Env":
-        env = Env.__new__(Env)
-        env.parent, env.name, env.scheme = self, name, scheme
-        env._names = env._scope = None
-        return env
+        return Env(self, name, scheme)
 
     @property
     def bindings(self) -> tuple[tuple[str, Scheme], ...]:
@@ -782,14 +795,6 @@ class Env:
             view = step(view, node.name, node.scheme)
             setattr(node, attr, view)
         return view
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Env):
-            return NotImplemented
-        return self is other or self.bindings == other.bindings
-
-    def __hash__(self) -> int:
-        return hash(self.bindings)
 
     def __repr__(self) -> str:
         return f"Env(bindings={self.bindings!r})"

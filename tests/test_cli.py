@@ -183,6 +183,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, str(path))
         assert code == 1 and "parse error" in err
 
+    @pytest.mark.parametrize("name", ["fix", "let", "if"])
+    def test_reserved_word_as_val_name(self, tmp_path, capsys, name):
+        # a later use of the name would parse as the keyword or primitive
+        path = tmp_path / "reserved.ml"
+        path.write_text(f"Qualifiers {{ v >= 0 }}\nval {name} = 2\nval b = 3\n")
+        code, out, err = run_cli(capsys, str(path))
+        assert code == 1 and out == ""
+        assert err.strip() == f"parse error: 2:5: {name!r} cannot be used as a binder"
+
     def test_inference_failure(self, tmp_path, capsys):
         path = tmp_path / "selfapp.ml"
         path.write_text("Qualifiers { }\nval w = \\x. x x\n")

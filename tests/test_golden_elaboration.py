@@ -1,6 +1,6 @@
 """Shape elaboration, printed against a golden: for each term, the elaborated
 term with its type abstractions and instantiations, its finalized scheme, and
-the shape recorded at every `Lam` and `Let` node, in pre-order. The names of
+the shape every `Lam` and `Let` node carries, in pre-order. The names of
 inserted type variables and arrow binders are part of what is pinned.
 
 The terms are the bindings of `demos/sign.ml`, each elaborated against the
@@ -93,7 +93,7 @@ def _binders(t: Term):
 def _elaborated(label: str, senv: dict, term: Term) -> tuple[list[str], ShapeScheme]:
     elab = elaborate(senv, erase(term))
     lines = [f"{label}\t{render_term(elab.term)}", f"  : {_scheme(elab.scheme)}"]
-    lines += [f"  {type(n).__name__} {_scheme(elab.shape_at(n))}" for n in _binders(elab.term)]
+    lines += [f"  {type(n).__name__} {render_simple_type(n.shape)}" for n in _binders(elab.term)]
     return lines, elab.scheme
 
 

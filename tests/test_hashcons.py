@@ -1,5 +1,5 @@
 """Hash-consed values and the subtyping-judgement memo: equal parts give one
-object, the intern tables hold no value alive, and a checker that answers
+object (for terms, shapes equal up to binder names are not equal parts), the intern tables hold no value alive, and a checker that answers
 from its memo answers exactly as a fresh one does."""
 
 import dataclasses
@@ -10,12 +10,16 @@ import threading
 from hypothesis import given, settings, strategies as st
 
 from liqinfer import syntax, validity
+from liqinfer.inference import Inferencer
 from liqinfer.metatheory import run_subject_reduction
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
     INT,
+    App,
+    Arrow,
     Base,
     BaseArm,
+    Const,
     Env,
     FAnd,
     FAtom,
@@ -24,7 +28,10 @@ from liqinfer.syntax import (
     FIff,
     FTrue,
     FunArm,
+    IntConst,
     LAdd,
+    Lam,
+    Let,
     LInt,
     LiquidType,
     LMul,
@@ -33,6 +40,10 @@ from liqinfer.syntax import (
     LVar,
     Scheme,
     TRUE,
+    TyAbs,
+    TyInst,
+    TyVar,
+    Var,
     VarArm,
     VALUE_VAR,
     base_top,
@@ -105,7 +116,35 @@ liquid_types = st.recursive(
     max_leaves=3,
 )
 schemes = st.tuples(st.just(Scheme), st.lists(names, max_size=2).map(lambda q: ("tuple", *q)), liquid_types)
-values = st.one_of(refinements, liquid_types.map(lambda t: t[1][1]), liquid_types, schemes)
+# shapes whose arrows differ in binder names alone, which `Arrow.__eq__`
+# ignores and a term's key does not
+simple_types = st.recursive(
+    st.one_of(bases, st.tuples(st.just(TyVar), names)),
+    lambda sub: st.tuples(st.just(Arrow), names, sub, sub),
+    max_leaves=3,
+)
+
+
+def _shaped(*parts):
+    """A term spec with its shape or without one."""
+    return st.one_of(st.tuples(*parts), st.tuples(*parts, simple_types))
+
+
+terms = st.recursive(
+    st.one_of(
+        _shaped(st.just(Var), names),
+        st.tuples(st.just(Const), st.tuples(st.just(IntConst), st.integers(-1, 1))),
+    ),
+    lambda sub: st.one_of(
+        _shaped(st.just(Lam), names, sub),
+        _shaped(st.just(App), sub, sub),
+        _shaped(st.just(Let), names, sub, sub),
+        st.tuples(st.just(TyAbs), names, sub),
+        st.tuples(st.just(TyInst), simple_types, sub),
+    ),
+    max_leaves=4,
+)
+values = st.one_of(refinements, liquid_types.map(lambda t: t[1][1]), liquid_types, schemes, terms)
 
 
 class TestHashConsing:
@@ -118,8 +157,17 @@ class TestHashConsing:
         if one == two:
             assert hash(one) == hash(two)
 
+    def test_a_term_keeps_the_binder_names_of_its_shape(self):
+        shapes = [Arrow("a", INT, Arrow("c", INT, INT)), Arrow("a", INT, Arrow("d", INT, INT))]
+        assert shapes[0] == shapes[1]  # Arrow.__eq__ ignores binders
+        nodes = [Lam("x", Var("x"), shape) for shape in shapes]
+        assert nodes[0] is not nodes[1]
+        assert [n.shape.cod.binder for n in nodes] == ["c", "d"]
+        assert Lam("x", Var("x"), Arrow("a", INT, Arrow("c", INT, INT))) is nodes[0]
+        assert TyInst(shapes[0], Var("f")) is not TyInst(shapes[1], Var("f"))
+
     def test_intern_tables_shrink_once_the_values_are_dropped(self):
-        tables = [FAtom._table, BaseArm._table, LiquidType._table, syntax._made]
+        tables = [FAtom._table, BaseArm._table, LiquidType._table, syntax._made, Lam._table, Env._table]
 
         def sizes():
             gc.collect()
@@ -132,6 +180,7 @@ class TestHashConsing:
             arm = BaseArm(INT, FAtom(">=", LVar(VALUE_VAR), LVar(name)))
             t = make_type([arm, BaseArm(INT, TRUE)])
             kept.append((t, FAtom("=", LVar(name), LInt(i))))
+            kept.append((Lam(name, Var(name), Arrow(name, INT, INT)), Env().extend(name, mono(t))))
         grown = sizes()
         assert all(g > b for g, b in zip(grown, before)), (before, grown)
         del kept, arm, t
@@ -289,7 +338,9 @@ class TestQueryCounts:
     def test_the_memo_cuts_queries_and_keeps_every_decision(self, monkeypatch):
         """Criterion-5 traffic re-checks every reduct: without the memo it
         asks the engine more than three times as many queries, and the
-        engine decides exactly the same ones."""
+        engine decides exactly the same ones. The inference memo is off in
+        both runs, so that every repeated judgement reaches this memo."""
+        monkeypatch.setattr(Inferencer, "_age", lambda self: None)
         decided = [0]
         decide = validity.builtin_decide
 

@@ -120,6 +120,63 @@ class TestTemplateMemo:
         assert render_scheme(first) == render_scheme(Inferencer(sign_qualifiers).infer(Env(), term))
 
 
+class TestInferenceMemo:
+    def test_the_memo_is_exact(self, monkeypatch):
+        """Criterion-5 traffic with the memo and without: the same schemes
+        and failure texts, the same decisions, and fewer judgements asked."""
+        from liqinfer import validity
+        from liqinfer.metatheory import run_subject_reduction
+
+        counts = {"decided": 0, "judged": 0}
+        decide, judge = validity.builtin_decide, SubtypeChecker.is_subtype
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(validity, "builtin_decide", counting("decided", decide))
+        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting("judged", judge))
+        runs = {}
+        for memo in (True, False):
+            if not memo:
+                monkeypatch.setattr(Inferencer, "_age", lambda self: None)
+            counts.update(decided=0, judged=0)
+            report = run_subject_reduction(40, fuel=100, seed=7, engine=ValidityEngine())
+            assert report.ok
+            reports = [(r.term, r.ok, r.steps, r.inferred, r.failure) for r in report.reports]
+            runs[memo] = reports, dict(counts)
+        (with_memo, counted), (without, uncounted) = runs[True], runs[False]
+        assert with_memo == without
+        assert counted["decided"] == uncounted["decided"]
+        assert counted["judged"] < uncounted["judged"], (counted, uncounted)
+
+    def test_a_failure_is_remembered_with_its_message(self, inferencer, sign_qualifiers, monkeypatch):
+        term = normalize(parse_term("fix (\\f. \\n. + n 0)"))
+        messages = []
+        for inf in (Inferencer(sign_qualifiers), inferencer, inferencer):
+            with pytest.raises(InferenceFailure) as failure:
+                inf.infer(Env(), term)
+            messages.append(str(failure.value))
+            if inf is inferencer:
+                # the next inference is answered by the memo
+                monkeypatch.setattr(Inferencer, "_infer_app", lambda *args: pytest.fail("inferred again"))
+        assert messages[0] == messages[1] == messages[2]
+
+    def test_with_a_constraint_log_every_inference_logs_in_full(self, engine, sign_qualifiers):
+        log = []
+        inf = Inferencer(sign_qualifiers, engine, constraint_log=log)
+        term = normalize(parse_term("\\x. let y = - x in + y 1"))
+        first = inf.infer(Env(), term)
+        once = list(log)
+        assert inf.infer(Env(), term) is first
+        assert once and [(e.kind, e.description, e.verdict) for e in log] == 2 * [
+            (e.kind, e.description, e.verdict) for e in once
+        ]
+
+
 class TestInferGolden:
     def test_neg(self, inferencer):
         term = normalize(parse_term("\\x. - x"))

@@ -27,7 +27,6 @@ from liqinfer.syntax import (
     TRUE,
     LVar,
     VALUE_VAR,
-    free_vars,
     make_type,
     mono,
 )
@@ -147,7 +146,7 @@ class TestOracleEngineAgreement:
 
 
 class TestGenerator:
-    def test_corpus_terms_are_closed_anf_and_typed(self, sign_qualifiers):
+    def test_corpus_terms_are_closed_anf_and_typed(self, sign_qualifiers, free_vars):
         eng = ValidityEngine()
         corpus = generate_corpus(25, sign_qualifiers, seed=4, engine=eng)
         inf = Inferencer(sign_qualifiers, eng)

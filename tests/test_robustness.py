@@ -4,7 +4,10 @@ and byte-mutated copies of the demo programs."""
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from liqinfer.cli import main
 from liqinfer.metatheory import GenConfig, random_term
 from liqinfer.syntax import render_term
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.ml"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.ml"))
 
 SIGN_QUALIFIERS = "Qualifiers { v >= 0, v <= 0 }\n"
 
@@ -89,3 +93,19 @@ def test_malformed_bytes_and_literals_are_parse_errors(source):
     code, err = run_main(source)
     assert code == 1, err
     assert "Traceback" not in err
+
+
+def test_a_240_deep_chain_gets_a_type(tmp_path):
+    """Depth headroom: a chain of 240 nested additions, which the parser,
+    normalization, elaboration and inference all recurse through, gets a
+    type in a fresh interpreter. One more frame per level of nesting in any
+    of them ends it in exit 1 or 2 instead."""
+    path = tmp_path / "deep.ml"
+    chain = "(+ 1 " * 240 + "x" + ")" * 240
+    path.write_text(f"{SIGN_QUALIFIERS}val f = \\x. {chain}\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "liqinfer", str(path)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("f : (x: ")

@@ -103,8 +103,9 @@ class TestElaborate:
     def test_monomorphic_term_unchanged(self):
         term = parse_term("\\x. - x")
         elab = elaborate({}, term)
-        assert elab.term == term
-        assert erase(elab.term) == term
+        assert not _contains_node(elab.term, TyAbs) and not _contains_node(elab.term, TyInst)
+        assert elab.term.shape == Arrow("x", INT, INT)
+        assert erase(elab.term) is term
 
     def test_polymorphic_let_gets_explicit_types(self):
         term = normalize(parse_term("let id = \\x. x in id 3"))
@@ -137,13 +138,15 @@ class TestElaborate:
         term = normalize(parse_term("let id = \\x. x in id (id 3)"))
         assert elaborate({}, term).term == elaborate({}, term).term
 
-    def test_shape_table_covers_binding_forms(self):
+    def test_nodes_carry_their_shapes(self):
         term = normalize(parse_term("\\x. let y = - x in + y x"))
         elab = elaborate({}, term)
         lam = elab.term
-        assert isinstance(elab.shape_at(lam).ty, Arrow)
+        assert isinstance(lam.shape, Arrow)
         let_node = lam.body
-        assert elab.shape_at(let_node).ty == INT
+        assert let_node.shape == INT
+        assert let_node.bound.shape == INT  # the application
+        assert let_node.bound.arg.shape == INT  # the variable
 
     def test_fix_instantiates_at_use(self):
         term = normalize(parse_term("fix (\\f. \\n. + n 0)"))

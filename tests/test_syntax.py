@@ -33,7 +33,6 @@ from liqinfer.syntax import (
     VarArm,
     LVar,
     VALUE_VAR,
-    free_vars,
     intersect,
     make_type,
     mono,
@@ -191,7 +190,7 @@ class TestSubstTerm:
         got = subst_term(Const(IntConst(5)), "x", Lam("y", Var("x")))
         assert got == Lam("y", Const(IntConst(5)))
 
-    def test_no_free_occurrence_after(self):
+    def test_no_free_occurrence_after(self, free_vars):
         rng = random.Random(3)
         for _ in range(50):
             body = App(App(Const(PrimConst("add")), Var("x")), Var("z"))
