@@ -4,7 +4,9 @@ intersection type for every val binding, and print the results.
 Exit codes: 0 success, 1 parse error (including unreadable input), 2
 inference failure, 3 solver error, 4 arm-cap exceeded. Input nested too
 deeply for the interpreter's recursion limit ends in 1 when the parser
-hits the limit and in 2 when normalization or inference does.
+hits the limit and in 2 when normalization or inference does. A reader
+that closes standard output early ends the run with 0: what it did not
+read is not written.
 """
 
 from __future__ import annotations
@@ -211,12 +213,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = ["infer"] + argv
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "infer":
-        return _run_infer(args)
-    if args.command == "check-metatheory":
-        return _run_metatheory(args)
-    parser.print_help()
-    return EXIT_PARSE
+    try:
+        if args.command == "infer":
+            code = _run_infer(args)
+        elif args.command == "check-metatheory":
+            code = _run_metatheory(args)
+        else:
+            parser.print_help()
+            code = EXIT_PARSE
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # shutdown does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

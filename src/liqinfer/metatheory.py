@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .anf import _all_names, normalize
 from .inference import Inferencer
@@ -84,8 +83,7 @@ def recheck(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     term: Term
     well_typed: bool
     ok: bool
@@ -219,8 +217,7 @@ def semantic_implication_oracle(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GenConfig:
+class GenConfig(NamedTuple):
     int_lo: int = -8
     int_hi: int = 8
     max_depth: int = 4
@@ -330,14 +327,13 @@ def generate_corpus(
     return out
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     trials: int = 0
     violations: int = 0
     stuck: int = 0
     timeouts: int = 0
     recheck_failures: int = 0
-    reports: list[TrialReport] = field(default_factory=list)
+    reports: tuple[TrialReport, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -358,22 +354,23 @@ def run_subject_reduction(
     engine = engine if engine is not None else ValidityEngine()
     inf = Inferencer(qualifiers, engine)
     corpus = generate_corpus(trials, qualifiers, seed=seed, engine=engine)
-    report = SuiteReport()
+    counts = dict.fromkeys(("trials", "violations", "stuck", "timeouts", "recheck_failures"), 0)
+    reports = []
     for term in corpus:
         tr = subject_reduction_trial(term, qualifiers, fuel, inferencer=inf)
-        report.trials += 1
-        report.reports.append(tr)
+        counts["trials"] += 1
+        reports.append(tr)
         if tr.stuck:
-            report.stuck += 1
+            counts["stuck"] += 1
         elif not tr.ok:
-            report.violations += 1
+            counts["violations"] += 1
         if tr.timed_out:
-            report.timeouts += 1
+            counts["timeouts"] += 1
         if tr.inferred is not None and not recheck(
             Env(), term, tr.inferred, qualifiers, inferencer=inf
         ):
-            report.recheck_failures += 1
-    return report
+            counts["recheck_failures"] += 1
+    return SuiteReport(**counts, reports=tuple(reports))
 
 
 def default_qualifiers() -> tuple[Formula, ...]:
@@ -425,8 +422,7 @@ def random_base_query(
     return env, lhs_arms, rhs_arms
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     queries: int = 0
     valid: int = 0
     invalid: int = 0
@@ -450,27 +446,27 @@ def run_oracle_agreement(
     rng = random.Random(seed)
     engine = engine if engine is not None else ValidityEngine()
     checker = SubtypeChecker(engine)
-    report = AgreementReport()
+    counts = dict.fromkeys(AgreementReport._fields, 0)
     for _ in range(n):
         env, lhs_arms, rhs_arms = random_base_query(rng, bound)
         q = checker.base_subtype_query(env, lhs_arms, rhs_arms)
         verdict = engine.check(q)
-        report.queries += 1
+        counts["queries"] += 1
         lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))
         rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else FAnd(tuple(a.ref for a in rhs_arms))
         oracle_ok = semantic_implication_oracle(env, lhs, rhs, bound)
         if isinstance(verdict, Valid):
-            report.valid += 1
+            counts["valid"] += 1
             if not oracle_ok:
-                report.unsound += 1
+                counts["unsound"] += 1
         elif isinstance(verdict, Invalid):
-            report.invalid += 1
+            counts["invalid"] += 1
         else:
-            report.unknown += 1
+            counts["unknown"] += 1
         if external is not None and not isinstance(verdict, Unknown):
             ext = external.check_external(q)
             if not isinstance(ext, Unknown):
-                report.external_checked += 1
+                counts["external_checked"] += 1
                 if isinstance(verdict, Valid) != isinstance(ext, Valid):
-                    report.external_disagreements += 1
-    return report
+                    counts["external_disagreements"] += 1
+    return AgreementReport(**counts)

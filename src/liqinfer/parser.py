@@ -17,8 +17,7 @@ parsing (names only change when they would collide).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Collection, NamedTuple, Union
 
 from .syntax import (
     App,
@@ -68,8 +67,7 @@ class ParseError(LiqError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     qualifiers: tuple[Formula, ...]
     bindings: tuple[tuple[str, Term], ...]
 
@@ -99,8 +97,7 @@ SYMBOLS = ("<=>", "&&", "/\\", "->", "<=", ">=", "{", "}", "(", ")", ",", "\\", 
            "+", "-", "*", "<", ">", "=", "|", ":")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "ident", "sym", "eof"
     text: str
     line: int
@@ -289,7 +286,8 @@ def parse_qualifier(text: str) -> Formula:
 def _check_binder(b: Token, reserved=KEYWORDS | PRIM_TOKENS.keys()) -> None:
     """A binder may not spell the value variable or a reserved word, which
     no use could refer to. A `val` name may spell a primitive that is not a
-    keyword: the paper's sign example binds `mul` and `neg`."""
+    keyword: the paper's sign example binds `mul` and `neg`. In the later
+    bindings that name is the binding, not the primitive."""
     if b.text == VALUE_VAR:
         raise ParseError(f"{VALUE_VAR!r} is reserved for the value variable", b.line, b.col)
     if b.text in reserved:
@@ -297,9 +295,13 @@ def _check_binder(b: Token, reserved=KEYWORDS | PRIM_TOKENS.keys()) -> None:
 
 
 class _TermParser:
-    def __init__(self, ts: _Tokens, names: NameSource) -> None:
+    """Terms of one binding. `vals` holds the names of the earlier `val`
+    bindings, which shadow the primitives they spell."""
+
+    def __init__(self, ts: _Tokens, names: NameSource, vals: Collection[str] = ()) -> None:
         self.ts = ts
         self.names = names
+        self.vals = vals
 
     def term(self, scope: dict[str, str]) -> Term:
         t = self.ts.peek()
@@ -357,7 +359,9 @@ class _TermParser:
             return inner
         if t.text == "\\" or t.text == "let":
             return self.term(scope)
-        if t.text in PRIM_TOKENS and (t.kind == "sym" or t.text in ("if", "fix", "neg", "add", "sub", "mul")):
+        if t.text in PRIM_TOKENS and t.text not in self.vals and (
+            t.kind == "sym" or t.text in ("if", "fix", "neg", "add", "sub", "mul")
+        ):
             self.ts.next()
             return Const(PrimConst(PRIM_TOKENS[t.text]))
         if t.kind == "ident" and t.text not in KEYWORDS:
@@ -397,11 +401,11 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"duplicate binding name {nm.text!r}", nm.line, nm.col)
         _check_binder(nm, KEYWORDS)
         ts.next()
-        seen.add(nm.text)
         ts.expect("=")
         # binders are unique within one binding; bindings do not share names
-        parser = _TermParser(ts, NameSource("x"))
+        parser = _TermParser(ts, NameSource("x"), seen)
         bindings.append((nm.text, parser.term({})))
+        seen.add(nm.text)
     if ts.peek().kind != "eof":
         raise ts.fail(f"expected 'val' or end of input, found {ts.peek().text!r}")
     return Program(tuple(quals), tuple(bindings))

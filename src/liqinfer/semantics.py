@@ -8,8 +8,7 @@ stepping is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .anf import _all_names
 from .syntax import (
@@ -26,6 +25,7 @@ from .syntax import (
     Term,
     TyAbs,
     TyInst,
+    Value,
     Var,
     render_term,
     subst_term,
@@ -39,18 +39,15 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Const, Lam))
 
 
-@dataclass(frozen=True)
-class Next:
+class Next(NamedTuple):
     term: Term
 
 
-@dataclass(frozen=True)
-class AtValue:
-    pass
+class AtValue(Value):
+    """The term is a value; one object, since it has no fields."""
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(NamedTuple):
     redex: Term
     reason: str
 
@@ -145,20 +142,17 @@ def step(t: Term, names: Optional[NameSource] = None) -> StepOutcome:
     return Stuck(t, "no rule applies")
 
 
-@dataclass(frozen=True)
-class Done:
+class Done(NamedTuple):
     value: Term
     steps: int
 
 
-@dataclass(frozen=True)
-class Timeout:
+class Timeout(NamedTuple):
     last: Term
     steps: int
 
 
-@dataclass(frozen=True)
-class StuckAt:
+class StuckAt(NamedTuple):
     redex: Term
     reason: str
     steps: int

@@ -16,22 +16,24 @@ kept is the one whose `?n` error messages print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .anf import _all_names
 from .syntax import (
     App,
     Arrow,
+    BOOL,
+    BoolConst,
     Const,
     CONSTANTS,
     Env,
     INT,
+    IntConst,
     Lam,
     Let,
     LiqError,
     NameSource,
-    PartialPrim,
     PrimConst,
     SimpleType,
     Term,
@@ -48,8 +50,7 @@ class ShapeError(LiqError):
     """Unification failure, occurs-check failure or an unbound variable."""
 
 
-@dataclass(frozen=True)
-class ShapeScheme:
+class ShapeScheme(NamedTuple):
     qvars: tuple[str, ...]
     ty: SimpleType
 
@@ -67,17 +68,31 @@ class Elaboration(NamedTuple):
     scheme: ShapeScheme
 
 
-def constant_shape(c) -> ShapeScheme:
-    if isinstance(c, PartialPrim):
-        base = constant_shape(PrimConst(c.op))
-        ty = base.ty
-        for _ in c.args:
-            if not isinstance(ty, Arrow):
-                raise ShapeError("over-applied primitive constant")
-            ty = ty.cod
-        return ShapeScheme(base.qvars, ty)
-    sch = CONSTANTS.type_of(c)
+_LITERAL_SHAPES = {IntConst: ShapeScheme((), INT), BoolConst: ShapeScheme((), BOOL)}
+
+
+@cache
+def _prim_shape(op: str) -> ShapeScheme:
+    """The shape of a primitive's scheme, built once per primitive."""
+    sch = CONSTANTS.type_of(PrimConst(op))
     return ShapeScheme(sch.qvars, shape_of(sch.body))
+
+
+def constant_shape(c) -> ShapeScheme:
+    """A literal's base type, or the shape of a primitive less the
+    arguments a partial application holds."""
+    literal = _LITERAL_SHAPES.get(c.__class__)
+    if literal is not None:
+        return literal
+    base = _prim_shape(c.op)
+    if isinstance(c, PrimConst):
+        return base
+    ty = base.ty
+    for _ in c.args:
+        if not isinstance(ty, Arrow):
+            raise ShapeError("over-applied primitive constant")
+        ty = ty.cod
+    return ShapeScheme(base.qvars, ty)
 
 
 class _Cell:
@@ -173,7 +188,7 @@ class _W:
 
     def unify(self, a, b) -> None:
         a, b = _repr(a), _repr(b)
-        if a is b or isinstance(a, TyVar) and a == b:  # bases are interned
+        if a is b:  # bases and type variables are interned
             return
         if isinstance(a, _Cell):
             if _occurs_lowering(a, b):

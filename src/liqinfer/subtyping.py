@@ -15,8 +15,7 @@ is memoized per type and sorts of its free variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .logic import conj, embed_env
 from .syntax import (
@@ -40,8 +39,7 @@ from .syntax import (
 from .validity import Valid, ValidityEngine, ValidityQuery
 
 
-@dataclass
-class LogEntry:
+class LogEntry(NamedTuple):
     kind: str  # "wf" or "sub"
     description: str
     verdict: bool

@@ -10,18 +10,18 @@ Types are kept in a canonical form throughout: an intersection is a
 non-empty tuple of arms, deduplicated and sorted by printed form, all
 sharing one simple-type shape.
 
-Refinements, base shapes, liquid types, terms and environments are
-hash-consed (`Interned`): calling a class returns the one live instance
-with those fields, so equality is identity and hashing is O(1). Values are
-built only by calling their classes with positional fields, never by
-copying or by `dataclasses.replace`.
+Refinements, constants, base shapes and type variables, liquid types,
+terms and environments are hash-consed (`Interned`): calling a class
+returns the one live instance with those fields, so equality is identity
+and hashing is O(1). The metaclass builds each of these classes from its
+annotations, and a value is made only by calling its class with positional
+fields: nothing copies a value or sets a field of one.
 """
 
 from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
@@ -89,17 +89,41 @@ def _weak_put(table: dict, key: Hashable, obj: Any, drop: Callable) -> Any:
 
 
 class Interned(type):
-    """Metaclass of the hash-consed value classes. Calling such a class with
-    its fields returns the one live instance with those fields, from a weak
-    table per class keyed by the field tuple. Equality and hashing are
-    those of `object`: identity."""
+    """Metaclass of the hash-consed value classes, which it builds from
+    their annotations. The annotated names are the fields, in order, kept
+    in slots; the values the class body gives the trailing ones are their
+    defaults. Calling such a class with its fields, positionally, returns
+    the one live instance with those fields, from a weak table per class
+    keyed by the full field tuple. Instances are immutable; equality and
+    hashing are those of `object`: identity. A class with its own
+    `__init__` (`Env`) has that method's parameters as its fields, and a
+    miss calls the class as a plain type, which runs it."""
 
-    def __init__(cls, name: str, bases: tuple, ns: dict) -> None:
-        super().__init__(name, bases, ns)
+    def __new__(mcs, name: str, bases: tuple, ns: dict) -> Interned:
+        own = tuple(ns.get("__annotations__", ()))
+        given = tuple(f for f in own if f in ns)
+        if given != own[len(own) - len(given):]:
+            raise TypeError(f"{name}: the fields with defaults must come last")
+        defaults = tuple(ns.pop(f) for f in given)
+        ns["__slots__"] = tuple(ns.get("__slots__", ())) + own
+        cls = super().__new__(mcs, name, bases, ns)
         cls._table: dict = {}
         cls._drop = _dropper(cls._table)
+        if "__init__" in ns:
+            init = ns["__init__"].__code__
+            cls._fields = init.co_varnames[1:init.co_argcount]
+            cls._defaults = ns["__init__"].__defaults__ or ()
+            cls._make = lambda *fields: type.__call__(cls, *fields)
+        else:
+            cls._fields = own
+            cls._defaults = defaults
+            cls._make = _maker(cls)
+        cls._arity = len(cls._fields)
+        return cls
 
     def __call__(cls, *fields: Any) -> Any:
+        if len(fields) != cls._arity:
+            fields += cls._defaults[len(fields) - cls._arity:]
         return cls._intern(fields, fields)
 
     def _intern(cls, key: Hashable, fields: tuple) -> Any:
@@ -109,7 +133,23 @@ class Interned(type):
             obj = ref()
             if obj is not None:
                 return obj
-        return _weak_put(cls._table, key, super().__call__(*fields), cls._drop)
+        return _weak_put(cls._table, key, cls._make(*fields), cls._drop)
+
+
+def _maker(cls: Interned) -> Callable[..., Any]:
+    """The function that makes an instance of `cls` from its field values,
+    then runs the class's `__post_init__` check if it has one. It sets each
+    slot through the slot's descriptor, which bypasses the immutable
+    `__setattr__`, and is written out per class: a loop over the fields
+    costs about twice as much."""
+    ns = {"_new": object.__new__, "_cls": cls}
+    ns.update((f"_set_{f}", getattr(cls, f).__set__) for f in cls._fields)
+    lines = [f"def make({', '.join(cls._fields)}):", "    _obj = _new(_cls)"]
+    lines += [f"    _set_{f}(_obj, {f})" for f in cls._fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    _obj.__post_init__()")
+    exec("\n".join(lines + ["    return _obj"]), ns)
+    return ns["make"]
 
 
 class Value(metaclass=Interned):
@@ -117,9 +157,15 @@ class Value(metaclass=Interned):
 
     __slots__ = ("__weakref__",)
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-# A hash-consed dataclass: immutable, slotted, compared by identity.
-interned = dataclass(frozen=True, eq=False, slots=True)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -138,36 +184,30 @@ interned = dataclass(frozen=True, eq=False, slots=True)
 # ``times`` (`symbols`, and the validity engine).
 
 
-@interned
 class LInt(Value):
     value: int
 
 
-@interned
 class LVar(Value):
     """An int-sorted variable (a program variable or the value variable)."""
 
     name: str
 
 
-@interned
 class LNeg(Value):
     arg: "LogicTerm"
 
 
-@interned
 class LAdd(Value):
     lhs: "LogicTerm"
     rhs: "LogicTerm"
 
 
-@interned
 class LSub(Value):
     lhs: "LogicTerm"
     rhs: "LogicTerm"
 
 
-@interned
 class LMul(Value):
     lhs: "LogicTerm"
     rhs: "LogicTerm"
@@ -204,17 +244,14 @@ class _Formula(Value):
         return sorts
 
 
-@interned
 class FTrue(_Formula):
     """The empty refinement; satisfied by every value."""
 
 
-@interned
 class FFalse(_Formula):
     pass
 
 
-@interned
 class FAtom(_Formula):
     """Comparison between two integer terms; op is one of = <= >= < >."""
 
@@ -223,21 +260,18 @@ class FAtom(_Formula):
     rhs: LogicTerm
 
 
-@interned
 class FBoolVar(_Formula):
     """A bool-sorted variable used as a propositional atom."""
 
     name: str
 
 
-@interned
 class FAnd(_Formula):
     """Conjunction; appears only in derived refinements, never in qualifiers."""
 
     parts: tuple["Formula", ...]
 
 
-@interned
 class FIff(_Formula):
     lhs: "Formula"
     rhs: "Formula"
@@ -283,23 +317,19 @@ def is_scaling(p: LMul) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntConst:
+class IntConst(Value):
     value: int
 
 
-@dataclass(frozen=True)
-class BoolConst:
+class BoolConst(Value):
     value: bool
 
 
-@dataclass(frozen=True)
-class PrimConst:
+class PrimConst(Value):
     op: str
 
 
-@dataclass(frozen=True)
-class PartialPrim:
+class PartialPrim(Value):
     """A primitive applied to a strict prefix of its arguments.
 
     Produced only by the evaluator; args are closed value terms.
@@ -319,27 +349,23 @@ class _ShapedClass(Interned):
     (`shape_key`), which `Arrow.__eq__` ignores but templates keep."""
 
     def __call__(cls, *fields: Any) -> Any:
-        key = fields
-        if len(fields) > cls._shape_at:
-            shape = fields[cls._shape_at]
-            if shape.__class__ is Arrow:
-                key = fields + (shape_key(shape),)
+        if len(fields) != cls._arity:
+            fields += cls._defaults[len(fields) - cls._arity:]
+        shape = fields[cls._shape_at]
+        key = fields + (shape_key(shape),) if shape.__class__ is Arrow else fields
         return cls._intern(key, fields)
 
 
-@interned
 class Var(Value, metaclass=_ShapedClass):
     name: str
     shape: Optional["SimpleType"] = None
     _shape_at = 1
 
 
-@interned
 class Const(Value):
     const: Constant
 
 
-@interned
 class Lam(Value, metaclass=_ShapedClass):
     binder: str
     body: "Term"
@@ -347,7 +373,6 @@ class Lam(Value, metaclass=_ShapedClass):
     _shape_at = 2
 
 
-@interned
 class App(Value, metaclass=_ShapedClass):
     fun: "Term"
     arg: "Term"
@@ -355,7 +380,6 @@ class App(Value, metaclass=_ShapedClass):
     _shape_at = 2
 
 
-@interned
 class Let(Value, metaclass=_ShapedClass):
     binder: str
     bound: "Term"
@@ -364,7 +388,6 @@ class Let(Value, metaclass=_ShapedClass):
     _shape_at = 3
 
 
-@interned
 class TyAbs(Value):
     """Explicit type abstraction; inserted by elaboration, never parsed."""
 
@@ -372,7 +395,6 @@ class TyAbs(Value):
     body: "Term"
 
 
-@interned
 class TyInst(Value, metaclass=_ShapedClass):
     """Explicit type instantiation at a simple type; inserted by elaboration."""
 
@@ -417,24 +439,39 @@ def subst_term(value: Term, name: str, t: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-@interned
 class Base(Value):
     name: str  # "int" or "bool"
 
 
-@dataclass(frozen=True)
-class TyVar:
+class TyVar(Value):
     name: str
 
 
-@dataclass(frozen=True)
 class Arrow:
     """Function shape; the binder names the domain for dependent refinements
-    and is ignored by equality."""
+    and is ignored by equality and hashing. Immutable."""
 
-    binder: str = field(compare=False)
-    dom: "SimpleType"
-    cod: "SimpleType"
+    __slots__ = ("binder", "dom", "cod")
+
+    def __init__(self, binder: str, dom: SimpleType, cod: SimpleType) -> None:
+        set_slots = object.__setattr__
+        set_slots(self, "binder", binder)
+        set_slots(self, "dom", dom)
+        set_slots(self, "cod", cod)
+
+    __setattr__ = Value.__setattr__
+    __delattr__ = Value.__delattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return self.dom == other.dom and self.cod == other.cod
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod))
+
+    def __repr__(self) -> str:
+        return f"Arrow(binder={self.binder!r}, dom={self.dom!r}, cod={self.cod!r})"
 
 
 SimpleType = Union[Base, TyVar, Arrow]
@@ -483,20 +520,17 @@ class _Arm(Value):
             return text
 
 
-@interned
 class BaseArm(_Arm):
     base: Base
     ref: Formula
 
 
-@interned
 class FunArm(_Arm):
     binder: str
     dom: "LiquidType"
     cod: "LiquidType"
 
 
-@interned
 class VarArm(_Arm):
     name: str
 
@@ -536,7 +570,6 @@ class _Type(Value):
             return free
 
 
-@interned
 class LiquidType(_Type):
     """A canonical intersection: deduplicated arms sorted by printed form."""
 
@@ -547,7 +580,6 @@ class LiquidType(_Type):
             raise IllFoundedType("a type must have at least one arm")
 
 
-@interned
 class Scheme(Value):
     qvars: tuple[str, ...]
     body: LiquidType
@@ -750,6 +782,9 @@ class Env(Value):
     """
 
     __slots__ = ("parent", "name", "scheme", "_names", "_scope")
+
+    # the views are set on first use
+    __setattr__ = object.__setattr__
 
     def __init__(self, parent: Optional[Env] = None, name: Optional[str] = None,
                  scheme: Optional[Scheme] = None) -> None:

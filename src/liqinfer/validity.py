@@ -44,15 +44,11 @@ import contextlib
 import math
 import os
 import re
-import shlex
-import subprocess
-import tempfile
 import threading
 import zlib
-from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .logic import EmbeddingError
 from .syntax import (
@@ -70,6 +66,7 @@ from .syntax import (
     LSub,
     LVar,
     LogicTerm,
+    Value,
     is_scaling,
     symbols,
 )
@@ -79,30 +76,25 @@ class SolverError(LiqError):
     """The external solver could not be launched or spoke garbage."""
 
 
-@dataclass(frozen=True)
-class ValidityQuery:
+class ValidityQuery(NamedTuple):
     hypothesis: Formula
     conclusion: Formula
 
 
-@dataclass(frozen=True)
-class Valid:
-    pass
+class Valid(Value):
+    """The query holds; one object, since the verdict carries nothing."""
 
 
-@dataclass(frozen=True)
-class Invalid:
+class Invalid(NamedTuple):
     model: Optional[tuple[tuple[str, object], ...]] = None
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     reason: str = ""
 
 
 Verdict = Union[Valid, Invalid, Unknown]
 
-# Every Valid answer; the verdict carries nothing, so one object serves all.
 VALID = Valid()
 
 # The answer to a caller that reads only Valid when a query is not proved: it
@@ -717,6 +709,11 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = Fal
 def run_solver(cmd: str, script: str, timeout: float) -> str:
     """Run a solver command on an SMT-LIB script; the template may contain
     {file}, otherwise the script is piped through stdin."""
+    # imported here: only the external backend runs a solver
+    import shlex
+    import subprocess
+    import tempfile
+
     path: Optional[str] = None
     try:
         if "{file}" in cmd:

@@ -192,6 +192,15 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.strip() == f"parse error: 2:5: {name!r} cannot be used as a binder"
 
+    def test_a_val_name_shadows_the_primitive_it_spells(self, tmp_path, capsys):
+        path = tmp_path / "shadow.ml"
+        path.write_text(f"{SIGN_FILE}val b = mul\nval c = neg 3\n")
+        code, out, err = run_cli(capsys, str(path))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[2] == "b : " + lines[0].partition(" : ")[2]
+        assert lines[3] == "c : {v : int | (v<=0)}"
+
     def test_inference_failure(self, tmp_path, capsys):
         path = tmp_path / "selfapp.ml"
         path.write_text("Qualifiers { }\nval w = \\x. x x\n")
@@ -246,18 +255,50 @@ class TestTooDeep:
         assert len(err.splitlines()) == 1 and "nested too deeply" in err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
 class TestModuleEntryPoint:
     def test_python_m_liqinfer_runs_the_cli(self):
-        root = Path(__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
         proc = subprocess.run(
-            [sys.executable, "-m", "liqinfer", str(root / "demos" / "sign.ml")],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, "-m", "liqinfer", str(ROOT / "demos" / "sign.ml")],
+            capture_output=True, text=True, env=SRC_ENV, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert arm_set(lines[0]) == MUL_ARMS and lines[0].startswith("mul : ")
         assert arm_set(lines[1]) == NEG_ARMS and lines[1].startswith("neg : ")
+
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--emit-constraints"]])
+    def test_a_closed_stdout_ends_quietly(self, flags):
+        """A reader that is gone before any output (`| head -0`) ends the
+        run with exit 0 and no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "liqinfer", str(ROOT / "demos" / "sign.ml"), *flags],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=SRC_ENV, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr == "" and proc.returncode == 0
+
+    def test_start_up_imports_no_dataclasses_inspect_or_solver_modules(self):
+        """What the CLI loads at start-up: the solver-only modules load in
+        `run_solver`, and no class is built by `dataclasses`."""
+        probe = (
+            "import sys, liqinfer.cli, liqinfer.metatheory; "
+            "print(sorted({'dataclasses', 'inspect', 'subprocess', 'shlex'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=SRC_ENV, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMetatheorySubcommand:

@@ -2,23 +2,26 @@
 object (for terms, shapes equal up to binder names are not equal parts), the intern tables hold no value alive, and a checker that answers
 from its memo answers exactly as a fresh one does."""
 
-import dataclasses
 import gc
 import sys
 import threading
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from liqinfer import syntax, validity
 from liqinfer.inference import Inferencer
 from liqinfer.metatheory import run_subject_reduction
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
+    BOOL,
+    FALSE,
     INT,
     App,
     Arrow,
     Base,
     BaseArm,
+    BoolConst,
     Const,
     Env,
     FAnd,
@@ -38,6 +41,8 @@ from liqinfer.syntax import (
     LNeg,
     LSub,
     LVar,
+    PartialPrim,
+    PrimConst,
     Scheme,
     TRUE,
     TyAbs,
@@ -50,7 +55,7 @@ from liqinfer.syntax import (
     make_type,
     mono,
 )
-from liqinfer.validity import ValidityEngine
+from liqinfer.validity import Invalid, Unknown, Valid, ValidityEngine, ValidityQuery
 
 # -- specs: plain descriptions of values, built twice ----------------------
 #
@@ -68,17 +73,58 @@ def build(spec):
     return tuple(args) if head == "tuple" else head(*args)
 
 
+def count_leaves(spec) -> int:
+    return sum(map(count_leaves, spec[1:])) if isinstance(spec, tuple) else 1
+
+
+def change_leaf(spec, i):
+    """`spec` with its `i`-th leaf, counted depth first, changed."""
+    def walk(spec):
+        nonlocal i
+        if isinstance(spec, tuple):
+            return (spec[0], *map(walk, spec[1:]))
+        i -= 1
+        if i != -1:
+            return spec
+        return spec + "'" if isinstance(spec, str) else spec + 1
+    return walk(spec)
+
+
+def fits(obj, spec) -> bool:
+    """Whether `obj` holds the parts `spec` describes, field by field. A
+    term spec that leaves out the shape describes a node without one."""
+    if not isinstance(spec, tuple):
+        return type(obj) is type(spec) and obj == spec
+    head, *parts = spec
+    if head == "tuple":
+        return isinstance(obj, tuple) and len(obj) == len(parts) and all(map(fits, obj, parts))
+    fields = field_names(obj)
+    if type(obj) is not head or fields is None:
+        return False
+    parts += [None] * (len(fields) - len(parts))
+    return all(fits(getattr(obj, f), part) for f, part in zip(fields, parts))
+
+
+def field_names(x):
+    """The fields of a hash-consed value or of an arrow shape, whose binder
+    `Arrow.__eq__` ignores; None for anything else."""
+    if isinstance(x, syntax.Value):
+        return type(x)._fields
+    return Arrow.__slots__ if isinstance(x, Arrow) else None
+
+
 def ref_eq(x, y) -> bool:
-    """Structural equality, walked field by field."""
-    if dataclasses.is_dataclass(x) or dataclasses.is_dataclass(y):
-        return type(x) is type(y) and all(
-            ref_eq(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x)
-        )
+    """Structural equality, walked field by field down to the leaves, which
+    alone are compared with `==`."""
+    fields = field_names(x)
+    if fields is not None or field_names(y) is not None:
+        return type(x) is type(y) and all(ref_eq(getattr(x, f), getattr(y, f)) for f in fields)
     if isinstance(x, tuple) or isinstance(y, tuple):
         return (
             isinstance(x, tuple) and isinstance(y, tuple)
             and len(x) == len(y) and all(ref_eq(a, b) for a, b in zip(x, y))
         )
+    assert isinstance(x, (int, str, type(None))), f"no fields known for {type(x).__name__}"
     return type(x) is type(y) and x == y
 
 
@@ -152,10 +198,23 @@ class TestHashConsing:
     @given(values, values)
     def test_equal_parts_give_one_object_and_equality_is_structural(self, s1, s2):
         one, two = build(s1), build(s2)
+        assert fits(one, s1) and fits(two, s2)
         assert build(s1) is one and build(s2) is two
         assert (one == two) == ref_eq(one, two) == (one is two)
         if one == two:
             assert hash(one) == hash(two)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values, st.data())
+    def test_a_value_with_one_part_changed_is_another_object(self, spec, data):
+        """Every field enters the key: changing one leaf of a spec, such as
+        a binder, a name or a literal, builds another object."""
+        n = count_leaves(spec)
+        assume(n > 0)
+        other = change_leaf(spec, data.draw(st.integers(0, n - 1)))
+        one, two = build(spec), build(other)
+        assert fits(one, spec) and fits(two, other)
+        assert one is not two
 
     def test_a_term_keeps_the_binder_names_of_its_shape(self):
         shapes = [Arrow("a", INT, Arrow("c", INT, INT)), Arrow("a", INT, Arrow("d", INT, INT))]
@@ -221,6 +280,126 @@ class TestHashConsing:
         again = BaseArm(Base("int"), FAtom(">=", LVar("v"), LInt(0)))
         assert again is arm and again.rendered is arm.rendered
         assert again.ref.memo is arm.ref.memo
+
+
+# -- printed forms ----------------------------------------------------------
+
+BASE_ARM = BaseArm(INT, FAtom("<=", LVar("v"), LInt(0)))
+FUN_ARM = FunArm("x", LiquidType((BASE_ARM,)), LiquidType((BaseArm(BOOL, FIff(FBoolVar("v"), FALSE)),)))
+TWO_ARMS = make_type([FUN_ARM, FunArm("x", base_top(INT), LiquidType((BaseArm(BOOL, FBoolVar("v")),)))])
+
+# A repr prints the class and every field, `Name(field=value, ...)`. The
+# texts are fixed: `builtin_decide` seeds its model search with
+# `zlib.crc32(repr(query))`, so another text would change the models found.
+REPRS = [
+    (
+        lambda: ValidityQuery(
+            FAnd((FAtom(">=", LVar("x"), LNeg(LInt(3))), FIff(FBoolVar("p"), TRUE))),
+            FAtom("=", LVar("v"), LMul(LAdd(LVar("x"), LInt(1)), LSub(LVar("y"), LVar("x")))),
+        ),
+        "ValidityQuery(hypothesis=FAnd(parts=(FAtom(op='>=', lhs=LVar(name='x'),"
+        " rhs=LNeg(arg=LInt(value=3))), FIff(lhs=FBoolVar(name='p'), rhs=FTrue()))),"
+        " conclusion=FAtom(op='=', lhs=LVar(name='v'),"
+        " rhs=LMul(lhs=LAdd(lhs=LVar(name='x'), rhs=LInt(value=1)),"
+        " rhs=LSub(lhs=LVar(name='y'), rhs=LVar(name='x')))))",
+    ),
+    (
+        lambda: BASE_ARM,
+        "BaseArm(base=Base(name='int'), ref=FAtom(op='<=', lhs=LVar(name='v'),"
+        " rhs=LInt(value=0)))",
+    ),
+    (
+        lambda: FUN_ARM,
+        "FunArm(binder='x', dom=LiquidType(arms=(BaseArm(base=Base(name='int'),"
+        " ref=FAtom(op='<=', lhs=LVar(name='v'), rhs=LInt(value=0))),)),"
+        " cod=LiquidType(arms=(BaseArm(base=Base(name='bool'),"
+        " ref=FIff(lhs=FBoolVar(name='v'), rhs=FFalse())),)))",
+    ),
+    (
+        lambda: VarArm("a"),
+        "VarArm(name='a')",
+    ),
+    (
+        lambda: TWO_ARMS,
+        "LiquidType(arms=(FunArm(binder='x',"
+        " dom=LiquidType(arms=(BaseArm(base=Base(name='int'), ref=FAtom(op='<=',"
+        " lhs=LVar(name='v'), rhs=LInt(value=0))),)),"
+        " cod=LiquidType(arms=(BaseArm(base=Base(name='bool'),"
+        " ref=FIff(lhs=FBoolVar(name='v'), rhs=FFalse())),))), FunArm(binder='x',"
+        " dom=LiquidType(arms=(BaseArm(base=Base(name='int'), ref=FTrue()),)),"
+        " cod=LiquidType(arms=(BaseArm(base=Base(name='bool'),"
+        " ref=FBoolVar(name='v')),)))))",
+    ),
+    (
+        lambda: Scheme(("a",), TWO_ARMS),
+        "Scheme(qvars=('a',), body=LiquidType(arms=(FunArm(binder='x',"
+        " dom=LiquidType(arms=(BaseArm(base=Base(name='int'), ref=FAtom(op='<=',"
+        " lhs=LVar(name='v'), rhs=LInt(value=0))),)),"
+        " cod=LiquidType(arms=(BaseArm(base=Base(name='bool'),"
+        " ref=FIff(lhs=FBoolVar(name='v'), rhs=FFalse())),))), FunArm(binder='x',"
+        " dom=LiquidType(arms=(BaseArm(base=Base(name='int'), ref=FTrue()),)),"
+        " cod=LiquidType(arms=(BaseArm(base=Base(name='bool'),"
+        " ref=FBoolVar(name='v')),))))))",
+    ),
+    (
+        lambda: Lam("x", App(Const(PrimConst("neg")), Var("x", INT), INT), Arrow("x", INT, INT)),
+        "Lam(binder='x', body=App(fun=Const(const=PrimConst(op='neg')),"
+        " arg=Var(name='x', shape=Base(name='int')), shape=Base(name='int')),"
+        " shape=Arrow(binder='x', dom=Base(name='int'), cod=Base(name='int')))",
+    ),
+    (
+        lambda: Arrow("f", Arrow("x", TyVar("a"), BOOL), INT),
+        "Arrow(binder='f', dom=Arrow(binder='x', dom=TyVar(name='a'),"
+        " cod=Base(name='bool')), cod=Base(name='int'))",
+    ),
+    (
+        lambda: Invalid((("x", 1), ("p", True))),
+        "Invalid(model=(('x', 1), ('p', True)))",
+    ),
+    (
+        lambda: Invalid(),
+        "Invalid(model=None)",
+    ),
+    (
+        lambda: Unknown("not proved"),
+        "Unknown(reason='not proved')",
+    ),
+    (
+        lambda: Unknown(),
+        "Unknown(reason='')",
+    ),
+    (
+        lambda: Valid(),
+        "Valid()",
+    ),
+    (
+        lambda: Const(IntConst(-2)),
+        "Const(const=IntConst(value=-2))",
+    ),
+    (
+        lambda: Const(BoolConst(True)),
+        "Const(const=BoolConst(value=True))",
+    ),
+    (
+        lambda: Const(PartialPrim("add", (Const(IntConst(1)),))),
+        "Const(const=PartialPrim(op='add', args=(Const(const=IntConst(value=1)),)))",
+    ),
+    (
+        lambda: TyAbs("a", TyInst(TyVar("a"), Var("f"))),
+        "TyAbs(tyvar='a', body=TyInst(ty=TyVar(name='a'), body=Var(name='f',"
+        " shape=None)))",
+    ),
+    (
+        lambda: Let("y", Var("x"), Var("y")),
+        "Let(binder='y', bound=Var(name='x', shape=None), body=Var(name='y',"
+        " shape=None), shape=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text", REPRS)
+def test_repr_prints_every_field(build, text):
+    assert repr(build()) == text
 
 
 # -- the judgement memo ----------------------------------------------------
