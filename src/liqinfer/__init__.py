@@ -1,17 +1,12 @@
-"""Liquid intersection type inference for a tiny ML language."""
+"""Liquid intersection type inference for a tiny ML language.
+
+The exports of `metatheory` and `semantics`, which inferring the types of a
+file does not use, load on first access, so `liqinfer FILE` does not import
+them."""
 
 from .anf import is_anf, normalize
 from .inference import ArmCapExceeded, Inferencer, InferenceFailure, fresh
-from .metatheory import (
-    generate_corpus,
-    recheck,
-    run_oracle_agreement,
-    run_subject_reduction,
-    semantic_implication_oracle,
-    subject_reduction_trial,
-)
 from .parser import ParseError, Program, parse_program, parse_qualifier, parse_scheme, pretty_print
-from .semantics import delta, evaluate, step
 from .shapes import ShapeError, elaborate, erase, shape_env, w_infer
 from .subtyping import SubtypeChecker
 from .syntax import (
@@ -92,3 +87,27 @@ __all__ = [
     "w_infer",
     "well_founded",
 ]
+
+# the exports that load on first access, with their modules
+_LAZY = {
+    "generate_corpus": "metatheory",
+    "recheck": "metatheory",
+    "run_oracle_agreement": "metatheory",
+    "run_subject_reduction": "metatheory",
+    "semantic_implication_oracle": "metatheory",
+    "subject_reduction_trial": "metatheory",
+    "delta": "semantics",
+    "evaluate": "semantics",
+    "step": "semantics",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

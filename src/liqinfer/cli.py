@@ -19,11 +19,6 @@ from typing import Optional
 
 from .anf import normalize
 from .inference import ArmCapExceeded, Inferencer
-from .metatheory import (
-    default_qualifiers,
-    run_oracle_agreement,
-    run_subject_reduction,
-)
 from .parser import ParseError, parse_program
 from .subtyping import LogEntry
 from .syntax import Env, LiqError, render_refinement, render_scheme, render_term
@@ -173,6 +168,9 @@ def _run_infer(args: argparse.Namespace) -> int:
 
 
 def _run_metatheory(args: argparse.Namespace) -> int:
+    # imported here: inferring the types of a file does not need them
+    from .metatheory import default_qualifiers, run_oracle_agreement, run_subject_reduction
+
     try:
         engine = _make_engine(args)
     except (SolverError, TimeoutError) as e:

@@ -37,14 +37,10 @@ from .syntax import (
     Const,
     CONSTANTS,
     Env,
-    FAtom,
-    FBoolVar,
-    FIff,
     Formula,
     FunArm,
     IntConst,
     Lam,
-    LVar,
     Let,
     LiqError,
     LiquidType,
@@ -58,7 +54,6 @@ from .syntax import (
     TyVar,
     Var,
     VarArm,
-    VALUE_VAR,
     make_type,
     mono,
     render_term,
@@ -197,7 +192,7 @@ class Inferencer:
             if bound is None:
                 raise InferenceFailure(f"unbound variable {t.name!r}")
             if not bound.qvars and isinstance(t.shape, Base):
-                return mono(LiquidType((_self_eq(t.shape, t.name),)))
+                return t.self_type
             return bound
         if isinstance(t, Const):
             if isinstance(t.const, PartialPrim):
@@ -381,9 +376,3 @@ class Inferencer:
             arg_type = CONSTANTS.type_of(arg.const).body
             cur = self.apply_result(env, cur, arg_type, arg)
         return mono(cur)
-
-
-def _self_eq(base: Base, name: str):
-    if base.name == "int":
-        return BaseArm(base, FAtom("=", LVar(VALUE_VAR), LVar(name)))
-    return BaseArm(base, FIff(FBoolVar(VALUE_VAR), FBoolVar(name)))

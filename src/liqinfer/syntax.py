@@ -16,6 +16,13 @@ returns the one live instance with those fields, so equality is identity
 and hashing is O(1). The metaclass builds each of these classes from its
 annotations, and a value is made only by calling its class with positional
 fields: nothing copies a value or sets a field of one.
+
+A value derived from hash-consed inputs lives in a slot of its
+shortest-lived input, never of a permanent value: an arm's printed form on
+the arm, a literal's scheme on the literal, a variable node's self-type on
+the node, and a one-binding substitution's result on the substituted atom,
+not on the type, which may be a primitive's scheme and live for good. It is
+then built once per input and dies with it, and no table keeps it.
 """
 
 from __future__ import annotations
@@ -319,10 +326,12 @@ def is_scaling(p: LMul) -> bool:
 
 class IntConst(Value):
     value: int
+    __slots__ = ("_scheme",)  # ty(c), kept by `ConstantTable.type_of`
 
 
 class BoolConst(Value):
     value: bool
+    __slots__ = ("_scheme",)
 
 
 class PrimConst(Value):
@@ -360,10 +369,27 @@ class Var(Value, metaclass=_ShapedClass):
     name: str
     shape: Optional["SimpleType"] = None
     _shape_at = 1
+    __slots__ = ("_self", "_substs")  # `_substs`: see `subst_liquid`
+
+    @property
+    def self_type(self) -> Scheme:
+        """`{v = name}` at the node's base shape, the type of a variable
+        bound to a monomorphic base type; built once per node."""
+        try:
+            return self._self
+        except AttributeError:
+            if self.shape.name == "int":
+                ref = FAtom("=", LVar(VALUE_VAR), LVar(self.name))
+            else:
+                ref = FIff(FBoolVar(VALUE_VAR), FBoolVar(self.name))
+            scheme = mono(LiquidType((BaseArm(self.shape, ref),)))
+            object.__setattr__(self, "_self", scheme)
+            return scheme
 
 
 class Const(Value):
     const: Constant
+    __slots__ = ("_substs",)
 
 
 class Lam(Value, metaclass=_ShapedClass):
@@ -877,9 +903,24 @@ def _subst_arm(a: Arm, rho: dict[str, Term]) -> Arm:
 
 
 def subst_liquid(t: LiquidType, rho: Mapping[str, Term]) -> LiquidType:
+    """t with the atoms of `rho` substituted into its refinements. The
+    result of a one-binding substitution is kept on the atom, the value it
+    lives no longer than, keyed by the type and the substituted name."""
     d = dict(rho)
     if not d:
         return t
+    if len(d) == 1:
+        ((name, atom),) = d.items()
+        if atom.__class__ is Var or atom.__class__ is Const:
+            try:
+                kept = atom._substs
+            except AttributeError:
+                kept = {}
+                object.__setattr__(atom, "_substs", kept)
+            out = kept.get((t, name))
+            if out is None:
+                out = kept[t, name] = make_type(_subst_arm(a, d) for a in t.arms)
+            return out
     return make_type(_subst_arm(a, d) for a in t.arms)
 
 
@@ -916,9 +957,12 @@ def subst_tyvar_liquid(t: LiquidType, name: str, repl: LiquidType) -> LiquidType
 # ---------------------------------------------------------------------------
 
 
-def _base_eq(n: int) -> LiquidType:
+def _literal_type(c: Union[IntConst, BoolConst]) -> LiquidType:
+    """`{v = c}` at the literal's base type."""
+    if isinstance(c, BoolConst):
+        return LiquidType((BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), TRUE if c.value else FALSE)),))
     # a negative literal is carried as a negation, as the parser reads it back
-    literal = LNeg(LInt(-n)) if n < 0 else LInt(n)
+    literal = LNeg(LInt(-c.value)) if c.value < 0 else LInt(c.value)
     return LiquidType((BaseArm(INT, FAtom("=", LVar(VALUE_VAR), literal)),))
 
 
@@ -954,12 +998,14 @@ class ConstantTable:
         return {op: parse_scheme(text) for op, text in PRIM_SCHEMES.items()}
 
     def type_of(self, c: Constant) -> Scheme:
-        if isinstance(c, IntConst):
-            return mono(_base_eq(c.value))
-        if isinstance(c, BoolConst):
-            return mono(
-                LiquidType((BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), TRUE if c.value else FALSE)),))
-            )
+        if isinstance(c, (IntConst, BoolConst)):
+            # built once per literal and kept on it
+            try:
+                return c._scheme
+            except AttributeError:
+                scheme = mono(_literal_type(c))
+                object.__setattr__(c, "_scheme", scheme)
+                return scheme
         if isinstance(c, PrimConst):
             return self._prims[c.op]
         raise LiqError(f"no table entry for partially applied constant {c}")

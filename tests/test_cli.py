@@ -288,17 +288,21 @@ class TestModuleEntryPoint:
         assert proc.stderr == "" and proc.returncode == 0
 
     def test_start_up_imports_no_dataclasses_inspect_or_solver_modules(self):
-        """What the CLI loads at start-up: the solver-only modules load in
-        `run_solver`, and no class is built by `dataclasses`."""
+        """What the CLI loads at start-up: `metatheory` and `semantics` load
+        for `check-metatheory` or on first access to their exports, the
+        solver-only modules in `run_solver`, and no class is built by
+        `dataclasses`, not even in `metatheory`."""
         probe = (
-            "import sys, liqinfer.cli, liqinfer.metatheory; "
+            "import sys, liqinfer.cli; "
+            "print(sorted({'liqinfer.metatheory', 'liqinfer.semantics'} & set(sys.modules))); "
+            "from liqinfer import run_subject_reduction, step; "
             "print(sorted({'dataclasses', 'inspect', 'subprocess', 'shlex'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=SRC_ENV, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.split() == ["[]", "[]"]
 
 
 class TestMetatheorySubcommand:

@@ -1,10 +1,17 @@
 """Hash-consed values and the subtyping-judgement memo: equal parts give one
-object (for terms, shapes equal up to binder names are not equal parts), the intern tables hold no value alive, and a checker that answers
-from its memo answers exactly as a fresh one does."""
+object (for terms, shapes equal up to binder names are not equal parts),
+the intern tables hold no value alive, a value derived from hash-consed
+inputs is the one a fresh derivation builds and dies with the input it is
+kept on, and a checker that answers from its memo answers exactly as a
+fresh one does."""
 
 import gc
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from liqinfer import syntax, validity
 from liqinfer.inference import Inferencer
 from liqinfer.metatheory import run_subject_reduction
+from liqinfer.parser import parse_scheme
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
     BOOL,
@@ -22,6 +30,7 @@ from liqinfer.syntax import (
     Base,
     BaseArm,
     BoolConst,
+    CONSTANTS,
     Const,
     Env,
     FAnd,
@@ -36,6 +45,7 @@ from liqinfer.syntax import (
     Lam,
     Let,
     LInt,
+    LiqError,
     LiquidType,
     LMul,
     LNeg,
@@ -54,6 +64,8 @@ from liqinfer.syntax import (
     base_top,
     make_type,
     mono,
+    subst_liquid,
+    subst_refinement,
 )
 from liqinfer.validity import Invalid, Unknown, Valid, ValidityEngine, ValidityQuery
 
@@ -280,6 +292,96 @@ class TestHashConsing:
         again = BaseArm(Base("int"), FAtom(">=", LVar("v"), LInt(0)))
         assert again is arm and again.rendered is arm.rendered
         assert again.ref.memo is arm.ref.memo
+
+
+# -- values derived from hash-consed inputs --------------------------------
+
+atoms = st.one_of(
+    _shaped(st.just(Var), names),
+    st.tuples(st.just(Const), st.tuples(st.just(IntConst), st.integers(-2, 2))),
+    st.tuples(st.just(Const), st.tuples(st.just(BoolConst), st.booleans())),
+)
+
+
+def substituted(t, name, atom):
+    """[atom/name]t as the definition reads: through every arm, the binder
+    of an arrow scoping over its codomain only."""
+    def arm(a):
+        if isinstance(a, BaseArm):
+            return BaseArm(a.base, subst_refinement(a.ref, {name: atom}))
+        if isinstance(a, VarArm):
+            return a
+        return FunArm(a.binder, walk(a.dom), a.cod if a.binder == name else walk(a.cod))
+
+    def walk(t):
+        return make_type(arm(a) for a in t.arms)
+
+    return walk(t)
+
+
+class TestDerivedValues:
+    def test_a_literal_scheme_is_the_one_a_fresh_derivation_builds(self):
+        for text, c in [
+            ("{v : int | (v=5)}", IntConst(5)),
+            ("{v : int | (v=-3)}", IntConst(-3)),
+            ("{v : bool | (v <=> true)}", BoolConst(True)),
+            ("{v : bool | (v <=> false)}", BoolConst(False)),
+        ]:
+            kept = CONSTANTS.type_of(c)
+            assert parse_scheme(text) is kept and CONSTANTS.type_of(c) is kept
+
+    def test_a_self_type_is_the_one_a_fresh_derivation_builds(self):
+        for text, node in [("{v : int | (v=x)}", Var("x", INT)), ("{v : bool | (v <=> p)}", Var("p", BOOL))]:
+            kept = node.self_type
+            assert parse_scheme(text) is kept and node.self_type is kept
+        env = Env().extend("x", mono(base_top(INT)))
+        assert Inferencer(()).infer(env, Var("x")) is Var("x", INT).self_type
+
+    @settings(max_examples=300, deadline=None)
+    @given(liquid_types, names, atoms)
+    def test_a_kept_substitution_is_the_one_a_fresh_derivation_builds(self, spec, name, atom_spec):
+        t, atom = build(spec), build(atom_spec)
+        try:
+            expected = substituted(t, name, atom)
+        except LiqError:
+            # an ill-founded type, or a literal of the other sort
+            with pytest.raises(LiqError):
+                subst_liquid(t, {name: atom})
+            return
+        assert subst_liquid(t, {name: atom}) is expected
+        assert subst_liquid(t, {name: build(atom_spec)}) is expected
+
+    def test_derived_values_die_with_the_values_they_are_kept_on(self):
+        """Literal schemes, self-types and substitutions are kept on values
+        that a trial drops: after criterion-5 traffic the term, scheme and
+        type tables are back at their sizes after a warm-up. It runs in a
+        fresh interpreter, where no other test holds a term alive."""
+        probe = textwrap.dedent(
+            """
+            import gc
+            from liqinfer.metatheory import run_subject_reduction
+            from liqinfer.syntax import Const, LiquidType, Scheme, Var
+
+            def sizes():
+                gc.collect()
+                return [len(cls._table) for cls in (Var, Scheme, LiquidType, Const)]
+
+            assert run_subject_reduction(10, fuel=100, seed=7).ok
+            warm = sizes()
+            for seed in range(3):
+                assert run_subject_reduction(20, fuel=100, seed=seed).ok
+            print(*warm)
+            print(*sizes())
+            """
+        )
+        src = str(Path(syntax.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warm, after = proc.stdout.splitlines()
+        assert after == warm, "Var, Scheme, LiquidType and Const tables grew"
 
 
 # -- printed forms ----------------------------------------------------------

@@ -120,6 +120,15 @@ class TestTemplateMemo:
         assert render_scheme(first) == render_scheme(Inferencer(sign_qualifiers).infer(Env(), term))
 
 
+def counting(counts, key, fn):
+    """`fn`, counting its calls in `counts[key]`."""
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 class TestInferenceMemo:
     def test_the_memo_is_exact(self, monkeypatch):
         """Criterion-5 traffic with the memo and without: the same schemes
@@ -130,15 +139,8 @@ class TestInferenceMemo:
         counts = {"decided": 0, "judged": 0}
         decide, judge = validity.builtin_decide, SubtypeChecker.is_subtype
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(validity, "builtin_decide", counting("decided", decide))
-        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting("judged", judge))
+        monkeypatch.setattr(validity, "builtin_decide", counting(counts, "decided", decide))
+        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", judge))
         runs = {}
         for memo in (True, False):
             if not memo:
@@ -152,6 +154,54 @@ class TestInferenceMemo:
         assert with_memo == without
         assert counted["decided"] == uncounted["decided"]
         assert counted["judged"] < uncounted["judged"], (counted, uncounted)
+
+    def test_kept_derived_types_only_remove_constructions(self, monkeypatch):
+        """Criterion-5 traffic with literal schemes, self-types and
+        one-binding substitutions kept on their inputs, and with each built
+        afresh on every use: the same reports, the same decisions and
+        judgements, and fewer hash-consed values built."""
+        from liqinfer import inference, subtyping, syntax, validity
+        from liqinfer.metatheory import run_subject_reduction
+        from liqinfer.syntax import BoolConst, ConstantTable, FBoolVar, FIff, Interned, Var
+
+        counts = {"decided": 0, "judged": 0, "interned": 0}
+        decide, judge, intern = validity.builtin_decide, SubtypeChecker.is_subtype, Interned._intern
+
+        def self_type(var):
+            if var.shape == INT:
+                return mono(LiquidType((BaseArm(INT, FAtom("=", LVar(VALUE_VAR), LVar(var.name))),)))
+            return mono(LiquidType((BaseArm(var.shape, FIff(FBoolVar(VALUE_VAR), FBoolVar(var.name))),)))
+
+        def subst_liquid(t, rho):
+            return make_type(syntax._subst_arm(a, dict(rho)) for a in t.arms) if rho else t
+
+        type_of = ConstantTable.type_of
+
+        def literal_type(table, c):
+            if isinstance(c, (IntConst, BoolConst)):
+                return mono(syntax._literal_type(c))
+            return type_of(table, c)
+
+        monkeypatch.setattr(validity, "builtin_decide", counting(counts, "decided", decide))
+        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", judge))
+        monkeypatch.setattr(Interned, "_intern", counting(counts, "interned", intern))
+        runs = {}
+        for kept in (True, False):
+            if not kept:
+                monkeypatch.setattr(ConstantTable, "type_of", literal_type)
+                monkeypatch.setattr(Var, "self_type", property(self_type))
+                for module in (syntax, inference, subtyping):
+                    monkeypatch.setattr(module, "subst_liquid", subst_liquid)
+            counts.update(decided=0, judged=0, interned=0)
+            report = run_subject_reduction(40, fuel=100, seed=7, engine=ValidityEngine())
+            assert report.ok
+            reports = [(r.term, r.ok, r.steps, r.inferred, r.failure) for r in report.reports]
+            runs[kept] = reports, dict(counts)
+        (with_kept, counted), (afresh, uncounted) = runs[True], runs[False]
+        assert with_kept == afresh
+        assert counted["decided"] == uncounted["decided"], (counted, uncounted)
+        assert counted["judged"] == uncounted["judged"], (counted, uncounted)
+        assert counted["interned"] < uncounted["interned"], (counted, uncounted)
 
     def test_a_failure_is_remembered_with_its_message(self, inferencer, sign_qualifiers, monkeypatch):
         term = normalize(parse_term("fix (\\f. \\n. + n 0)"))
