@@ -1,7 +1,9 @@
 """Command-line driver: parse a tiny-ML file, normalize, infer a liquid
 intersection type for every val binding, and print the results.
 
-Exit codes: 0 success, 1 parse error (including unreadable input), 2
+Exit codes: 0 success, 1 parse error (including unreadable input) or
+usage error (an unknown option, an option value of the wrong type, or a
+`--max-arms` below 1; argparse's one-line message goes to stderr), 2
 inference failure, 3 solver error, 4 arm-cap exceeded. Input nested too
 deeply for the interpreter's recursion limit ends in 1 when the parser
 hits the limit and in 2 when normalization or inference does. A reader
@@ -35,8 +37,30 @@ SMT_CMD_ENV = "LIQINFER_SMT_CMD"
 TOO_DEEP = "nested too deeply (Python recursion limit reached)"
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects, with argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises `UsageError` where argparse would
+    print the usage and exit 2, the code of an inference failure."""
+
+    def error(self, message: str) -> None:
+        raise UsageError(f"{self.prog}: error: {message}")
+
+
+def _arm_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liqinfer",
         description="Infer liquid intersection types for tiny-ML programs.",
     )
@@ -51,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also print generated atomic constraints with verdicts")
     infer_p.add_argument("--json", action="store_true",
                          help="machine-readable output (bindings with arm lists)")
-    infer_p.add_argument("--max-arms", type=int, default=4096,
-                         help="cap on fresh template size (default 4096)")
+    infer_p.add_argument("--max-arms", type=_arm_cap, default=4096,
+                         help="cap on fresh template size, at least 1 (default 4096)")
 
     meta_p = sub.add_parser("check-metatheory",
                             help="run the subject-reduction and oracle-agreement suites")
@@ -210,7 +234,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv and argv[0] not in ("infer", "check-metatheory", "-h", "--help"):
         argv = ["infer"] + argv
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.command == "infer":
             code = _run_infer(args)

@@ -59,7 +59,11 @@ def embed_env(env: Env) -> Formula:
 
     Built once per scope, and shared by every environment with that scope:
     from the prefix scope's formula when the scope appends one binding to
-    it, otherwise from the conjuncts each binding keeps."""
+    it, otherwise from the conjuncts each binding keeps. Each environment
+    node keeps it as well, so a later call reads one slot."""
+    f = env.embedded
+    if f is not None:
+        return f
     scope = env.scope()
     f = scope.embedded
     if f is None:
@@ -70,4 +74,5 @@ def embed_env(env: Env) -> Formula:
         else:
             f = conj([p for b in scope.bindings.values() for p in _binding_conjuncts(b)])
         scope.embedded = f
+    env.embedded = f
     return f

@@ -11,6 +11,12 @@ subtype". A checker decides each judgement once and answers repeats from a
 memo (see `SubtypeChecker`). A base target refined by Top at every arm is
 settled without a query: every value satisfies {v | true}. Well-formedness
 is memoized per type and sorts of its free variables.
+
+Inference applies the Top rule, and the wf verdicts of templates with no
+free program variable, where it builds its candidates, so those judgements
+mostly never reach this module; it logs them through `record`, in the text
+an asked judgement has. What does reach it goes through `is_subtype`,
+which hands two liquid types straight to `_sub`, the memo's one entry.
 """
 
 from __future__ import annotations
@@ -120,7 +126,7 @@ class SubtypeChecker:
         if ok is None:
             ok = self._wf[key] = self._wf_type(t, sorts)
         if self.log is not None:
-            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(s)}", ok))
+            self.record(env, ok, s)
         return ok
 
     def _wf_type(self, t: LiquidType, sorts: Sorts) -> bool:
@@ -149,10 +155,28 @@ class SubtypeChecker:
         a: Union[Scheme, LiquidType],
         b: Union[Scheme, LiquidType],
     ) -> bool:
-        ok = self._sub_scheme(env, a, b)
+        if a.__class__ is LiquidType and b.__class__ is LiquidType:
+            ok = self._sub(env, a, b)
+        else:
+            ok = self._sub_scheme(env, a, b)
         if self.log is not None:
-            self.log.append(LogEntry("sub", f"{_env_str(env)} |- {_render(a)} < {_render(b)}", ok))
+            self.record(env, ok, a, b)
         return ok
+
+    def record(
+        self,
+        env: Env,
+        ok: bool,
+        a: Union[Scheme, LiquidType],
+        b: Union[Scheme, LiquidType, None] = None,
+    ) -> None:
+        """Log a judgement with its verdict: Γ ⊢ a, or Γ ⊢ a <: b when `b`
+        is given. Inference also logs here the judgements it settles without
+        asking (see `inference`), in the text an asked one has."""
+        if b is None:
+            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(a)}", ok))
+        else:
+            self.log.append(LogEntry("sub", f"{_env_str(env)} |- {_render(a)} < {_render(b)}", ok))
 
     def _sub_scheme(
         self, env: Env, a: Union[Scheme, LiquidType], b: Union[Scheme, LiquidType]

@@ -20,9 +20,11 @@ fields: nothing copies a value or sets a field of one.
 A value derived from hash-consed inputs lives in a slot of its
 shortest-lived input, never of a permanent value: an arm's printed form on
 the arm, a literal's scheme on the literal, a variable node's self-type on
-the node, and a one-binding substitution's result on the substituted atom,
-not on the type, which may be a primitive's scheme and live for good. It is
-then built once per input and dies with it, and no table keeps it.
+the node, a one-binding substitution's result on the substituted atom,
+not on the type, which may be a primitive's scheme and live for good, and
+an environment's formula on the environment node, not only on its
+refinement scope, which environments with the same visible bindings share.
+It is then built once per input and dies with it, and no table keeps it.
 """
 
 from __future__ import annotations
@@ -805,9 +807,11 @@ class Env(Value):
     are one object. Each node builds its views once, on first use, from the
     views of its parent: the name set (`names()`) and the base bindings
     refinements can see (`scope()`, where the last binding of a name wins).
+    `embedded` keeps the environment's formula once `logic.embed_env` has
+    read it from the scope.
     """
 
-    __slots__ = ("parent", "name", "scheme", "_names", "_scope")
+    __slots__ = ("parent", "name", "scheme", "_names", "_scope", "embedded")
 
     # the views are set on first use
     __setattr__ = object.__setattr__
@@ -816,6 +820,7 @@ class Env(Value):
                  scheme: Optional[Scheme] = None) -> None:
         self.parent, self.name, self.scheme = parent, name, scheme
         self._names, self._scope = (frozenset(), _EMPTY_SCOPE) if parent is None else (None, None)
+        self.embedded: Optional[Formula] = None
 
     def extend(self, name: str, scheme: Scheme) -> "Env":
         return Env(self, name, scheme)

@@ -101,20 +101,29 @@ class TestConstraintGoldens:
     """`--emit-constraints` prints every logged judgement, answers from the
     checker's memos included, in a fixed order; both goldens pin it line for
     line. `scope.ml` has a qualifier over `y`, which is out of scope before
-    `val y` and in scope after it."""
+    `val y` and in scope after it. `chain.ml` is a three-deep let chain whose
+    Top judgements and closed-template wf verdicts inference settles
+    without asking: they log as asked ones do."""
 
     @pytest.mark.parametrize(
         "source, golden",
         [
             (ROOT / "demos" / "sign.ml", GOLDEN / "sign.constraints"),
             (GOLDEN / "scope.ml", GOLDEN / "scope.constraints"),
+            (GOLDEN / "chain.ml", GOLDEN / "chain.constraints"),
         ],
-        ids=["sign", "scope"],
+        ids=["sign", "scope", "chain"],
     )
     def test_emit_constraints_matches_golden(self, source, golden, capsys):
         code, out, err = run_cli(capsys, str(source), "--emit-constraints")
         assert code == 0, err
         assert out.splitlines() == golden.read_text().splitlines()
+
+    def test_chain_golden_logs_settled_judgements(self):
+        lines = (GOLDEN / "chain.constraints").read_text().splitlines()
+        wf = [line for line in lines if line.startswith("-- wf:")]
+        top = [line for line in lines if line.endswith("< {v : int | true}  [ok]")]
+        assert len(wf) > len(set(wf)) and len(top) >= 9
 
     def test_scope_golden_logs_memo_hits_and_out_of_scope_arms(self):
         lines = (GOLDEN / "scope.constraints").read_text().splitlines()
@@ -222,6 +231,28 @@ class TestExitCodes:
         path.write_text("Qualifiers { v >= 0, v <= 0 }\nval f = \\x. \\y. + x y\n")
         code, _, err = run_cli(capsys, str(path), "--max-arms", "4")
         assert code == 4 and "cap" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--bogus"], "liqinfer: error: unrecognized arguments: --bogus"),
+            (["--max-arms", "x"], "liqinfer infer: error: argument --max-arms: invalid int value: 'x'"),
+            (["--max-arms", "0"], "liqinfer infer: error: argument --max-arms: must be at least 1, got 0"),
+            (["--max-arms", "-5"], "liqinfer infer: error: argument --max-arms: must be at least 1, got -5"),
+        ],
+        ids=["unknown-option", "max-arms-not-int", "max-arms-0", "max-arms-negative"],
+    )
+    def test_usage_error(self, sign_file, capsys, flags, message):
+        """A usage error exits 1, the code of unusable input, with
+        argparse's one-line message: not 2, an inference failure's code,
+        and no run that ends in the arm cap."""
+        code, out, err = run_cli(capsys, sign_file, *flags)
+        assert (code, out, err) == (1, "", message + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "liqinfer", sign_file, *flags],
+            capture_output=True, text=True, env=SRC_ENV, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message + "\n")
 
     def test_mock_solver_accepted_as_external(self, tmp_path, capsys):
         import stat

@@ -8,6 +8,7 @@ from liqinfer.shapes import w_infer
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
     Arrow,
+    BOOL,
     BaseArm,
     FAtom,
     Const,
@@ -225,6 +226,110 @@ class TestInferenceMemo:
         assert once and [(e.kind, e.description, e.verdict) for e in log] == 2 * [
             (e.kind, e.description, e.verdict) for e in once
         ]
+
+
+CHAIN = "\\x. " + "".join(
+    f"let x_{i} = sub 1 {'x' if i == 0 else f'x_{i - 1}'} in " for i in range(30)
+) + "x_29"
+
+
+class TestSettledJudgements:
+    """The Top rule and the wf verdicts of closed templates, applied where
+    inference builds its candidates."""
+
+    @staticmethod
+    def unsettled(monkeypatch):
+        """Send every judgement to the checker again: no Top type of a base
+        shape, and every template's wf asked under each environment."""
+        from liqinfer import inference
+
+        monkeypatch.setattr(inference, "_top_of", lambda shape: None)
+        monkeypatch.setattr(
+            inference._Template, "temporary",
+            lambda self, checker, env: inference.temporary_type(self.singles, checker, env, self.shape),
+        )
+
+    def test_settling_is_exact(self, monkeypatch, tmp_path, capsys):
+        """Criterion-5 traffic, a `deep`-style let chain and a `wide`-style
+        add3 file, settled and unsettled: the same schemes, failure texts
+        and CLI output, the same decisions and queries, and fewer `is_subtype`
+        and `wf_check` calls."""
+        from liqinfer import cli, validity
+        from liqinfer.metatheory import run_subject_reduction
+
+        files = {
+            "chain": f"Qualifiers {{ v >= 0, v <= 0 }}\nval f = {CHAIN}\n",
+            "add3": "Qualifiers { v >= 0, v <= 0, v >= 1 }\nval add3 = \\x.\\y.\\z. + x (+ y z)\n",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.ml").write_text(text)
+        counts = {"decided": 0, "judged": 0, "wf": 0}
+        engines = []
+        make_engine = cli._make_engine
+        monkeypatch.setattr(validity, "builtin_decide", counting(counts, "decided", validity.builtin_decide))
+        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", SubtypeChecker.is_subtype))
+        monkeypatch.setattr(SubtypeChecker, "wf_check", counting(counts, "wf", SubtypeChecker.wf_check))
+        monkeypatch.setattr(cli, "_make_engine", lambda args: engines.append(make_engine(args)) or engines[-1])
+        runs = {}
+        for settled in (True, False):
+            if not settled:
+                self.unsettled(monkeypatch)
+            run = {}
+            counts.update(decided=0, judged=0, wf=0)
+            engine = ValidityEngine()
+            report = run_subject_reduction(40, fuel=100, seed=7, engine=engine)
+            assert report.ok
+            reports = [(r.term, r.ok, r.steps, r.inferred, r.failure) for r in report.reports]
+            run["corpus"] = reports, dict(counts), engine.stats["queries"]
+            for name in files:
+                counts.update(decided=0, judged=0, wf=0)
+                code = cli.main([str(tmp_path / f"{name}.ml"), "--json"])
+                out = capsys.readouterr()
+                assert code == 0, out.err
+                run[name] = (out.out, out.err), dict(counts), engines[-1].stats["queries"]
+            runs[settled] = run
+        for workload in ("corpus", *files):
+            (answers, counted, queries), (plain, uncounted, plain_queries) = (
+                runs[True][workload], runs[False][workload]
+            )
+            assert answers == plain, workload
+            assert queries == plain_queries, workload
+            assert counted["decided"] == uncounted["decided"], (workload, counted, uncounted)
+            assert counted["judged"] < uncounted["judged"], (workload, counted, uncounted)
+            assert counted["wf"] < uncounted["wf"], (workload, counted, uncounted)
+
+    def test_a_closed_template_asks_its_wf_once(self, engine, sign_qualifiers, monkeypatch):
+        from liqinfer.parser import parse_program
+
+        asked = {"wf": 0}
+        monkeypatch.setattr(SubtypeChecker, "wf_check", counting(asked, "wf", SubtypeChecker.wf_check))
+        inf = Inferencer(sign_qualifiers, engine)
+        prog = parse_program(f"Qualifiers {{ v >= 0, v <= 0 }}\nval f = {CHAIN}\n")
+        inf.infer(Env(), normalize(prog.bindings[0][1]))
+        templates = list(inf._templates.values())
+        assert all(tpl.closed and tpl.verdicts is not None for tpl in templates)
+        assert asked["wf"] == sum(len(tpl.singles) for tpl in templates)
+
+    def test_an_open_template_is_filtered_under_each_environment(self, engine):
+        """Under `v >= y` the template of `int` mentions `y`: its temporary
+        type keeps the arm while `y` is an int in scope, and drops it where
+        a function or a bool binding hides that `y`; each answer is the one a
+        fresh inferencer gives."""
+        ge_y = FAtom(">=", LVar(VALUE_VAR), LVar("y"))
+        y_int = Env().extend("y", mono(base(LE)))
+        hidden = y_int.extend("y", mono(LiquidType((FunArm("a", base(TRUE), base(TRUE)),))))
+        as_bool = y_int.extend("y", mono(LiquidType((BaseArm(BOOL, TRUE),))))
+        inf = Inferencer([ge_y], engine)
+        tpl = inf._template(INT)
+        assert not tpl.closed
+        temps = [tpl.temporary(inf.checker, env) for env in (y_int, hidden, as_bool, y_int)]
+        assert temps == [base(ge_y), base(TRUE), base(TRUE), base(ge_y)]
+        assert tpl.verdicts is None and tpl.temp is None
+        term = normalize(parse_term("let w = 1 in w"))
+        got = [render_scheme(inf.infer(env, term)) for env in (y_int, hidden, as_bool, y_int)]
+        assert got == ["{v : int | (v>=y)}", "{v : int | true}", "{v : int | true}", "{v : int | (v>=y)}"]
+        for env, text in zip((y_int, hidden, as_bool), got):
+            assert render_scheme(Inferencer([ge_y], ValidityEngine()).infer(env, term)) == text
 
 
 class TestInferGolden:
