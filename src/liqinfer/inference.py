@@ -12,19 +12,12 @@ with its binder names, and keeps it for its life, together with the
 candidate arms of every well-formed part of it that a `let` has filtered.
 `fresh` itself stays a pure function of the shape and the qualifiers.
 
-Two kinds of judgement are settled where they are built, since their
-answers are fixed before they are asked:
-
-- the Top rule of `SubtypeChecker`: a `let` body of the let's base shape
-  is below that shape's Top candidate, and an argument of a base shape
-  fits a function arm whose domain is that shape's Top;
-- well-formedness of a closed template, one whose arms have no free
-  program variable: its verdicts read no environment, so the template
-  asks them once and builds its temporary type once (`_Template`).
-
-Every other judgement goes to `SubtypeChecker.is_subtype` and
-`wf_check`. A settled judgement is logged through `SubtypeChecker.record`
-in the text, verdict and position an asked one would have.
+A template also keeps its temporary type per sorts of its free program
+variables in the environment, the only part of the environment its wf
+verdicts read (see `SubtypeChecker`), so it asks them once per such key:
+once in all for a closed template, whose arms mention no program
+variable. While a constraint log is attached, every use asks them again,
+so that the log holds each judgement where it is made.
 
 It also infers each non-atomic node once per environment: `_infer` keeps
 its answer, a scheme or a failure's text, under (environment, elaborated
@@ -41,11 +34,10 @@ from itertools import product
 from typing import Hashable, Optional, Sequence, Union
 
 from .shapes import elaborate, erase, shape_env
-from .subtyping import LogEntry, SubtypeChecker
+from .subtyping import LogEntry, SubtypeChecker, env_sorts
 from .syntax import (
     App,
     Arrow,
-    BOOL,
     Base,
     BaseArm,
     BoolConst,
@@ -54,7 +46,6 @@ from .syntax import (
     Env,
     Formula,
     FunArm,
-    INT,
     IntConst,
     Lam,
     Let,
@@ -70,7 +61,6 @@ from .syntax import (
     TyVar,
     Var,
     VarArm,
-    base_top,
     make_type,
     mono,
     render_term,
@@ -137,24 +127,8 @@ def temporary_type(
 ) -> LiquidType:
     """The well-formedness survivors of a fresh template, given as one-arm
     types; an emptied intersection collapses to the top skeleton."""
-    return _survivors(singles, [checker.wf_check(env, single) for single in singles], shape)
-
-
-def _survivors(
-    singles: Sequence[LiquidType], verdicts: Sequence[bool], shape: SimpleType
-) -> LiquidType:
-    arms = [single.arms[0] for single, ok in zip(singles, verdicts) if ok]
+    arms = [single.arms[0] for single in singles if checker.wf_check(env, single)]
     return make_type(arms) if arms else top_skeleton(shape)
-
-
-# The Top type of each base shape, {v : b | true}: every type of that shape
-# is below it (the Top rule of `SubtypeChecker`).
-_BASE_TOPS = {INT: base_top(INT), BOOL: base_top(BOOL)}
-
-
-def _top_of(shape: SimpleType) -> Optional[LiquidType]:
-    """The Top type of a base shape; None for any other shape."""
-    return _BASE_TOPS.get(shape) if shape.__class__ is Base else None
 
 
 def _strip_ty(t: Term) -> Term:
@@ -165,41 +139,38 @@ def _strip_ty(t: Term) -> Term:
 
 class _Template:
     """The fresh template of one shape, its arms as one-arm types, its top
-    skeleton, which is the Top type (`base_top`) when the shape is a base
-    type, and the candidate arms of `_filter_template` per temporary type
-    made from the template: the surviving arms and the top arm.
+    skeleton, its temporary types, and the candidate arms of
+    `_filter_template` per temporary type made from the template: the
+    surviving arms and the top arm.
 
-    A closed template, none of whose arms has a free program variable, has
-    wf verdicts that read no environment (see `SubtypeChecker`). Its
-    verdicts and temporary type are made once, under the environment of
-    its first use."""
+    Each arm's free program variables are among the template's, so the sort
+    of each of those in an environment fixes every wf verdict there, and
+    with them the temporary type: `temps` keeps it under that key, which is
+    () for a closed template."""
 
-    __slots__ = ("template", "singles", "shape", "top", "base_top", "closed",
-                 "verdicts", "temp", "candidates")
+    __slots__ = ("template", "singles", "shape", "top", "temps", "candidates")
 
     def __init__(self, template: LiquidType, shape: SimpleType) -> None:
         self.template = template
         self.singles = tuple(LiquidType((arm,)) for arm in template.arms)
         self.shape = shape
         self.top = top_skeleton(shape)
-        self.base_top = _top_of(shape)
-        self.closed = not any(single.free for single in self.singles)
-        self.verdicts: Optional[tuple[bool, ...]] = None
-        self.temp: Optional[LiquidType] = None
+        self.temps: dict[tuple[Optional[str], ...], LiquidType] = {}
         self.candidates: dict[LiquidType, tuple[LiquidType, ...]] = {}
 
     def temporary(self, checker: SubtypeChecker, env: Env) -> LiquidType:
-        """The temporary type under `env`. A closed template asks its wf
-        judgements once; later uses only log their verdicts."""
-        if not self.closed:
-            return temporary_type(self.singles, checker, env, self.shape)
-        if self.verdicts is None:
-            self.verdicts = tuple(checker.wf_check(env, single) for single in self.singles)
-            self.temp = _survivors(self.singles, self.verdicts, self.shape)
-        elif checker.log is not None:
-            for single, ok in zip(self.singles, self.verdicts):
-                checker.record(env, ok, single)
-        return self.temp
+        """The temporary type under `env`, made once per key; at every use
+        while the checker logs, so that each wf judgement is logged."""
+        free = self.template.free
+        if free:
+            sorts = env_sorts(env)
+            key = tuple([sorts.get(x) for x in free])
+        else:
+            key = ()
+        temp = self.temps.get(key)
+        if temp is None or checker.log is not None:
+            temp = self.temps[key] = temporary_type(self.singles, checker, env, self.shape)
+        return temp
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +334,7 @@ class Inferencer:
         arms = [a for a in fun_type.arms if isinstance(a, FunArm)]
         if not arms:
             raise InferenceFailure(f"application of a non-function in {render_term(where)}")
-        checker = self.checker
-        # the Top rule, applied here: a base argument fits a Top domain
-        top = _top_of(arg_type.shape)
-        survivors = []
-        for a in arms:
-            if a.dom is top:
-                if checker.log is not None:
-                    checker.record(env, True, arg_type, top)
-                survivors.append(a)
-            elif checker.is_subtype(env, arg_type, a.dom):
-                survivors.append(a)
+        survivors = [a for a in arms if self.checker.is_subtype(env, arg_type, a.dom)]
         if not survivors:
             raise InferenceFailure(
                 f"no function arm accepts the argument in {render_term(where)}"
@@ -402,8 +363,7 @@ class Inferencer:
         self, env: Env, inner_env: Env, body: LiquidType, shape: SimpleType, t: Term
     ) -> Scheme:
         tpl = self._template(shape)
-        checker = self.checker
-        temp = tpl.temporary(checker, env)  # wf under the outer env
+        temp = tpl.temporary(self.checker, env)  # wf under the outer env
         candidates = tpl.candidates.get(temp)
         if candidates is None:
             # the top-refined skeleton is always a candidate; keeping it
@@ -412,16 +372,9 @@ class Inferencer:
             # bound variable
             arms = dict.fromkeys(temp.arms + tpl.top.arms)
             candidates = tpl.candidates[temp] = tuple(LiquidType((arm,)) for arm in arms)
-        # the Top rule, applied here: a body of the base shape fits Top
-        top = tpl.base_top if body.shape is shape else None
-        keep = []
-        for c in candidates:
-            if c is top:
-                if checker.log is not None:
-                    checker.record(inner_env, True, body, top)
-                keep.append(c.arms[0])
-            elif checker.is_subtype(inner_env, body, c):
-                keep.append(c.arms[0])
+        keep = [
+            c.arms[0] for c in candidates if self.checker.is_subtype(inner_env, body, c)
+        ]
         if keep:
             return mono(make_type(keep))
         raise InferenceFailure(f"no template arm fits {render_term(t)}")

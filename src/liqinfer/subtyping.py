@@ -9,14 +9,11 @@ countermodel is searched for on the inference path; any other answer, a
 proved Invalid or an Unknown alike, is conservatively read as "not a
 subtype". A checker decides each judgement once and answers repeats from a
 memo (see `SubtypeChecker`). A base target refined by Top at every arm is
-settled without a query: every value satisfies {v | true}. Well-formedness
-is memoized per type and sorts of its free variables.
-
-Inference applies the Top rule, and the wf verdicts of templates with no
-free program variable, where it builds its candidates, so those judgements
-mostly never reach this module; it logs them through `record`, in the text
-an asked judgement has. What does reach it goes through `is_subtype`,
-which hands two liquid types straight to `_sub`, the memo's one entry.
+settled without a query: every value satisfies {v | true}; the Top type of
+the source's base shape is settled before the memo, with no environment
+formula and no memo entry. Well-formedness is memoized per type and sorts
+of its free variables. `is_subtype` hands two liquid types straight to
+`_sub`, the memo's one entry, and logs every judgement it is asked.
 """
 
 from __future__ import annotations
@@ -25,17 +22,20 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 from .logic import conj, embed_env
 from .syntax import (
+    BOOL,
     Base,
     BaseArm,
     Env,
     Formula,
     FunArm,
+    INT,
     LiquidType,
     Scheme,
     TRUE,
     Var,
     VarArm,
     VALUE_VAR,
+    base_top,
     make_type,
     mono,
     render_scheme,
@@ -75,6 +75,10 @@ class _Layer:
 
 Sorts = Union[Mapping[str, str], _Layer]
 
+# The Top type {v : b | true} of each base shape b, hash-consed: every type
+# of shape b is below it (the Top rule).
+_TOPS = {INT: base_top(INT), BOOL: base_top(BOOL)}
+
 
 class SubtypeChecker:
     """Well-formedness and subtyping judgements under one validity engine.
@@ -96,7 +100,8 @@ class SubtypeChecker:
     refined by Top holds under any environment, with no query. Such a query
     would have the conclusion `true`, which the engine answers Valid anyway.
     A target that mixes a Top arm with an informative one still goes to the
-    engine.
+    engine. `_sub` settles the commonest case, the Top type of the source's
+    base shape, before it reads Γ's formula or the memo.
 
     Well-formedness of τ reads Γ's sorts only at τ's free program variables
     (`LiquidType.free`): the value variable and an arrow's binder are
@@ -126,7 +131,7 @@ class SubtypeChecker:
         if ok is None:
             ok = self._wf[key] = self._wf_type(t, sorts)
         if self.log is not None:
-            self.record(env, ok, s)
+            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(s)}", ok))
         return ok
 
     def _wf_type(self, t: LiquidType, sorts: Sorts) -> bool:
@@ -160,23 +165,8 @@ class SubtypeChecker:
         else:
             ok = self._sub_scheme(env, a, b)
         if self.log is not None:
-            self.record(env, ok, a, b)
-        return ok
-
-    def record(
-        self,
-        env: Env,
-        ok: bool,
-        a: Union[Scheme, LiquidType],
-        b: Union[Scheme, LiquidType, None] = None,
-    ) -> None:
-        """Log a judgement with its verdict: Γ ⊢ a, or Γ ⊢ a <: b when `b`
-        is given. Inference also logs here the judgements it settles without
-        asking (see `inference`), in the text an asked one has."""
-        if b is None:
-            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(a)}", ok))
-        else:
             self.log.append(LogEntry("sub", f"{_env_str(env)} |- {_render(a)} < {_render(b)}", ok))
+        return ok
 
     def _sub_scheme(
         self, env: Env, a: Union[Scheme, LiquidType], b: Union[Scheme, LiquidType]
@@ -193,8 +183,8 @@ class SubtypeChecker:
         return self._sub(env, body_a, body_b)
 
     def _sub(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
-        if a is b:
-            return True  # reflexivity needs no solver support
+        if a is b or b is _TOPS.get(a.shape):
+            return True  # reflexivity and the Top rule need no solver support
         key = (embed_env(env), a, b)
         known = self._judged.get(key)
         if known is None:

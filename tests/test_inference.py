@@ -234,16 +234,16 @@ CHAIN = "\\x. " + "".join(
 
 
 class TestSettledJudgements:
-    """The Top rule and the wf verdicts of closed templates, applied where
-    inference builds its candidates."""
+    """The Top rule settled before the subtyping memo, and the temporary
+    types a template keeps per sorts of its free variables."""
 
     @staticmethod
     def unsettled(monkeypatch):
-        """Send every judgement to the checker again: no Top type of a base
-        shape, and every template's wf asked under each environment."""
-        from liqinfer import inference
+        """Send every judgement past the memo's entry again: no Top type of
+        a base shape, and every template's wf asked under each environment."""
+        from liqinfer import inference, subtyping
 
-        monkeypatch.setattr(inference, "_top_of", lambda shape: None)
+        monkeypatch.setattr(subtyping, "_TOPS", {})
         monkeypatch.setattr(
             inference._Template, "temporary",
             lambda self, checker, env: inference.temporary_type(self.singles, checker, env, self.shape),
@@ -252,8 +252,8 @@ class TestSettledJudgements:
     def test_settling_is_exact(self, monkeypatch, tmp_path, capsys):
         """Criterion-5 traffic, a `deep`-style let chain and a `wide`-style
         add3 file, settled and unsettled: the same schemes, failure texts
-        and CLI output, the same decisions and queries, and fewer `is_subtype`
-        and `wf_check` calls."""
+        and CLI output, the same decisions and queries, and fewer judgements
+        decided past the memo (`_decide`) and fewer `wf_check` calls."""
         from liqinfer import cli, validity
         from liqinfer.metatheory import run_subject_reduction
 
@@ -267,7 +267,7 @@ class TestSettledJudgements:
         engines = []
         make_engine = cli._make_engine
         monkeypatch.setattr(validity, "builtin_decide", counting(counts, "decided", validity.builtin_decide))
-        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", SubtypeChecker.is_subtype))
+        monkeypatch.setattr(SubtypeChecker, "_decide", counting(counts, "judged", SubtypeChecker._decide))
         monkeypatch.setattr(SubtypeChecker, "wf_check", counting(counts, "wf", SubtypeChecker.wf_check))
         monkeypatch.setattr(cli, "_make_engine", lambda args: engines.append(make_engine(args)) or engines[-1])
         runs = {}
@@ -307,24 +307,28 @@ class TestSettledJudgements:
         prog = parse_program(f"Qualifiers {{ v >= 0, v <= 0 }}\nval f = {CHAIN}\n")
         inf.infer(Env(), normalize(prog.bindings[0][1]))
         templates = list(inf._templates.values())
-        assert all(tpl.closed and tpl.verdicts is not None for tpl in templates)
+        assert all(not tpl.template.free and list(tpl.temps) == [()] for tpl in templates)
         assert asked["wf"] == sum(len(tpl.singles) for tpl in templates)
 
-    def test_an_open_template_is_filtered_under_each_environment(self, engine):
+    def test_an_open_template_is_filtered_under_each_environment(self, engine, monkeypatch):
         """Under `v >= y` the template of `int` mentions `y`: its temporary
         type keeps the arm while `y` is an int in scope, and drops it where
-        a function or a bool binding hides that `y`; each answer is the one a
-        fresh inferencer gives."""
+        a function or a bool binding hides that `y`. It is kept per sort of
+        `y`, so a later environment with `y` an int asks nothing; each answer
+        is the one a fresh inferencer gives."""
         ge_y = FAtom(">=", LVar(VALUE_VAR), LVar("y"))
         y_int = Env().extend("y", mono(base(LE)))
         hidden = y_int.extend("y", mono(LiquidType((FunArm("a", base(TRUE), base(TRUE)),))))
         as_bool = y_int.extend("y", mono(LiquidType((BaseArm(BOOL, TRUE),))))
         inf = Inferencer([ge_y], engine)
         tpl = inf._template(INT)
-        assert not tpl.closed
+        assert tpl.template.free == ("y",)
+        asked = {"wf": 0}
+        monkeypatch.setattr(SubtypeChecker, "wf_check", counting(asked, "wf", SubtypeChecker.wf_check))
         temps = [tpl.temporary(inf.checker, env) for env in (y_int, hidden, as_bool, y_int)]
         assert temps == [base(ge_y), base(TRUE), base(TRUE), base(ge_y)]
-        assert tpl.verdicts is None and tpl.temp is None
+        assert tpl.temps == {("int",): base(ge_y), (None,): base(TRUE), ("bool",): base(TRUE)}
+        assert asked["wf"] == 3
         term = normalize(parse_term("let w = 1 in w"))
         got = [render_scheme(inf.infer(env, term)) for env in (y_int, hidden, as_bool, y_int)]
         assert got == ["{v : int | (v>=y)}", "{v : int | true}", "{v : int | true}", "{v : int | (v>=y)}"]
