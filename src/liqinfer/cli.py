@@ -2,9 +2,11 @@
 intersection type for every val binding, and print the results.
 
 Exit codes: 0 success, 1 parse error (including unreadable input) or
-usage error (an unknown option, an option value of the wrong type, or a
-`--max-arms` below 1; argparse's one-line message goes to stderr), 2
-inference failure, 3 solver error, 4 arm-cap exceeded. Input nested too
+usage error (an unknown option, or an option value of the wrong type or
+out of range: `--max-arms` and `--trials` below 1, `--fuel` and `--bound`
+below 0, `--prover-timeout` not above 0; argparse's one-line message goes
+to stderr), 2 inference failure, 3 solver error (a `--prover-timeout` past
+what the system can wait is one), 4 arm-cap exceeded. Input nested too
 deeply for the interpreter's recursion limit ends in 1 when the parser
 hits the limit and in 2 when normalization or inference does. A reader
 that closes standard output early ends the run with 0: what it did not
@@ -17,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .anf import normalize
 from .inference import ArmCapExceeded, Inferencer
@@ -49,14 +51,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _arm_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
-    return cap
+def _bounded(kind: type, low: float, strict: bool = False) -> Callable[[str], float]:
+    """An option type: a value of `kind` (int or float) at least `low`, or
+    above it when `strict`; argparse reports any other as a usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not (value > low if strict else value >= low):  # NaN fails both
+            raise argparse.ArgumentTypeError(f"must be {'above' if strict else 'at least'} {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,14 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also print generated atomic constraints with verdicts")
     infer_p.add_argument("--json", action="store_true",
                          help="machine-readable output (bindings with arm lists)")
-    infer_p.add_argument("--max-arms", type=_arm_cap, default=4096,
+    infer_p.add_argument("--max-arms", type=_bounded(int, 1), default=4096,
                          help="cap on fresh template size, at least 1 (default 4096)")
 
     meta_p = sub.add_parser("check-metatheory",
                             help="run the subject-reduction and oracle-agreement suites")
-    meta_p.add_argument("--trials", type=int, default=100)
-    meta_p.add_argument("--fuel", type=int, default=100)
-    meta_p.add_argument("--bound", type=int, default=4)
+    meta_p.add_argument("--trials", type=_bounded(int, 1), default=100)
+    meta_p.add_argument("--fuel", type=_bounded(int, 0), default=100)
+    meta_p.add_argument("--bound", type=_bounded(int, 0), default=4)
     meta_p.add_argument("--seed", type=int, default=0)
     _engine_flags(meta_p)
     return parser
@@ -93,7 +101,7 @@ def _engine_flags(p: argparse.ArgumentParser) -> None:
                    help="external solver command template; {file} expands to a "
                         f"script path, otherwise stdin is used (default ${SMT_CMD_ENV})")
     p.add_argument("--backend", choices=("builtin", "external", "both"), default="builtin")
-    p.add_argument("--prover-timeout", type=float, default=5.0,
+    p.add_argument("--prover-timeout", type=_bounded(float, 0, strict=True), default=5.0,
                    help="seconds per external query (default 5)")
     p.add_argument("--nonlinear", action="store_true",
                    help="in scripts for the external solver, write products of two "

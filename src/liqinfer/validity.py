@@ -9,28 +9,29 @@ external backend speaks SMT-LIB v2 to any conformant solver process.
 The built-in backend decides on a linear IR of rows, coefficient dicts over
 program variables and opaque terms; it builds no formula while deciding. A
 hypothesis is compiled once, memoized on the hash-consed formula next to its
-cache-key prefix: its atoms become rows and its unit-coefficient equalities
-are substituted away, as the Omega test (Pugh, CACM 1992) starts. Each
-conclusion conjunct is negated straight into rows, substituted, split into
-cases where booleans or disjunctions occur, and refuted by Fourier-Motzkin
-with gcd tightening. The engine keeps its last hypothesis alive, so the
-conclusions asked in a row against it share the compiled form.
+cache-key prefix: its atoms become rows and its equalities are eliminated
+exactly, as in the Omega test (Pugh, CACM 1992): divided by their gcd, and
+rewritten by Pugh's symmetric-modulo step until a variable has a unit
+coefficient and is substituted away. Each conclusion conjunct is negated
+straight into rows, substituted, split into cases where booleans or
+disjunctions occur, and refuted by Fourier-Motzkin with gcd tightening. The
+engine keeps its last hypothesis alive, so the conclusions asked in a row
+against it share the compiled form.
 
 A query is made of refinements (`syntax.Formula`). A product with a side
 that has no variables is scaling and stays linear. Any other product is the
 uninterpreted ``times``: an opaque term to Fourier-Motzkin, so Valid stays
 sound, and congruent to another with equal sides. The query still holds a
 real product, so an Invalid model must give each such product the product
-of its sides' values; where the search finds none, the answer is Unknown.
+of its sides' values.
 
 Inference asks only "Valid?" (`check(q, need_model=False)`): the built-in
 walk stops at the first case Fourier-Motzkin does not refute and answers
-NOT_PROVED, with no countermodel search.  The bounded model search runs only
-for callers that want the full verdict, such as the `check-metatheory`
-oracle agreement. It reads the system Fourier-Motzkin failed to refute, the
-case's rows after substitution: it searches the variables the hypothesis's
-equalities leave free and gives each bound one the value of its binding.
-After a coefficient overflow it answers Unknown.
+NOT_PROVED. For the full verdict, that elimination also gives the case's
+countermodel, by back-substitution. The answer is Unknown, with its reason,
+where the bounds of a variable hold no integer (there are no dark shadows
+or splintering), where the products cannot be completed, and where a bound
+of the procedure trips.
 
 Cache keys and solver scripts come from one SMT-LIB printer. A key prints
 the query with its variables renamed in first-occurrence order, each
@@ -45,7 +46,6 @@ import math
 import os
 import re
 import threading
-import zlib
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
@@ -98,14 +98,13 @@ Verdict = Union[Valid, Invalid, Unknown]
 VALID = Valid()
 
 # The answer to a caller that reads only Valid when a query is not proved: it
-# may be Invalid or Unknown, and telling which would take a model search.
+# may be Invalid or Unknown, and telling which would take a countermodel.
 NOT_PROVED = Unknown("not proved")
 
 _MAX_BOOL_VARS = 12
 _MAX_ALTERNATIVES = 64
 _MAX_ROWS = 600
 _MAX_COEF = 10**9
-_MAX_MODEL_EVALS = 60_000
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +121,8 @@ Lin = tuple[dict, int]
 Row = Lin
 
 
-class _OutsideFragment(Exception):
-    pass
-
-
-class _FMOverflow(Exception):
-    pass
+class _PastBound(Exception):
+    """A bound of the procedure was passed; the argument is the reason."""
 
 
 def _conjuncts(f: Formula) -> list[Formula]:
@@ -181,8 +176,9 @@ def _linear(t: LogicTerm, opaque: dict) -> Lin:
 
 
 def _value(form: Lin, asg: dict) -> int:
+    """The value of the form; a variable `asg` does not give is 0."""
     coeffs, k = form
-    return sum(c * asg[v] for v, c in coeffs.items()) + k
+    return sum(c * asg.get(v, 0) for v, c in coeffs.items()) + k
 
 
 def _difference(a: FAtom, opaque: dict) -> Lin:
@@ -223,29 +219,50 @@ def _substitute(form: Lin, subst: dict) -> Lin:
             k += c * value[1]
     out = {v: c for v, c in out.items() if c}
     if any(abs(c) > _MAX_COEF for c in out.values()):
-        raise _FMOverflow()
+        raise _PastBound("coefficient overflow")
     return out, k
 
 
-def _solve(eq: Lin, subst: dict, kept: list[Row]) -> bool:
-    """Adds the equality `eq = 0` to `subst`, whose values mention no bound
-    variable. A variable with a unit coefficient is bound to the rest of
-    the equality and replaced in the values bound before it; an equality
-    without one goes to `kept` as two rows. False when the equality is
-    ground and fails."""
+def _mod_hat(a: int, m: int) -> int:
+    """Pugh's symmetric modulo: a - m * floor(a / m + 1/2)."""
+    return a - m * ((2 * a + m) // (2 * m))
+
+
+def _solve(eq: Lin, subst: dict) -> bool:
+    """Adds the equality `eq = 0`, divided by its gcd, to `subst`, whose
+    values mention no bound variable; False when it has no integer solution.
+    Its first variable of least coefficient is bound, and replaced in the
+    values bound before it: to the rest of the equality when the coefficient
+    is a unit, and otherwise by Pugh's step, which leaves an equality of
+    smaller coefficients to solve. Pugh's variable is the pair `("$", var)`:
+    never a model's name, and printed alike in every run for FM's ties."""
     coeffs, k = _substitute(eq, subst)
-    pivot = next((v for v, c in coeffs.items() if c == 1 or c == -1), None)
-    if pivot is None:
-        kept += _rows((coeffs, k), _HOLDS["="]) if coeffs else ()
-        return bool(coeffs) or k == 0
-    c = coeffs[pivot]
-    value = ({v: -c * a for v, a in coeffs.items() if v != pivot}, -c * k)
-    bind = {pivot: value}
-    for v, e in subst.items():
-        if pivot in e[0]:
-            subst[v] = _substitute(e, bind)
-    subst[pivot] = value
-    return True
+    while coeffs:
+        g = math.gcd(*coeffs.values())
+        if k % g:
+            return False
+        if g > 1:
+            coeffs, k = {v: c // g for v, c in coeffs.items()}, k // g
+        var = min(coeffs, key=lambda v: abs(coeffs[v]))
+        a = coeffs[var]
+        if abs(a) == 1:
+            value = ({v: -a * c for v, c in coeffs.items() if v != var}, -a * k)
+        else:
+            # m * sigma = sum((c mod^ m) * v) + (k mod^ m), where a mod^ m is
+            # -sign(a); so var is a unit of it
+            m, s = abs(a) + 1, 1 if a > 0 else -1
+            value = ({v: s * _mod_hat(c, m) for v, c in coeffs.items() if v != var and _mod_hat(c, m)},
+                     s * _mod_hat(k, m))
+            value[0]["$", var] = -s * m
+        bind = {var: value}
+        for v, e in subst.items():
+            if var in e[0]:
+                subst[v] = _substitute(e, bind)
+        subst[var] = value
+        if abs(a) == 1:
+            return True
+        coeffs, k = _substitute((coeffs, k), bind)
+    return k == 0
 
 
 def _congruences(terms: list, subst: dict) -> list[tuple]:
@@ -269,9 +286,9 @@ def _congruences(terms: list, subst: dict) -> list[tuple]:
                         continue
                     if form(t.lhs) == form(u.lhs) and form(t.rhs) == form(u.rhs):
                         pairs.append((t, u))
-                        _solve(({t: 1, u: -1}, 0), subst, [])
+                        _solve(({t: 1, u: -1}, 0), subst)
                         changed = True
-    except _FMOverflow:
+    except _PastBound:
         pass  # the pairs found so far are sound
     return pairs
 
@@ -288,11 +305,11 @@ class _Hypothesis:
     """A hypothesis compiled once, for every conclusion asked against it.
 
     Its linear atoms become rows. Its equalities, and those that congruence
-    adds, are eliminated: `subst` binds each variable that has a unit
-    coefficient in one, and `rows` holds the other rows after substitution
-    (None when a coefficient overflowed). Its other literals (`literals`,
-    with boolean variables `bools`) are split into cases per query. `false`
-    when a literal or a ground equality is false, which refutes every case.
+    adds, are eliminated by `_solve` into `subst`, and `rows` holds the other
+    rows after substitution (None when a coefficient overflowed). Its other
+    literals (`literals`, with boolean variables `bools`) are split into
+    cases per query. `false` when a literal or an equality is false, which
+    refutes every case.
     It lives as long as the formula, so it keeps no empty container."""
 
     __slots__ = ("literals", "bools", "opaque", "subst", "rows", "false")
@@ -317,25 +334,21 @@ class _Hypothesis:
         self.literals, self.opaque = tuple(others), opaque or _NO_TERMS
         self.bools = frozenset(_variables("bool", *others))
         subst: dict = {}
-        kept: list[Row] = []
         try:
-            self.false |= not all([_solve(d, subst, kept) for d in eqs])
+            self.false |= not all([_solve(d, subst) for d in eqs])
             for t, u in _congruences(list(opaque), subst):
-                self.false |= not _solve(({t: 1, u: -1}, 0), subst, kept)
-            self.rows: Optional[list[Row]] = [_substitute(r, subst) for r in rows + kept]
-        except _FMOverflow:
+                self.false |= not _solve(({t: 1, u: -1}, 0), subst)
+            self.rows: Optional[list[Row]] = [_substitute(r, subst) for r in rows]
+        except _PastBound:
             subst, self.rows = {}, None
         self.subst = subst or _NO_TERMS
 
-    def system(self, extra: list[Row]) -> Optional[list[Row]]:
+    def system(self, extra: list[Row]) -> list[Row]:
         """The rows of the hypothesis with `extra` added, all under the
-        substitution; None when a coefficient overflows."""
+        substitution; _PastBound when a coefficient overflows."""
         if self.rows is None:
-            return None
-        try:
-            return self.rows + [_substitute(r, self.subst) for r in extra]
-        except _FMOverflow:
-            return None
+            raise _PastBound("coefficient overflow")
+        return self.rows + [_substitute(r, self.subst) for r in extra]
 
 
 def _compile(f: Formula) -> Optional[_Hypothesis]:
@@ -388,17 +401,13 @@ def _reduce(f: Formula, positive: bool, asg: dict[str, bool], opaque: dict) -> O
             return None
         alts = [a + b for a in alts for b in inner]
         if len(alts) > _MAX_ALTERNATIVES:
-            raise _OutsideFragment()
+            raise _PastBound("outside the fragment")
     return alts
 
 
 def _tighten(row: Row) -> Row:
     coeffs, k = row
-    if not coeffs:
-        return row
-    g = 0
-    for c in coeffs.values():
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*coeffs.values())
     if g <= 1:
         return row
     # sum(a*x) <= -k  ==>  sum((a/g)*x) <= floor(-k/g), in integers: a
@@ -406,127 +415,124 @@ def _tighten(row: Row) -> Row:
     return {v: c // g for v, c in coeffs.items()}, -(-k // g)
 
 
-def _fm_refute(rows: list[Row]) -> Optional[bool]:
-    """True if the system is unsatisfiable over the reals (hence the
-    integers); False if real-satisfiable; None on overflow."""
+def _fm_refute(rows: list[Row]) -> Optional[list]:
+    """None when Fourier-Motzkin refutes the rows over the reals, with each
+    row tightened to the integers it admits (so over the integers too).
+    Otherwise the elimination steps `(var, pos, neg)`, first to last, with
+    the rows that bound `var` from above and below. _PastBound when a
+    coefficient passes _MAX_COEF or a step's rows pass _MAX_ROWS."""
     rows = [_tighten(r) for r in rows]
-    try:
-        while True:
-            pending = []
-            for coeffs, k in rows:
-                if not coeffs:
-                    if k > 0:
-                        return True
-                else:
-                    pending.append((coeffs, k))
-            if not pending:
-                return False
-            # pick the variable with the fewest pos*neg combinations
-            occs: dict = {}
-            for coeffs, _ in pending:
-                for v, c in coeffs.items():
-                    p, n = occs.get(v, (0, 0))
-                    occs[v] = (p + (c > 0), n + (c < 0))
-            var = min(sorted(occs, key=str), key=lambda v: occs[v][0] * occs[v][1])
-            pos = [r for r in pending if r[0].get(var, 0) > 0]
-            neg = [r for r in pending if r[0].get(var, 0) < 0]
-            rest = [r for r in pending if r[0].get(var, 0) == 0]
-            if occs[var][0] * occs[var][1] + len(rest) > _MAX_ROWS:
-                raise _FMOverflow()
-            new_rows = list(rest)
-            for pc, pk in pos:
-                for nc, nk in neg:
-                    a, b = pc[var], -nc[var]
-                    comb: dict = {}
-                    for v, c in pc.items():
-                        comb[v] = comb.get(v, 0) + b * c
-                    for v, c in nc.items():
-                        comb[v] = comb.get(v, 0) + a * c
-                    comb.pop(var, None)
-                    comb = {v: c for v, c in comb.items() if c != 0}
-                    if any(abs(c) > _MAX_COEF for c in comb.values()):
-                        raise _FMOverflow()
-                    kk = b * pk + a * nk
-                    if abs(kk) > _MAX_COEF:
-                        raise _FMOverflow()
-                    new_rows.append(_tighten((comb, kk)))
-            rows = new_rows
-    except _FMOverflow:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Bounded countermodel search
-# ---------------------------------------------------------------------------
-
-
-def _candidate_values(rows: list[Row], products: bool) -> list[int]:
-    consts = {0, 1, -1}
-    for coeffs, k in rows:
-        for d in (-k, k):
-            if abs(d) <= 40:
-                consts.update((d, d - 1, d + 1))
-        if products:
-            # a product of two sides just past the square root of k passes k
-            root = math.isqrt(abs(k)) + 1
-            consts.update((root, -root))
-    consts.update(range(-6, 7))
-    return sorted(consts)
-
-
-def _search_model(
-    rows: list[Row], subst: Mapping, opaque: dict, ints: dict[str, str], seed: int
-) -> Optional[dict]:
-    """A model of the rows, which `subst` has been applied to, that gives
-    each opaque product the product of its sides. It searches the integer
-    variables of the query (`ints`) that `subst` leaves free, and computes
-    each bound one from its binding and each other product from its sides,
-    after what they mention. A product on a cycle of these dependencies is
-    searched too."""
-    sides = {t: (_linear(t.lhs, {}), _linear(t.rhs, {})) for t in opaque}
-    deps = {v: form[0].keys() for v, form in subst.items()}
-    deps.update((t, lhs[0].keys() | rhs[0].keys()) for t, (lhs, rhs) in sides.items() if t not in subst)
-    variables, order = sorted(set(ints).difference(subst)), []
-    known, pending = set(variables), list(deps)
-    while pending:
-        ready = [v for v in pending if known.issuperset(deps[v])]
-        if ready:
-            order += ready
-        else:  # a binding never mentions a bound variable, so the cycle has such a product
-            ready = [next(v for v in pending if v not in subst)]
-            variables += ready
-        known.update(ready)
-        pending = [v for v in pending if v not in known]
-    values = _candidate_values(rows, bool(sides))
-    total = len(values) ** len(variables)
-
-    def ok(asg: dict) -> bool:
-        """Whether the searched values in `asg` make a model; adds the others."""
-        for v in order:
-            if v in subst:
-                asg[v] = _value(subst[v], asg)
+    steps: list = []
+    while True:
+        pending = []
+        for coeffs, k in rows:
+            if not coeffs:
+                if k > 0:
+                    return None
             else:
-                lhs, rhs = sides[v]
-                asg[v] = _value(lhs, asg) * _value(rhs, asg)
-        if any(_value(row, asg) > 0 for row in rows):
-            return False
-        return all(asg[t] == _value(lhs, asg) * _value(rhs, asg) for t, (lhs, rhs) in sides.items())
+                pending.append((coeffs, k))
+        if not pending:
+            return steps
+        # pick the variable with the fewest pos*neg combinations
+        occs: dict = {}
+        for coeffs, _ in pending:
+            for v, c in coeffs.items():
+                p, n = occs.get(v, (0, 0))
+                occs[v] = (p + (c > 0), n + (c < 0))
+        var = min(sorted(occs, key=str), key=lambda v: occs[v][0] * occs[v][1])
+        pos = [r for r in pending if r[0].get(var, 0) > 0]
+        neg = [r for r in pending if r[0].get(var, 0) < 0]
+        rest = [r for r in pending if r[0].get(var, 0) == 0]
+        if occs[var][0] * occs[var][1] + len(rest) > _MAX_ROWS:
+            raise _PastBound("row bound exceeded")
+        steps.append((var, pos, neg))
+        new_rows = list(rest)
+        for pc, pk in pos:
+            for nc, nk in neg:
+                a, b = pc[var], -nc[var]
+                comb = {v: b * c for v, c in pc.items()}
+                for v, c in nc.items():
+                    comb[v] = comb.get(v, 0) + a * c
+                comb = {v: c for v, c in comb.items() if c}  # var cancels
+                kk = b * pk + a * nk
+                if abs(kk) > _MAX_COEF or any(abs(c) > _MAX_COEF for c in comb.values()):
+                    raise _PastBound("coefficient overflow")
+                new_rows.append(_tighten((comb, kk)))
+        rows = new_rows
 
-    if total <= _MAX_MODEL_EVALS:
-        for combo in product(values, repeat=len(variables)):
-            asg = dict(zip(variables, combo))
-            if ok(asg):
-                return asg
-        return None
-    rng_state = seed or 1
-    for _ in range(_MAX_MODEL_EVALS // max(len(rows), 1) + 500):
-        asg = {}
-        for v in variables:
-            rng_state = (1103515245 * rng_state + 12345) % (1 << 31)
-            asg[v] = values[rng_state % len(values)]
-        if ok(asg):
-            return asg
-    return None
+
+# ---------------------------------------------------------------------------
+# Countermodels
+# ---------------------------------------------------------------------------
+
+
+def _back_substitute(steps: list) -> Optional[dict]:
+    """Values for the variables the steps eliminate, last eliminated first:
+    each takes the integer nearest 0 between the bounds its rows give under
+    the values already chosen (a variable never eliminated is 0), which the
+    later steps keep apart over the reals. None when they hold no integer."""
+    asg: dict = {}
+    for var, pos, neg in reversed(steps):
+        # a row c*var + r <= 0, with r its value while var is unset, bounds
+        # var by -r/c: from above when c > 0, from below when c < 0
+        hi = min((-_value(row, asg) // row[0][var] for row in pos), default=math.inf)
+        lo = max((-(_value(row, asg) // row[0][var]) for row in neg), default=-math.inf)
+        if lo > hi:
+            return None
+        asg[var] = max(lo, min(hi, 0))
+    return asg
+
+
+def _countermodel(rows: list, steps: list, hyp: _Hypothesis, opaque: dict, ints: set) -> Union[dict, str]:
+    """The values of the integer variables `ints` in a model of the rows,
+    which are under `hyp.subst`, or the reason there is none. The free
+    variables take their values from back-substitution. Then each bound one
+    takes its binding's value, and each product of `hyp` and `opaque` the
+    product of its sides, until the values settle. Where that breaks the
+    case, each free variable on a side of a product is tried at values that
+    give the product its first value."""
+    start = _back_substitute(steps)
+    if start is None:
+        return "no integer between the bounds"
+    subst = hyp.subst
+    sides = {t: (_linear(t.lhs, {}), _linear(t.rhs, {})) for t in {**hyp.opaque, **opaque}}
+    defined = [*subst, *(t for t in sides if t not in subst)]
+
+    def complete(free: dict) -> Optional[dict]:
+        asg = dict(free)
+        for _ in defined:  # each pass settles one more link of a chain of definitions
+            for v in defined:
+                asg[v] = _value(subst[v], asg) if v in subst else math.prod(_value(f, asg) for f in sides[v])
+        holds = all(_value(row, asg) <= 0 for row in rows)
+        settled = all(asg[v] == _value(f, asg) for v, f in subst.items()) and all(
+            asg[t] == math.prod(_value(f, asg) for f in fs) for t, fs in sides.items())
+        return {v: asg.get(v, 0) for v in ints} if holds and settled else None
+
+    found = complete(start)
+    if found is not None:
+        return found
+    # the first model, with each product a variable of its own
+    first = {**start, **{v: _value(form, start) for v, form in subst.items()}}
+    tries: set = set()
+    for t, (lhs, rhs) in sides.items():
+        c = first.get(t, 0)
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            for x, a in side[0].items():
+                if x in subst or x in sides:
+                    continue
+                if x in other[0]:  # a square: a side just past the root of c
+                    r = math.isqrt(abs(c))
+                    targets: tuple = (r, r + 1, -r, -r - 1)
+                else:
+                    s = _value(other, first)
+                    targets = (c // s, -(-c // s)) if s else ()
+                rest = _value(side, first) - a * first.get(x, 0)
+                tries.update((str(x), (w - rest) // a, x) for w in targets)
+    for _, value, x in sorted(tries):
+        found = complete({**start, x: value})
+        if found is not None:
+            return found
+    return "products not completed"
 
 
 # ---------------------------------------------------------------------------
@@ -537,24 +543,17 @@ def _search_model(
 def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
     """Valid, Invalid with a countermodel, or Unknown. With need_model=False
     the caller reads only Valid: the walk stops at the first case it cannot
-    refute and answers NOT_PROVED without searching for a countermodel."""
+    refute and answers NOT_PROVED without building a countermodel."""
     hyp = _compile(q.hypothesis)
     if hyp is None:
         return Unknown("hypothesis outside the fragment")
     if hyp.false:
         return VALID
     try:
-        search = None
-        if need_model:
-            seed = zlib.crc32(repr(q).encode())
-            ints = _variables("int", q.hypothesis, q.conclusion)
-
-            def search(rows: list[Row], opaque: dict) -> Optional[dict]:
-                return _search_model(rows, hyp.subst, opaque, ints, seed)
-
+        ints = _variables("int", q.hypothesis, q.conclusion) if need_model else None
         unknown: Optional[str] = None
         for part in _conjuncts(q.conclusion):
-            res = _implies(hyp, part, search)
+            res = _implies(hyp, part, ints)
             if isinstance(res, Invalid) or res == NOT_PROVED:
                 return res
             if isinstance(res, Unknown):
@@ -564,16 +563,16 @@ def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
     return Unknown(unknown) if unknown is not None else VALID
 
 
-def _implies(hyp: _Hypothesis, concl: Formula, search) -> Verdict:
+def _implies(hyp: _Hypothesis, concl: Formula, ints: Optional[set]) -> Verdict:
     """Whether the hypothesis implies one conclusion conjunct: each case of
     the hypothesis with the negated conjunct, one per assignment to their
     boolean variables and alternative of their disjunctions, must be
-    refuted. Without a model `search`, NOT_PROVED at the first case that is
-    not."""
+    refuted. A case that is not gives a countermodel over the integer
+    variables `ints`; without them, NOT_PROVED at the first such case."""
     # an atom holds no boolean, as the hypothesis's atoms do not
     names = hyp.bools if isinstance(concl, FAtom) else hyp.bools | _variables("bool", concl)
     if len(names) > _MAX_BOOL_VARS:
-        return Unknown("bounded reasoning exhausted") if search else NOT_PROVED
+        return NOT_PROVED if ints is None else Unknown("bounded reasoning exhausted")
     ordered = sorted(names)
     unknown: Optional[str] = None
     for bits in product((False, True), repeat=len(ordered)):
@@ -588,11 +587,11 @@ def _implies(hyp: _Hypothesis, concl: Formula, search) -> Verdict:
                     break
                 alts = [a + b for a in alts for b in inner]
                 if len(alts) > _MAX_ALTERNATIVES:
-                    raise _OutsideFragment()
-        except _OutsideFragment:
-            if search is None:
+                    raise _PastBound("outside the fragment")
+        except _PastBound as e:
+            if ints is None:
                 return NOT_PROVED
-            unknown = "outside the fragment"
+            unknown = str(e)
             continue
         if alts is None:
             continue  # the case is false under this assignment
@@ -601,19 +600,19 @@ def _implies(hyp: _Hypothesis, concl: Formula, search) -> Verdict:
             for t, u in _congruences(list({**hyp.opaque, **opaque}), hyp.subst):
                 congruent += _rows(({t: 1, u: -1}, 0), _HOLDS["="])
         for extra in alts:
-            rows = hyp.system(extra + congruent)
-            if rows is not None and _fm_refute(rows) is True:
-                continue
-            if search is None:
+            try:
+                rows = hyp.system(extra + congruent)
+                steps = _fm_refute(rows)
+                if steps is None:
+                    continue  # refuted
+                found = None if ints is None else _countermodel(rows, steps, hyp, opaque, ints)
+            except _PastBound as e:
+                found = str(e)
+            if ints is None:
                 return NOT_PROVED
-            if rows is None:
-                unknown = "coefficient overflow"
-                continue
-            model = search(rows, {**hyp.opaque, **opaque})
-            if model is not None:
-                model = {**asg, **model}
-                return Invalid(tuple(sorted((v, n) for v, n in model.items() if isinstance(v, str))))
-            unknown = "bounded reasoning exhausted"
+            if not isinstance(found, str):
+                return Invalid(tuple(sorted({**asg, **found}.items())))
+            unknown = found
     return Unknown(unknown) if unknown is not None else VALID
 
 
@@ -734,7 +733,7 @@ def run_solver(cmd: str, script: str, timeout: float) -> str:
             )
     except subprocess.TimeoutExpired as e:
         raise TimeoutError(str(e)) from e
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, OverflowError) as e:  # a timeout past what the OS can wait
         raise SolverError(f"cannot launch solver {cmd!r}: {e}") from e
     finally:
         if path is not None:

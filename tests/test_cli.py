@@ -239,17 +239,36 @@ class TestExitCodes:
             (["--max-arms", "x"], "liqinfer infer: error: argument --max-arms: invalid int value: 'x'"),
             (["--max-arms", "0"], "liqinfer infer: error: argument --max-arms: must be at least 1, got 0"),
             (["--max-arms", "-5"], "liqinfer infer: error: argument --max-arms: must be at least 1, got -5"),
+            (["--prover-timeout", "-1"],
+             "liqinfer infer: error: argument --prover-timeout: must be above 0, got -1.0"),
+            (["--prover-timeout", "nan"],
+             "liqinfer infer: error: argument --prover-timeout: must be above 0, got nan"),
+            (["check-metatheory", "--bound", "-1"],
+             "liqinfer check-metatheory: error: argument --bound: must be at least 0, got -1"),
+            (["check-metatheory", "--trials", "-3"],
+             "liqinfer check-metatheory: error: argument --trials: must be at least 1, got -3"),
+            (["check-metatheory", "--trials", "0"],
+             "liqinfer check-metatheory: error: argument --trials: must be at least 1, got 0"),
+            (["check-metatheory", "--fuel", "-1"],
+             "liqinfer check-metatheory: error: argument --fuel: must be at least 0, got -1"),
+            (["check-metatheory", "--prover-timeout", "0"],
+             "liqinfer check-metatheory: error: argument --prover-timeout: must be above 0, got 0.0"),
+            (["check-metatheory", "--bound", "x"],
+             "liqinfer check-metatheory: error: argument --bound: invalid int value: 'x'"),
         ],
-        ids=["unknown-option", "max-arms-not-int", "max-arms-0", "max-arms-negative"],
+        ids=["unknown-option", "max-arms-not-int", "max-arms-0", "max-arms-negative",
+             "prover-timeout-negative", "prover-timeout-nan", "bound-negative", "trials-negative",
+             "trials-0", "fuel-negative", "meta-prover-timeout-0", "bound-not-int"],
     )
     def test_usage_error(self, sign_file, capsys, flags, message):
         """A usage error exits 1, the code of unusable input, with
         argparse's one-line message: not 2, an inference failure's code,
-        and no run that ends in the arm cap."""
-        code, out, err = run_cli(capsys, sign_file, *flags)
+        no run that ends in the arm cap, and no traceback."""
+        argv = flags if flags[0] == "check-metatheory" else [sign_file, *flags]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", message + "\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "liqinfer", sign_file, *flags],
+            [sys.executable, "-m", "liqinfer", *argv],
             capture_output=True, text=True, env=SRC_ENV, timeout=120,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message + "\n")

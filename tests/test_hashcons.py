@@ -391,8 +391,9 @@ FUN_ARM = FunArm("x", LiquidType((BASE_ARM,)), LiquidType((BaseArm(BOOL, FIff(FB
 TWO_ARMS = make_type([FUN_ARM, FunArm("x", base_top(INT), LiquidType((BaseArm(BOOL, FBoolVar("v")),)))])
 
 # A repr prints the class and every field, `Name(field=value, ...)`. The
-# texts are fixed: `builtin_decide` seeds its model search with
-# `zlib.crc32(repr(query))`, so another text would change the models found.
+# texts are fixed: Fourier-Motzkin breaks ties between variables by `str`,
+# which is the repr for opaque terms, so another text would change the
+# elimination order and the models found.
 REPRS = [
     (
         lambda: ValidityQuery(

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from liqinfer.anf import normalize
 from liqinfer.inference import Inferencer
 from liqinfer import validity
-from liqinfer.metatheory import default_qualifiers, random_base_query, semantic_implication_oracle
+from liqinfer.metatheory import (
+    default_qualifiers,
+    random_base_query,
+    run_oracle_agreement,
+    semantic_implication_oracle,
+)
 from liqinfer.parser import parse_term
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
@@ -231,11 +236,10 @@ class TestBuiltinDecide:
         import liqinfer.validity as validity
 
         monkeypatch.setattr(validity, "_MAX_ROWS", 1)
-        monkeypatch.setattr(validity, "_MAX_MODEL_EVALS", 1)
         parts = [atom("<=", LAdd(LVar(f"x{i}"), LVar(f"x{i+1}")), LInt(0)) for i in range(6)]
         parts += [atom(">=", LAdd(LVar(f"x{i}"), LVar(f"x{i+1}")), LInt(1)) for i in range(6)]
         got = builtin_decide(ValidityQuery(FAnd(tuple(parts)), atom("<=", LVar("x0"), LInt(50))))
-        assert isinstance(got, Unknown)
+        assert got == Unknown("row bound exceeded")
 
 
 def xs(i):
@@ -254,7 +258,7 @@ class TestEqualityElimination:
         hyp = FAnd(tuple(eqs[::order]))
         assert builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(13)))) is VALID
         assert builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(12))), need_model=False) == NOT_PROVED
-        # the model search reads the substituted system: every x_i is bound
+        # the model reads the substituted system: every x_i is bound
         got = builtin_decide(ValidityQuery(hyp, atom("=", xs(8), LInt(12))))
         assert isinstance(got, Invalid)
         assert dict(got.model) == {f"x{i}": 5 + i for i in range(9)}
@@ -268,7 +272,7 @@ class TestEqualityElimination:
         assert builtin_decide(ValidityQuery(hyp, atom("<=", X, LInt(-5)))) is VALID
 
     def test_non_unit_equality_stays_sound(self):
-        # 2x = 3y has no unit coefficient, so it stays as two rows
+        # 2x = 3y has no unit coefficient: Pugh's step solves it
         hyp = atom("=", LMul(LInt(2), X), LMul(LInt(3), LVar("y")))
         at_least_one = FAnd((hyp, atom(">=", LVar("y"), LInt(1))))
         assert builtin_decide(ValidityQuery(at_least_one, atom(">=", X, LInt(2)))) is VALID
@@ -285,6 +289,30 @@ class TestEqualityElimination:
         hyp = FAnd((atom("=", X, LAdd(LVar("y"), LInt(0))), atom("=", LVar("a"), g(f(X)))))
         assert builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), g(f(LVar("y")))))) is VALID
         assert builtin_decide(ValidityQuery(hyp, atom("=", LVar("a"), f(LVar("y")))), need_model=False) == NOT_PROVED
+
+    def test_pugh_step_proves_what_the_real_shadow_misses(self):
+        # y = 1 forces 2x = 3, which no integer x meets; the real shadow of
+        # eliminating x first is satisfiable
+        hyp = atom("=", LMul(LInt(2), X), LMul(LInt(3), Y))
+        q = ValidityQuery(hyp, FIff(atom("=", Y, LInt(1)), FFalse()))
+        assert builtin_decide(q) is VALID
+        assert builtin_decide(q, need_model=False) is VALID
+
+    @pytest.mark.parametrize("concl", [FFalse(), atom("=", X, LInt(7)), atom("<", Y, Y)])
+    def test_an_equality_without_integer_solutions_refutes(self, concl):
+        # the gcd 2 of the coefficients does not divide 1
+        hyp = atom("=", LMul(LInt(2), X), LAdd(LMul(LInt(4), Y), LInt(1)))
+        assert builtin_decide(ValidityQuery(hyp, concl)) is VALID
+
+    def test_pugh_variables_stay_out_of_models(self):
+        # 3x + 5y + 1 = 0 takes two of Pugh's steps before a unit appears
+        hyp = atom("=", LAdd(LAdd(LMul(LInt(3), X), LMul(LInt(5), Y)), LInt(1)), LInt(0))
+        for concl in (atom(">=", Y, LInt(2)), atom("<=", X, LInt(-8)), atom("=", X, LInt(-2))):
+            got = builtin_decide(ValidityQuery(hyp, concl))
+            assert isinstance(got, Invalid)
+            model = dict(got.model)
+            assert model.keys() == {"x", "y"}
+            assert evaluate(hyp, model) and not evaluate(concl, model)
 
     def test_coefficient_blow_up_is_unknown(self):
         # x4 = 1000^4 * x0 after substitution, past the coefficient bound
@@ -345,14 +373,60 @@ class TestCompiledHypotheses:
         warm = ValidityEngine()
         assert [warm.check(q) for q in queries] == verdicts
         assert [warm.check(q) for q in queries] == verdicts  # from the cache
-        # renamed: the same key and the same proof; a countermodel search
-        # may take another path, since it is seeded by the printed query
+        # renamed: the same key and the same proof; a countermodel may
+        # differ, since Fourier-Motzkin breaks ties by variable name
         rename = {"v": "a", "x": "b", "y": "c", "z": "d"}
         for q, verdict in zip(queries, verdicts):
             rename_vars = {old: Var(new) for old, new in rename.items()}
             r = ValidityQuery(subst_refinement(q.hypothesis, rename_vars), subst_refinement(q.conclusion, rename_vars))
             assert canonical_key(r) == canonical_key(q)
             assert type(builtin_decide(r, need_model=False)) is type(builtin_decide(q, need_model=False))
+
+
+class TestBackSubstitution:
+    """Invalid comes from the Fourier-Motzkin run that fails to refute a
+    case: back-substitution gives each variable, last eliminated first, the
+    integer nearest 0 between its bounds."""
+
+    def test_offsets_that_add_up(self):
+        # every model needs v <= -7: two offsets past the bound of x
+        hyp = FAnd((atom("<=", X, LInt(2)), atom("<=", X, LInt(-3)), atom("<", V, LSub(X, LInt(3)))))
+        concl = FAnd((atom(">", V, X), atom(">=", V, LInt(-3))))
+        got = builtin_decide(ValidityQuery(hyp, concl))
+        assert isinstance(got, Invalid)
+        model = dict(got.model)
+        assert evaluate(hyp, model) and not evaluate(concl, model)
+        assert model["v"] <= -7
+
+    def test_oracle_agreement_leaves_nothing_unknown(self):
+        report = run_oracle_agreement(2000, seed=3)
+        assert (report.queries, report.unknown, report.unsound) == (2000, 0, 0)
+
+    def test_an_integer_gap_is_unknown(self):
+        # Pugh's example: 27 <= 11x + 13y <= 45 and -10 <= 7x - 9y <= 4 have
+        # real solutions and no integer one, which only a dark shadow shows
+        a = LAdd(LMul(LInt(11), X), LMul(LInt(13), Y))
+        b = LSub(LMul(LInt(7), X), LMul(LInt(9), Y))
+        hyp = FAnd((atom(">=", a, LInt(27)), atom("<=", a, LInt(45)),
+                    atom(">=", b, LInt(-10)), atom("<=", b, LInt(4))))
+        assert not any(evaluate(hyp, {"x": i, "y": j}) for i in range(-20, 21) for j in range(-20, 21))
+        q = ValidityQuery(hyp, FFalse())
+        assert builtin_decide(q) == Unknown("no integer between the bounds")
+        assert builtin_decide(q, need_model=False) == NOT_PROVED
+
+    def test_a_product_without_completion_is_unknown(self):
+        # x * y = 3 and x >= 4 have no model
+        q = ValidityQuery(atom("=", LMul(X, Y), LInt(3)), atom("<=", X, LInt(3)))
+        assert builtin_decide(q) == Unknown("products not completed")
+
+    @settings(max_examples=80, deadline=None)
+    @given(_conjunctions, _conjunctions)
+    def test_models_name_only_query_variables_and_falsify_the_query(self, hyp, concl):
+        got = builtin_decide(ValidityQuery(hyp, concl))
+        if isinstance(got, Invalid):
+            model = dict(got.model)
+            assert model.keys() == symbols(hyp, concl)[0].keys()
+            assert evaluate(hyp, model) and not evaluate(concl, model)
 
 
 class TestWrapPoints:
@@ -510,6 +584,13 @@ class TestExternalBackend:
         cmd = _mock_solver(tmp_path, "sleep 5\necho unsat\n")
         eng = ValidityEngine(backend="external", smt_cmd=cmd, timeout=0.3)
         assert isinstance(eng.check(neg_query()), Unknown)
+
+    def test_a_timeout_past_what_the_system_can_wait_is_a_launch_failure(self, tmp_path):
+        cmd = _mock_solver(tmp_path, "cat > /dev/null\necho unsat\n")
+        with pytest.raises(SolverError):
+            run_solver(cmd, "(check-sat)", float("inf"))
+        eng = ValidityEngine(backend="external", smt_cmd=cmd, timeout=1e9)
+        assert eng.check(neg_query()) == Unknown("solver launch failure")
 
     def test_launch_failure_raises_solver_error(self):
         with pytest.raises(SolverError):
