@@ -3,7 +3,7 @@ intersection type for every val binding, and print the results.
 
 Exit codes: 0 success, 1 parse error (including unreadable input) or
 usage error (an unknown option, or an option value of the wrong type or
-out of range: `--max-arms` and `--trials` below 1, `--fuel` and `--bound`
+out of range: `--max-arms`, `--trials` and `--fuel` below 1, `--bound`
 below 0, `--prover-timeout` not above 0; argparse's one-line message goes
 to stderr), 2 inference failure, 3 solver error (a `--prover-timeout` past
 what the system can wait is one), 4 arm-cap exceeded. Input nested too
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     meta_p = sub.add_parser("check-metatheory",
                             help="run the subject-reduction and oracle-agreement suites")
     meta_p.add_argument("--trials", type=_bounded(int, 1), default=100)
-    meta_p.add_argument("--fuel", type=_bounded(int, 0), default=100)
+    meta_p.add_argument("--fuel", type=_bounded(int, 1), default=100)
     meta_p.add_argument("--bound", type=_bounded(int, 0), default=4)
     meta_p.add_argument("--seed", type=int, default=0)
     _engine_flags(meta_p)
@@ -211,8 +211,7 @@ def _run_metatheory(args: argparse.Namespace) -> int:
     qualifiers = default_qualifiers()
     print(f"qualifiers: {', '.join(render_refinement(q) for q in qualifiers)}")
 
-    agreement = run_oracle_agreement(args.trials, bound=args.bound, seed=args.seed,
-                                     engine=engine)
+    agreement = run_oracle_agreement(args.trials, bound=args.bound, seed=args.seed, engine=engine)
     print(
         f"oracle agreement: {agreement.queries} queries, "
         f"{agreement.valid} valid, {agreement.invalid} invalid, "
@@ -220,8 +219,7 @@ def _run_metatheory(args: argparse.Namespace) -> int:
     )
 
     suite = run_subject_reduction(
-        args.trials, fuel=args.fuel, qualifiers=qualifiers,
-        seed=args.seed, bound=args.bound, engine=engine,
+        args.trials, fuel=args.fuel, qualifiers=qualifiers, seed=args.seed, engine=engine,
     )
     print(
         f"subject reduction: {suite.trials} trials, "

@@ -34,7 +34,7 @@ from itertools import product
 from typing import Hashable, Optional, Sequence, Union
 
 from .shapes import elaborate, erase, shape_env
-from .subtyping import LogEntry, SubtypeChecker, env_sorts
+from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
     App,
     Arrow,
@@ -163,7 +163,7 @@ class _Template:
         while the checker logs, so that each wf judgement is logged."""
         free = self.template.free
         if free:
-            sorts = env_sorts(env)
+            sorts = env.sorts()
             key = tuple([sorts.get(x) for x in free])
         else:
             key = ()

@@ -2,22 +2,27 @@
 
 Refinements already are formulas of the engine's logic (`syntax.Formula`),
 so a base arm's refinement needs no translation. What is left here is the
-environment: `embed_env` conjoins the refinements of the base bindings in
-scope, each with its value variable renamed to the bound name.
+environment Γ and its embedding [[Γ]]: `embed_env` conjoins the
+refinements of the bindings refinements can see (`visible_bindings`), each
+with its value variable renamed to the bound name. Each environment node
+keeps its formula, built from its parent's (`Env._view`).
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .syntax import (
+    BaseArm,
     Env,
     FAnd,
     FTrue,
     Formula,
     LiqError,
-    BaseBinding,
     TRUE,
     Var,
     VALUE_VAR,
+    base_arms,
     subst_refinement,
 )
 
@@ -43,36 +48,33 @@ def conj(parts: list[Formula]) -> Formula:
     return FAnd(tuple(flat))
 
 
-def _binding_conjuncts(b: BaseBinding) -> tuple[Formula, ...]:
-    parts = b.embedded
-    if parts is None:
-        rename = {VALUE_VAR: Var(b.name)}
-        parts = b.embedded = tuple(subst_refinement(a.ref, rename) for a in b.arms)
-    return parts
+def visible_bindings(env: Env) -> dict[str, tuple[BaseArm, ...]]:
+    """The base arms of each binding refinements can see under `env`, in
+    the order of the bindings: for each name its last binding, kept when it
+    is a monomorphic base type (`base_arms`). One walk over the bindings."""
+    last: dict = {}
+    for name, scheme in env.bindings:
+        last.pop(name, None)
+        last[name] = scheme
+    return {name: arms for name, scheme in last.items() if (arms := base_arms(scheme))}
+
+
+def _renamed(bindings: Iterable[tuple[str, tuple[BaseArm, ...]]]) -> list[Formula]:
+    return [subst_refinement(a.ref, {VALUE_VAR: Var(name)}) for name, arms in bindings for a in arms]
+
+
+def _extend_formula(f: Formula, node: Env) -> Formula:
+    """The formula of `node` from its parent's, `f`. A binding of a name the
+    parent's refinements cannot see adds its conjuncts, or nothing; one that
+    shadows or hides a visible name rebuilds the formula."""
+    if node.name not in node.parent.sorts():
+        arms = base_arms(node.scheme)
+        return conj([f, *_renamed([(node.name, arms)])]) if arms else f
+    return conj(_renamed(visible_bindings(node).items()))
 
 
 def embed_env(env: Env) -> Formula:
-    """Conjunction over the base bindings of `env.scope()` of their
-    refinements with the value variable renamed to the bound name; other
-    bindings contribute nothing. Only the last binding of a name counts
-    (shadowing), and one of a non-base type hides the name.
-
-    Built once per scope, and shared by every environment with that scope:
-    from the prefix scope's formula when the scope appends one binding to
-    it, otherwise from the conjuncts each binding keeps. Each environment
-    node keeps it as well, so a later call reads one slot."""
-    f = env.embedded
-    if f is not None:
-        return f
-    scope = env.scope()
-    f = scope.embedded
-    if f is None:
-        prefix = scope.prefix
-        if prefix is not None and prefix.embedded is not None:
-            last = next(reversed(scope.bindings.values()))
-            f = conj([prefix.embedded, *_binding_conjuncts(last)])
-        else:
-            f = conj([p for b in scope.bindings.values() for p in _binding_conjuncts(b)])
-        scope.embedded = f
-    env.embedded = f
-    return f
+    """[[env]]: the conjunction over `visible_bindings(env)` of their
+    refinements with the value variable renamed to the bound name. Built
+    once per environment node, from its parent's formula."""
+    return env._view("_formula", TRUE, _extend_formula)

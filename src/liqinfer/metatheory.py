@@ -12,6 +12,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .anf import _all_names, normalize
 from .inference import Inferencer
+from .logic import visible_bindings
 from .parser import parse_qualifier
 from .semantics import AtValue, Stuck, step
 from .subtyping import SubtypeChecker
@@ -159,12 +160,6 @@ def eval_refinement(r: Union[Formula, LogicTerm], asg: dict[str, object]) -> Uni
     return isinstance(r, FTrue)
 
 
-def _base_bindings(env: Env) -> list[tuple[str, str, tuple]]:
-    """(name, sort, refinements) for bindings usable by the oracle: those of
-    `env.scope()`, so shadowed bindings are dropped."""
-    return [(b.name, b.sort, b.refs) for b in env.scope().bindings.values()]
-
-
 def semantic_implication_oracle(
     env: Env,
     lhs: Formula,
@@ -176,14 +171,13 @@ def semantic_implication_oracle(
     variable, keep the ones satisfying the environment refinements under
     direct evaluation, and require that whenever the left refinement
     evaluates to true the right one does too."""
-    bindings = _base_bindings(env)
-    known = {name for name, _, _ in bindings} | {VALUE_VAR}
+    bindings = visible_bindings(env)
     used = symbols(lhs, rhs)[0]
-    free = used.keys() - known
+    free = used.keys() - bindings.keys() - {VALUE_VAR}
     if free:
         raise OracleInapplicable(f"variables without a base type in scope: {sorted(free)}")
-    names = [name for name, _, _ in bindings] + [VALUE_VAR]
-    sorts = {name: sort for name, sort, _ in bindings}
+    names = [*bindings, VALUE_VAR]
+    sorts = {name: arms[0].base.name for name, arms in bindings.items()}
     sorts[VALUE_VAR] = used.get(VALUE_VAR, "int")
 
     def domain(sort: str):
@@ -200,9 +194,9 @@ def semantic_implication_oracle(
 
     for asg in grids(0, {}):
         consistent = True
-        for name, _, refs in bindings:
+        for name, arms in bindings.items():
             inner = {**asg, VALUE_VAR: asg[name]}
-            if not all(eval_refinement(r, inner) for r in refs):
+            if not all(eval_refinement(a.ref, inner) for a in arms):
                 consistent = False
                 break
         if not consistent:
@@ -345,7 +339,6 @@ def run_subject_reduction(
     fuel: int = 100,
     qualifiers: Optional[Sequence[Formula]] = None,
     seed: int = 0,
-    bound: int = 4,
     engine: Optional[ValidityEngine] = None,
 ) -> SuiteReport:
     """Generate a corpus and run preservation plus reflexive re-check on it."""
@@ -382,9 +375,7 @@ def default_qualifiers() -> tuple[Formula, ...]:
 # ---------------------------------------------------------------------------
 
 
-def random_base_query(
-    rng: random.Random, bound: int = 4
-) -> tuple[Env, list[BaseArm], list[BaseArm]]:
+def random_base_query(rng: random.Random) -> tuple[Env, list[BaseArm], list[BaseArm]]:
     """A random environment of int bindings plus intersections of comparison
     refinements, shaped like the queries subtyping generates."""
     from .syntax import INT, LiquidType, mono
@@ -428,8 +419,6 @@ class AgreementReport(NamedTuple):
     invalid: int = 0
     unknown: int = 0
     unsound: int = 0  # engine said Valid, oracle has a countermodel
-    external_checked: int = 0
-    external_disagreements: int = 0
 
 
 def run_oracle_agreement(
@@ -437,18 +426,16 @@ def run_oracle_agreement(
     bound: int = 4,
     seed: int = 0,
     engine: Optional[ValidityEngine] = None,
-    external: Optional[ValidityEngine] = None,
 ) -> AgreementReport:
-    """Check the built-in verdicts against finite enumeration (and against an
-    external solver when one is configured)."""
-    from .validity import Invalid, Unknown, Valid
+    """Check the built-in verdicts against finite enumeration."""
+    from .validity import Invalid, Valid
 
     rng = random.Random(seed)
     engine = engine if engine is not None else ValidityEngine()
     checker = SubtypeChecker(engine)
     counts = dict.fromkeys(AgreementReport._fields, 0)
     for _ in range(n):
-        env, lhs_arms, rhs_arms = random_base_query(rng, bound)
+        env, lhs_arms, rhs_arms = random_base_query(rng)
         q = checker.base_subtype_query(env, lhs_arms, rhs_arms)
         verdict = engine.check(q)
         counts["queries"] += 1
@@ -463,10 +450,4 @@ def run_oracle_agreement(
             counts["invalid"] += 1
         else:
             counts["unknown"] += 1
-        if external is not None and not isinstance(verdict, Unknown):
-            ext = external.check_external(q)
-            if not isinstance(ext, Unknown):
-                counts["external_checked"] += 1
-                if isinstance(verdict, Valid) != isinstance(ext, Valid):
-                    counts["external_disagreements"] += 1
     return AgreementReport(**counts)

@@ -51,13 +51,6 @@ class LogEntry(NamedTuple):
     verdict: bool
 
 
-def env_sorts(env: Env) -> Mapping[str, str]:
-    """Base sorts of bindings usable inside refinements: those of
-    `env.scope()`, where the last binding of a name wins and one of a
-    non-base type hides the name. Built once per scope; read-only."""
-    return env.scope().sorts()
-
-
 class _Layer:
     """The sort of one binder inside a type, layered over the sorts in scope
     around it rather than copied into them, since the scope can be large. A
@@ -125,7 +118,7 @@ class SubtypeChecker:
 
     def wf_check(self, env: Env, s: Union[Scheme, LiquidType]) -> bool:
         t = s if isinstance(s, LiquidType) else s.body
-        sorts = env_sorts(env)
+        sorts = env.sorts()
         key = (t, tuple([sorts.get(x) for x in t.free]))
         ok = self._wf.get(key)
         if ok is None:

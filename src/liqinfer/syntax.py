@@ -22,9 +22,9 @@ shortest-lived input, never of a permanent value: an arm's printed form on
 the arm, a literal's scheme on the literal, a variable node's self-type on
 the node, a one-binding substitution's result on the substituted atom,
 not on the type, which may be a primitive's scheme and live for good, and
-an environment's formula on the environment node, not only on its
-refinement scope, which environments with the same visible bindings share.
-It is then built once per input and dies with it, and no table keeps it.
+an environment's views (its names, the sorts and the formula refinements
+read) on the environment node, each built from its parent's. It is then
+built once per input and dies with it, and no table keeps it.
 """
 
 from __future__ import annotations
@@ -104,9 +104,7 @@ class Interned(type):
     defaults. Calling such a class with its fields, positionally, returns
     the one live instance with those fields, from a weak table per class
     keyed by the full field tuple. Instances are immutable; equality and
-    hashing are those of `object`: identity. A class with its own
-    `__init__` (`Env`) has that method's parameters as its fields, and a
-    miss calls the class as a plain type, which runs it."""
+    hashing are those of `object`: identity."""
 
     def __new__(mcs, name: str, bases: tuple, ns: dict) -> Interned:
         own = tuple(ns.get("__annotations__", ()))
@@ -118,16 +116,10 @@ class Interned(type):
         cls = super().__new__(mcs, name, bases, ns)
         cls._table: dict = {}
         cls._drop = _dropper(cls._table)
-        if "__init__" in ns:
-            init = ns["__init__"].__code__
-            cls._fields = init.co_varnames[1:init.co_argcount]
-            cls._defaults = ns["__init__"].__defaults__ or ()
-            cls._make = lambda *fields: type.__call__(cls, *fields)
-        else:
-            cls._fields = own
-            cls._defaults = defaults
-            cls._make = _maker(cls)
-        cls._arity = len(cls._fields)
+        cls._fields = own
+        cls._defaults = defaults
+        cls._make = _maker(cls)
+        cls._arity = len(own)
         return cls
 
     def __call__(cls, *fields: Any) -> Any:
@@ -725,76 +717,35 @@ def mono(t: LiquidType) -> Scheme:
 # ---------------------------------------------------------------------------
 
 
-class BaseBinding:
-    """A binding refinements can see: a monomorphic scheme whose arms are
-    all base arms. `embedded` keeps its conjuncts, with the value variable
-    renamed to `name`, once `logic.embed_env` has built them."""
-
-    __slots__ = ("name", "arms", "embedded")
-
-    def __init__(self, name: str, arms: tuple[BaseArm, ...]) -> None:
-        self.name = name
-        self.arms = arms
-        self.embedded: Optional[tuple] = None
-
-    @property
-    def sort(self) -> str:
-        return self.arms[0].base.name
-
-    @property
-    def refs(self) -> tuple[Formula, ...]:
-        return tuple(a.ref for a in self.arms)
+def base_arms(scheme: Scheme) -> tuple[BaseArm, ...]:
+    """The arms of a binding refinements can see, a monomorphic scheme
+    whose arms are all base arms; () for any other binding."""
+    arms = scheme.body.arms
+    if scheme.qvars or not all(isinstance(a, BaseArm) for a in arms):
+        return ()
+    return arms
 
 
-class RefinementScope:
-    """The base bindings visible under an environment, in the order of
-    their bindings: for each name its last binding, kept when it is a
-    monomorphic base type. A later binding of a name shadows an earlier
-    one, and a shadowing binding of any other type hides the name from
-    refinements altogether.
-
-    An extension that changes nothing here shares the scope of its parent,
-    and with it the derived values: `sorts()` and `embedded`, the
-    environment's formula once `logic.embed_env` has built it. `prefix` is
-    the scope this one extends by a single binding at the end, when it was
-    made that way. `bindings` is read-only.
-    """
-
-    __slots__ = ("bindings", "prefix", "embedded", "_sorts")
-
-    def __init__(
-        self, bindings: dict[str, BaseBinding], prefix: Optional["RefinementScope"] = None
-    ) -> None:
-        self.bindings = bindings
-        self.prefix = prefix
-        self.embedded: Any = None
-        self._sorts: Optional[Mapping[str, str]] = None
-
-    def extend(self, name: str, scheme: Scheme) -> "RefinementScope":
-        arms = scheme.body.arms
-        if not scheme.qvars and all(isinstance(a, BaseArm) for a in arms):
-            bindings = dict(self.bindings)
-            shadowed = bindings.pop(name, None)
-            bindings[name] = BaseBinding(name, arms)
-            return RefinementScope(bindings, self if shadowed is None else None)
-        if name not in self.bindings:
-            return self
-        bindings = dict(self.bindings)
-        del bindings[name]
-        return RefinementScope(bindings)
-
-    def sorts(self) -> Mapping[str, str]:
-        """Base sort ("int" or "bool") of every visible binding."""
-        if self._sorts is None:
-            self._sorts = MappingProxyType({n: b.sort for n, b in self.bindings.items()})
-        return self._sorts
+def _add_name(names: frozenset[str], node: Env) -> frozenset[str]:
+    return names if node.name in names else names | {node.name}
 
 
-_EMPTY_SCOPE = RefinementScope({})
+_NO_SORTS: Mapping[str, str] = MappingProxyType({})
 
 
-def _add_name(names: frozenset[str], name: str, scheme: Scheme) -> frozenset[str]:
-    return names if name in names else names | {name}
+def _add_sort(sorts: Mapping[str, str], node: Env) -> Mapping[str, str]:
+    """A base binding sets the sort of its name, any other binding hides
+    the name; a binding that changes nothing shares the mapping."""
+    arms = base_arms(node.scheme)
+    sort = arms[0].base.name if arms else None
+    if sorts.get(node.name) == sort:
+        return sorts
+    out = dict(sorts)
+    if sort is None:
+        del out[node.name]
+    else:
+        out[node.name] = sort
+    return MappingProxyType(out)
 
 
 class Env(Value):
@@ -805,22 +756,17 @@ class Env(Value):
     with that parent, name and scheme, so an environment shares every
     prefix with the ones it was extended from, and equal binding sequences
     are one object. Each node builds its views once, on first use, from the
-    views of its parent: the name set (`names()`) and the base bindings
-    refinements can see (`scope()`, where the last binding of a name wins).
-    `embedded` keeps the environment's formula once `logic.embed_env` has
-    read it from the scope.
+    views of its parent (`_view`): the name set (`names()`), the base sort
+    of every name refinements can see (`sorts()`, where the last binding of
+    a name wins and one of a non-base type hides the name), and the formula
+    `logic.embed_env` builds.
     """
 
-    __slots__ = ("parent", "name", "scheme", "_names", "_scope", "embedded")
+    parent: Optional[Env] = None
+    name: Optional[str] = None
+    scheme: Optional[Scheme] = None
 
-    # the views are set on first use
-    __setattr__ = object.__setattr__
-
-    def __init__(self, parent: Optional[Env] = None, name: Optional[str] = None,
-                 scheme: Optional[Scheme] = None) -> None:
-        self.parent, self.name, self.scheme = parent, name, scheme
-        self._names, self._scope = (frozenset(), _EMPTY_SCOPE) if parent is None else (None, None)
-        self.embedded: Optional[Formula] = None
+    __slots__ = ("_names", "_sorts", "_formula")  # the views, set by `_view`
 
     def extend(self, name: str, scheme: Scheme) -> "Env":
         return Env(self, name, scheme)
@@ -843,23 +789,28 @@ class Env(Value):
         return None
 
     def names(self) -> frozenset[str]:
-        return self._view("_names", _add_name)
+        return self._view("_names", frozenset(), _add_name)
 
-    def scope(self) -> RefinementScope:
-        return self._view("_scope", RefinementScope.extend)
+    def sorts(self) -> Mapping[str, str]:
+        """Base sort ("int" or "bool") of every name refinements can see;
+        read-only."""
+        return self._view("_sorts", _NO_SORTS, _add_sort)
 
-    def _view(self, attr: str, step: Callable) -> object:
-        """The view `attr` of this node, built by applying `step` to the
-        bindings below the nearest ancestor that has one. A loop, not a
-        recursion: environments grow deeper than the recursion limit."""
+    def _view(self, attr: str, empty: Any, step: Callable[[Any, Env], Any]) -> Any:
+        """The view kept in the slot `attr`: `empty` at the root, otherwise
+        `step` of the parent's view and the node. Built from the nearest
+        ancestor that has it. A loop, not a recursion: environments grow
+        deeper than the recursion limit."""
         chain = []
         node = self
-        while (view := getattr(node, attr)) is None:
+        while node.parent is not None and (view := getattr(node, attr, None)) is None:
             chain.append(node)
             node = node.parent
+        if node.parent is None:
+            view = empty
         for node in reversed(chain):
-            view = step(view, node.name, node.scheme)
-            setattr(node, attr, view)
+            view = step(view, node)
+            object.__setattr__(node, attr, view)
         return view
 
     def __repr__(self) -> str:

@@ -401,7 +401,7 @@ def _reduce(f: Formula, positive: bool, asg: dict[str, bool], opaque: dict) -> O
             return None
         alts = [a + b for a in alts for b in inner]
         if len(alts) > _MAX_ALTERNATIVES:
-            raise _PastBound("outside the fragment")
+            raise _PastBound("alternative bound exceeded")
     return alts
 
 
@@ -587,7 +587,7 @@ def _implies(hyp: _Hypothesis, concl: Formula, ints: Optional[set]) -> Verdict:
                     break
                 alts = [a + b for a in alts for b in inner]
                 if len(alts) > _MAX_ALTERNATIVES:
-                    raise _PastBound("outside the fragment")
+                    raise _PastBound("alternative bound exceeded")
         except _PastBound as e:
             if ints is None:
                 return NOT_PROVED

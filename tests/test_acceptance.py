@@ -235,7 +235,7 @@ def test_criterion_7_oracle_soundness():
     unsound = 0
     agreements = disagreements = 0
     for _ in range(200):
-        env, lhs_arms, rhs_arms = random_base_query(rng, 4)
+        env, lhs_arms, rhs_arms = random_base_query(rng)
         q = checker.base_subtype_query(env, lhs_arms, rhs_arms)
         verdict = engine.check(q)
         lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))

@@ -250,7 +250,9 @@ class TestExitCodes:
             (["check-metatheory", "--trials", "0"],
              "liqinfer check-metatheory: error: argument --trials: must be at least 1, got 0"),
             (["check-metatheory", "--fuel", "-1"],
-             "liqinfer check-metatheory: error: argument --fuel: must be at least 0, got -1"),
+             "liqinfer check-metatheory: error: argument --fuel: must be at least 1, got -1"),
+            (["check-metatheory", "--fuel", "0"],
+             "liqinfer check-metatheory: error: argument --fuel: must be at least 1, got 0"),
             (["check-metatheory", "--prover-timeout", "0"],
              "liqinfer check-metatheory: error: argument --prover-timeout: must be above 0, got 0.0"),
             (["check-metatheory", "--bound", "x"],
@@ -258,7 +260,7 @@ class TestExitCodes:
         ],
         ids=["unknown-option", "max-arms-not-int", "max-arms-0", "max-arms-negative",
              "prover-timeout-negative", "prover-timeout-nan", "bound-negative", "trials-negative",
-             "trials-0", "fuel-negative", "meta-prover-timeout-0", "bound-not-int"],
+             "trials-0", "fuel-negative", "fuel-0", "meta-prover-timeout-0", "bound-not-int"],
     )
     def test_usage_error(self, sign_file, capsys, flags, message):
         """A usage error exits 1, the code of unusable input, with

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from liqinfer import logic
 from liqinfer.anf import normalize
 from liqinfer.inference import Inferencer
-from liqinfer.logic import conj, embed_env
-from liqinfer.metatheory import _base_bindings
+from liqinfer.logic import conj, embed_env, visible_bindings
 from liqinfer.parser import parse_program
-from liqinfer.subtyping import env_sorts
 from liqinfer.syntax import (
     BOOL,
     INT,
@@ -141,11 +139,13 @@ class TestViewsMatchTheFullWalk:
     def test_every_reader_agrees_with_the_reference(self, envs):
         for env in envs:
             assert embed_env(env) == ref_embed_env(env)
-            assert dict(env_sorts(env)) == ref_env_sorts(env)
+            assert dict(env.sorts()) == ref_env_sorts(env)
             assert env.names() == frozenset(n for n, _ in env.bindings)
             for name in NAMES:
                 assert env.lookup(name) == ref_lookup(env, name)
-            assert _base_bindings(env) == ref_base_bindings(env)
+            visible = [(n, arms[0].base.name, tuple(a.ref for a in arms))
+                       for n, arms in visible_bindings(env).items()]
+            assert visible == ref_base_bindings(env)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(NAMES), schemes), max_size=8))
@@ -169,7 +169,7 @@ class TestDeepEnvironments:
         for i in range(5000):
             env = env.extend(f"x{i}", ge)
         assert len(env.names()) == 5000
-        assert len(env_sorts(env)) == 5000
+        assert len(env.sorts()) == 5000
         assert len(embed_env(env).parts) == 5000
         assert env.lookup("x0") == ge
 

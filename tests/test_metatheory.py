@@ -127,7 +127,7 @@ class TestOracleEngineAgreement:
 
         checker = SubtypeChecker(engine)
         for _ in range(80):
-            env, lhs_arms, rhs_arms = random_base_query(rng, 4)
+            env, lhs_arms, rhs_arms = random_base_query(rng)
             verdict = engine.check(checker.base_subtype_query(env, lhs_arms, rhs_arms))
             if isinstance(verdict, Valid):
                 lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))

@@ -7,6 +7,10 @@ Every class is also constructed somewhere in the program, unless it is a
 base class or a metaclass of another class of the package: a class that is
 only tested for (`isinstance`) or caught is a leftover.
 
+Every parameter of a function or method of the package, nested ones too, is
+read in its body, but for `self`, `cls` and `mcs` and those of dunder
+methods: a parameter no body reads is one every caller fills for nothing.
+
 References are matched by name, not resolved: a use of `.infer` anywhere
 counts for every method named `infer`. Imports are not uses. A string that
 parses as a Python expression, such as a quoted annotation, an `__all__`
@@ -26,6 +30,11 @@ PROGRAM_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "perfbench")
 ALLOWED: dict[tuple[str, str], str] = {
     ("__init__", "__getattr__"): "the interpreter calls it for an export that loads on first access",
 }
+
+
+# (module, qualified function name, parameter): why a parameter that its body
+# does not read stays, such as one a protocol fixes
+ALLOWED_PARAMS: dict[tuple[str, str, str], str] = {}
 
 
 def _is_dunder(name: str) -> bool:
@@ -138,6 +147,36 @@ def unconstructed() -> list[str]:
     return [f"{stem}.{name}" for name, stem in classes.items() if name not in built | exempt]
 
 
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of each function and method under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def unread_parameters(allowed=ALLOWED_PARAMS) -> list[str]:
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, fn in _functions(ast.parse(path.read_text())):
+            if _is_dunder(fn.name):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [
+                f"{path.stem}.{qualified}({p.arg})" for p in params
+                if p.arg not in ("self", "cls", "mcs") and p.arg not in read
+                and (path.stem, qualified, p.arg) not in allowed
+            ]
+    return out
+
+
 def test_every_definition_is_reached_from_the_program():
     assert unreached() == []
 
@@ -159,3 +198,13 @@ def test_allowed_names_exist():
     for path in PACKAGE.glob("*.py"):
         defined |= {(path.stem, q) for q, _, _ in _definitions(ast.parse(path.read_text()))}
     assert [entry for entry in ALLOWED if entry not in defined] == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_allowed_parameters_are_unread():
+    # an entry for a parameter that is gone or now read would hide nothing
+    found = set(unread_parameters(allowed={}))
+    assert [e for e in ALLOWED_PARAMS if f"{e[0]}.{e[1]}({e[2]})" not in found] == []

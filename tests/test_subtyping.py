@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liqinfer.metatheory import semantic_implication_oracle
-from liqinfer.subtyping import LogEntry, SubtypeChecker, env_sorts
+from liqinfer.subtyping import LogEntry, SubtypeChecker
 from liqinfer.syntax import (
     BaseArm,
     BOOL,
@@ -298,7 +298,7 @@ class TestWfMemo:
         warm = SubtypeChecker(ValidityEngine())
         for env, t in items + items:
             fresh = SubtypeChecker(ValidityEngine())
-            assert warm.wf_check(env, t) == fresh._wf_type(t, env_sorts(env))
+            assert warm.wf_check(env, t) == fresh._wf_type(t, env.sorts())
 
     def test_out_of_scope_qualifier_flips_with_the_environment(self, checker):
         t = arrow("x", base(GE), base(Y_EQ_5))

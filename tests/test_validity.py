@@ -80,7 +80,7 @@ def criterion_7_queries():
     """The 200 queries of acceptance criterion 7 (seed 404)."""
     rng = random.Random(404)
     checker = SubtypeChecker(ValidityEngine())
-    return [checker.base_subtype_query(*random_base_query(rng, 4)) for _ in range(200)]
+    return [checker.base_subtype_query(*random_base_query(rng)) for _ in range(200)]
 
 
 def evaluate(f, asg):
@@ -240,6 +240,13 @@ class TestBuiltinDecide:
         parts += [atom(">=", LAdd(LVar(f"x{i}"), LVar(f"x{i+1}")), LInt(1)) for i in range(6)]
         got = builtin_decide(ValidityQuery(FAnd(tuple(parts)), atom("<=", LVar("x0"), LInt(50))))
         assert got == Unknown("row bound exceeded")
+
+    def test_alternative_bound_exceeded_is_unknown(self):
+        # each `a = 0 <=> b = 0` has 5 alternatives, so four of them have 625
+        iffs = [FIff(atom("=", LVar(f"a{i}"), LInt(0)), atom("=", LVar(f"b{i}"), LInt(0))) for i in range(4)]
+        q = ValidityQuery(FAnd(tuple(iffs)), atom("<=", X, LInt(0)))
+        assert builtin_decide(q) == Unknown("alternative bound exceeded")
+        assert builtin_decide(q, need_model=False) == NOT_PROVED
 
 
 def xs(i):
