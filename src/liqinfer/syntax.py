@@ -801,6 +801,9 @@ class Env(Value):
         `step` of the parent's view and the node. Built from the nearest
         ancestor that has it. A loop, not a recursion: environments grow
         deeper than the recursion limit."""
+        view = getattr(self, attr, None)
+        if view is not None:  # the common case, read on every query
+            return view
         chain = []
         node = self
         while node.parent is not None and (view := getattr(node, attr, None)) is None:
