@@ -143,10 +143,13 @@ class _Template:
     `_filter_template` per temporary type made from the template: the
     surviving arms and the top arm.
 
-    Each arm's free program variables are among the template's, so the sort
-    of each of those in an environment fixes every wf verdict there, and
-    with them the temporary type: `temps` keeps it under that key, which is
-    () for a closed template."""
+    This is the one memo of well-formedness verdicts. Well-formedness of τ
+    reads Γ's sorts only at τ's free program variables (`LiquidType.free`):
+    the value variable and an arrow's binder are bound inside τ and read
+    nowhere else. Each arm's free program variables are among the
+    template's, so the sort of each of those in an environment (or None)
+    fixes every wf verdict there, and with them the temporary type: `temps`
+    keeps it under that key, which is () for a closed template."""
 
     __slots__ = ("template", "singles", "shape", "top", "temps", "candidates")
 

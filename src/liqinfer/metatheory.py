@@ -295,20 +295,23 @@ def random_term(
     return Let(binder, bound, body)
 
 
+# Candidates drawn per term asked for before `generate_corpus` gives up.
+_MAX_ATTEMPTS_FACTOR = 30
+
+
 def generate_corpus(
     n: int,
     qualifiers: Sequence[Formula],
     seed: int = 0,
     engine: Optional[ValidityEngine] = None,
     config: GenConfig = GenConfig(),
-    max_attempts_factor: int = 30,
 ) -> list[Term]:
     """Closed ANF terms accepted by inference under the qualifier set."""
     rng = random.Random(seed)
     inf = Inferencer(qualifiers, engine)
     out: list[Term] = []
     attempts = 0
-    while len(out) < n and attempts < n * max_attempts_factor:
+    while len(out) < n and attempts < n * _MAX_ATTEMPTS_FACTOR:
         attempts += 1
         cand = normalize(random_term(rng, config))
         try:

@@ -11,14 +11,16 @@ subtype". A checker decides each judgement once and answers repeats from a
 memo (see `SubtypeChecker`). A base target refined by Top at every arm is
 settled without a query: every value satisfies {v | true}; the Top type of
 the source's base shape is settled before the memo, with no environment
-formula and no memo entry. Well-formedness is memoized per type and sorts
-of its free variables. `is_subtype` hands two liquid types straight to
+formula and no memo entry. `is_subtype` hands two liquid types straight to
 `_sub`, the memo's one entry, and logs every judgement it is asked.
+Well-formedness keeps no memo: `wf_check` walks the type on every call,
+reading Γ's sorts only at its free program variables (inference keeps the
+verdicts per template, `inference._Template`).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .logic import conj, embed_env
 from .syntax import (
@@ -51,23 +53,6 @@ class LogEntry(NamedTuple):
     verdict: bool
 
 
-class _Layer:
-    """The sort of one binder inside a type, layered over the sorts in scope
-    around it rather than copied into them, since the scope can be large. A
-    binder whose shape is not a base type has sort None, which hides the
-    name. Read through `get`, the one method `_wf_type` uses."""
-
-    __slots__ = ("name", "sort", "outer")
-
-    def __init__(self, name: str, sort: Optional[str], outer: Sorts) -> None:
-        self.name, self.sort, self.outer = name, sort, outer
-
-    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.sort if key == self.name else self.outer.get(key, default)
-
-
-Sorts = Union[Mapping[str, str], _Layer]
-
 # The Top type {v : b | true} of each base shape b, hash-consed: every type
 # of shape b is below it (the Top rule).
 _TOPS = {INT: base_top(INT), BOOL: base_top(BOOL)}
@@ -95,13 +80,6 @@ class SubtypeChecker:
     A target that mixes a Top arm with an informative one still goes to the
     engine. `_sub` settles the commonest case, the Top type of the source's
     base shape, before it reads Γ's formula or the memo.
-
-    Well-formedness of τ reads Γ's sorts only at τ's free program variables
-    (`LiquidType.free`): the value variable and an arrow's binder are
-    layered over Γ (`_Layer`) and read nowhere else. So `wf_check` memoizes
-    its verdict under (τ, the sort of each free variable in Γ, or None), a
-    key that determines the verdict exactly. A closed type such as
-    {v | v >= 0} hits under every environment.
     """
 
     def __init__(
@@ -112,27 +90,25 @@ class SubtypeChecker:
         self.engine = engine
         self.log = log
         self._judged: dict[tuple[Formula, LiquidType, LiquidType], bool] = {}
-        self._wf: dict[tuple[LiquidType, tuple[Optional[str], ...]], bool] = {}
 
     # -- well-formedness ----------------------------------------------------
 
     def wf_check(self, env: Env, s: Union[Scheme, LiquidType]) -> bool:
         t = s if isinstance(s, LiquidType) else s.body
         sorts = env.sorts()
-        key = (t, tuple([sorts.get(x) for x in t.free]))
-        ok = self._wf.get(key)
-        if ok is None:
-            ok = self._wf[key] = self._wf_type(t, sorts)
+        ok = self._wf_type(t, {x: sorts.get(x) for x in t.free})
         if self.log is not None:
             self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(s)}", ok))
         return ok
 
-    def _wf_type(self, t: LiquidType, sorts: Sorts) -> bool:
+    def _wf_type(self, t: LiquidType, sorts: dict[str, Optional[str]]) -> bool:
+        """Whether t's refinements read each name at its sort: `sorts` maps
+        t's free program variables to their sort in Γ, or None."""
         for arm in t.arms:
             if isinstance(arm, BaseArm):
                 # a variable used at both sorts matches no sort in scope
-                layer = _Layer(VALUE_VAR, arm.base.name, sorts)
-                if any(layer.get(x) != sort for x, sort in arm.ref.sorts.items()):
+                scope = {**sorts, VALUE_VAR: arm.base.name}
+                if any(scope.get(x) != sort for x, sort in arm.ref.sorts.items()):
                     return False
             elif isinstance(arm, VarArm):
                 continue
@@ -141,7 +117,7 @@ class SubtypeChecker:
                     return False
                 dom_shape = arm.dom.shape
                 sort = dom_shape.name if isinstance(dom_shape, Base) else None
-                if not self._wf_type(arm.cod, _Layer(arm.binder, sort, sorts)):
+                if not self._wf_type(arm.cod, {**sorts, arm.binder: sort}):
                     return False
         return True
 
@@ -220,8 +196,7 @@ class SubtypeChecker:
         """The target's binder, unless Γ binds it or a survivor's codomain
         mentions it under another binder: renaming that binder to it could
         capture (`subst_liquid` does not rename inner binders)."""
-        names = env.names()
-        if rhs.binder not in names and not any(
+        if env.lookup(rhs.binder) is None and not any(
             arm.binder != rhs.binder and rhs.binder in _type_vars(arm.cod) for arm in survivors
         ):
             return rhs.binder
@@ -229,7 +204,7 @@ class SubtypeChecker:
         for arm in survivors + [rhs]:
             taken |= _type_vars(arm.cod)
         i = 0
-        while f"{rhs.binder}%{i}" in names or f"{rhs.binder}%{i}" in taken:
+        while env.lookup(f"{rhs.binder}%{i}") is not None or f"{rhs.binder}%{i}" in taken:
             i += 1
         return f"{rhs.binder}%{i}"
 

@@ -22,8 +22,8 @@ shortest-lived input, never of a permanent value: an arm's printed form on
 the arm, a literal's scheme on the literal, a variable node's self-type on
 the node, a one-binding substitution's result on the substituted atom,
 not on the type, which may be a primitive's scheme and live for good, and
-an environment's views (its names, the sorts and the formula refinements
-read) on the environment node, each built from its parent's. It is then
+an environment's two views (the sorts and the formula refinements read)
+on the environment node, each built from its parent's. It is then
 built once per input and dies with it, and no table keeps it.
 """
 
@@ -726,10 +726,6 @@ def base_arms(scheme: Scheme) -> tuple[BaseArm, ...]:
     return arms
 
 
-def _add_name(names: frozenset[str], node: Env) -> frozenset[str]:
-    return names if node.name in names else names | {node.name}
-
-
 _NO_SORTS: Mapping[str, str] = MappingProxyType({})
 
 
@@ -755,18 +751,19 @@ class Env(Value):
     Persistent and hash-consed: `extend` returns in O(1) the one live node
     with that parent, name and scheme, so an environment shares every
     prefix with the ones it was extended from, and equal binding sequences
-    are one object. Each node builds its views once, on first use, from the
-    views of its parent (`_view`): the name set (`names()`), the base sort
-    of every name refinements can see (`sorts()`, where the last binding of
-    a name wins and one of a non-base type hides the name), and the formula
-    `logic.embed_env` builds.
+    are one object. Each node builds its two views once, on first use, from
+    the views of its parent (`_view`): the base sort of every name
+    refinements can see (`sorts()`, where the last binding of a name wins
+    and one of a non-base type hides the name), and the formula
+    `logic.embed_env` builds. Whether a name is bound at all is `lookup`'s
+    answer, since every binding carries a scheme.
     """
 
     parent: Optional[Env] = None
     name: Optional[str] = None
     scheme: Optional[Scheme] = None
 
-    __slots__ = ("_names", "_sorts", "_formula")  # the views, set by `_view`
+    __slots__ = ("_sorts", "_formula")  # the views, set by `_view`
 
     def extend(self, name: str, scheme: Scheme) -> "Env":
         return Env(self, name, scheme)
@@ -787,9 +784,6 @@ class Env(Value):
                 return node.scheme
             node = node.parent
         return None
-
-    def names(self) -> frozenset[str]:
-        return self._view("_names", frozenset(), _add_name)
 
     def sorts(self) -> Mapping[str, str]:
         """Base sort ("int" or "bool") of every name refinements can see;

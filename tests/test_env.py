@@ -140,7 +140,6 @@ class TestViewsMatchTheFullWalk:
         for env in envs:
             assert embed_env(env) == ref_embed_env(env)
             assert dict(env.sorts()) == ref_env_sorts(env)
-            assert env.names() == frozenset(n for n, _ in env.bindings)
             for name in NAMES:
                 assert env.lookup(name) == ref_lookup(env, name)
             visible = [(n, arms[0].base.name, tuple(a.ref for a in arms))
@@ -155,7 +154,7 @@ class TestViewsMatchTheFullWalk:
             one = one.extend(name, sch)
         for name, sch in bindings:
             two = two.extend(name, sch)
-            two.names()  # fill views along the way on one side only
+            two.sorts()  # fill views along the way on one side only
         assert one == two and hash(one) == hash(two)
         assert one.bindings == two.bindings == tuple(bindings)
         assert repr(one) == repr(two) == f"Env(bindings={tuple(bindings)!r})"
@@ -168,7 +167,6 @@ class TestDeepEnvironments:
         ge = mono(LiquidType((BaseArm(INT, FAtom(">=", LVar(VALUE_VAR), LInt(0))),)))
         for i in range(5000):
             env = env.extend(f"x{i}", ge)
-        assert len(env.names()) == 5000
         assert len(env.sorts()) == 5000
         assert len(embed_env(env).parts) == 5000
         assert env.lookup("x0") == ge

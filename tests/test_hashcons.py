@@ -564,14 +564,14 @@ def judgements(draw):
         else:
             # a refinement may mention any name bound before it, as inference
             # guarantees: the formula of an environment mentions only its names
-            scheme = mono(_int_type(draw(_refs(tuple(sorted(parent.names()))))))
+            scheme = mono(_int_type(draw(_refs(tuple(sorted({n for n, _ in parent.bindings}))))))
         envs.append(parent.extend(name, scheme))
     pairs = []
     for _ in range(draw(st.integers(1, 4))):
         scope = tuple(sorted(draw(st.sets(st.sampled_from(BINDERS)))))
         kind = draw(st.sampled_from(KINDS))
         pairs.append((scope, draw(kind(scope)), draw(kind(scope))))
-    items = [(env, lhs, rhs) for env in envs for scope, lhs, rhs in pairs if env.names() >= set(scope)]
+    items = [(env, lhs, rhs) for env in envs for scope, lhs, rhs in pairs if {n for n, _ in env.bindings} >= set(scope)]
     return draw(st.permutations(items))
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from liqinfer import metatheory
 from liqinfer.anf import is_anf, normalize
 from liqinfer.inference import Inferencer
 from liqinfer.metatheory import (
@@ -92,6 +93,16 @@ class TestSubjectReductionTrial:
         term = normalize(parse_term("let id = \\z. z in id 5"))
         report = subject_reduction_trial(term, sign_qualifiers, 20, engine)
         assert not report.well_typed
+
+    def test_one_step_of_fuel_rechecks_the_first_reduct(self, sign_qualifiers, engine, monkeypatch):
+        """Fuel 1 takes one step and re-checks its reduct: a failing
+        re-check is a preservation violation at step 1, not a timeout."""
+        inf = Inferencer(sign_qualifiers, engine)
+        term = normalize(parse_term("(\\x. - x) 3"))
+        monkeypatch.setattr(metatheory, "recheck", lambda *args, **kwargs: False)
+        report = subject_reduction_trial(term, sign_qualifiers, 1, inferencer=inf)
+        assert report.well_typed and not report.ok and not report.timed_out
+        assert report.steps == 1 and report.failure.startswith("preservation violated at ")
 
 
 class TestOracle:

@@ -11,6 +11,11 @@ Every parameter of a function or method of the package, nested ones too, is
 read in its body, but for `self`, `cls` and `mcs` and those of dunder
 methods: a parameter no body reads is one every caller fills for nothing.
 
+Every `__slots__` name of a class of the package, but for dunders such as
+`__weakref__`, is referenced somewhere in the package other than its
+declaration, as an attribute or in a string such as `_view("_sorts", ...)`:
+a slot nothing reads or sets is a leftover.
+
 References are matched by name, not resolved: a use of `.infer` anywhere
 counts for every method named `infer`. Imports are not uses. A string that
 parses as a Python expression, such as a quoted annotation, an `__all__`
@@ -177,6 +182,29 @@ def unread_parameters(allowed=ALLOWED_PARAMS) -> list[str]:
     return out
 
 
+def unreferenced_slots() -> list[str]:
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((path, line))
+    out = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not (isinstance(item, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)):
+                    continue
+                inside = range(item.lineno, item.end_lineno + 1)
+                for node in ast.walk(item.value):
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str) and not _is_dunder(node.value):
+                        if not any(p != path or line not in inside for p, line in uses.get(node.value, ())):
+                            out.append(f"{path.stem}.{cls.name}.{node.value}")
+    return out
+
+
 def test_every_definition_is_reached_from_the_program():
     assert unreached() == []
 
@@ -198,6 +226,10 @@ def test_allowed_names_exist():
     for path in PACKAGE.glob("*.py"):
         defined |= {(path.stem, q) for q, _, _ in _definitions(ast.parse(path.read_text()))}
     assert [entry for entry in ALLOWED if entry not in defined] == []
+
+
+def test_every_slot_is_referenced():
+    assert unreferenced_slots() == []
 
 
 def test_every_parameter_is_read():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from liqinfer.metatheory import semantic_implication_oracle
 from liqinfer.subtyping import LogEntry, SubtypeChecker
 from liqinfer.syntax import (
+    Base,
     BaseArm,
     BOOL,
     FBoolVar,
@@ -189,6 +190,22 @@ class TestIsSubtype:
         for env in (Env(), Env().extend("y", mono(top))):
             assert not SubtypeChecker(ValidityEngine()).is_subtype(env, arrow("x", top, lhs_cod), rhs)
 
+    def test_a_renamed_binder_skips_every_name_the_environment_binds(self):
+        # Γ = x: {v = 5}, x%0: {v = 0}. Below x: {v >= 0} -> {v >= 5} the
+        # codomain {v >= x} of y: {v >= 0} -> {v >= x} reads Γ's x, so the
+        # target's binder x would capture it and x%0 is bound: the checker
+        # renames the binder to x%1, and then x = 5 proves the codomain.
+        env = Env().extend("x", mono(base(FAtom("=", LVar(VALUE_VAR), LInt(5))))).extend("x%0", mono(base(EQ0)))
+        lhs = arrow("y", base(GE), base(FAtom(">=", LVar(VALUE_VAR), LVar("x"))))
+        rhs = arrow("x", base(GE), base(FAtom(">=", LVar(VALUE_VAR), LInt(5))))
+        warm = SubtypeChecker(ValidityEngine())
+        assert warm._fresh_binder(env, rhs.arms[0], list(lhs.arms)) == "x%1"
+        for prefix in (Env(), Env().extend("x", env.lookup("x"))):
+            warm.is_subtype(prefix, lhs, rhs)
+        fresh = SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs)
+        assert warm.is_subtype(env, lhs, rhs) == fresh
+        assert fresh
+
     def test_unknown_is_not_a_subtype(self):
         class AlwaysUnknown(ValidityEngine):
             def check(self, q, need_model=True):
@@ -291,14 +308,32 @@ def wf_items(draw):
     return draw(st.permutations([(env, t) for env in envs for t in types]))
 
 
+def ref_wf(t, sorts):
+    """Well-formedness by its definition: each refinement reads every name
+    at its sort under Γ's full sort mapping, copied with the value variable
+    and each enclosing arrow's binder added."""
+    for arm in t.arms:
+        if isinstance(arm, BaseArm):
+            scope = dict(sorts)
+            scope[VALUE_VAR] = arm.base.name
+            if any(scope.get(x) != sort for x, sort in arm.ref.sorts.items()):
+                return False
+        elif isinstance(arm, FunArm):
+            inner = dict(sorts)
+            dom = arm.dom.shape
+            inner[arm.binder] = dom.name if isinstance(dom, Base) else None
+            if not (ref_wf(arm.dom, sorts) and ref_wf(arm.cod, inner)):
+                return False
+    return True
+
+
 class TestWfMemo:
     @settings(max_examples=150, deadline=None)
     @given(wf_items())
     def test_a_warm_checker_agrees_with_a_fresh_walk(self, items):
         warm = SubtypeChecker(ValidityEngine())
         for env, t in items + items:
-            fresh = SubtypeChecker(ValidityEngine())
-            assert warm.wf_check(env, t) == fresh._wf_type(t, env.sorts())
+            assert warm.wf_check(env, t) == ref_wf(t, dict(env.sorts()))
 
     def test_out_of_scope_qualifier_flips_with_the_environment(self, checker):
         t = arrow("x", base(GE), base(Y_EQ_5))
@@ -309,16 +344,12 @@ class TestWfMemo:
         hidden = Env().extend("y", mono(base(GE))).extend("y", _HIDING[0])
         assert not checker.wf_check(hidden, t)
 
-    def test_a_closed_type_is_walked_once_and_every_check_logs(self, engine, monkeypatch):
+    def test_a_closed_type_logs_every_check(self, engine):
         log = []
         chk = SubtypeChecker(engine, log=log)
-        walks = []
-        walk = chk._wf_type
-        monkeypatch.setattr(chk, "_wf_type", lambda t, sorts: walks.append(t) or walk(t, sorts))
         t = arrow("x", base(GE), base(LE))
         envs = [Env(), Env().extend("y", mono(base(GE))), Env().extend("x", _HIDING[1])]
         assert all(chk.wf_check(env, t) for env in envs)
-        assert walks.count(t) == 1  # the other walks are its domain and codomain
         assert [e.kind for e in log] == ["wf"] * 3
 
 
