@@ -230,6 +230,8 @@ def _run_metatheory(args: argparse.Namespace) -> int:
         for tr in suite.reports:
             if not tr.ok:
                 print(f"  failed: {render_term(tr.term)}: {tr.failure}")
+            elif tr.timed_out:
+                print(f"  timed out: {render_term(tr.term)}: no value within fuel {tr.steps}")
         return EXIT_INFER
     print("metatheory checks passed")
     return EXIT_OK

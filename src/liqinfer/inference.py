@@ -164,12 +164,7 @@ class _Template:
     def temporary(self, checker: SubtypeChecker, env: Env) -> LiquidType:
         """The temporary type under `env`, made once per key; at every use
         while the checker logs, so that each wf judgement is logged."""
-        free = self.template.free
-        if free:
-            sorts = env.sorts()
-            key = tuple([sorts.get(x) for x in free])
-        else:
-            key = ()
+        key = tuple([env.sort_of(x) for x in self.template.free])
         temp = self.temps.get(key)
         if temp is None or checker.log is not None:
             temp = self.temps[key] = temporary_type(self.singles, checker, env, self.shape)

@@ -5,7 +5,8 @@ so a base arm's refinement needs no translation. What is left here is the
 environment Γ and its embedding [[Γ]]: `embed_env` conjoins the
 refinements of the bindings refinements can see (`visible_bindings`), each
 with its value variable renamed to the bound name. Each environment node
-keeps its formula, built from its parent's (`Env._view`).
+keeps its formula, which `embed_env` builds from its parent's
+(`_extend_formula`) in one loop up to the nearest node that has one.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _extend_formula(f: Formula, node: Env) -> Formula:
     """The formula of `node` from its parent's, `f`. A binding of a name the
     parent's refinements cannot see adds its conjuncts, or nothing; one that
     shadows or hides a visible name rebuilds the formula."""
-    if node.name not in node.parent.sorts():
+    if node.parent.sort_of(node.name) is None:
         arms = base_arms(node.scheme)
         return conj([f, *_renamed([(node.name, arms)])]) if arms else f
     return conj(_renamed(visible_bindings(node).items()))
@@ -76,5 +77,20 @@ def _extend_formula(f: Formula, node: Env) -> Formula:
 def embed_env(env: Env) -> Formula:
     """[[env]]: the conjunction over `visible_bindings(env)` of their
     refinements with the value variable renamed to the bound name. Built
-    once per environment node, from its parent's formula."""
-    return env._view("_formula", TRUE, _extend_formula)
+    once per environment node, from its parent's formula, and kept on the
+    node. A loop, not a recursion: environments grow deeper than the
+    recursion limit."""
+    f = getattr(env, "_formula", None)
+    if f is not None:  # the common case, read on every query
+        return f
+    chain = []
+    node = env
+    while node.parent is not None and (f := getattr(node, "_formula", None)) is None:
+        chain.append(node)
+        node = node.parent
+    if node.parent is None:
+        f = TRUE
+    for node in reversed(chain):
+        f = _extend_formula(f, node)
+        object.__setattr__(node, "_formula", f)
+    return f

@@ -95,8 +95,7 @@ class SubtypeChecker:
 
     def wf_check(self, env: Env, s: Union[Scheme, LiquidType]) -> bool:
         t = s if isinstance(s, LiquidType) else s.body
-        sorts = env.sorts()
-        ok = self._wf_type(t, {x: sorts.get(x) for x in t.free})
+        ok = self._wf_type(t, {x: env.sort_of(x) for x in t.free})
         if self.log is not None:
             self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(s)}", ok))
         return ok

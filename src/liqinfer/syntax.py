@@ -22,9 +22,9 @@ shortest-lived input, never of a permanent value: an arm's printed form on
 the arm, a literal's scheme on the literal, a variable node's self-type on
 the node, a one-binding substitution's result on the substituted atom,
 not on the type, which may be a primitive's scheme and live for good, and
-an environment's two views (the sorts and the formula refinements read)
-on the environment node, each built from its parent's. It is then
-built once per input and dies with it, and no table keeps it.
+an environment's formula on the environment node, built from its
+parent's. It is then built once per input and dies with it, and no table
+keeps it.
 """
 
 from __future__ import annotations
@@ -726,24 +726,6 @@ def base_arms(scheme: Scheme) -> tuple[BaseArm, ...]:
     return arms
 
 
-_NO_SORTS: Mapping[str, str] = MappingProxyType({})
-
-
-def _add_sort(sorts: Mapping[str, str], node: Env) -> Mapping[str, str]:
-    """A base binding sets the sort of its name, any other binding hides
-    the name; a binding that changes nothing shares the mapping."""
-    arms = base_arms(node.scheme)
-    sort = arms[0].base.name if arms else None
-    if sorts.get(node.name) == sort:
-        return sorts
-    out = dict(sorts)
-    if sort is None:
-        del out[node.name]
-    else:
-        out[node.name] = sort
-    return MappingProxyType(out)
-
-
 class Env(Value):
     """Ordered bindings; order is significant (no exchange). `Env()` is the
     empty environment.
@@ -751,19 +733,18 @@ class Env(Value):
     Persistent and hash-consed: `extend` returns in O(1) the one live node
     with that parent, name and scheme, so an environment shares every
     prefix with the ones it was extended from, and equal binding sequences
-    are one object. Each node builds its two views once, on first use, from
-    the views of its parent (`_view`): the base sort of every name
-    refinements can see (`sorts()`, where the last binding of a name wins
-    and one of a non-base type hides the name), and the formula
-    `logic.embed_env` builds. Whether a name is bound at all is `lookup`'s
-    answer, since every binding carries a scheme.
+    are one object. A node keeps one derived value, its formula, which
+    `logic.embed_env` builds once, on first use, from its parent's. Every
+    other question walks the bindings: `lookup` whether and how a name is
+    bound, since every binding carries a scheme, and `sort_of` the sort at
+    which refinements see it.
     """
 
     parent: Optional[Env] = None
     name: Optional[str] = None
     scheme: Optional[Scheme] = None
 
-    __slots__ = ("_sorts", "_formula")  # the views, set by `_view`
+    __slots__ = ("_formula",)  # set by `logic.embed_env`
 
     def extend(self, name: str, scheme: Scheme) -> "Env":
         return Env(self, name, scheme)
@@ -785,30 +766,13 @@ class Env(Value):
             node = node.parent
         return None
 
-    def sorts(self) -> Mapping[str, str]:
-        """Base sort ("int" or "bool") of every name refinements can see;
-        read-only."""
-        return self._view("_sorts", _NO_SORTS, _add_sort)
-
-    def _view(self, attr: str, empty: Any, step: Callable[[Any, Env], Any]) -> Any:
-        """The view kept in the slot `attr`: `empty` at the root, otherwise
-        `step` of the parent's view and the node. Built from the nearest
-        ancestor that has it. A loop, not a recursion: environments grow
-        deeper than the recursion limit."""
-        view = getattr(self, attr, None)
-        if view is not None:  # the common case, read on every query
-            return view
-        chain = []
-        node = self
-        while node.parent is not None and (view := getattr(node, attr, None)) is None:
-            chain.append(node)
-            node = node.parent
-        if node.parent is None:
-            view = empty
-        for node in reversed(chain):
-            view = step(view, node)
-            object.__setattr__(node, attr, view)
-        return view
+    def sort_of(self, name: str) -> Optional[str]:
+        """The base sort ("int" or "bool") at which refinements see `name`:
+        that of its last binding, or None when there is none or it is not a
+        monomorphic base type (`base_arms`)."""
+        scheme = self.lookup(name)
+        arms = base_arms(scheme) if scheme is not None else ()
+        return arms[0].base.name if arms else None
 
     def __repr__(self) -> str:
         return f"Env(bindings={self.bindings!r})"

@@ -367,6 +367,16 @@ class TestMetatheorySubcommand:
         assert "subject reduction: 10 trials, 0 violations, 0 stuck" in out
         assert "metatheory checks passed" in out
 
+    def test_fuel_too_small_for_every_trial_fails(self, capsys):
+        """A trial that runs out of fuel re-checks only the reducts it
+        reached, so the suite fails with one line per such trial."""
+        code, out, _ = run_cli(capsys, "check-metatheory", "--trials", "3", "--fuel", "1", "--bound", "2")
+        assert code == 2
+        assert "subject reduction: 3 trials, 0 violations, 0 stuck, 3 timeouts, 0 recheck failures" in out
+        timed_out = [line for line in out.splitlines() if line.startswith("  timed out: ")]
+        assert len(timed_out) == 3 and all(line.endswith(": no value within fuel 1") for line in timed_out)
+        assert "metatheory checks passed" not in out
+
 
 class TestSolverEnvVar:
     def test_env_var_supplies_default_command(self, tmp_path, capsys, monkeypatch):

@@ -13,8 +13,9 @@ methods: a parameter no body reads is one every caller fills for nothing.
 
 Every `__slots__` name of a class of the package, but for dunders such as
 `__weakref__`, is referenced somewhere in the package other than its
-declaration, as an attribute or in a string such as `_view("_sorts", ...)`:
-a slot nothing reads or sets is a leftover.
+declaration, as an attribute or in a string such as
+`getattr(node, "_formula", None)`: a slot nothing reads or sets is a
+leftover.
 
 References are matched by name, not resolved: a use of `.infer` anywhere
 counts for every method named `infer`. Imports are not uses. A string that
