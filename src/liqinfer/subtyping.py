@@ -7,12 +7,14 @@ accept the target domain jointly yield a codomain below the target codomain.
 Subtyping asks the validity engine only "Valid?" (need_model=False), so no
 countermodel is searched for on the inference path; any other answer, a
 proved Invalid or an Unknown alike, is conservatively read as "not a
-subtype". A checker decides each judgement once and answers repeats from a
-memo (see `SubtypeChecker`). A base target refined by Top at every arm is
-settled without a query: every value satisfies {v | true}; the Top type of
-the source's base shape is settled before the memo, with no environment
-formula and no memo entry. `is_subtype` hands two liquid types straight to
-`_sub`, the memo's one entry, and logs every judgement it is asked.
+subtype". A checker decides each judgement once and answers repeats from
+two memos: one keyed by name, and behind it one that keys a base judgement
+up to a renaming of its names (see `SubtypeChecker`). A base target refined
+by Top at every arm is settled without a query: every value satisfies
+{v | true}; the Top type of the source's base shape is settled before the
+memos, with no environment formula and no memo entry. `is_subtype` hands
+two liquid types straight to `_sub`, the memos' one entry, and logs every
+judgement it is asked.
 Well-formedness keeps no memo: `wf_check` walks the type on every call,
 reading Γ's sorts only at its free program variables (inference keeps the
 verdicts per template, `inference._Template`).
@@ -44,7 +46,7 @@ from .syntax import (
     subst_liquid,
     subst_tyvar_liquid,
 )
-from .validity import Valid, ValidityEngine, ValidityQuery
+from .validity import Valid, ValidityEngine, ValidityQuery, canonical_form
 
 
 class LogEntry(NamedTuple):
@@ -74,12 +76,28 @@ class SubtypeChecker:
     keyed by (Γ's formula, τ₁, τ₂), and answers repeats from that memo for
     as long as it lives: across the `infer` calls of one `Inferencer`, too.
 
+    A base judgement misses that memo at every level of a let chain, whose
+    bindings are fresh names. Its verdict is the engine's on
+    `base_subtype_query`, which commutes with renaming: the query conjoins
+    Γ's formula with τ₁'s refinements and concludes τ₂'s. So a second memo
+    keys a base judgement up to a renaming of all its names
+    (`_renamed_key`): the canonical forms of Γ's formula and of τ₁'s and
+    τ₂'s refinements, each printed once by the engine's canonical printer
+    and kept on its formula or type, with the places of τ₁'s and τ₂'s names
+    in the numbering Γ's form starts. Equal keys mean the two queries are
+    renamings of each other, with one canonical key, so the engine's cache
+    would answer the second with the first's verdict anyway; this memo
+    answers it without building, printing or asking the query. An arrow
+    judgement keeps the first key only, since it decomposes into base
+    judgements. The memo keyed by name comes first: its key costs a tuple,
+    and it answers the repeats that need no renaming.
+
     The Top rule: once the shapes agree, a base target whose every arm is
     refined by Top holds under any environment, with no query. Such a query
     would have the conclusion `true`, which the engine answers Valid anyway.
     A target that mixes a Top arm with an informative one still goes to the
     engine. `_sub` settles the commonest case, the Top type of the source's
-    base shape, before it reads Γ's formula or the memo.
+    base shape, before it reads Γ's formula or the memos.
     """
 
     def __init__(
@@ -90,6 +108,7 @@ class SubtypeChecker:
         self.engine = engine
         self.log = log
         self._judged: dict[tuple[Formula, LiquidType, LiquidType], bool] = {}
+        self._renamed: dict[tuple, bool] = {}
 
     # -- well-formedness ----------------------------------------------------
 
@@ -153,10 +172,18 @@ class SubtypeChecker:
     def _sub(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
         if a is b or b is _TOPS.get(a.shape):
             return True  # reflexivity and the Top rule need no solver support
-        key = (embed_env(env), a, b)
+        f = embed_env(env)
+        key = (f, a, b)
         known = self._judged.get(key)
         if known is None:
-            known = self._judged[key] = self._decide(env, a, b)
+            if a.shape is b.shape and b.arms[0].__class__ is BaseArm:
+                renamed = _renamed_key(f, a, b)
+                known = self._renamed.get(renamed)
+                if known is None:
+                    known = self._renamed[renamed] = self._decide(env, a, b)
+            else:
+                known = self._decide(env, a, b)
+            self._judged[key] = known
         return known
 
     def _decide(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
@@ -211,6 +238,33 @@ class SubtypeChecker:
         hyp = conj([embed_env(env)] + [a.ref for a in lhs_arms])
         concl = conj([a.ref for a in rhs_arms])
         return ValidityQuery(hyp, concl)
+
+
+def _renamed_key(f: Formula, a: LiquidType, b: LiquidType) -> tuple:
+    """The key of the base judgement f |- a <: b up to a renaming of its
+    names: the canonical forms of f and of the conjunctions of a's and b's
+    refinements, and where each name of a and then of b stands in the
+    numbering f's form starts (its canonical name there, or its rank among
+    the names f does not mention)."""
+    prefix, numbered = canonical_form(f)
+    text_a, names_a = _refinement_form(a)
+    text_b, names_b = _refinement_form(b)
+    fresh: dict[str, int] = {}
+    places = tuple([numbered.get(x) or fresh.setdefault(x, len(fresh)) for x in names_a + names_b])
+    return prefix, text_a, text_b, places, a.shape
+
+
+def _refinement_form(t: LiquidType) -> tuple[str, tuple[str, ...]]:
+    """The canonical form of the conjunction of a base type's refinements,
+    the part of a subtyping query the type makes, with its names in
+    first-occurrence order; kept on the type."""
+    try:
+        return t._canonical
+    except AttributeError:
+        text, renaming = canonical_form(conj([arm.ref for arm in t.arms]))
+        form = (text, tuple(renaming))
+        object.__setattr__(t, "_canonical", form)
+        return form
 
 
 def _type_vars(t: LiquidType) -> set[str]:

@@ -562,7 +562,9 @@ class _Type(Value):
     """Base of `LiquidType`, keeping values derived from a type in slots on
     first use, as `_Arm` does for arms."""
 
-    __slots__ = ("_shape", "_free")
+    # `_canonical`: the canonical form of a base type's refinements, set by
+    # `subtyping`
+    __slots__ = ("_shape", "_free", "_canonical")
 
     @property
     def shape(self) -> SimpleType:

@@ -36,7 +36,8 @@ of the procedure trips.
 Cache keys and solver scripts come from one SMT-LIB printer. A key prints
 the query with its variables renamed in first-occurrence order, each
 canonical name carrying its sort, so that alpha-variant queries share an
-entry and `p <=> q` and `x = y` do not.
+entry and `p <=> q` and `x = y` do not. The subtyping memo keys a base
+judgement by the same canonical forms (`canonical_form`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import contextlib
 import math
 import os
 import re
-import threading
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
@@ -353,8 +353,7 @@ class _Hypothesis:
 
 def _compile(f: Formula) -> Optional[_Hypothesis]:
     """The hypothesis f compiled, memoized on f; None outside the fragment
-    (a variable at both sorts). Two threads may both compile f: they store
-    equal values."""
+    (a variable at both sorts)."""
     memo = f.memo
     if "ir" not in memo:
         try:
@@ -778,17 +777,25 @@ class _Canonical(dict):
         return c
 
 
+def canonical_form(f: Formula) -> tuple[str, Mapping[str, str]]:
+    """f printed by the SMT-LIB printer under `_Canonical` names, and that
+    renaming from f's names to the canonical ones, in first-occurrence
+    order; memoized on f. A query's key starts with its hypothesis's form,
+    and the subtyping memo keys a judgement by the forms of its pieces."""
+    memo = f.memo
+    form = memo.get("key")
+    if form is None:
+        renaming = _Canonical()
+        form = memo["key"] = (_smt_formula(f, renaming.name), renaming)
+    return form
+
+
 def canonical_key(q: ValidityQuery, names: Optional[dict[str, str]] = None) -> str:
     """The query printed by the SMT-LIB printer under `_Canonical` names, so
     that alpha-variant queries share one cache entry. When `names` (empty)
     is given, it receives the renaming from the query's names to the
-    canonical ones. The hypothesis's part, with its renaming, is memoized on
-    it."""
-    memo = q.hypothesis.memo
-    if "key" not in memo:
-        renaming = _Canonical()
-        memo["key"] = (_smt_formula(q.hypothesis, renaming.name), renaming)
-    prefix, renaming = memo["key"]
+    canonical ones."""
+    prefix, renaming = canonical_form(q.hypothesis)
     mapping = _Canonical(renaming)
     key = f"{prefix} |- {_smt_formula(q.conclusion, mapping.name)}"
     if names is not None:
@@ -811,7 +818,8 @@ class ValidityEngine:
     """Dispatches validity queries to the built-in checker and/or an
     external SMT-LIB solver, memoizing by canonical query serialization.
     Models are cached under the canonical names and handed back in the
-    names of the query that asked."""
+    names of the query that asked. An engine serves one thread: its cache
+    and counters take no lock."""
 
     def __init__(
         self,
@@ -831,7 +839,6 @@ class ValidityEngine:
         # asked in a row against one hypothesis (a template's qualifiers)
         # share what is memoized on it: its key prefix and compiled form
         self._hypothesis: Optional[Formula] = None
-        self._lock = threading.Lock()
         self.stats = {"queries": 0, "cache_hits": 0, "external_calls": 0}
 
     def check(self, q: ValidityQuery, need_model: bool = True) -> Verdict:
@@ -840,16 +847,14 @@ class ValidityEngine:
         external backends ignore the flag."""
         names: dict[str, str] = {}
         key = canonical_key(q, names)
-        with self._lock:
-            self._hypothesis = q.hypothesis
-            self.stats["queries"] += 1
-            cached = self._cache.get(key)
-            if cached is not None and (not need_model or cached != NOT_PROVED):
-                self.stats["cache_hits"] += 1
-                return _rename_model(cached, names, back=True)
+        self._hypothesis = q.hypothesis
+        self.stats["queries"] += 1
+        cached = self._cache.get(key)
+        if cached is not None and (not need_model or cached != NOT_PROVED):
+            self.stats["cache_hits"] += 1
+            return _rename_model(cached, names, back=True)
         verdict = self._decide(q, need_model)
-        with self._lock:
-            self._cache[key] = _rename_model(verdict, names)
+        self._cache[key] = _rename_model(verdict, names)
         return verdict
 
     def _decide(self, q: ValidityQuery, need_model: bool) -> Verdict:
@@ -869,8 +874,7 @@ class ValidityEngine:
         if not self.smt_cmd:
             return Unknown("no external solver configured")
         script = emit_smtlib(q, nonlinear=self.nonlinear_external, get_model=True)
-        with self._lock:
-            self.stats["external_calls"] += 1
+        self.stats["external_calls"] += 1
         try:
             out = run_solver(self.smt_cmd, script, self.timeout)
         except TimeoutError:
@@ -891,6 +895,5 @@ class ValidityEngine:
         return Unknown(f"solver answered {answer or 'nothing'}")
 
     def cache_size(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return len(self._cache)
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,8 @@ from liqinfer.syntax import (
     subst_refinement,
 )
 from liqinfer.validity import Invalid, Unknown, Valid, ValidityEngine, ValidityQuery
+from test_env import let_chain
+from test_shortcuts import nested_chain
 
 # -- specs: plain descriptions of values, built twice ----------------------
 #
@@ -549,11 +552,9 @@ KINDS = (
 
 
 @st.composite
-def judgements(draw):
+def environments(draw):
     """Environments extended from one another, base bindings shadowing
-    earlier ones and non-base bindings hiding them, and pairs of types of
-    one shape; each pair is judged under every environment that binds the
-    names its refinements mention, in a random order."""
+    earlier ones and non-base bindings hiding them."""
     hiding = mono(LiquidType((FunArm("a", base_top(INT), base_top(INT)),)))
     envs = [Env()]
     for _ in range(draw(st.integers(1, 5))):
@@ -566,12 +567,33 @@ def judgements(draw):
             # guarantees: the formula of an environment mentions only its names
             scheme = mono(_int_type(draw(_refs(tuple(sorted({n for n, _ in parent.bindings}))))))
         envs.append(parent.extend(name, scheme))
+    return envs
+
+
+@st.composite
+def judgements(draw):
+    """Pairs of types of one shape, each judged under every environment of
+    `environments` that binds the names its refinements mention, in a
+    random order."""
+    envs = draw(environments())
     pairs = []
     for _ in range(draw(st.integers(1, 4))):
         scope = tuple(sorted(draw(st.sets(st.sampled_from(BINDERS)))))
         kind = draw(st.sampled_from(KINDS))
         pairs.append((scope, draw(kind(scope)), draw(kind(scope))))
     items = [(env, lhs, rhs) for env in envs for scope, lhs, rhs in pairs if {n for n, _ in env.bindings} >= set(scope)]
+    return draw(st.permutations(items))
+
+
+@st.composite
+def base_judgements(draw):
+    """Pairs of int types judged under the environments of `environments`,
+    whose refinements mention the names each environment binds."""
+    items = []
+    for env in draw(environments()):
+        scope = tuple(sorted({n for n, _ in env.bindings}))
+        for _ in range(draw(st.integers(1, 3))):
+            items.append((env, _int_type(draw(_refs(scope))), _int_type(draw(_refs(scope)))))
     return draw(st.permutations(items))
 
 
@@ -616,7 +638,184 @@ class TestJudgementMemo:
         assert checker.engine.stats["queries"] == queries
 
 
+# -- the memo up to renaming ----------------------------------------------
+
+# An injective renaming of the environment's names. Each new name sorts
+# where its old one did against every name a judgement prints, an arrow
+# binder renamed to `x%0` included, so that a canonical type's arms keep
+# their order.
+RENAMING = {"x": "x1", "y": "y1"}
+# changes of the names in a type: none, a swap, and one put for the other
+CHANGES = ({}, {"x": Var("y"), "y": Var("x")}, {"x": Var("y")}, {"y": Var("x")})
+
+
+def rename_type(t, rho):
+    """t with the free occurrences of the names `rho` binds replaced, made
+    canonical at every level (`make_type`); the generators build types
+    whose arms are not sorted."""
+    arms = []
+    for arm in t.arms:
+        if isinstance(arm, BaseArm):
+            arm = BaseArm(arm.base, subst_refinement(arm.ref, rho))
+        elif isinstance(arm, FunArm):
+            inner = {n: x for n, x in rho.items() if n != arm.binder}
+            arm = FunArm(arm.binder, rename_type(arm.dom, rho), rename_type(arm.cod, inner))
+        arms.append(arm)
+    return make_type(arms)
+
+
+def rename(env, lhs, rhs, renaming):
+    """The judgement with every name its environment binds renamed: the
+    bindings, and their free occurrences in the types and the bindings'
+    schemes; an arrow's binder and its occurrences stay."""
+    rho = {name: Var(new) for name, new in renaming.items()}
+    out = Env()
+    for name, scheme in env.bindings:
+        out = out.extend(renaming[name], Scheme(scheme.qvars, rename_type(scheme.body, rho)))
+    return out, rename_type(lhs, rho), rename_type(rhs, rho)
+
+
+class _Counting(SubtypeChecker):
+    """A checker that records the target of each judgement it decides."""
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.decided = []
+
+    def _decide(self, env, a, b):
+        self.decided.append(b)
+        return super()._decide(env, a, b)
+
+    def base_decisions(self):
+        return [b for b in self.decided if isinstance(b.arms[0], BaseArm)]
+
+
+def fresh_answer(env, lhs, rhs):
+    return SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs)
+
+
+class TestRenamedJudgements:
+    @settings(max_examples=100, deadline=None)
+    @given(judgements(), base_judgements())
+    def test_a_renamed_judgement_is_answered_from_the_memo(self, items, base_items):
+        """Asked again under a renaming of its environment's names, a
+        judgement gets the answer a fresh checker gives, and a base
+        judgement is answered from the memo, with no query. (An arrow
+        judgement is decided again. The binders it picks for its codomains
+        depend on the names Γ binds, so its base judgements may conjoin
+        their arms in another order, and then be other queries.)
+
+        A base judgement with the names of one or both of its types alone
+        changed (`x` and `y` swapped, or one put for the other) is another
+        judgement, and each of its pieces is often a renaming of the
+        original's: it too gets a fresh checker's answer, so the memo does
+        not conflate judgements that differ in which names coincide."""
+        items = [rename(*judgement, {n: n for n in BINDERS}) for judgement in items + base_items]
+        warm = _Counting(ValidityEngine())
+        for judgement in items:
+            assert warm.is_subtype(*judgement) == fresh_answer(*judgement)
+        for judgement in items:
+            env, lhs, rhs = rename(*judgement, RENAMING)
+            warm.decided.clear()
+            queries = warm.engine.stats["queries"]
+            assert warm.is_subtype(env, lhs, rhs) == fresh_answer(env, lhs, rhs)
+            if isinstance(rhs.arms[0], BaseArm):
+                assert warm.decided == []
+                assert warm.engine.stats["queries"] == queries
+        for env, lhs, rhs in items:
+            if isinstance(rhs.arms[0], BaseArm):
+                for rho, sigma in product(CHANGES, CHANGES):
+                    judgement = env, rename_type(lhs, rho), rename_type(rhs, sigma)
+                    assert warm.is_subtype(*judgement) == fresh_answer(*judgement)
+
+    def test_a_renaming_into_the_name_of_an_arrow_binder(self):
+        """`y` renamed to `x`, the binder of the arrow: the domain's `x` is
+        then the environment's, the codomain's the binder's, and the checker
+        renames the binder to `x%0`. Every base judgement is a renaming of
+        one asked before."""
+        ge1 = _int_type([_cmp(">=", LInt(1))])
+
+        def judgement(name):
+            env = Env().extend(name, mono(_int_type([_cmp("=", LInt(1))])))
+            lhs = make_type([FunArm("x", _int_type([_cmp(">=", LVar(name))]), _int_type([_cmp(">=", LVar("x"))]))])
+            return env, lhs, make_type([FunArm("x", ge1, ge1)])
+
+        checker = _Counting(ValidityEngine())
+        assert checker.is_subtype(*judgement("y"))
+        checker.decided.clear()
+        assert checker.is_subtype(*judgement("x"))
+        assert checker.engine.stats["queries"] == 2
+        assert checker.base_decisions() == []
+        assert fresh_answer(*judgement("x"))
+
+    def test_iff_and_integer_equality_are_two_entries(self):
+        """`q <=> p` and `y = x` print alike in SMT-LIB but for the sorts of
+        their names; the judgement under each is decided."""
+        bool_top = LiquidType((BaseArm(BOOL, TRUE),))
+        iff_p = LiquidType((BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), FBoolVar("p"))),))
+        bools = Env().extend("p", mono(bool_top)).extend("q", mono(iff_p))
+        ints = Env().extend("x", mono(base_top(INT))).extend("y", mono(_int_type([_cmp("=", LVar("x"))])))
+        lhs, rhs = _int_type([_cmp(">=", LInt(0))]), _int_type([_cmp(">=", LInt(1))])
+        checker = _Counting(ValidityEngine())
+        for env in (bools, ints):
+            assert not checker.is_subtype(env, lhs, rhs)
+        assert len(checker.base_decisions()) == 2
+        assert checker.engine.stats["queries"] == 2
+
+    def test_judgements_that_differ_in_which_names_coincide_are_two_entries(self):
+        """`v = x` is below `v >= x` and not below `v >= y`: the two targets
+        print alike up to renaming and differ only in whether the name they
+        mention is the source's."""
+        env = Env().extend("x", mono(base_top(INT))).extend("y", mono(base_top(INT)))
+        eq_x = _int_type([_cmp("=", LVar("x"))])
+        checker = _Counting(ValidityEngine())
+        assert checker.is_subtype(env, eq_x, _int_type([_cmp(">=", LVar("x"))]))
+        assert not checker.is_subtype(env, eq_x, _int_type([_cmp(">=", LVar("y"))]))
+        assert len(checker.base_decisions()) == 2
+
+
 class TestQueryCounts:
+    def test_chains_ask_the_engine_each_query_once(self, monkeypatch, tmp_path, capsys):
+        """A nested chain and a let chain, each 20 deep: each level's base
+        judgements are renamings of the level before's, so the engine is
+        asked no query twice (no cache hit) and decides each one it is
+        asked. Keyed by name alone, the memo lets repeats through to the
+        engine's cache, and the output is the same."""
+        from liqinfer import cli, subtyping
+
+        decided = [0]
+        decide = validity.builtin_decide
+
+        def counting(*args, **kwargs):
+            decided[0] += 1
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(validity, "builtin_decide", counting)
+        engines = []
+        make_engine = cli._make_engine
+        monkeypatch.setattr(cli, "_make_engine", lambda args: engines.append(make_engine(args)) or engines[-1])
+        files = {"nested": nested_chain(20), "let": let_chain(20)}
+        for name, body in files.items():
+            (tmp_path / f"{name}.ml").write_text(f"Qualifiers {{ v >= 0, v <= 0 }}\nval f = {body}\n")
+        runs = {}
+        for renaming in (True, False):
+            if not renaming:
+                monkeypatch.setattr(subtyping, "_renamed_key", lambda f, a, b: (f, a, b))
+            for name in files:
+                decided[0] = 0
+                code = cli.main([str(tmp_path / f"{name}.ml"), "--json"])
+                out = capsys.readouterr()
+                assert code == 0, out.err
+                runs[renaming, name] = (out.out, out.err), dict(engines[-1].stats), decided[0]
+        for name in files:
+            (answers, stats, decided_with), (plain, plain_stats, decided_without) = (
+                runs[True, name], runs[False, name]
+            )
+            assert answers == plain, name
+            assert stats["cache_hits"] == 0, (name, stats)
+            assert decided_with == stats["queries"] == decided_without, (name, stats, plain_stats)
+            assert plain_stats["cache_hits"] > 0, (name, plain_stats)
+
     def test_the_memo_cuts_queries_and_keeps_every_decision(self, monkeypatch):
         """Criterion-5 traffic re-checks every reduct: without the memo it
         asks the engine more than three times as many queries, and the

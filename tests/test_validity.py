@@ -708,26 +708,15 @@ class TestRealSolverIfPresent:
         assert isinstance(got, Invalid)
 
 
-class TestConcurrentCache:
-    def test_parallel_queries_share_the_cache(self):
-        import threading
-
+class TestAlphaEquivalentCache:
+    def test_alpha_equivalent_queries_share_one_entry(self):
         eng = ValidityEngine()
         queries = [
             ValidityQuery(atom(">=", LVar(f"x{i}"), LInt(0)), atom(">=", LVar(f"x{i}"), LInt(-1)))
             for i in range(8)
         ]
-        results = []
-
-        def worker():
-            for q in queries:
-                results.append(eng.check(q))
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results = [eng.check(q) for q in queries]
         assert all(r == Valid() for r in results)
         # alpha-equivalent queries collapse to one entry
         assert eng.cache_size() == 1
+        assert eng.stats["cache_hits"] == 7
