@@ -49,5 +49,4 @@ for name, term in program.bindings:
     print("inferred:  ", render_scheme(scheme))
     env = env.extend(name, scheme)
 
-print(f"\nvalidity queries: {engine.stats['queries']}"
-      f" ({engine.stats['cache_hits']} cache hits)")
+print(f"\nvalidity queries: {engine.stats['queries']}")

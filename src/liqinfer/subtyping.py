@@ -70,9 +70,11 @@ class SubtypeChecker:
     Binder names do not matter: the formula and the types mention only
     names bound in Γ, as well-formedness guarantees, so such a binder avoids
     capture, and the queries made under two choices differ only by a
-    renaming of that bound variable. The engine caches each query under a
-    canonical key that is the same for every renaming, so both choices get
-    the same verdicts. The checker therefore decides each judgement once,
+    renaming of that bound variable. Both choices get the same verdicts:
+    the built-in procedure proves a query exactly when it proves each of
+    its renamings (a property `tests/test_validity.py` checks), and within
+    one checker the memo up to renaming below answers a renamed repeat with
+    the first verdict. The checker therefore decides each judgement once,
     keyed by (Γ's formula, τ₁, τ₂), and answers repeats from that memo for
     as long as it lives: across the `infer` calls of one `Inferencer`, too.
 
@@ -85,12 +87,12 @@ class SubtypeChecker:
     τ₂'s refinements, each printed once by the engine's canonical printer
     and kept on its formula or type, with the places of τ₁'s and τ₂'s names
     in the numbering Γ's form starts. Equal keys mean the two queries are
-    renamings of each other, with one canonical key, so the engine's cache
-    would answer the second with the first's verdict anyway; this memo
-    answers it without building, printing or asking the query. An arrow
-    judgement keeps the first key only, since it decomposes into base
-    judgements. The memo keyed by name comes first: its key costs a tuple,
-    and it answers the repeats that need no renaming.
+    renamings of each other, with one verdict; this memo answers the second
+    without building or asking the query, and the engine keeps no verdicts
+    of its own. An arrow judgement keeps the first key only, since it
+    decomposes into base judgements. The memo keyed by name comes first:
+    its key costs a tuple, and it answers the repeats that need no
+    renaming.
 
     The Top rule: once the shapes agree, a base target whose every arm is
     refined by Top holds under any environment, with no query. Such a query

@@ -218,10 +218,10 @@ LogicTerm = Union[LInt, LVar, LNeg, LAdd, LSub, LMul]
 
 
 class _Formula(Value):
-    """Base of the formula classes. `memo` keeps what the validity engine
-    derives from a formula (its cache-key prefix, its compiled rows) in a
-    slot that is not a field: every occurrence of the formula shares it, and
-    it dies with the formula."""
+    """Base of the formula classes. `memo` keeps what the validity module
+    derives from a formula (its canonical form, its compiled rows) in a slot
+    that is not a field: every occurrence of the formula shares it, and it
+    dies with the formula."""
 
     __slots__ = ("_memo",)
 

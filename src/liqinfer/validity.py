@@ -8,15 +8,15 @@ external backend speaks SMT-LIB v2 to any conformant solver process.
 
 The built-in backend decides on a linear IR of rows, coefficient dicts over
 program variables and opaque terms; it builds no formula while deciding. A
-hypothesis is compiled once, memoized on the hash-consed formula next to its
-cache-key prefix: its atoms become rows and its equalities are eliminated
-exactly, as in the Omega test (Pugh, CACM 1992): divided by their gcd, and
-rewritten by Pugh's symmetric-modulo step until a variable has a unit
-coefficient and is substituted away. Each conclusion conjunct is negated
-straight into rows, substituted, split into cases where booleans or
-disjunctions occur, and refuted by Fourier-Motzkin with gcd tightening. The
-engine keeps its last hypothesis alive, so the conclusions asked in a row
-against it share the compiled form.
+hypothesis is compiled once, memoized on the hash-consed formula: its atoms
+become rows and its equalities are eliminated exactly, as in the Omega test
+(Pugh, CACM 1992): divided by their gcd, and rewritten by Pugh's
+symmetric-modulo step until a variable has a unit coefficient and is
+substituted away. Each conclusion conjunct is negated straight into rows,
+substituted, split into cases where booleans or disjunctions occur, and
+refuted by Fourier-Motzkin with gcd tightening. The engine keeps its last
+hypothesis alive, so the conclusions asked in a row against it share the
+compiled form.
 
 A query is made of refinements (`syntax.Formula`). A product with a side
 that has no variables is scaling and stays linear. Any other product is the
@@ -33,11 +33,15 @@ where the bounds of a variable hold no integer (there are no dark shadows
 or splintering), where the products cannot be completed, and where a bound
 of the procedure trips.
 
-Cache keys and solver scripts come from one SMT-LIB printer. A key prints
-the query with its variables renamed in first-occurrence order, each
-canonical name carrying its sort, so that alpha-variant queries share an
-entry and `p <=> q` and `x = y` do not. The subtyping memo keys a base
-judgement by the same canonical forms (`canonical_form`).
+The engine keeps no verdicts: the subtyping checker answers each repeated
+judgement from its memos, one keyed by name and one up to renaming, before
+it builds a query. Solver scripts and canonical forms come from one SMT-LIB
+printer. A canonical form prints a formula with its variables renamed in
+first-occurrence order, each canonical name carrying its sort, so that
+alpha-variants print alike and `p <=> q` and `x = y` do not. The subtyping
+memo up to renaming keys a base judgement by such forms (`canonical_form`),
+and `canonical_key` prints a whole query so, for tests that name the
+queries decided.
 """
 
 from __future__ import annotations
@@ -234,8 +238,8 @@ def _solve(eq: Lin, subst: dict) -> bool:
     Its first variable of least coefficient is bound, and replaced in the
     values bound before it: to the rest of the equality when the coefficient
     is a unit, and otherwise by Pugh's step, which leaves an equality of
-    smaller coefficients to solve. Pugh's variable is the pair `("$", var)`:
-    never a model's name, and printed alike in every run for FM's ties."""
+    smaller coefficients to solve. Pugh's variable is the pair `("$", var)`,
+    never a model's name."""
     coeffs, k = _substitute(eq, subst)
     while coeffs:
         g = math.gcd(*coeffs.values())
@@ -432,13 +436,15 @@ def _fm_refute(rows: list[Row]) -> Optional[list]:
                 pending.append((coeffs, k))
         if not pending:
             return steps
-        # pick the variable with the fewest pos*neg combinations
+        # pick the variable with the fewest pos*neg combinations, the first
+        # such in order of occurrence: no choice reads a name, so a renaming
+        # of the query's variables changes no verdict
         occs: dict = {}
         for coeffs, _ in pending:
             for v, c in coeffs.items():
                 p, n = occs.get(v, (0, 0))
                 occs[v] = (p + (c > 0), n + (c < 0))
-        var = min(sorted(occs, key=str), key=lambda v: occs[v][0] * occs[v][1])
+        var = min(occs, key=lambda v: occs[v][0] * occs[v][1])
         pos = [r for r in pending if r[0].get(var, 0) > 0]
         neg = [r for r in pending if r[0].get(var, 0) < 0]
         rest = [r for r in pending if r[0].get(var, 0) == 0]
@@ -637,7 +643,7 @@ def _sanitize_names(names: Iterable[str]) -> dict[str, str]:
     return out
 
 
-# The SMT-LIB printer, for solver scripts and cache keys alike. It asks
+# The SMT-LIB printer, for solver scripts and canonical forms alike. It asks
 # `name(n, sort)` for the printed name of each variable, with sort "int" or
 # "bool", and of each uninterpreted symbol, with sort "fn".
 Namer = Callable[[str, str], str]
@@ -759,7 +765,7 @@ def parse_model(output: str) -> dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# Cache and engine
+# Canonical forms and the engine
 # ---------------------------------------------------------------------------
 
 
@@ -790,36 +796,19 @@ def canonical_form(f: Formula) -> tuple[str, Mapping[str, str]]:
     return form
 
 
-def canonical_key(q: ValidityQuery, names: Optional[dict[str, str]] = None) -> str:
-    """The query printed by the SMT-LIB printer under `_Canonical` names, so
-    that alpha-variant queries share one cache entry. When `names` (empty)
-    is given, it receives the renaming from the query's names to the
-    canonical ones."""
+def canonical_key(q: ValidityQuery) -> str:
+    """The query printed by the SMT-LIB printer under `_Canonical` names:
+    one string for a query and all its alpha-variants, by which tests name
+    the queries decided."""
     prefix, renaming = canonical_form(q.hypothesis)
-    mapping = _Canonical(renaming)
-    key = f"{prefix} |- {_smt_formula(q.conclusion, mapping.name)}"
-    if names is not None:
-        names.update(mapping)
-    return key
-
-
-def _rename_model(verdict: Verdict, names: dict[str, str], back: bool = False) -> Verdict:
-    """The verdict with its model's variables renamed by `names` (by its
-    inverse when `back`); names it does not cover (an external solver's
-    SMT-LIB names) stay as they are."""
-    if not isinstance(verdict, Invalid) or not verdict.model:
-        return verdict
-    if back:
-        names = {c: n for n, c in names.items()}
-    return Invalid(tuple(sorted((names.get(n, n), v) for n, v in verdict.model)))
+    return f"{prefix} |- {_smt_formula(q.conclusion, _Canonical(renaming).name)}"
 
 
 class ValidityEngine:
     """Dispatches validity queries to the built-in checker and/or an
-    external SMT-LIB solver, memoizing by canonical query serialization.
-    Models are cached under the canonical names and handed back in the
-    names of the query that asked. An engine serves one thread: its cache
-    and counters take no lock."""
+    external SMT-LIB solver. It keeps no verdicts: the subtyping checker's
+    judgement memos answer repeated queries. An engine serves one thread:
+    its counters take no lock."""
 
     def __init__(
         self,
@@ -834,28 +823,19 @@ class ValidityEngine:
         self.smt_cmd = smt_cmd
         self.timeout = timeout
         self.nonlinear_external = nonlinear_external
-        self._cache: dict[str, Verdict] = {}
         # the hypothesis of the last query, kept alive so that the queries
         # asked in a row against one hypothesis (a template's qualifiers)
-        # share what is memoized on it: its key prefix and compiled form
+        # share its compiled form, which is memoized on it
         self._hypothesis: Optional[Formula] = None
-        self.stats = {"queries": 0, "cache_hits": 0, "external_calls": 0}
+        self.stats = {"queries": 0, "external_calls": 0}
 
     def check(self, q: ValidityQuery, need_model: bool = True) -> Verdict:
         """The verdict on q. A caller that reads only Valid passes
         need_model=False and may get NOT_PROVED for Invalid or Unknown; the
         external backends ignore the flag."""
-        names: dict[str, str] = {}
-        key = canonical_key(q, names)
         self._hypothesis = q.hypothesis
         self.stats["queries"] += 1
-        cached = self._cache.get(key)
-        if cached is not None and (not need_model or cached != NOT_PROVED):
-            self.stats["cache_hits"] += 1
-            return _rename_model(cached, names, back=True)
-        verdict = self._decide(q, need_model)
-        self._cache[key] = _rename_model(verdict, names)
-        return verdict
+        return self._decide(q, need_model)
 
     def _decide(self, q: ValidityQuery, need_model: bool) -> Verdict:
         if self.backend == "builtin":
@@ -895,5 +875,7 @@ class ValidityEngine:
         return Unknown(f"solver answered {answer or 'nothing'}")
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        """0: the engine keeps no verdicts. Kept for the benchmark's tracer,
+        which reads it after every program."""
+        return 0
 

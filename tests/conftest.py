@@ -45,7 +45,8 @@ def shortcuts_off(monkeypatch):
     settled before the judgement memos (`subtyping._TOPS`), both judgement
     memos (`SubtypeChecker._sub` decides every judgement but a reflexive
     one) and the temporary types a template keeps (`_Template.temps`, by
-    way of `_Template.temporary`). The validity engine's cache stays."""
+    way of `_Template.temporary`). The validity engine keeps no verdicts, so
+    every judgement decided afresh reaches the decision procedure."""
     from liqinfer import inference, subtyping, syntax
     from liqinfer.inference import Inferencer
     from liqinfer.subtyping import SubtypeChecker

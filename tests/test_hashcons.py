@@ -394,9 +394,7 @@ FUN_ARM = FunArm("x", LiquidType((BASE_ARM,)), LiquidType((BaseArm(BOOL, FIff(FB
 TWO_ARMS = make_type([FUN_ARM, FunArm("x", base_top(INT), LiquidType((BaseArm(BOOL, FBoolVar("v")),)))])
 
 # A repr prints the class and every field, `Name(field=value, ...)`. The
-# texts are fixed: Fourier-Motzkin breaks ties between variables by `str`,
-# which is the repr for opaque terms, so another text would change the
-# elimination order and the models found.
+# texts are fixed, since logs and failing tests show them.
 REPRS = [
     (
         lambda: ValidityQuery(
@@ -778,19 +776,19 @@ class TestQueryCounts:
     def test_chains_ask_the_engine_each_query_once(self, monkeypatch, tmp_path, capsys):
         """A nested chain and a let chain, each 20 deep: each level's base
         judgements are renamings of the level before's, so the engine is
-        asked no query twice (no cache hit) and decides each one it is
-        asked. Keyed by name alone, the memo lets repeats through to the
-        engine's cache, and the output is the same."""
+        asked no query twice, up to renaming. Keyed by name alone, the memo
+        lets the renamed repeats through to the engine, which decides the
+        same set of queries, and the output is the same."""
         from liqinfer import cli, subtyping
 
-        decided = [0]
+        decided: list[str] = []
         decide = validity.builtin_decide
 
-        def counting(*args, **kwargs):
-            decided[0] += 1
-            return decide(*args, **kwargs)
+        def recording(q, need_model=True):
+            decided.append(validity.canonical_key(q))
+            return decide(q, need_model=need_model)
 
-        monkeypatch.setattr(validity, "builtin_decide", counting)
+        monkeypatch.setattr(validity, "builtin_decide", recording)
         engines = []
         make_engine = cli._make_engine
         monkeypatch.setattr(cli, "_make_engine", lambda args: engines.append(make_engine(args)) or engines[-1])
@@ -802,35 +800,35 @@ class TestQueryCounts:
             if not renaming:
                 monkeypatch.setattr(subtyping, "_renamed_key", lambda f, a, b: (f, a, b))
             for name in files:
-                decided[0] = 0
+                decided.clear()
                 code = cli.main([str(tmp_path / f"{name}.ml"), "--json"])
                 out = capsys.readouterr()
                 assert code == 0, out.err
-                runs[renaming, name] = (out.out, out.err), dict(engines[-1].stats), decided[0]
+                assert len(decided) == engines[-1].stats["queries"], name
+                runs[renaming, name] = (out.out, out.err), list(decided)
         for name in files:
-            (answers, stats, decided_with), (plain, plain_stats, decided_without) = (
-                runs[True, name], runs[False, name]
-            )
+            (answers, keys), (plain, plain_keys) = runs[True, name], runs[False, name]
             assert answers == plain, name
-            assert stats["cache_hits"] == 0, (name, stats)
-            assert decided_with == stats["queries"] == decided_without, (name, stats, plain_stats)
-            assert plain_stats["cache_hits"] > 0, (name, plain_stats)
+            assert len(keys) == len(set(keys)) > 0, name
+            assert set(plain_keys) == set(keys), name
+            assert len(plain_keys) > len(keys), name
 
     def test_the_memo_cuts_queries_and_keeps_every_decision(self, monkeypatch):
         """Criterion-5 traffic re-checks every reduct: without the memo it
         asks the engine more than three times as many queries, and the
-        engine decides exactly the same ones. The inference memo is off in
-        both runs, so that every repeated judgement reaches this memo."""
+        engine decides the same set of queries, up to renaming. The
+        inference memo is off in both runs, so that every repeated
+        judgement reaches this memo."""
         monkeypatch.setattr(Inferencer, "_age", lambda self: None)
-        decided = [0]
+        decided: set[str] = set()
         decide = validity.builtin_decide
 
-        def counting(*args, **kwargs):
-            decided[0] += 1
-            return decide(*args, **kwargs)
+        def recording(q, need_model=True):
+            decided.add(validity.canonical_key(q))
+            return decide(q, need_model=need_model)
 
-        monkeypatch.setattr(validity, "builtin_decide", counting)
-        counts = {}
+        monkeypatch.setattr(validity, "builtin_decide", recording)
+        runs = {}
         for memo in (True, False):
             if not memo:
                 monkeypatch.setattr(
@@ -838,9 +836,9 @@ class TestQueryCounts:
                     lambda self, env, a, b: a is b or SubtypeChecker._decide(self, env, a, b),
                 )
             engine = ValidityEngine()
-            decided[0] = 0
+            decided.clear()
             assert run_subject_reduction(40, fuel=100, seed=7, engine=engine).ok
-            counts[memo] = (engine.stats["queries"], decided[0])
-        (with_memo, decided_with), (without, decided_without) = counts[True], counts[False]
-        assert without >= 3 * with_memo, counts
-        assert decided_with == decided_without, counts
+            runs[memo] = engine.stats["queries"], frozenset(decided)
+        (with_memo, keys), (without, plain_keys) = runs[True], runs[False]
+        assert without >= 3 * with_memo, (with_memo, without)
+        assert plain_keys == keys, (len(keys), len(plain_keys))
