@@ -36,13 +36,9 @@ def _all_names(t: Term) -> set[str]:
     return names
 
 
-def normalize(term: Term, names: NameSource | None = None) -> Term:
+def normalize(term: Term) -> Term:
     """Bind every non-atomic sub-expression of an application with a let."""
-    if names is None:
-        names = NameSource("t", used=_all_names(term))
-    else:
-        names.reserve(_all_names(term))
-    return _norm(term, names)
+    return _norm(term, NameSource("t", used=_all_names(term)))
 
 
 def is_atom(t: Term) -> bool:

@@ -162,8 +162,8 @@ class _Tokens:
         self.toks = toks
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[min(self.i, len(self.toks) - 1)]
 
     def next(self) -> Token:
         t = self.peek()
@@ -370,10 +370,9 @@ class _TermParser:
         raise self.ts.fail(f"expected a term, found {t.text or 'end of input'!r}")
 
 
-def parse_term(text: str, names: NameSource | None = None) -> Term:
+def parse_term(text: str) -> Term:
     ts = _Tokens(tokenize(text))
-    names = names if names is not None else NameSource("x")
-    t = _TermParser(ts, names).term({})
+    t = _TermParser(ts, NameSource("x")).term({})
     if ts.peek().kind != "eof":
         raise ts.fail("trailing input after term")
     return t

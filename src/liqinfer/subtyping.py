@@ -8,12 +8,12 @@ Subtyping asks the validity engine only "Valid?" (need_model=False), so no
 countermodel is searched for on the inference path; any other answer, a
 proved Invalid or an Unknown alike, is conservatively read as "not a
 subtype". A checker decides each judgement once and answers repeats from
-two memos: one keyed by name, and behind it one that keys a base judgement
-up to a renaming of its names (see `SubtypeChecker`). A base target refined
+one memo, which keys a base judgement up to a renaming of its names and
+any other judgement by name (see `SubtypeChecker`). A base target refined
 by Top at every arm is settled without a query: every value satisfies
 {v | true}; the Top type of the source's base shape is settled before the
-memos, with no environment formula and no memo entry. `is_subtype` hands
-two liquid types straight to `_sub`, the memos' one entry, and logs every
+memo, with no environment formula and no memo entry. `is_subtype` hands
+two liquid types straight to `_sub`, the memo's one entry, and logs every
 judgement it is asked.
 Well-formedness keeps no memo: `wf_check` walks the type on every call,
 reading Γ's sorts only at its free program variables (inference keeps the
@@ -66,40 +66,40 @@ class SubtypeChecker:
     A judgement Γ ⊢ τ₁ <: τ₂ depends on Γ only through Γ's formula,
     `embed_env(Γ)`: its base queries read Γ through that formula alone, and
     the rest of Γ serves only to pick a binder name for an arrow's codomain
-    that no binding of Γ uses and no codomain binds (`_fresh_binder`).
-    Binder names do not matter: the formula and the types mention only
-    names bound in Γ, as well-formedness guarantees, so such a binder avoids
-    capture, and the queries made under two choices differ only by a
-    renaming of that bound variable. Both choices get the same verdicts:
-    the built-in procedure proves a query exactly when it proves each of
-    its renamings (a property `tests/test_validity.py` checks), and within
-    one checker the memo up to renaming below answers a renamed repeat with
-    the first verdict. The checker therefore decides each judgement once,
-    keyed by (Γ's formula, τ₁, τ₂), and answers repeats from that memo for
-    as long as it lives: across the `infer` calls of one `Inferencer`, too.
+    (`_fresh_binder`). That binder is the target's own when Γ does not bind
+    it and every surviving arm binds it too, so that nothing is renamed.
+    Otherwise it is the target's binder behind as many `%` as make a name
+    Γ does not bind. No type binds a name that starts with `%` (the parser,
+    shape elaboration and `NameSource` never make one), and the types
+    mention only names bound in Γ, as well-formedness guarantees, so
+    renaming a codomain's binder to it captures nothing. Binder names do
+    not matter: the queries made under two choices differ only by a
+    renaming of that bound variable, and the built-in procedure proves a
+    query exactly when it proves each of its renamings (a property
+    `tests/test_validity.py` checks).
 
-    A base judgement misses that memo at every level of a let chain, whose
-    bindings are fresh names. Its verdict is the engine's on
-    `base_subtype_query`, which commutes with renaming: the query conjoins
-    Γ's formula with τ₁'s refinements and concludes τ₂'s. So a second memo
-    keys a base judgement up to a renaming of all its names
-    (`_renamed_key`): the canonical forms of Γ's formula and of τ₁'s and
-    τ₂'s refinements, each printed once by the engine's canonical printer
-    and kept on its formula or type, with the places of τ₁'s and τ₂'s names
-    in the numbering Γ's form starts. Equal keys mean the two queries are
-    renamings of each other, with one verdict; this memo answers the second
-    without building or asking the query, and the engine keeps no verdicts
-    of its own. An arrow judgement keeps the first key only, since it
-    decomposes into base judgements. The memo keyed by name comes first:
-    its key costs a tuple, and it answers the repeats that need no
-    renaming.
+    The checker decides each judgement once and answers repeats from one
+    memo, `_judged`, for as long as it lives: across the `infer` calls of
+    one `Inferencer`, too. A base judgement (equal base shapes, a base
+    target) is keyed up to a renaming of all its names (`_renamed_key`):
+    the canonical forms of Γ's formula and of τ₁'s and τ₂'s refinements,
+    each printed once by the engine's canonical printer and kept on its
+    formula or type, with the places of τ₁'s and τ₂'s names in the
+    numbering Γ's form starts. The key is exact: the verdict is the
+    engine's on `base_subtype_query`, which conjoins Γ's formula with τ₁'s
+    refinements and concludes τ₂'s, so equal keys mean two queries that are
+    renamings of each other, with one verdict. It answers the repeats at
+    every level of a let chain, whose bindings are fresh names, and it
+    holds no formula: a base judgement keeps no environment formula alive.
+    Any other judgement is keyed by (Γ's formula, τ₁, τ₂); it decomposes
+    into base judgements, which the memo answers in turn.
 
     The Top rule: once the shapes agree, a base target whose every arm is
     refined by Top holds under any environment, with no query. Such a query
     would have the conclusion `true`, which the engine answers Valid anyway.
     A target that mixes a Top arm with an informative one still goes to the
     engine. `_sub` settles the commonest case, the Top type of the source's
-    base shape, before it reads Γ's formula or the memos.
+    base shape, before it reads Γ's formula or the memo.
     """
 
     def __init__(
@@ -109,8 +109,7 @@ class SubtypeChecker:
     ) -> None:
         self.engine = engine
         self.log = log
-        self._judged: dict[tuple[Formula, LiquidType, LiquidType], bool] = {}
-        self._renamed: dict[tuple, bool] = {}
+        self._judged: dict[tuple, bool] = {}
 
     # -- well-formedness ----------------------------------------------------
 
@@ -175,17 +174,13 @@ class SubtypeChecker:
         if a is b or b is _TOPS.get(a.shape):
             return True  # reflexivity and the Top rule need no solver support
         f = embed_env(env)
-        key = (f, a, b)
+        if a.shape is b.shape and b.arms[0].__class__ is BaseArm:
+            key = _renamed_key(f, a, b)
+        else:
+            key = (f, a, b)
         known = self._judged.get(key)
         if known is None:
-            if a.shape is b.shape and b.arms[0].__class__ is BaseArm:
-                renamed = _renamed_key(f, a, b)
-                known = self._renamed.get(renamed)
-                if known is None:
-                    known = self._renamed[renamed] = self._decide(env, a, b)
-            else:
-                known = self._decide(env, a, b)
-            self._judged[key] = known
+            known = self._judged[key] = self._decide(env, a, b)
         return known
 
     def _decide(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
@@ -221,20 +216,17 @@ class SubtypeChecker:
         return self._sub(env2, make_type(cods), target)
 
     def _fresh_binder(self, env: Env, rhs: FunArm, survivors: list) -> str:
-        """The target's binder, unless Γ binds it or a survivor's codomain
-        mentions it under another binder: renaming that binder to it could
-        capture (`subst_liquid` does not rename inner binders)."""
-        if env.lookup(rhs.binder) is None and not any(
-            arm.binder != rhs.binder and rhs.binder in _type_vars(arm.cod) for arm in survivors
-        ):
-            return rhs.binder
-        taken: set[str] = set()
-        for arm in survivors + [rhs]:
-            taken |= _type_vars(arm.cod)
-        i = 0
-        while env.lookup(f"{rhs.binder}%{i}") is not None or f"{rhs.binder}%{i}" in taken:
-            i += 1
-        return f"{rhs.binder}%{i}"
+        """The target's binder when Γ does not bind it and every survivor
+        binds it too: nothing is renamed. Otherwise that name behind as many
+        `%` as make a name Γ does not bind. No type binds a name that starts
+        with `%`, so renaming a codomain's binder to it captures nothing."""
+        binder = rhs.binder
+        if env.lookup(binder) is None and all(arm.binder == binder for arm in survivors):
+            return binder
+        binder = "%" + binder
+        while env.lookup(binder) is not None:
+            binder = "%" + binder
+        return binder
 
     def base_subtype_query(self, env: Env, lhs_arms: list, rhs_arms: list) -> ValidityQuery:
         hyp = conj([embed_env(env)] + [a.ref for a in lhs_arms])
@@ -267,18 +259,6 @@ def _refinement_form(t: LiquidType) -> tuple[str, tuple[str, ...]]:
         form = (text, tuple(renaming))
         object.__setattr__(t, "_canonical", form)
         return form
-
-
-def _type_vars(t: LiquidType) -> set[str]:
-    out: set[str] = set()
-    for arm in t.arms:
-        if isinstance(arm, BaseArm):
-            out.update(arm.ref.sorts)
-        elif isinstance(arm, FunArm):
-            out.add(arm.binder)
-            out |= _type_vars(arm.dom)
-            out |= _type_vars(arm.cod)
-    return out
 
 
 def _render(s: Union[Scheme, LiquidType]) -> str:

@@ -34,12 +34,12 @@ or splintering), where the products cannot be completed, and where a bound
 of the procedure trips.
 
 The engine keeps no verdicts: the subtyping checker answers each repeated
-judgement from its memos, one keyed by name and one up to renaming, before
-it builds a query. Solver scripts and canonical forms come from one SMT-LIB
-printer. A canonical form prints a formula with its variables renamed in
-first-occurrence order, each canonical name carrying its sort, so that
-alpha-variants print alike and `p <=> q` and `x = y` do not. The subtyping
-memo up to renaming keys a base judgement by such forms (`canonical_form`),
+judgement from its memo before it builds a query. Solver scripts and
+canonical forms come from one SMT-LIB printer. A canonical form prints a
+formula with its variables renamed in first-occurrence order, each
+canonical name carrying its sort, so that alpha-variants print alike and
+`p <=> q` and `x = y` do not. The subtyping memo keys a base judgement up
+to renaming by such forms (`canonical_form`),
 and `canonical_key` prints a whole query so, for tests that name the
 queries decided.
 """
@@ -677,11 +677,17 @@ def _smt_formula(f: Formula, name: Namer) -> str:
     return f"(= {_smt_formula(f.lhs, name)} {_smt_formula(f.rhs, name)})"
 
 
-def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = False) -> str:
+def emit_smtlib(q: ValidityQuery, nonlinear: bool = False) -> str:
     """SMT-LIB v2 script asserting hypothesis and negated conclusion; an
     unsat answer means the query is valid. A product that is not a scaling
     is written as the uninterpreted ``times``; `nonlinear` prints it as a
     real product, `*` in QF_UFNIA, and declares no ``times``."""
+    return _script(q, nonlinear)[0]
+
+
+def _script(q: ValidityQuery, nonlinear: bool) -> tuple[str, dict[str, str]]:
+    """The script of `emit_smtlib`, and the name it declares for each of
+    the query's variables."""
     sorts, ufs = _symbols(q.hypothesis, q.conclusion)
     if nonlinear:
         ufs.pop("times", None)
@@ -705,9 +711,7 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False, get_model: bool = Fal
     lines.append(f"(assert {_smt_formula(q.hypothesis, name)})")
     lines.append(f"(assert (not {_smt_formula(q.conclusion, name)}))")
     lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", names
 
 
 def run_solver(cmd: str, script: str, timeout: float) -> str:
@@ -807,7 +811,7 @@ def canonical_key(q: ValidityQuery) -> str:
 class ValidityEngine:
     """Dispatches validity queries to the built-in checker and/or an
     external SMT-LIB solver. It keeps no verdicts: the subtyping checker's
-    judgement memos answer repeated queries. An engine serves one thread:
+    judgement memo answers repeated queries. An engine serves one thread:
     its counters take no lock."""
 
     def __init__(
@@ -850,13 +854,13 @@ class ValidityEngine:
     def check_external(self, q: ValidityQuery) -> Verdict:
         """One solver process per query: the script asks for a model right
         after the answer, and a `sat` answer reads its model from the same
-        output."""
+        output, under the query's names."""
         if not self.smt_cmd:
             return Unknown("no external solver configured")
-        script = emit_smtlib(q, nonlinear=self.nonlinear_external, get_model=True)
+        script, names = _script(q, self.nonlinear_external)
         self.stats["external_calls"] += 1
         try:
-            out = run_solver(self.smt_cmd, script, self.timeout)
+            out = run_solver(self.smt_cmd, script + "(get-model)\n", self.timeout)
         except TimeoutError:
             return Unknown("solver timeout")
         except SolverError:
@@ -870,7 +874,10 @@ class ValidityEngine:
         if answer == "unsat":
             return VALID
         if answer == "sat":
-            model = parse_model(out)
+            # the model names the script's declarations: give each its
+            # variable's name in the query
+            query_name = {declared: n for n, declared in names.items()}
+            model = {query_name.get(n, n): value for n, value in parse_model(out).items()}
             return Invalid(tuple(sorted(model.items())) if model else None)
         return Unknown(f"solver answered {answer or 'nothing'}")
 

@@ -42,8 +42,8 @@ def shortcuts_off(monkeypatch):
     paper's algorithm, for the rest of the test: the inference memo
     (`Inferencer._age`), the derived types kept on their inputs (literal
     schemes, self-types and one-binding substitutions), the Top type
-    settled before the judgement memos (`subtyping._TOPS`), both judgement
-    memos (`SubtypeChecker._sub` decides every judgement but a reflexive
+    settled before the judgement memo (`subtyping._TOPS`), the judgement
+    memo (`SubtypeChecker._sub` decides every judgement but a reflexive
     one) and the temporary types a template keeps (`_Template.temps`, by
     way of `_Template.temporary`). The validity engine keeps no verdicts, so
     every judgement decided afresh reaches the decision procedure."""

@@ -639,9 +639,10 @@ class TestJudgementMemo:
 # -- the memo up to renaming ----------------------------------------------
 
 # An injective renaming of the environment's names. Each new name sorts
-# where its old one did against every name a judgement prints, an arrow
-# binder renamed to `x%0` included, so that a canonical type's arms keep
-# their order.
+# where its old one did against every other name a judgement prints, so
+# that a canonical type's arms keep their order. An arrow binder renamed to
+# `%x` sorts before them all, so an arrow judgement's codomains may still
+# conjoin their arms in another order.
 RENAMING = {"x": "x1", "y": "y1"}
 # changes of the names in a type: none, a swap, and one put for the other
 CHANGES = ({}, {"x": Var("y"), "y": Var("x")}, {"x": Var("y")}, {"y": Var("x")})
@@ -729,7 +730,7 @@ class TestRenamedJudgements:
     def test_a_renaming_into_the_name_of_an_arrow_binder(self):
         """`y` renamed to `x`, the binder of the arrow: the domain's `x` is
         then the environment's, the codomain's the binder's, and the checker
-        renames the binder to `x%0`. Every base judgement is a renaming of
+        renames the binder to `%x`. Every base judgement is a renaming of
         one asked before."""
         ge1 = _int_type([_cmp(">=", LInt(1))])
 

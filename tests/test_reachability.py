@@ -12,6 +12,11 @@ Every parameter of a function or method of the package, nested ones too, is
 read in its body, but for `self`, `cls` and `mcs` and those of dunder
 methods: a parameter no body reads is one every caller fills for nothing.
 
+Every parameter with a default is passed by some call in the program or
+its tests, by keyword or by place: a default no call overrides is a
+constant spelled as a parameter. A constructor's parameters are passed by
+calls of its class, or of a subclass, by name.
+
 Every `__slots__` name of a class of the package, but for dunders such as
 `__weakref__`, is referenced somewhere in the package other than its
 declaration, as an attribute or in a string such as
@@ -47,6 +52,11 @@ ALLOWED: dict[tuple[str, str], str] = {
 # (module, qualified function name, parameter): why a parameter that its body
 # does not read stays, such as one a protocol fixes
 ALLOWED_PARAMS: dict[tuple[str, str, str], str] = {}
+
+
+# (module, qualified function name, parameter): why a parameter with a
+# default that no call passes stays
+ALLOWED_DEFAULTS: dict[tuple[str, str, str], str] = {}
 
 
 def _is_dunder(name: str) -> bool:
@@ -195,6 +205,66 @@ def unread_parameters(allowed=ALLOWED_PARAMS) -> list[str]:
     return out
 
 
+def _name(expr: ast.expr):
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+
+def unpassed_defaults(allowed=ALLOWED_DEFAULTS) -> list[str]:
+    # each call, by callee name: its count of positional arguments and its
+    # keywords, None where it unpacks some (`*args`, `**kwargs`) and so may
+    # pass any; and each class's bases, by name
+    calls: dict[str, list] = {}
+    classes: dict[str, set[str]] = {}
+    for directory in PROGRAM_DIRS + (ROOT / "tests",):
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    keywords = {k.arg for k in node.keywords}
+                    calls.setdefault(_name(node.func), []).append((
+                        None if any(isinstance(arg, ast.Starred) for arg in node.args) else len(node.args),
+                        None if None in keywords else keywords,
+                    ))
+                elif isinstance(node, ast.ClassDef):
+                    classes.setdefault(node.name, set()).update(_name(b) for b in node.bases)
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, fn in _functions(ast.parse(path.read_text())):
+            owner, _, name = qualified.rpartition(".")
+            if name == "__init__":
+                # a constructor is called by its class's name, or a subclass's
+                names = _subclasses(classes, owner) | {name}
+            elif _is_dunder(name):
+                continue
+            else:
+                names = {name}
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = [(i, p) for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+            defaulted += [(None, p) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            uses = [use for n in names for use in calls.get(n, ())]
+            for i, p in defaulted:
+                # the receiver of a method call fills `self`
+                place = None if i is None else i - (owner in classes)
+                if (path.stem, qualified, p.arg) in allowed or any(
+                    keywords is None or p.arg in keywords
+                    or (place is not None and (count is None or count > place))
+                    for count, keywords in uses
+                ):
+                    continue
+                out.append(f"{path.stem}.{qualified}({p.arg})")
+    return out
+
+
+def _subclasses(classes: dict[str, set[str]], name: str) -> set[str]:
+    """`name` and every class whose bases reach it, by name."""
+    out = {name}
+    while True:
+        more = {c for c, bases in classes.items() if bases & out} - out
+        if not more:
+            return out
+        out |= more
+
+
 def unreferenced_slots() -> list[str]:
     trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     uses: dict[str, list[tuple[Path, int]]] = {}
@@ -253,3 +323,13 @@ def test_allowed_parameters_are_unread():
     # an entry for a parameter that is gone or now read would hide nothing
     found = set(unread_parameters(allowed={}))
     assert [e for e in ALLOWED_PARAMS if f"{e[0]}.{e[1]}({e[2]})" not in found] == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_defaults() == []
+
+
+def test_allowed_defaults_are_unpassed():
+    # an entry for a parameter that is gone or now passed would hide nothing
+    found = set(unpassed_defaults(allowed={}))
+    assert [e for e in ALLOWED_DEFAULTS if f"{e[0]}.{e[1]}({e[2]})" not in found] == []

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liqinfer.logic import embed_env
 from liqinfer.metatheory import semantic_implication_oracle
 from liqinfer.subtyping import LogEntry, SubtypeChecker
 from liqinfer.syntax import (
@@ -31,7 +34,7 @@ from liqinfer.syntax import (
     mono,
     shape_of,
 )
-from liqinfer.validity import Unknown, Valid, ValidityEngine
+from liqinfer.validity import Unknown, Valid, ValidityEngine, ValidityQuery
 
 GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
 LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
@@ -190,16 +193,49 @@ class TestIsSubtype:
         for env in (Env(), Env().extend("y", mono(top))):
             assert not SubtypeChecker(ValidityEngine()).is_subtype(env, arrow("x", top, lhs_cod), rhs)
 
+    def test_a_survivor_binder_renamed_to_the_targets_is_not_captured(self, shortcuts_off):
+        # y: int -> (x: int -> {v = y}) is not below x: int -> (x: int -> {v = x}):
+        # the first returns its first argument, the second its second.
+        # Renaming the survivor's binder y to the target's x would let the
+        # inner x capture the outer y and prove the codomains equal.
+        top = base_top(INT)
+        lhs = arrow("y", top, arrow("x", top, base(FAtom("=", LVar(VALUE_VAR), LVar("y")))))
+        rhs = arrow("x", top, arrow("x", top, base(FAtom("=", LVar(VALUE_VAR), LVar("x")))))
+        envs = (Env(), Env().extend("x", mono(top)))
+        warm = SubtypeChecker(ValidityEngine())
+        verdicts = [warm.is_subtype(env, lhs, rhs) for env in envs + envs]
+        fresh = [SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs) for env in envs]
+        shortcuts_off()
+        plain = [SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs) for env in envs]
+        assert verdicts == fresh + fresh
+        assert plain == fresh == [False, False]
+
+    def test_a_base_judgement_keeps_no_environment_formula(self):
+        # formulas are hash-consed: a name and a bound no other test uses,
+        # so that nothing else keeps Γ's formula alive
+        checker = SubtypeChecker(ValidityEngine())
+        at_least = base(FAtom(">=", LVar(VALUE_VAR), LInt(4243)))
+        env = Env().extend("kept", mono(at_least))
+        lhs, rhs = base(FAtom("=", LVar(VALUE_VAR), LVar("kept"))), at_least
+        assert checker.is_subtype(env, lhs, rhs)
+        formula = weakref.ref(embed_env(env))
+        del env, lhs, rhs, at_least
+        # another query, so that the engine lets go of the last hypothesis
+        assert checker.engine.check(ValidityQuery(FTrue(), FTrue()), need_model=False) == Valid()
+        gc.collect()
+        assert formula() is None
+
     def test_a_renamed_binder_skips_every_name_the_environment_binds(self):
-        # Γ = x: {v = 5}, x%0: {v = 0}. Below x: {v >= 0} -> {v >= 5} the
+        # Γ = x: {v = 5}, %x: {v = 0}. Below x: {v >= 0} -> {v >= 5} the
         # codomain {v >= x} of y: {v >= 0} -> {v >= x} reads Γ's x, so the
-        # target's binder x would capture it and x%0 is bound: the checker
-        # renames the binder to x%1, and then x = 5 proves the codomain.
-        env = Env().extend("x", mono(base(FAtom("=", LVar(VALUE_VAR), LInt(5))))).extend("x%0", mono(base(EQ0)))
+        # target's binder x would capture it and %x is bound: the checker
+        # renames the binder to a name Γ does not bind, and then x = 5
+        # proves the codomain.
+        env = Env().extend("x", mono(base(FAtom("=", LVar(VALUE_VAR), LInt(5))))).extend("%x", mono(base(EQ0)))
         lhs = arrow("y", base(GE), base(FAtom(">=", LVar(VALUE_VAR), LVar("x"))))
         rhs = arrow("x", base(GE), base(FAtom(">=", LVar(VALUE_VAR), LInt(5))))
         warm = SubtypeChecker(ValidityEngine())
-        assert warm._fresh_binder(env, rhs.arms[0], list(lhs.arms)) == "x%1"
+        assert env.lookup(warm._fresh_binder(env, rhs.arms[0], list(lhs.arms))) is None
         for prefix in (Env(), Env().extend("x", env.lookup("x"))):
             warm.is_subtype(prefix, lhs, rhs)
         fresh = SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs)

@@ -171,6 +171,23 @@ class TestBuiltinDecide:
         assert builtin_decide(q) == Invalid((("v", 2),))
         assert builtin_decide(q, need_model=False) == NOT_PROVED
 
+    # -3x + 7y + 5z = 6 ∧ 7x + 3y = 5: two equalities without a unit
+    # coefficient, which Pugh's step (`_mod_hat`) solves
+    PUGH = FAnd((
+        atom("=", LAdd(LAdd(LMul(LInt(-3), X), LMul(LInt(7), Y)), LMul(LInt(5), LVar("z"))), LInt(6)),
+        atom("=", LAdd(LMul(LInt(7), X), LMul(LInt(3), Y)), LInt(5)),
+    ))
+
+    def test_equalities_without_a_unit_coefficient_are_solved(self):
+        assert builtin_decide(ValidityQuery(self.PUGH, atom("<=", LInt(0), LInt(1)))) is VALID
+
+    def test_equalities_without_a_unit_coefficient_give_a_countermodel(self):
+        concl = atom("<=", X, LInt(1000))
+        got = builtin_decide(ValidityQuery(self.PUGH, concl))
+        assert isinstance(got, Invalid) and got.model is not None
+        model = dict(got.model)
+        assert evaluate(self.PUGH, model) and not evaluate(concl, model)
+
     def test_three_booleans_are_split(self):
         # three boolean variables, within the bound of the case split
         p, q, r = FBoolVar("p"), FBoolVar("q"), FBoolVar("r")
@@ -668,6 +685,21 @@ class TestExternalBackend:
         eng.check(ValidityQuery(FTrue(), atom("<=", X, LInt(3))))
         assert launches.read_text().splitlines() == ["launch"] * 2
         assert eng.stats["external_calls"] == 2
+
+    def test_a_model_takes_the_names_of_the_query(self, tmp_path):
+        """The script declares `x%0` and `%x` under names SMT-LIB accepts;
+        the model the solver prints under those names comes back under the
+        query's."""
+        seen = tmp_path / "script.smt2"
+        cmd = _mock_solver(tmp_path, f"""\
+            cat > {seen}
+            echo sat
+            echo '(model (define-fun x_0 () Int (- 1)) (define-fun _x () Int 2))'
+            """)
+        eng = ValidityEngine(backend="external", smt_cmd=cmd)
+        q = ValidityQuery(atom("<=", LVar("%x"), LVar("x%0")), atom(">=", LVar("x%0"), LInt(0)))
+        assert eng.check(q) == Invalid((("%x", 2), ("x%0", -1)))
+        assert "(declare-const _x Int)\n(declare-const x_0 Int)" in seen.read_text()
 
     def test_the_script_asks_for_a_model_after_the_answer(self, tmp_path):
         seen = tmp_path / "script.smt2"
