@@ -8,7 +8,7 @@ intersection emptied by filtering collapses to the top-refined skeleton of
 the shape; an application with no accepting arm is an inference failure.
 
 An `Inferencer` builds the template of each shape once, keyed by the shape
-with its binder names, and keeps it for its life, together with the
+itself, binder names and all, and keeps it for its life, together with the
 candidate arms of every well-formed part of it that a `let` has filtered.
 `fresh` itself stays a pure function of the shape and the qualifiers.
 
@@ -31,7 +31,7 @@ while a constraint log is attached, since a memo hit logs nothing.
 from __future__ import annotations
 
 from itertools import product
-from typing import Hashable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .shapes import elaborate, erase, shape_env
 from .subtyping import LogEntry, SubtypeChecker
@@ -64,7 +64,6 @@ from .syntax import (
     make_type,
     mono,
     render_term,
-    shape_key,
     subst_liquid,
     subst_tyvar_liquid,
     top_skeleton,
@@ -188,7 +187,7 @@ class Inferencer:
         self.engine = engine if engine is not None else ValidityEngine()
         self.max_arms = max_arms
         self.checker = SubtypeChecker(self.engine, constraint_log)
-        self._templates: dict[Hashable, _Template] = {}
+        self._templates: dict[SimpleType, _Template] = {}
         # `_infer`'s answers per (env, node), of this generation and the last
         self._memo, self._old = None, {}
 
@@ -206,11 +205,10 @@ class Inferencer:
 
     def _template(self, shape: SimpleType) -> _Template:
         """The template of `shape`, built on first use."""
-        key = shape_key(shape)
-        tpl = self._templates.get(key)
+        tpl = self._templates.get(shape)
         if tpl is None:
             template = fresh(shape, self.qualifiers, self.max_arms)
-            tpl = self._templates[key] = _Template(template, shape)
+            tpl = self._templates[shape] = _Template(template, shape)
         return tpl
 
     def _infer(self, env: Env, t: Term) -> Scheme:

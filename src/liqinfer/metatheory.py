@@ -211,12 +211,14 @@ def semantic_implication_oracle(
 # ---------------------------------------------------------------------------
 
 
+# the range of the literals `random_term` draws, and how deep it nests beta
+# redexes
+INT_LO, INT_HI = -8, 8
+MAX_LAM_DEPTH = 3
+
+
 class GenConfig(NamedTuple):
-    int_lo: int = -8
-    int_hi: int = 8
     max_depth: int = 4
-    max_lam_depth: int = 3
-    allow_ite: bool = True
 
 
 def random_term(
@@ -236,7 +238,7 @@ def random_term(
     def lit() -> Term:
         if want == "bool":
             return Const(BoolConst(rng.random() < 0.5))
-        return Const(IntConst(rng.randint(config.int_lo, config.int_hi)))
+        return Const(IntConst(rng.randint(INT_LO, INT_HI)))
 
     if depth >= config.max_depth:
         if in_scope and rng.random() < 0.5:
@@ -248,10 +250,9 @@ def random_term(
         choices.append((2.0, "var"))
     if want == "int":
         choices += [(1.2, "neg"), (2.2, "add"), (2.0, "sub"), (1.2, "mul"), (1.6, "let")]
-        if lam_depth < config.max_lam_depth:
+        if lam_depth < MAX_LAM_DEPTH:
             choices.append((0.9, "beta"))
-        if config.allow_ite:
-            choices.append((0.5, "ite"))
+        choices.append((0.5, "ite"))
     else:
         choices += [(2.0, "cmp")]
 

@@ -188,7 +188,7 @@ class _W:
 
     def unify(self, a, b) -> None:
         a, b = _repr(a), _repr(b)
-        if a is b:  # bases and type variables are interned
+        if a is b:  # shapes are interned
             return
         if isinstance(a, _Cell):
             if _occurs_lowering(a, b):

@@ -39,6 +39,7 @@ from .syntax import (
     Var,
     VarArm,
     VALUE_VAR,
+    bare,
     base_top,
     make_type,
     mono,
@@ -68,11 +69,16 @@ class SubtypeChecker:
     the rest of Γ serves only to pick a binder name for an arrow's codomain
     (`_fresh_binder`). That binder is the target's own when Γ does not bind
     it and every surviving arm binds it too, so that nothing is renamed.
-    Otherwise it is the target's binder behind as many `%` as make a name
-    Γ does not bind. No type binds a name that starts with `%` (the parser,
-    shape elaboration and `NameSource` never make one), and the types
-    mention only names bound in Γ, as well-formedness guarantees, so
-    renaming a codomain's binder to it captures nothing. Binder names do
+    Otherwise it is the target's binder followed by as many `#` as make a
+    name Γ does not bind. No type binds a name that holds a `#` (the
+    tokenizer reads none, and neither shape elaboration nor `NameSource`
+    makes one), and the types mention only names bound in Γ, as
+    well-formedness guarantees, so renaming a codomain's binder to it
+    captures nothing. `#` sorts before every character a name holds, so
+    the new name sorts where the old one does against every other name,
+    and a judgement asked again under a renaming of Γ mostly conjoins its
+    codomains' arms in the same order (`make_type` sorts arms by printed
+    form), and is answered from the memo. Binder names do
     not matter: the queries made under two choices differ only by a
     renaming of that bound variable, and the built-in procedure proves a
     query exactly when it proves each of its renamings (a property
@@ -184,7 +190,7 @@ class SubtypeChecker:
         return known
 
     def _decide(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
-        if a.shape != b.shape:
+        if bare(a.shape) is not bare(b.shape):
             return False
         first = b.arms[0]
         if isinstance(first, BaseArm):
@@ -217,15 +223,15 @@ class SubtypeChecker:
 
     def _fresh_binder(self, env: Env, rhs: FunArm, survivors: list) -> str:
         """The target's binder when Γ does not bind it and every survivor
-        binds it too: nothing is renamed. Otherwise that name behind as many
-        `%` as make a name Γ does not bind. No type binds a name that starts
-        with `%`, so renaming a codomain's binder to it captures nothing."""
+        binds it too: nothing is renamed. Otherwise that name followed by as
+        many `#` as make a name Γ does not bind. No type binds a name that
+        holds a `#`, so renaming a codomain's binder to it captures nothing."""
         binder = rhs.binder
         if env.lookup(binder) is None and all(arm.binder == binder for arm in survivors):
             return binder
-        binder = "%" + binder
+        binder += "#"
         while env.lookup(binder) is not None:
-            binder = "%" + binder
+            binder += "#"
         return binder
 
     def base_subtype_query(self, env: Env, lhs_arms: list, rhs_arms: list) -> ValidityQuery:

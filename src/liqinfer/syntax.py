@@ -10,21 +10,24 @@ Types are kept in a canonical form throughout: an intersection is a
 non-empty tuple of arms, deduplicated and sorted by printed form, all
 sharing one simple-type shape.
 
-Refinements, constants, base shapes and type variables, liquid types,
-terms and environments are hash-consed (`Interned`): calling a class
-returns the one live instance with those fields, so equality is identity
-and hashing is O(1). The metaclass builds each of these classes from its
-annotations, and a value is made only by calling its class with positional
-fields: nothing copies a value or sets a field of one.
+Refinements, constants, shapes, liquid types, terms and environments are
+hash-consed (`Interned`): calling a class returns the one live instance
+with those fields, so equality is identity and hashing is O(1). The
+metaclass builds each of these classes from its annotations, and a value
+is made only by calling its class with positional fields: nothing copies a
+value or sets a field of one. An arrow shape's binder is one of its fields,
+so two shapes that differ only in binders are two values, which keep apart
+the templates and terms made from them; they agree as shapes when their
+bare shapes (`bare`), with every binder blank, are one object.
 
 A value derived from hash-consed inputs lives in a slot of its
 shortest-lived input, never of a permanent value: an arm's printed form on
 the arm, a literal's scheme on the literal, a variable node's self-type on
 the node, a one-binding substitution's result on the substituted atom,
-not on the type, which may be a primitive's scheme and live for good, and
-an environment's formula on the environment node, built from its
-parent's. It is then built once per input and dies with it, and no table
-keeps it.
+not on the type, which may be a primitive's scheme and live for good, an
+arrow's bare shape on the arrow, and an environment's formula on the
+environment node, built from its parent's. It is then built once per input
+and dies with it, and no table keeps it.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ class Interned(type):
     in slots; the values the class body gives the trailing ones are their
     defaults. Calling such a class with its fields, positionally, returns
     the one live instance with those fields, from a weak table per class
-    keyed by the full field tuple. Instances are immutable; equality and
-    hashing are those of `object`: identity."""
+    keyed by the field tuple, with no exception: an arrow's binder is a
+    field like any other. Instances are immutable; equality and hashing are
+    those of `object`: identity."""
 
     def __new__(mcs, name: str, bases: tuple, ns: dict) -> Interned:
         own = tuple(ns.get("__annotations__", ()))
@@ -125,16 +129,16 @@ class Interned(type):
     def __call__(cls, *fields: Any) -> Any:
         if len(fields) != cls._arity:
             fields += cls._defaults[len(fields) - cls._arity:]
-        return cls._intern(fields, fields)
+        return cls._intern(fields)
 
-    def _intern(cls, key: Hashable, fields: tuple) -> Any:
-        """The live instance under `key`, made from `fields` if none lives."""
-        ref = cls._table.get(key)
+    def _intern(cls, fields: tuple) -> Any:
+        """The live instance with `fields`, made if none lives."""
+        ref = cls._table.get(fields)
         if ref is not None:
             obj = ref()
             if obj is not None:
                 return obj
-        return _weak_put(cls._table, key, cls._make(*fields), cls._drop)
+        return _weak_put(cls._table, fields, cls._make(*fields), cls._drop)
 
 
 def _maker(cls: Interned) -> Callable[..., Any]:
@@ -345,24 +349,9 @@ class PartialPrim(Value):
 Constant = Union[IntConst, BoolConst, PrimConst, PartialPrim]
 
 
-class _ShapedClass(Interned):
-    """Metaclass of the term classes with a shape field, at `_shape_at`, which
-    parsed and evaluated terms leave empty. Hash-consed as `Interned` values
-    are, except that a shape enters the key with its binder names
-    (`shape_key`), which `Arrow.__eq__` ignores but templates keep."""
-
-    def __call__(cls, *fields: Any) -> Any:
-        if len(fields) != cls._arity:
-            fields += cls._defaults[len(fields) - cls._arity:]
-        shape = fields[cls._shape_at]
-        key = fields + (shape_key(shape),) if shape.__class__ is Arrow else fields
-        return cls._intern(key, fields)
-
-
-class Var(Value, metaclass=_ShapedClass):
+class Var(Value):
     name: str
     shape: Optional["SimpleType"] = None
-    _shape_at = 1
     __slots__ = ("_self", "_substs")  # `_substs`: see `subst_liquid`
 
     @property
@@ -386,26 +375,23 @@ class Const(Value):
     __slots__ = ("_substs",)
 
 
-class Lam(Value, metaclass=_ShapedClass):
+class Lam(Value):
     binder: str
     body: "Term"
     shape: Optional["SimpleType"] = None
-    _shape_at = 2
 
 
-class App(Value, metaclass=_ShapedClass):
+class App(Value):
     fun: "Term"
     arg: "Term"
     shape: Optional["SimpleType"] = None
-    _shape_at = 2
 
 
-class Let(Value, metaclass=_ShapedClass):
+class Let(Value):
     binder: str
     bound: "Term"
     body: "Term"
     shape: Optional["SimpleType"] = None
-    _shape_at = 3
 
 
 class TyAbs(Value):
@@ -415,12 +401,11 @@ class TyAbs(Value):
     body: "Term"
 
 
-class TyInst(Value, metaclass=_ShapedClass):
+class TyInst(Value):
     """Explicit type instantiation at a simple type; inserted by elaboration."""
 
     ty: "SimpleType"
     body: "Term"
-    _shape_at = 0
 
 
 Term = Union[Var, Const, Lam, App, Let, TyAbs, TyInst]
@@ -467,41 +452,34 @@ class TyVar(Value):
     name: str
 
 
-class Arrow:
-    """Function shape; the binder names the domain for dependent refinements
-    and is ignored by equality and hashing. Immutable."""
+class Arrow(Value):
+    """Function shape; the binder names the domain for dependent refinements.
+    Two arrows that differ only in binders are two values with one shape
+    (`bare`)."""
 
-    __slots__ = ("binder", "dom", "cod")
-
-    def __init__(self, binder: str, dom: SimpleType, cod: SimpleType) -> None:
-        set_slots = object.__setattr__
-        set_slots(self, "binder", binder)
-        set_slots(self, "dom", dom)
-        set_slots(self, "cod", cod)
-
-    __setattr__ = Value.__setattr__
-    __delattr__ = Value.__delattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Arrow:
-            return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod
-
-    def __hash__(self) -> int:
-        return hash((self.dom, self.cod))
-
-    def __repr__(self) -> str:
-        return f"Arrow(binder={self.binder!r}, dom={self.dom!r}, cod={self.cod!r})"
+    binder: str
+    dom: "SimpleType"
+    cod: "SimpleType"
+    __slots__ = ("_bare",)
 
 
 SimpleType = Union[Base, TyVar, Arrow]
 
 
-def shape_key(shape: SimpleType) -> Hashable:
-    """The shape with its binder names, which `Arrow.__eq__` ignores."""
-    if isinstance(shape, Arrow):
-        return (shape.binder, shape_key(shape.dom), shape_key(shape.cod))
-    return shape
+def bare(shape: SimpleType) -> SimpleType:
+    """The shape with every binder blank, hash-consed, so that two shapes
+    agree up to their binders exactly when their bare shapes are one object.
+    Kept in a slot of the arrow it came from; a blank arrow is its own."""
+    if shape.__class__ is not Arrow:
+        return shape
+    try:
+        return shape._bare
+    except AttributeError:
+        out = Arrow("", bare(shape.dom), bare(shape.cod))
+        if out is not shape:  # a blank arrow in its own slot would be a cycle
+            object.__setattr__(shape, "_bare", out)
+        return out
+
 
 INT = Base("int")
 BOOL = Base("bool")
@@ -574,7 +552,7 @@ class _Type(Value):
         except AttributeError:
             shape = self.arms[0].shape
             for a in self.arms[1:]:
-                if a.shape != shape:
+                if bare(a.shape) is not bare(shape):
                     raise IllFoundedType("arms with differing shapes") from None
             object.__setattr__(self, "_shape", shape)
             return shape
@@ -645,9 +623,9 @@ def make_type(arms: Iterable[Arm]) -> LiquidType:
             return made
     if not todo:
         raise IllFoundedType("empty intersection")
-    shape = todo[0].shape
+    shape = bare(todo[0].shape)
     for a in todo:
-        if a.shape != shape:
+        if bare(a.shape) is not shape:
             raise IllFoundedType(
                 f"arm shapes differ: {render_simple_type(a.shape)}"
                 f" vs {render_simple_type(shape)}"
@@ -665,7 +643,7 @@ _render_key = attrgetter("rendered")
 
 
 def intersect(a: LiquidType, b: LiquidType) -> LiquidType:
-    if a.shape != b.shape:
+    if bare(a.shape) is not bare(b.shape):
         raise IllFoundedType("cannot intersect types of different shapes")
     return make_type(a.arms + b.arms)
 
@@ -677,22 +655,14 @@ def shape_of(t: Union[LiquidType, Scheme]) -> SimpleType:
 
 
 def well_founded(t: Union[LiquidType, Scheme, Arm], shape: SimpleType) -> bool:
-    """Derivability of t :: shape."""
+    """Derivability of t :: shape: every arm's bare shape is the shape's."""
     if isinstance(t, Scheme):
-        return well_founded(t.body, shape)
-    if isinstance(t, LiquidType):
-        return all(well_founded(a, shape) for a in t.arms)
-    if isinstance(t, BaseArm):
-        return t.base == shape
-    if isinstance(t, VarArm):
-        return isinstance(shape, TyVar) and shape.name == t.name
-    if isinstance(t, FunArm):
-        return (
-            isinstance(shape, Arrow)
-            and well_founded(t.dom, shape.dom)
-            and well_founded(t.cod, shape.cod)
-        )
-    return False
+        t = t.body
+    arms = t.arms if isinstance(t, LiquidType) else (t,)
+    try:
+        return all(bare(a.shape) is bare(shape) for a in arms)
+    except IllFoundedType:  # a part whose arms differ in shape has none
+        return False
 
 
 def base_top(base: Base) -> LiquidType:

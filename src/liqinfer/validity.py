@@ -50,6 +50,7 @@ import contextlib
 import math
 import os
 import re
+from functools import cache
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
@@ -554,8 +555,10 @@ def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
         return Unknown("hypothesis outside the fragment")
     if hyp.false:
         return VALID
+    # the integer variables a countermodel gives values to, read once, at the
+    # first countermodel: an ill-sorted query may still be refuted
+    ints = cache(lambda: _variables("int", q.hypothesis, q.conclusion)) if need_model else None
     try:
-        ints = _variables("int", q.hypothesis, q.conclusion) if need_model else None
         unknown: Optional[str] = None
         for part in _conjuncts(q.conclusion):
             res = _implies(hyp, part, ints)
@@ -568,12 +571,12 @@ def builtin_decide(q: ValidityQuery, need_model: bool = True) -> Verdict:
     return Unknown(unknown) if unknown is not None else VALID
 
 
-def _implies(hyp: _Hypothesis, concl: Formula, ints: Optional[set]) -> Verdict:
+def _implies(hyp: _Hypothesis, concl: Formula, ints: Optional[Callable[[], set]]) -> Verdict:
     """Whether the hypothesis implies one conclusion conjunct: each case of
     the hypothesis with the negated conjunct, one per assignment to their
     boolean variables and alternative of their disjunctions, must be
     refuted. A case that is not gives a countermodel over the integer
-    variables `ints`; without them, NOT_PROVED at the first such case."""
+    variables `ints()`; without them, NOT_PROVED at the first such case."""
     # an atom holds no boolean, as the hypothesis's atoms do not
     names = hyp.bools if isinstance(concl, FAtom) else hyp.bools | _variables("bool", concl)
     if len(names) > _MAX_BOOL_VARS:
@@ -610,7 +613,7 @@ def _implies(hyp: _Hypothesis, concl: Formula, ints: Optional[set]) -> Verdict:
                 steps = _fm_refute(rows)
                 if steps is None:
                     continue  # refuted
-                found = None if ints is None else _countermodel(rows, steps, hyp, opaque, ints)
+                found = None if ints is None else _countermodel(rows, steps, hyp, opaque, ints())
             except _PastBound as e:
                 found = str(e)
             if ints is None:

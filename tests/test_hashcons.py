@@ -1,6 +1,6 @@
 """Hash-consed values and the subtyping-judgement memo: equal parts give one
-object (for terms, shapes equal up to binder names are not equal parts),
-the intern tables hold no value alive, a value derived from hash-consed
+object (an arrow's binder is one of its parts, and shapes that differ only
+in binders have one bare shape), the intern tables hold no value alive, a value derived from hash-consed
 inputs is the one a fresh derivation builds and dies with the input it is
 kept on, and a checker that answers from its memo answers exactly as a
 fresh one does."""
@@ -21,6 +21,7 @@ from liqinfer import syntax, validity
 from liqinfer.inference import Inferencer
 from liqinfer.metatheory import run_subject_reduction
 from liqinfer.parser import parse_scheme
+from liqinfer.shapes import elaborate
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
     BOOL,
@@ -62,6 +63,7 @@ from liqinfer.syntax import (
     Var,
     VarArm,
     VALUE_VAR,
+    bare,
     base_top,
     make_type,
     mono,
@@ -121,11 +123,8 @@ def fits(obj, spec) -> bool:
 
 
 def field_names(x):
-    """The fields of a hash-consed value or of an arrow shape, whose binder
-    `Arrow.__eq__` ignores; None for anything else."""
-    if isinstance(x, syntax.Value):
-        return type(x)._fields
-    return Arrow.__slots__ if isinstance(x, Arrow) else None
+    """The fields of a hash-consed value; None for anything else."""
+    return type(x)._fields if isinstance(x, syntax.Value) else None
 
 
 def ref_eq(x, y) -> bool:
@@ -177,13 +176,27 @@ liquid_types = st.recursive(
     max_leaves=3,
 )
 schemes = st.tuples(st.just(Scheme), st.lists(names, max_size=2).map(lambda q: ("tuple", *q)), liquid_types)
-# shapes whose arrows differ in binder names alone, which `Arrow.__eq__`
-# ignores and a term's key does not
+# shapes, some of whose arrows differ in binder names alone
 simple_types = st.recursive(
     st.one_of(bases, st.tuples(st.just(TyVar), names)),
     lambda sub: st.tuples(st.just(Arrow), names, sub, sub),
     max_leaves=3,
 )
+
+
+def rebind(spec, data):
+    """A shape spec with each arrow's binder drawn anew."""
+    if spec[0] is not Arrow:
+        return spec
+    return (Arrow, data.draw(names), rebind(spec[2], data), rebind(spec[3], data))
+
+
+def alike(s, t) -> bool:
+    """Whether two shapes are equal with their binders ignored, walked
+    down to the bases and type variables."""
+    if isinstance(s, Arrow) and isinstance(t, Arrow):
+        return alike(s.dom, t.dom) and alike(s.cod, t.cod)
+    return type(s) is type(t) and not isinstance(s, Arrow) and s.name == t.name
 
 
 def _shaped(*parts):
@@ -233,15 +246,28 @@ class TestHashConsing:
 
     def test_a_term_keeps_the_binder_names_of_its_shape(self):
         shapes = [Arrow("a", INT, Arrow("c", INT, INT)), Arrow("a", INT, Arrow("d", INT, INT))]
-        assert shapes[0] == shapes[1]  # Arrow.__eq__ ignores binders
+        assert bare(shapes[0]) is bare(shapes[1])
         nodes = [Lam("x", Var("x"), shape) for shape in shapes]
         assert nodes[0] is not nodes[1]
         assert [n.shape.cod.binder for n in nodes] == ["c", "d"]
         assert Lam("x", Var("x"), Arrow("a", INT, Arrow("c", INT, INT))) is nodes[0]
         assert TyInst(shapes[0], Var("f")) is not TyInst(shapes[1], Var("f"))
 
+    @settings(max_examples=300, deadline=None)
+    @given(simple_types, simple_types, st.booleans(), st.data())
+    def test_bare_shapes_are_one_object_exactly_when_the_shapes_agree(self, s1, s2, rebound, data):
+        """Two shapes have one bare shape exactly when they are equal with
+        their binders ignored; half the pairs differ in binders alone."""
+        if rebound:
+            s2 = rebind(s1, data)
+        one, two = build(s1), build(s2)
+        assert (bare(one) is bare(two)) == alike(one, two)
+        assert alike(bare(one), one) and bare(bare(one)) is bare(one)
+
     def test_intern_tables_shrink_once_the_values_are_dropped(self):
-        tables = [FAtom._table, BaseArm._table, LiquidType._table, syntax._made, Lam._table, Env._table]
+        """Elaboration interns arrows over unification cells too: they
+        drain with the rest."""
+        tables = [FAtom._table, BaseArm._table, LiquidType._table, syntax._made, Lam._table, Env._table, Arrow._table]
 
         def sizes():
             gc.collect()
@@ -255,6 +281,7 @@ class TestHashConsing:
             t = make_type([arm, BaseArm(INT, TRUE)])
             kept.append((t, FAtom("=", LVar(name), LInt(i))))
             kept.append((Lam(name, Var(name), Arrow(name, INT, INT)), Env().extend(name, mono(t))))
+            kept.append(elaborate({}, Lam(name, Var(name))))
         grown = sizes()
         assert all(g > b for g, b in zip(grown, before)), (before, grown)
         del kept, arm, t
@@ -641,8 +668,8 @@ class TestJudgementMemo:
 # An injective renaming of the environment's names. Each new name sorts
 # where its old one did against every other name a judgement prints, so
 # that a canonical type's arms keep their order. An arrow binder renamed to
-# `%x` sorts before them all, so an arrow judgement's codomains may still
-# conjoin their arms in another order.
+# `x#` sorts where `x` does against every other name, so an arrow
+# judgement's codomains seldom conjoin their arms in another order.
 RENAMING = {"x": "x1", "y": "y1"}
 # changes of the names in a type: none, a swap, and one put for the other
 CHANGES = ({}, {"x": Var("y"), "y": Var("x")}, {"x": Var("y")}, {"y": Var("x")})
@@ -730,7 +757,7 @@ class TestRenamedJudgements:
     def test_a_renaming_into_the_name_of_an_arrow_binder(self):
         """`y` renamed to `x`, the binder of the arrow: the domain's `x` is
         then the environment's, the codomain's the binder's, and the checker
-        renames the binder to `%x`. Every base judgement is a renaming of
+        renames the binder to `x#`. Every base judgement is a renaming of
         one asked before."""
         ge1 = _int_type([_cmp(">=", LInt(1))])
 

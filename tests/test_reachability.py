@@ -15,7 +15,8 @@ methods: a parameter no body reads is one every caller fills for nothing.
 Every parameter with a default is passed by some call in the program or
 its tests, by keyword or by place: a default no call overrides is a
 constant spelled as a parameter. A constructor's parameters are passed by
-calls of its class, or of a subclass, by name.
+calls of its class, or of a subclass, by name, and so is each field with a
+default of a `NamedTuple` class.
 
 Every `__slots__` name of a class of the package, but for dunders such as
 `__weakref__`, is referenced somewhere in the package other than its
@@ -228,7 +229,8 @@ def unpassed_defaults(allowed=ALLOWED_DEFAULTS) -> list[str]:
                     classes.setdefault(node.name, set()).update(_name(b) for b in node.bases)
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, fn in _functions(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for qualified, fn in _functions(tree):
             owner, _, name = qualified.rpartition(".")
             if name == "__init__":
                 # a constructor is called by its class's name, or a subclass's
@@ -252,7 +254,26 @@ def unpassed_defaults(allowed=ALLOWED_DEFAULTS) -> list[str]:
                 ):
                     continue
                 out.append(f"{path.stem}.{qualified}({p.arg})")
+        for qualified, place, field in _named_tuple_defaults(tree):
+            uses = [use for n in _subclasses(classes, qualified) for use in calls.get(n, ())]
+            if (path.stem, qualified, field) in allowed or any(
+                keywords is None or field in keywords or count is None or count > place
+                for count, keywords in uses
+            ):
+                continue
+            out.append(f"{path.stem}.{qualified}({field})")
     return out
+
+
+def _named_tuple_defaults(tree: ast.Module):
+    """(class name, place, field) of each field with a default of each
+    `NamedTuple` class of the module: its class calls fill it."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and "NamedTuple" in map(_name, node.bases):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            for place, item in enumerate(fields):
+                if item.value is not None:
+                    yield node.name, place, item.target.id
 
 
 def _subclasses(classes: dict[str, set[str]], name: str) -> set[str]:

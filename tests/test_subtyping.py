@@ -226,12 +226,12 @@ class TestIsSubtype:
         assert formula() is None
 
     def test_a_renamed_binder_skips_every_name_the_environment_binds(self):
-        # Γ = x: {v = 5}, %x: {v = 0}. Below x: {v >= 0} -> {v >= 5} the
+        # Γ = x: {v = 5}, x#: {v = 0}. Below x: {v >= 0} -> {v >= 5} the
         # codomain {v >= x} of y: {v >= 0} -> {v >= x} reads Γ's x, so the
-        # target's binder x would capture it and %x is bound: the checker
+        # target's binder x would capture it and x# is bound: the checker
         # renames the binder to a name Γ does not bind, and then x = 5
         # proves the codomain.
-        env = Env().extend("x", mono(base(FAtom("=", LVar(VALUE_VAR), LInt(5))))).extend("%x", mono(base(EQ0)))
+        env = Env().extend("x", mono(base(FAtom("=", LVar(VALUE_VAR), LInt(5))))).extend("x#", mono(base(EQ0)))
         lhs = arrow("y", base(GE), base(FAtom(">=", LVar(VALUE_VAR), LVar("x"))))
         rhs = arrow("x", base(GE), base(FAtom(">=", LVar(VALUE_VAR), LInt(5))))
         warm = SubtypeChecker(ValidityEngine())
@@ -241,6 +241,23 @@ class TestIsSubtype:
         fresh = SubtypeChecker(ValidityEngine()).is_subtype(env, lhs, rhs)
         assert warm.is_subtype(env, lhs, rhs) == fresh
         assert fresh
+
+    def test_a_judgement_under_a_binding_of_the_targets_binder_is_answered_from_the_memo(self):
+        # Under Γ₂ = x: {v >= 5}, which binds the target's binder x, the
+        # codomains are compared under a renamed binder x#. It sorts where
+        # x does, so the survivors' codomains conjoin in the order they had
+        # under Γ₁ = y: {v >= 5}, and every base judgement is a renaming of
+        # one asked under Γ₁.
+        ge5 = mono(base(FAtom(">=", LVar(VALUE_VAR), LInt(5))))
+        ge_x = base(FAtom(">=", LVar(VALUE_VAR), LVar("x")))
+        lhs = make_type([arrow("x", base(GE), ge_x).arms[0], arrow("x", base(GE), base(GE)).arms[0]])
+        ge1 = base(FAtom(">=", LVar(VALUE_VAR), LInt(1)))
+        rhs = arrow("x", ge1, ge1)
+        checker = SubtypeChecker(ValidityEngine())
+        assert checker.is_subtype(Env().extend("y", ge5), lhs, rhs)
+        queries = checker.engine.stats["queries"]
+        assert checker.is_subtype(Env().extend("x", ge5), lhs, rhs)
+        assert checker.engine.stats["queries"] == queries
 
     def test_unknown_is_not_a_subtype(self):
         class AlwaysUnknown(ValidityEngine):

@@ -170,6 +170,15 @@ class TestWellFounded:
     def test_neg_type(self):
         assert well_founded(NEG_TYPE, Arrow("x", INT, INT))
 
+    def test_binders_are_not_part_of_the_shape(self):
+        assert well_founded(NEG_TYPE, Arrow("y", INT, INT))
+
+    def test_a_domain_whose_arms_differ_in_shape(self):
+        dom = LiquidType((BaseArm(INT, TRUE), BaseArm(BOOL, TRUE)))
+        t = LiquidType((FunArm("x", dom, base(GE)),))
+        assert not well_founded(t, Arrow("x", INT, INT))
+        assert not well_founded(t, Arrow("x", BOOL, INT))
+
     def test_every_produced_type(self):
         rng = random.Random(11)
         for _ in range(200):

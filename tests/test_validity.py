@@ -745,6 +745,17 @@ class TestProveOnly:
             proved += isinstance(fast, Valid)
         assert 0 < proved < len(queries)
 
+    @pytest.mark.parametrize("q", [
+        # x is an integer in the hypothesis and a boolean in the conclusion
+        ValidityQuery(atom(">=", X, LInt(0)), FIff(FBoolVar("x"), FBoolVar("x"))),
+        ValidityQuery(FAnd((atom(">=", X, LInt(0)), atom("<=", LInt(1), LInt(0)))), FBoolVar("x")),
+    ])
+    def test_an_ill_sorted_query_is_valid_on_both_paths(self, q):
+        """Each case is refuted before any countermodel is built, so the
+        sorts of the integer variables are never read."""
+        assert builtin_decide(q, need_model=False) == Valid()
+        assert builtin_decide(q) == Valid()
+
     def test_external_backends_ignore_the_flag(self, tmp_path):
         cmd = _mock_solver(tmp_path, "echo sat\n")
         eng = ValidityEngine(backend="external", smt_cmd=cmd)
