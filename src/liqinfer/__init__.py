@@ -7,7 +7,7 @@ them."""
 from .anf import is_anf, normalize
 from .inference import ArmCapExceeded, Inferencer, InferenceFailure, fresh
 from .parser import ParseError, Program, parse_program, parse_qualifier, parse_scheme, pretty_print
-from .shapes import ShapeError, elaborate, erase, shape_env, w_infer
+from .shapes import ShapeError, elaborate, shape_env, w_infer
 from .subtyping import SubtypeChecker
 from .syntax import (
     Env,
@@ -59,7 +59,6 @@ __all__ = [
     "delta",
     "elaborate",
     "emit_smtlib",
-    "erase",
     "evaluate",
     "fresh",
     "generate_corpus",

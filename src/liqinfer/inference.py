@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .shapes import elaborate, erase, shape_env
+from .shapes import elaborate, shape_env
 from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
     App,
@@ -193,8 +193,10 @@ class Inferencer:
 
     def infer(self, env: Env, term: Term) -> Scheme:
         """The scheme of a plain or an elaborated term, which is elaborated
-        afresh, so template shapes stay aligned with its type abstractions."""
-        elab = elaborate(shape_env(env), erase(term))
+        afresh, so template shapes stay aligned with its type abstractions.
+        Elaboration reads an elaborated term as its erasure, so none is
+        erased first."""
+        elab = elaborate(shape_env(env), term)
         self._age()
         return self._infer(env, elab.term)
 

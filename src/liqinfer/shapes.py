@@ -12,11 +12,23 @@ the let are those no binding of the environment reaches, and generalization
 walks the type alone. It names them in first-occurrence order, domain
 before codomain. Of two free cells the left is bound to the right: the cell
 kept is the one whose `?n` error messages print.
+
+Only final shapes are hash-consed (Filliatre and Conchon, ML 2006). While W
+runs, an arrow that may hold a cell is a plain `_Fn` record, as the cells
+are, made for one elaboration and shared with nothing else (Kiselyov, "How
+OCaml type checker works", 2013); finalizing reads each node's shape
+through its cells and interns it once. An interned shape holds no cell, so
+the occurs check and generalization stop at one. W binds each scope's
+variable in one environment dict and restores the binding on the way out,
+so a chain of `n` lets elaborates in time linear in `n`. It reads a type
+abstraction or instantiation as its body and a node's shape not at all,
+so an elaborated term elaborates to the very term its erasure does.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .anf import _all_names
@@ -107,9 +119,24 @@ class _Cell:
         self.name: Optional[str] = None  # the type variable it is generalized as
 
 
+class _Fn:
+    """An arrow shape that may hold cells, made by W: a plain record of one
+    elaboration, never interned. `final` keeps its interned shape once W is
+    done and `_shape` has read it."""
+
+    __slots__ = ("binder", "dom", "cod", "final")
+
+    def __init__(self, binder: str, dom, cod) -> None:
+        self.binder, self.dom, self.cod = binder, dom, cod
+        self.final: Optional[Arrow] = None
+
+
+_ARROWS = (Arrow, _Fn)
+
+
 def _repr(t):
     """The representative of t: t itself unless t is a bound cell."""
-    while isinstance(t, _Cell) and t.link is not None:
+    while t.__class__ is _Cell and t.link is not None:
         t = t.link
     return t
 
@@ -120,61 +147,103 @@ def _occurs_lowering(cell: _Cell, t) -> bool:
     t = _repr(t)
     if t is cell:
         return True
-    if isinstance(t, _Cell):
+    if t.__class__ is _Cell:
         t.level = min(t.level, cell.level)
-    elif isinstance(t, Arrow):
+    elif t.__class__ is _Fn:
         return _occurs_lowering(cell, t.dom) or _occurs_lowering(cell, t.cod)
-    return False
-
-
-def _read(t, unbound) -> SimpleType:
-    """t with each cell read through its links, and `unbound(cell)` at the end."""
-    t = _repr(t)
-    if isinstance(t, _Cell):
-        return unbound(t)
-    if isinstance(t, Arrow):
-        return Arrow(t.binder, _read(t.dom, unbound), _read(t.cod, unbound))
-    return t
+    return False  # an interned shape holds no cell
 
 
 def _show(t) -> str:
-    return render_simple_type(_read(t, lambda c: TyVar(f"?{c.n}")))
+    """t as messages print it, a free cell as `?n`."""
+    t = _repr(t)
+    if t.__class__ is _Cell:
+        return f"?{t.n}"
+    if isinstance(t, _ARROWS):
+        dom = f"({_show(t.dom)})" if isinstance(_repr(t.dom), _ARROWS) else _show(t.dom)
+        return f"{dom} -> {_show(t.cod)}"
+    return render_simple_type(t)
 
 
-def _final(c: _Cell) -> SimpleType:
-    return TyVar(c.name) if c.name is not None else INT  # unconstrained shapes default to int
+def _shape(t) -> SimpleType:
+    """The final shape of t, read through its cells: a generalized cell is
+    its type variable, any other free cell defaults to int. Only the final
+    shape is interned, once per `_Fn`; an interned shape is its own."""
+    while t.__class__ is _Cell:
+        if t.link is None:
+            return TyVar(t.name) if t.name is not None else INT
+        t = t.link
+    if t.__class__ is not _Fn:
+        return t
+    if t.final is None:
+        t.final = Arrow(t.binder, _shape(t.dom), _shape(t.cod))
+    return t.final
 
 
 def _copy(t, fresh: dict):
     """t with each quantified cell or type variable name in `fresh` replaced."""
     t = _repr(t)
-    if isinstance(t, _Cell):
+    if t.__class__ is _Cell:
         return fresh.get(t, t)
-    if isinstance(t, TyVar):
+    if t.__class__ is TyVar:
         return fresh.get(t.name, t)
-    if isinstance(t, Arrow):
-        return Arrow(t.binder, _copy(t.dom, fresh), _copy(t.cod, fresh))
+    if isinstance(t, _ARROWS):
+        return _Fn(t.binder, _copy(t.dom, fresh), _copy(t.cod, fresh))
     return t
 
 
-def _finalize(t) -> Term:
-    """The term the pre-term `t` stands for, its shapes read through their
-    cells. A pre-term is a term class and its fields, with pre-terms for
-    sub-terms and unread shapes; a constant stands for itself."""
-    if not isinstance(t, tuple):
-        return t
-    fields = list(t[1:])
-    for i, f in enumerate(fields):
-        if isinstance(f, tuple):
-            fields[i] = _finalize(f)
-        elif isinstance(f, (_Cell, Arrow)):
-            fields[i] = _read(f, _final)
-    return t[0](*fields)
+# The builders of `_finalize`. A pre-term is a tuple whose first item is the
+# builder of its node: it takes the pre-term and returns the finalized node,
+# calling the builders of the sub-terms itself, so that finalizing adds one
+# frame per level of nesting and no more.
+
+
+def _var(p: tuple) -> Var:
+    return Var(p[1], _shape(p[2]))
+
+
+def _lam(p: tuple) -> Lam:
+    body = p[2]
+    return Lam(p[1], body[0](body), _shape(p[3]))
+
+
+def _app(p: tuple) -> App:
+    fun, arg = p[1], p[2]
+    return App(fun[0](fun), arg[0](arg), _shape(p[3]))
+
+
+def _let(p: tuple) -> Let:
+    bound, body = p[2], p[3]
+    return Let(p[1], bound[0](bound), body[0](body), _shape(p[4]))
+
+
+def _tyabs(p: tuple) -> TyAbs:
+    body = p[2]
+    return TyAbs(p[1], body[0](body))
+
+
+def _tyinst(p: tuple) -> TyInst:
+    body = p[2]
+    return TyInst(_shape(p[1]), body[0](body))
+
+
+_built = itemgetter(1)  # the builder of a node that is final as it stands: a constant
+
+
+def _finalize(p: tuple) -> Term:
+    """The term the pre-term `p` stands for, once W is done: each node is
+    built by its class's builder above, with its shape read through its
+    cells (`_shape`), interned, and returned as it is where no cell was
+    read."""
+    return p[0](p)
 
 
 class _W:
     """Algorithm W over one term. `infer` returns a term's type and its
-    elaboration as a pre-term (`_finalize`), while cells are being bound."""
+    elaboration as a pre-term (`_finalize`), while cells are being bound.
+    A type W builds is a cell, a `_Fn` or an interned shape of the
+    environment or a constant; none of the first two enters a hash-cons
+    table, and only `_finalize` interns the shapes they stand for."""
 
     def __init__(self) -> None:
         self.counter = 0
@@ -188,38 +257,38 @@ class _W:
 
     def unify(self, a, b) -> None:
         a, b = _repr(a), _repr(b)
-        if a is b:  # shapes are interned
+        if a is b:  # a cell, or an interned shape
             return
-        if isinstance(a, _Cell):
+        if a.__class__ is _Cell:
             if _occurs_lowering(a, b):
                 raise ShapeError(f"occurs check failed: ?{a.n} in {_show(b)}")
             a.link = b
-        elif isinstance(b, _Cell):
+        elif b.__class__ is _Cell:
             self.unify(b, a)
-        elif isinstance(a, Arrow) and isinstance(b, Arrow):
+        elif isinstance(a, _ARROWS) and isinstance(b, _ARROWS):
             self.unify(a.dom, b.dom)
             self.unify(a.cod, b.cod)
         else:
             raise ShapeError(f"cannot unify {_show(a)} with {_show(b)}")
 
-    def _instantiate(self, sch: ShapeScheme, node) -> tuple[SimpleType, tuple]:
-        if not sch.qvars:
-            return sch.ty, node
+    def _instantiate(self, sch: ShapeScheme, node: tuple) -> tuple[SimpleType, tuple]:
+        """A copy of a polymorphic scheme's type over fresh cells, and the
+        node wrapped in one instantiation per quantifier."""
         fresh = {q: self.fresh() for q in sch.qvars}
         for q in sch.qvars:  # first quantifier instantiated innermost
-            node = (TyInst, fresh[q], node)
+            node = (_tyinst, fresh[q], node)
         return _copy(sch.ty, fresh), node
 
     def _deeper(self, t, acc: list[_Cell]) -> None:
         t = _repr(t)
-        if isinstance(t, _Cell):
+        if t.__class__ is _Cell:
             if t.level > self.level and t not in acc:
                 acc.append(t)
-        elif isinstance(t, Arrow):
+        elif t.__class__ is _Fn:
             self._deeper(t.dom, acc)
             self._deeper(t.cod, acc)
 
-    def generalize(self, ty: SimpleType, term: tuple) -> tuple[ShapeScheme, tuple]:
+    def generalize(self, ty, term: tuple) -> tuple[ShapeScheme, tuple]:
         """The scheme of `term`'s type `ty` over its cells deeper than the
         current level, each named by a fresh type variable, and the term
         wrapped in one type abstraction per name. The scheme quantifies over
@@ -229,74 +298,76 @@ class _W:
         for cell in gen:
             cell.name = self.tyvars.fresh()
         for cell in reversed(gen):
-            term = (TyAbs, cell.name, term)
+            term = (_tyabs, cell.name, term)
         return ShapeScheme(tuple(gen), ty), term
 
-    def infer_generalized(self, env: ShapeEnv, t: Term) -> tuple[ShapeScheme, tuple]:
-        """Infers t one level deeper, then generalizes at this level."""
-        self.level += 1
-        ty, term = self.infer(env, t)
-        self.level -= 1
-        return self.generalize(ty, term)
-
     def infer(self, env: ShapeEnv, t: Term) -> tuple[SimpleType, tuple]:
-        if isinstance(t, Var):
+        """t's type and pre-term. A `let`'s bound term is inferred one level
+        deeper and generalized here; a `\\` or a `let` binds its variable in
+        `env` and restores the binding it shadowed. On an error `env` is left
+        as it is: `elaborate` drops it, a copy of the caller's."""
+        cls = t.__class__
+        if cls is Var:
             sch = env.get(t.name)
             if sch is None:
                 raise ShapeError(f"unbound variable {t.name!r}")
-            return self._instantiate(sch, (Var, t.name, sch.ty))
-        if isinstance(t, Const):
-            return self._instantiate(constant_shape(t.const), t)
-        if isinstance(t, Lam):
-            u = self.fresh()
-            body_ty, body = self.infer({**env, t.binder: ShapeScheme((), u)}, t.body)
-            arrow = Arrow(t.binder, u, body_ty)
-            return arrow, (Lam, t.binder, body, arrow)
-        if isinstance(t, App):
+            node = (_var, t.name, sch.ty)
+            return self._instantiate(sch, node) if sch.qvars else (sch.ty, node)
+        if cls is Const:
+            sch = constant_shape(t.const)
+            return self._instantiate(sch, (_built, t)) if sch.qvars else (sch.ty, (_built, t))
+        if cls is App:
             fun_ty, fun = self.infer(env, t.fun)
             arg_ty, arg = self.infer(env, t.arg)
             res = self.fresh()
-            self.unify(fun_ty, Arrow(self.binders.fresh(), arg_ty, res))
-            return res, (App, fun, arg, res)
-        if isinstance(t, Let):
-            sch, bound = self.infer_generalized(env, t.bound)
-            body_ty, body = self.infer({**env, t.binder: sch}, t.body)
-            return body_ty, (Let, t.binder, bound, body, body_ty)
-        raise ShapeError("explicit type nodes are inserted by elaboration; erase first")
+            self.unify(fun_ty, _Fn(self.binders.fresh(), arg_ty, res))
+            return res, (_app, fun, arg, res)
+        if cls is Let:
+            self.level += 1
+            ty, bound = self.infer(env, t.bound)
+            self.level -= 1
+            sch, bound = self.generalize(ty, bound)
+            x = t.binder
+            shadowed = env.get(x)
+            env[x] = sch
+            body_ty, body = self.infer(env, t.body)
+            if shadowed is None:
+                del env[x]
+            else:
+                env[x] = shadowed
+            return body_ty, (_let, x, bound, body, body_ty)
+        if cls is Lam:
+            u = self.fresh()
+            x = t.binder
+            shadowed = env.get(x)
+            env[x] = ShapeScheme((), u)
+            body_ty, body = self.infer(env, t.body)
+            if shadowed is None:
+                del env[x]
+            else:
+                env[x] = shadowed
+            arrow = _Fn(x, u, body_ty)
+            return arrow, (_lam, x, body, arrow)
+        return self.infer(env, t.body)  # a type abstraction or instantiation
 
 
 def elaborate(senv: ShapeEnv, term: Term) -> Elaboration:
     """Infer shapes and insert explicit type abstraction and instantiation.
     Each `Var`, `Lam`, `App` and `Let` node carries its finalized shape; a
-    variable's is that of its scheme before instantiation."""
+    variable's is that of its scheme before instantiation. An elaborated
+    term elaborates to itself: W reads only its erasure."""
     w = _W()
     names = _all_names(term)
     w.binders.reserve(names)
     w.tyvars.reserve(names)
-    sch, elab = w.infer_generalized(senv, term)
+    w.level = 1  # the term is inferred as a let's bound term at the top level
+    ty, pre = w.infer(dict(senv), term)
+    w.level = 0
+    sch, pre = w.generalize(ty, pre)
     qvars = tuple(cell.name for cell in sch.qvars)
-    return Elaboration(_finalize(elab), ShapeScheme(qvars, _read(sch.ty, _final)))
+    return Elaboration(_finalize(pre), ShapeScheme(qvars, _shape(sch.ty)))
 
 
 def w_infer(senv: ShapeEnv, term: Term) -> ShapeScheme:
     """Principal ML shape, generalized against the environment."""
     return elaborate(senv, term).scheme
-
-
-def erase(t: Term) -> Term:
-    """Drop explicit type abstractions and instantiations, and the shapes of
-    the nodes; a term that holds none comes back unchanged, the same object."""
-    if isinstance(t, (TyAbs, TyInst)):
-        return erase(t.body)
-    if isinstance(t, Var):
-        return t if t.shape is None else Var(t.name)
-    if isinstance(t, Lam):
-        body = erase(t.body)
-        return t if body is t.body and t.shape is None else Lam(t.binder, body)
-    if isinstance(t, App):
-        fun, arg = erase(t.fun), erase(t.arg)
-        return t if fun is t.fun and arg is t.arg and t.shape is None else App(fun, arg)
-    if isinstance(t, Let):
-        bound, body = erase(t.bound), erase(t.body)
-        return t if bound is t.bound and body is t.body and t.shape is None else Let(t.binder, bound, body)
-    return t

@@ -26,7 +26,7 @@ from liqinfer.anf import _all_names, normalize
 from liqinfer.metatheory import generate_corpus
 from liqinfer.parser import parse_program, parse_term
 from liqinfer.semantics import Next, step
-from liqinfer.shapes import ShapeScheme, elaborate, erase
+from liqinfer.shapes import ShapeScheme, elaborate
 from liqinfer.syntax import (
     App,
     FAtom,
@@ -39,6 +39,7 @@ from liqinfer.syntax import (
     TyAbs,
     TyInst,
     VALUE_VAR,
+    Var,
     render_simple_type,
     render_term,
 )
@@ -68,6 +69,23 @@ ILL_SHAPED = (
     "val g = \\x. + x true",
     "val h = \\f. \\g. \\x. let a = f (g x) in g (f x) x",
 )
+
+
+def erase(t: Term) -> Term:
+    """The reference erasure: t without its type abstractions and
+    instantiations or the shapes of its nodes; a term that holds none comes
+    back as the same object."""
+    if isinstance(t, (TyAbs, TyInst)):
+        return erase(t.body)
+    if isinstance(t, Var):
+        return t if t.shape is None else Var(t.name)
+    if isinstance(t, Lam):
+        return Lam(t.binder, erase(t.body))
+    if isinstance(t, App):
+        return App(erase(t.fun), erase(t.arg))
+    if isinstance(t, Let):
+        return Let(t.binder, erase(t.bound), erase(t.body))
+    return t
 
 
 def _scheme(s: ShapeScheme) -> str:

@@ -265,8 +265,8 @@ class TestHashConsing:
         assert alike(bare(one), one) and bare(bare(one)) is bare(one)
 
     def test_intern_tables_shrink_once_the_values_are_dropped(self):
-        """Elaboration interns arrows over unification cells too: they
-        drain with the rest."""
+        """The final shapes elaboration interns drain with the rest (no
+        cell is ever interned: `test_shapes.TestNoCellIsInterned`)."""
         tables = [FAtom._table, BaseArm._table, LiquidType._table, syntax._made, Lam._table, Env._table, Arrow._table]
 
         def sizes():

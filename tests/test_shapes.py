@@ -1,17 +1,21 @@
 import pytest
+from test_golden_elaboration import POLYMORPHIC, SIGN_QUALIFIERS, STEPS, erase
 
-from liqinfer.anf import normalize
+from liqinfer import shapes
+from liqinfer.anf import _all_names, normalize
+from liqinfer.metatheory import generate_corpus
 from liqinfer.parser import parse_term
+from liqinfer.semantics import Next, step
 from liqinfer.shapes import (
     ShapeError,
     ShapeScheme,
     elaborate,
-    erase,
     shape_env,
     w_infer,
 )
 from liqinfer.syntax import (
     Arrow,
+    BOOL,
     Base,
     FAtom,
     Env,
@@ -24,6 +28,7 @@ from liqinfer.syntax import (
     TyInst,
     TyVar,
     LVar,
+    NameSource,
     VALUE_VAR,
     mono,
     make_type,
@@ -154,3 +159,109 @@ class TestElaborate:
         assert _contains_node(elab.term, TyInst)
         assert elab.scheme.qvars == ()
         assert render_simple_type(elab.scheme.ty) == "int -> int"
+
+
+def _with_reducts(term):
+    """`term` and the reducts of its first `STEPS` evaluation steps."""
+    yield term
+    names = NameSource("fx", used=_all_names(term))
+    for _ in range(STEPS):
+        out = step(term, names)
+        if not isinstance(out, Next):
+            return
+        term = out.term
+        yield term
+
+
+def _cell_arrows() -> list:
+    """The live interned arrows with a part that is not an interned shape."""
+    live = (ref() for ref in list(Arrow._table.values()))
+    shape = (Base, TyVar, Arrow)
+    return [a for a in live if a is not None and not (isinstance(a.dom, shape) and isinstance(a.cod, shape))]
+
+
+class TestElaboratedInput:
+    @pytest.fixture(scope="class")
+    def terms(self):
+        """Criterion-5 terms and the golden's polymorphic terms, each with
+        the reducts of its first steps."""
+        roots = generate_corpus(30, SIGN_QUALIFIERS, seed=2026)
+        roots += [normalize(parse_term(src)) for src in POLYMORPHIC]
+        return [t for root in roots for t in _with_reducts(root)]
+
+    def test_an_elaborated_term_elaborates_as_its_erasure(self, terms):
+        polymorphic = 0
+        for term in terms:
+            elab = elaborate({}, term)
+            assert erase(elab.term) is term
+            again = elaborate({}, elab.term)
+            assert again.term is elab.term
+            assert again.scheme == elab.scheme
+            polymorphic += _contains_node(elab.term, TyAbs)
+        assert polymorphic > 0  # the walk met type abstractions
+
+    def test_an_elaborated_term_under_an_environment(self):
+        senv = {"f": ShapeScheme(("a",), Arrow("y", TyVar("a"), TyVar("a"))), "n": ShapeScheme((), INT)}
+        term = normalize(parse_term("let g = \\x. f x in g (f n)"))
+        elab = elaborate(senv, term)
+        assert _contains_node(elab.term, TyInst)
+        assert elaborate(senv, elab.term) == elab
+
+
+class TestScopes:
+    SENV = {"x": ShapeScheme((), BOOL), "y": ShapeScheme(("a",), Arrow("z", TyVar("a"), TyVar("a")))}
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "\\x. let y = - x in + y x",
+            "let y = 1 in \\x. + x y",
+            "(\\x. x) (\\x. + x 1)",
+        ],
+    )
+    def test_the_callers_environment_is_left_as_it_was(self, src):
+        senv = dict(self.SENV)
+        elaborate(senv, normalize(parse_term(src)))
+        assert senv == self.SENV
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "\\x. let y = - x in + y true",  # under a lambda and a let, which bind x and y
+            "let y = 1 in \\x. x x",
+            "\\x. let y = x in + (y 1) (y true)",  # y is monomorphic: x is not generalized
+        ],
+    )
+    def test_an_error_under_a_binder_leaves_it_as_it_was(self, src):
+        senv = dict(self.SENV)
+        with pytest.raises(ShapeError):
+            elaborate(senv, parse_term(src))
+        assert senv == self.SENV
+
+    def test_a_shadowed_binding_is_restored(self):
+        # the inner x shadows the outer; the last use reads the outer again
+        elab = elaborate({}, normalize(parse_term("\\x. let f = \\x. + x 1 in f (if x 1 2)")))
+        assert render_simple_type(elab.scheme.ty) == "bool -> int"
+
+
+class TestNoCellIsInterned:
+    def test_no_live_arrow_holds_a_cell(self, monkeypatch):
+        """Checked once W is done and every cell is bound, before the
+        pre-term is finalized, and after elaboration."""
+        at_finalize = []
+        finalize = shapes._finalize
+
+        def checked(p):
+            at_finalize.extend(_cell_arrows())
+            return finalize(p)
+
+        monkeypatch.setattr(shapes, "_finalize", checked)
+        kept = []
+        for src in POLYMORPHIC + ("\\f. \\g. \\x. f (g x) x",):
+            kept.append(elaborate({}, normalize(parse_term(src))))
+        for src in ("\\x. x x", "\\f. + (f 1) (f true)"):
+            with pytest.raises(ShapeError):
+                elaborate({}, parse_term(src))
+        assert at_finalize == []
+        assert _cell_arrows() == []
+        assert any(isinstance(e.scheme.ty, Arrow) for e in kept)
