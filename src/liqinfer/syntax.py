@@ -13,9 +13,12 @@ sharing one simple-type shape.
 Refinements, constants, shapes, liquid types, terms and environments are
 hash-consed (`Interned`): calling a class returns the one live instance
 with those fields, so equality is identity and hashing is O(1). The
-metaclass builds each of these classes from its annotations, and a value
-is made only by calling its class with positional fields: nothing copies a
-value or sets a field of one. An arrow shape's binder is one of its fields,
+metaclass builds each of these classes from its annotations, with one
+generated constructor that runs in one Python frame, and a value is made
+only by calling its class with positional fields: nothing copies a value or
+sets a field of one. An arm's and a type's shape is set when it is built,
+by its class's `__post_init__`, and an intersection whose arms differ in
+shape cannot be built. An arrow shape's binder is one of its fields,
 so two shapes that differ only in binders are two values, which keep apart
 the templates and terms made from them; they agree as shapes when their
 bare shapes (`bare`), with every binder blank, are one object.
@@ -34,9 +37,9 @@ from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
-from types import MappingProxyType
+from types import CodeType, FunctionType, MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 VALUE_VAR = "v"
@@ -104,57 +107,97 @@ class Interned(type):
     """Metaclass of the hash-consed value classes, which it builds from
     their annotations. The annotated names are the fields, in order, kept
     in slots; the values the class body gives the trailing ones are their
-    defaults. Calling such a class with its fields, positionally, returns
-    the one live instance with those fields, from a weak table per class
-    keyed by the field tuple, with no exception: an arrow's binder is a
-    field like any other. Instances are immutable; equality and hashing are
-    those of `object`: identity."""
+    defaults. Each class gets one generated constructor (`_constructor`):
+    calling the class with its fields, positionally, returns the one live
+    instance with those fields, from a weak table per class keyed by the
+    field tuple, with no exception: an arrow's binder is a field like any
+    other. A new value runs its class's `__post_init__`, if there is one,
+    before it enters the table: that is where an arm's and a type's shape
+    is set, and where a value that cannot be built, such as an
+    intersection of mixed shapes, is refused. Instances are immutable;
+    equality and hashing are those of `object`: identity."""
 
     def __new__(mcs, name: str, bases: tuple, ns: dict) -> Interned:
         own = tuple(ns.get("__annotations__", ()))
         given = tuple(f for f in own if f in ns)
         if given != own[len(own) - len(given):]:
             raise TypeError(f"{name}: the fields with defaults must come last")
+        if any(f.startswith("_") for f in own):
+            raise TypeError(f"{name}: a field's name must not start with '_'")
         defaults = tuple(ns.pop(f) for f in given)
         ns["__slots__"] = tuple(ns.get("__slots__", ())) + own
         cls = super().__new__(mcs, name, bases, ns)
         cls._table: dict = {}
-        cls._drop = _dropper(cls._table)
         cls._fields = own
-        cls._defaults = defaults
-        cls._make = _maker(cls)
-        cls._arity = len(own)
+        cls.__new__ = _constructor(cls, defaults)
         return cls
 
-    def __call__(cls, *fields: Any) -> Any:
-        if len(fields) != cls._arity:
-            fields += cls._defaults[len(fields) - cls._arity:]
-        return cls._intern(fields)
 
-    def _intern(cls, fields: tuple) -> Any:
-        """The live instance with `fields`, made if none lives."""
-        ref = cls._table.get(fields)
-        if ref is not None:
-            obj = ref()
-            if obj is not None:
-                return obj
-        return _weak_put(cls._table, fields, cls._make(*fields), cls._drop)
+def _constructor(cls: Interned, defaults: tuple) -> Callable[..., Any]:
+    """The `__new__` of `cls`, so that building a value runs one Python
+    frame (and `__post_init__`, where the class has one, on a new value).
+    It takes the fields positionally, with their defaults, and returns the
+    live instance with those fields if there is one. Otherwise it makes
+    one, sets each slot through the slot's descriptor, which bypasses the
+    immutable `__setattr__`, runs the class's `__post_init__`, and inserts
+    it with an atomic `setdefault`; only a constructor that loses a race
+    to another thread goes on to `_weak_put`. Its code is shared with the
+    classes of as many fields, with or without `__post_init__` alike; its
+    parameters are renamed to the fields and its file after the class, so
+    that messages, profiles and tracebacks tell the classes apart."""
+    fields = cls._fields
+    post_init = getattr(cls, "__post_init__", None)
+    table = cls._table
+    ns = {
+        "_get": table.get,
+        "_setdefault": table.setdefault,
+        "_new": object.__new__,
+        "_KeyedRef": _KeyedRef,
+        "_drop": _dropper(table),
+        "_weak_put": _weak_put,
+        "_table": table,
+        "_post_init": post_init,
+    }
+    ns.update((f"_set_{i}", getattr(cls, f).__set__) for i, f in enumerate(fields))
+    code = _constructor_code(len(fields), post_init is not None)
+    code = code.replace(
+        co_varnames=("_cls", *fields, *code.co_varnames[1 + len(fields):]),
+        co_filename=f"<{cls.__qualname__}.__new__>",
+    )
+    return FunctionType(code, ns, "__new__", defaults)
 
 
-def _maker(cls: Interned) -> Callable[..., Any]:
-    """The function that makes an instance of `cls` from its field values,
-    then runs the class's `__post_init__` check if it has one. It sets each
-    slot through the slot's descriptor, which bypasses the immutable
-    `__setattr__`, and is written out per class: a loop over the fields
-    costs about twice as much."""
-    ns = {"_new": object.__new__, "_cls": cls}
-    ns.update((f"_set_{f}", getattr(cls, f).__set__) for f in cls._fields)
-    lines = [f"def make({', '.join(cls._fields)}):", "    _obj = _new(_cls)"]
-    lines += [f"    _set_{f}(_obj, {f})" for f in cls._fields]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    _obj.__post_init__()")
-    exec("\n".join(lines + ["    return _obj"]), ns)
-    return ns["make"]
+@lru_cache(maxsize=None)
+def _constructor_code(arity: int, post_init: bool) -> CodeType:
+    """The code of the constructors of `arity` fields, with or without a
+    `__post_init__`, written out and compiled once: compiling is most of
+    the cost of making a class. Its parameters are `_0`, `_1`, ..., which
+    `_constructor` renames to the fields; its other names start with `_`,
+    which no field's may."""
+    args = "".join(f"_{i}, " for i in range(arity))
+    lines = [
+        f"def __new__(_cls, {args}/):",
+        f"    _key = ({args})",
+        "    _ref = _get(_key)",
+        "    if _ref is not None:",
+        "        _obj = _ref()",
+        "        if _obj is not None:",
+        "            return _obj",
+        "    _obj = _new(_cls)",
+    ]
+    lines += [f"    _set_{i}(_obj, _{i})" for i in range(arity)]
+    if post_init:
+        lines.append("    _post_init(_obj)")
+    lines += [
+        "    _ref = _KeyedRef(_obj, _drop)",
+        "    _ref.key = _key",
+        "    if _setdefault(_key, _ref) is _ref:",
+        "        return _obj",
+        "    return _weak_put(_table, _key, _obj, _drop)",
+    ]
+    ns: dict = {}
+    exec("\n".join(lines), ns)
+    return ns["__new__"].__code__
 
 
 class Value(metaclass=Interned):
@@ -491,21 +534,13 @@ BOOL = Base("bool")
 
 
 class _Arm(Value):
-    """Base of the arm classes. Values derived from an arm are computed on
-    first use and kept in slots that are not fields, so repr ignores them.
-    Since arms are hash-consed, every occurrence of an arm shares them."""
+    """Base of the arm classes. `shape`, the simple type of the arm, is set
+    by each class's `__post_init__` when the arm is built. Values derived
+    from an arm are computed on first use and kept in slots that are not
+    fields, so repr ignores them. Since arms are hash-consed, every
+    occurrence of an arm shares them."""
 
-    __slots__ = ("_rendered", "_shape")
-
-    @property
-    def shape(self) -> SimpleType:
-        """The simple type of the arm."""
-        try:
-            return self._shape
-        except AttributeError:
-            shape = _arm_shape(self)
-            object.__setattr__(self, "_shape", shape)
-            return shape
+    __slots__ = ("_rendered", "shape")
 
     @property
     def rendered(self) -> str:
@@ -518,9 +553,15 @@ class _Arm(Value):
             return text
 
 
+_set_arm_shape = _Arm.shape.__set__
+
+
 class BaseArm(_Arm):
     base: Base
     ref: Formula
+
+    def __post_init__(self) -> None:
+        _set_arm_shape(self, self.base)
 
 
 class FunArm(_Arm):
@@ -528,34 +569,28 @@ class FunArm(_Arm):
     dom: "LiquidType"
     cod: "LiquidType"
 
+    def __post_init__(self) -> None:
+        _set_arm_shape(self, Arrow(self.binder, self.dom.shape, self.cod.shape))
+
 
 class VarArm(_Arm):
     name: str
+
+    def __post_init__(self) -> None:
+        _set_arm_shape(self, TyVar(self.name))
 
 
 Arm = Union[BaseArm, FunArm, VarArm]
 
 
 class _Type(Value):
-    """Base of `LiquidType`, keeping values derived from a type in slots on
-    first use, as `_Arm` does for arms."""
+    """Base of `LiquidType`: `shape`, the simple type every arm shares
+    (`shape_of`), set when the type is built, and values derived from a type
+    kept in slots on first use, as `_Arm` does for arms."""
 
     # `_canonical`: the canonical form of a base type's refinements, set by
     # `subtyping`
-    __slots__ = ("_shape", "_free", "_canonical")
-
-    @property
-    def shape(self) -> SimpleType:
-        """The simple type every arm shares (`shape_of`)."""
-        try:
-            return self._shape
-        except AttributeError:
-            shape = self.arms[0].shape
-            for a in self.arms[1:]:
-                if bare(a.shape) is not bare(shape):
-                    raise IllFoundedType("arms with differing shapes") from None
-            object.__setattr__(self, "_shape", shape)
-            return shape
+    __slots__ = ("shape", "_free", "_canonical")
 
     @property
     def free(self) -> tuple[str, ...]:
@@ -570,27 +605,30 @@ class _Type(Value):
             return free
 
 
+_set_type_shape = _Type.shape.__set__
+
+
 class LiquidType(_Type):
-    """A canonical intersection: deduplicated arms sorted by printed form."""
+    """A canonical intersection: deduplicated arms sorted by printed form.
+    Its arms share one shape, up to binders: one whose arms differ in shape
+    cannot be built (`IllFoundedType`). Its shape is its first arm's."""
 
     arms: tuple[Arm, ...]
 
     def __post_init__(self) -> None:
-        if not self.arms:
+        arms = self.arms
+        if not arms:
             raise IllFoundedType("a type must have at least one arm")
+        shape = arms[0].shape
+        for a in arms[1:]:
+            if a.shape is not shape and bare(a.shape) is not bare(shape):
+                raise IllFoundedType("arms with differing shapes")
+        _set_type_shape(self, shape)
 
 
 class Scheme(Value):
     qvars: tuple[str, ...]
     body: LiquidType
-
-
-def _arm_shape(a: Arm) -> SimpleType:
-    if isinstance(a, BaseArm):
-        return a.base
-    if isinstance(a, VarArm):
-        return TyVar(a.name)
-    return Arrow(a.binder, a.dom.shape, a.cod.shape)
 
 
 def _type_free_vars(t: LiquidType) -> tuple[str, ...]:
@@ -643,26 +681,24 @@ _render_key = attrgetter("rendered")
 
 
 def intersect(a: LiquidType, b: LiquidType) -> LiquidType:
-    if bare(a.shape) is not bare(b.shape):
-        raise IllFoundedType("cannot intersect types of different shapes")
     return make_type(a.arms + b.arms)
 
 
 def shape_of(t: Union[LiquidType, Scheme]) -> SimpleType:
-    """The unique simple type T with t :: T; quantifiers are erased. Built
-    once per type (`LiquidType.shape`)."""
+    """The unique simple type T with t :: T; quantifiers are erased. Set
+    when the type is built (`LiquidType.shape`), so it never fails: a type
+    whose arms differ in shape cannot be built."""
     return t.body.shape if isinstance(t, Scheme) else t.shape
 
 
 def well_founded(t: Union[LiquidType, Scheme, Arm], shape: SimpleType) -> bool:
-    """Derivability of t :: shape: every arm's bare shape is the shape's."""
+    """Derivability of t :: shape: every arm's bare shape is the shape's.
+    Every part of t has a shape, since a type whose arms differ in shape
+    cannot be built."""
     if isinstance(t, Scheme):
         t = t.body
     arms = t.arms if isinstance(t, LiquidType) else (t,)
-    try:
-        return all(bare(a.shape) is bare(shape) for a in arms)
-    except IllFoundedType:  # a part whose arms differ in shape has none
-        return False
+    return all(bare(a.shape) is bare(shape) for a in arms)
 
 
 def base_top(base: Base) -> LiquidType:

@@ -5,7 +5,9 @@ inputs is the one a fresh derivation builds and dies with the input it is
 kept on, and a checker that answers from its memo answers exactly as a
 fresh one does."""
 
+import contextlib
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from liqinfer import syntax, validity
 from liqinfer.inference import Inferencer
@@ -42,6 +44,7 @@ from liqinfer.syntax import (
     FIff,
     FTrue,
     FunArm,
+    IllFoundedType,
     IntConst,
     LAdd,
     Lam,
@@ -127,6 +130,17 @@ def field_names(x):
     return type(x)._fields if isinstance(x, syntax.Value) else None
 
 
+def value_classes() -> list[type]:
+    """`Value` and every class derived from it, each with its own generated
+    constructor."""
+    out, todo = [], [syntax.Value]
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo += cls.__subclasses__()
+    return out
+
+
 def ref_eq(x, y) -> bool:
     """Structural equality, walked field by field down to the leaves, which
     alone are compared with `==`."""
@@ -165,7 +179,30 @@ refinements = st.recursive(
     max_leaves=4,
 )
 bases = st.tuples(st.just(Base), st.sampled_from(("int", "bool")))
-liquid_types = st.recursive(
+# shapes, some of whose arrows differ in binder names alone
+simple_types = st.recursive(
+    st.one_of(bases, st.tuples(st.just(TyVar), names)),
+    lambda sub: st.tuples(st.just(Arrow), names, sub, sub),
+    max_leaves=3,
+)
+
+
+def liquid_types_at(shape):
+    """Intersections of one or two arms, each of the shape spec `shape` (the
+    arrows' binders aside)."""
+    if shape[0] is Base:
+        arm = st.tuples(st.just(BaseArm), st.just(shape), refinements)
+    elif shape[0] is TyVar:
+        arm = st.just((VarArm, shape[1]))
+    else:
+        arm = st.tuples(st.just(FunArm), names, liquid_types_at(shape[2]), liquid_types_at(shape[3]))
+    return st.lists(arm, min_size=1, max_size=2).map(lambda arms: (LiquidType, ("tuple", *arms)))
+
+
+liquid_types = simple_types.flatmap(liquid_types_at)
+# intersections whose arms are drawn with no regard to their shapes, which
+# cannot be built when they differ (`spec_shape`)
+any_liquid_types = st.recursive(
     st.lists(
         st.one_of(st.tuples(st.just(BaseArm), bases, refinements), st.tuples(st.just(VarArm), names)),
         min_size=1, max_size=2,
@@ -176,12 +213,23 @@ liquid_types = st.recursive(
     max_leaves=3,
 )
 schemes = st.tuples(st.just(Scheme), st.lists(names, max_size=2).map(lambda q: ("tuple", *q)), liquid_types)
-# shapes, some of whose arrows differ in binder names alone
-simple_types = st.recursive(
-    st.one_of(bases, st.tuples(st.just(TyVar), names)),
-    lambda sub: st.tuples(st.just(Arrow), names, sub, sub),
-    max_leaves=3,
-)
+
+
+def spec_shape(spec):
+    """The shape of a type spec with its binders left out, as nested tuples;
+    None when the arms of some intersection in it differ in shape."""
+    shapes = set()
+    for arm in spec[1][1:]:
+        if arm[0] is BaseArm:
+            shapes.add(arm[1][1])
+        elif arm[0] is VarArm:
+            shapes.add(("var", arm[1]))
+        else:
+            dom, cod = spec_shape(arm[2]), spec_shape(arm[3])
+            if dom is None or cod is None:
+                return None
+            shapes.add((dom, cod))
+    return shapes.pop() if len(shapes) == 1 else None
 
 
 def rebind(spec, data):
@@ -240,9 +288,24 @@ class TestHashConsing:
         n = count_leaves(spec)
         assume(n > 0)
         other = change_leaf(spec, data.draw(st.integers(0, n - 1)))
-        one, two = build(spec), build(other)
+        one = build(spec)
+        try:
+            two = build(other)
+        except IllFoundedType:
+            reject()  # the changed base or type variable set one arm's shape apart
         assert fits(one, spec) and fits(two, other)
         assert one is not two
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_liquid_types)
+    def test_a_type_whose_arms_differ_in_shape_cannot_be_built(self, spec):
+        """A type is built exactly when the arms of every intersection in it
+        share one shape; any other raises `IllFoundedType` as it is built."""
+        if spec_shape(spec) is None:
+            with pytest.raises(IllFoundedType):
+                build(spec)
+        else:
+            assert fits(build(spec), spec)
 
     def test_a_term_keeps_the_binder_names_of_its_shape(self):
         shapes = [Arrow("a", INT, Arrow("c", INT, INT)), Arrow("a", INT, Arrow("d", INT, INT))]
@@ -324,6 +387,94 @@ class TestHashConsing:
         assert again.ref.memo is arm.ref.memo
 
 
+# -- the generated constructors -----------------------------------------------
+
+
+def keeping(kept, new):
+    """A class's constructor `new`, keeping every value it returns."""
+    def wrapper(cls, *fields):
+        kept.append(new(cls, *fields))
+        return kept[-1]
+
+    return wrapper
+
+
+@pytest.fixture(scope="module")
+def live():
+    """One live value of each class derived from `Value`, taken from its
+    table after `demos/sign.ml` is inferred and the elaboration golden's
+    terms are elaborated, with every value built meanwhile held."""
+    from test_golden_elaboration import elaborations
+
+    from liqinfer import cli
+
+    kept = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in value_classes():
+            mp.setattr(cls, "__new__", keeping(kept, cls.__dict__["__new__"]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([str(Path(__file__).parents[1] / "demos" / "sign.ml")]) == 0
+        elaborations()
+    values = {}
+    for cls in value_classes():
+        for ref in cls._table.values():
+            x = ref()
+            if x is not None:
+                values[cls] = x
+                break
+    yield values
+    del kept
+
+
+def frames_run(build) -> tuple[list, list]:
+    """The code objects of the Python frames that `build()` runs directly,
+    and of those that these run directly in turn, each in order."""
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame) if event == "call" else None)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    outer, *inner = calls
+    first = [f for f in inner if f.f_back is outer]
+    return [f.f_code for f in first], [f.f_code for f in inner if f.f_back in first]
+
+
+class TestConstructors:
+    def test_every_concrete_class_has_a_live_value(self, live):
+        assert {cls.__name__ for cls in value_classes() if cls not in live} == {"Value", "_Formula", "_Arm", "_Type"}
+
+    def test_each_class_rebuilds_its_live_values_from_positional_fields_only(self, live):
+        """A generated constructor whose locals a field's name shadowed
+        would read a field back wrong, or return another object."""
+        for cls, x in live.items():
+            fields = [getattr(x, f) for f in cls._fields]
+            assert cls(*fields) is x, cls
+            if fields:
+                with pytest.raises(TypeError):
+                    cls(**dict(zip(cls._fields, fields)))
+
+    def test_a_value_that_lives_is_built_in_one_python_frame(self, live):
+        for cls, x in live.items():
+            fields = [getattr(x, f) for f in cls._fields]
+            assert frames_run(lambda: cls(*fields)) == ([cls.__new__.__code__], []), cls
+
+    def test_a_new_value_is_built_in_one_python_frame_and_its_post_init(self, live):
+        """The entry of a live value is lifted out of its class's table for
+        the build, so that the constructor makes a new value, and is put
+        back after it."""
+        for cls, x in live.items():
+            key = tuple(getattr(x, f) for f in cls._fields)
+            held = cls._table.pop(key)
+            try:
+                ctors, inner = frames_run(lambda: cls(*key))
+            finally:
+                cls._table[key] = held
+            post = [cls.__post_init__.__code__] if hasattr(cls, "__post_init__") else []
+            assert (ctors, inner) == ([cls.__new__.__code__], post), cls
+            assert cls(*key) is x
+
+
 # -- values derived from hash-consed inputs --------------------------------
 
 atoms = st.one_of(
@@ -374,7 +525,7 @@ class TestDerivedValues:
         try:
             expected = substituted(t, name, atom)
         except LiqError:
-            # an ill-founded type, or a literal of the other sort
+            # a literal of the other sort
             with pytest.raises(LiqError):
                 subst_liquid(t, {name: atom})
             return

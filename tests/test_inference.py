@@ -161,13 +161,15 @@ class TestInferenceMemo:
         """Criterion-5 traffic with literal schemes, self-types and
         one-binding substitutions kept on their inputs, and with each built
         afresh on every use: the same reports, the same decisions and
-        judgements, and fewer hash-consed values built."""
+        judgements, and fewer hash-consed values built: fewer calls of the
+        classes' constructors."""
         from liqinfer import inference, subtyping, syntax, validity
         from liqinfer.metatheory import run_subject_reduction
-        from liqinfer.syntax import BoolConst, ConstantTable, FBoolVar, FIff, Interned, Var
+        from liqinfer.syntax import BoolConst, ConstantTable, FBoolVar, FIff, Var
+        from test_hashcons import value_classes
 
-        counts = {"decided": 0, "judged": 0, "interned": 0}
-        decide, judge, intern = validity.builtin_decide, SubtypeChecker.is_subtype, Interned._intern
+        counts = {"decided": 0, "judged": 0, "built": 0}
+        decide, judge = validity.builtin_decide, SubtypeChecker.is_subtype
 
         def self_type(var):
             if var.shape == INT:
@@ -186,7 +188,8 @@ class TestInferenceMemo:
 
         monkeypatch.setattr(validity, "builtin_decide", counting(counts, "decided", decide))
         monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", judge))
-        monkeypatch.setattr(Interned, "_intern", counting(counts, "interned", intern))
+        for cls in value_classes():
+            monkeypatch.setattr(cls, "__new__", counting(counts, "built", cls.__dict__["__new__"]))
         runs = {}
         for kept in (True, False):
             if not kept:
@@ -194,7 +197,7 @@ class TestInferenceMemo:
                 monkeypatch.setattr(Var, "self_type", property(self_type))
                 for module in (syntax, inference, subtyping):
                     monkeypatch.setattr(module, "subst_liquid", subst_liquid)
-            counts.update(decided=0, judged=0, interned=0)
+            counts.update(decided=0, judged=0, built=0)
             report = run_subject_reduction(40, fuel=100, seed=7, engine=ValidityEngine())
             assert report.ok
             reports = [(r.term, r.ok, r.steps, r.inferred, r.failure) for r in report.reports]
@@ -203,7 +206,7 @@ class TestInferenceMemo:
         assert with_kept == afresh
         assert counted["decided"] == uncounted["decided"], (counted, uncounted)
         assert counted["judged"] == uncounted["judged"], (counted, uncounted)
-        assert counted["interned"] < uncounted["interned"], (counted, uncounted)
+        assert counted["built"] < uncounted["built"], (counted, uncounted)
 
     def test_a_failure_is_remembered_with_its_message(self, inferencer, sign_qualifiers, monkeypatch):
         term = normalize(parse_term("fix (\\f. \\n. + n 0)"))
