@@ -23,6 +23,17 @@ variable in one environment dict and restores the binding on the way out,
 so a chain of `n` lets elaborates in time linear in `n`. It reads a type
 abstraction or instantiation as its body and a node's shape not at all,
 so an elaborated term elaborates to the very term its erasure does.
+
+An application of a function whose type is already a final arrow unifies
+that arrow's domain with the argument's type and takes its codomain: it
+builds no result cell and no expected arrow. Every application still takes
+a cell number and asks for a binder name, so the `?n` of messages and the
+names printed are those of the general path. Names avoid every name of the
+term, but the term's names are collected (`anf._all_names`) only when one
+is printed: the binder of an expected arrow that a free cell is bound to,
+or a generalized cell. The turns of the applications whose binder is never
+read are drawn and dropped when the next binder is named, so each name is
+the one that naming every application in order gives.
 """
 
 from __future__ import annotations
@@ -122,11 +133,12 @@ class _Cell:
 class _Fn:
     """An arrow shape that may hold cells, made by W: a plain record of one
     elaboration, never interned. `final` keeps its interned shape once W is
-    done and `_shape` has read it."""
+    done and `_shape` has read it. An application's expected arrow has no
+    binder (None) when it is unified part by part, so nothing reads it."""
 
     __slots__ = ("binder", "dom", "cod", "final")
 
-    def __init__(self, binder: str, dom, cod) -> None:
+    def __init__(self, binder: Optional[str], dom, cod) -> None:
         self.binder, self.dom, self.cod = binder, dom, cod
         self.final: Optional[Arrow] = None
 
@@ -243,17 +255,38 @@ class _W:
     elaboration as a pre-term (`_finalize`), while cells are being bound.
     A type W builds is a cell, a `_Fn` or an interned shape of the
     environment or a constant; none of the first two enters a hash-cons
-    table, and only `_finalize` interns the shapes they stand for."""
+    table, and only `_finalize` interns the shapes they stand for. Binder
+    and type-variable names are drawn only when one will be printed, from
+    name sources made then over the term's names (`_name_sources`)."""
 
-    def __init__(self) -> None:
+    def __init__(self, term: Term) -> None:
+        self.term = term
         self.counter = 0
         self.level = 0
-        self.tyvars = NameSource("a")
-        self.binders = NameSource("x")
+        self.asked = 0  # binder names asked for, one per application, not yet drawn
+        self.binders: Optional[NameSource] = None
+        self.tyvars: Optional[NameSource] = None
 
     def fresh(self) -> _Cell:
         self.counter += 1
         return _Cell(self.counter, self.level)
+
+    def _name_sources(self) -> None:
+        """The binder and type-variable name sources, which avoid the
+        term's names: made when the first name is printed."""
+        names = _all_names(self.term)
+        self.binders, self.tyvars = NameSource("x", names), NameSource("a", names)
+
+    def binder(self) -> str:
+        """The binder name of the application W is at. The names asked for
+        by the applications since the last one drawn, whose binders are
+        never read, are drawn and dropped first."""
+        if self.binders is None:
+            self._name_sources()
+        for _ in range(self.asked):
+            name = self.binders.fresh()
+        self.asked = 0
+        return name
 
     def unify(self, a, b) -> None:
         a, b = _repr(a), _repr(b)
@@ -292,9 +325,12 @@ class _W:
         """The scheme of `term`'s type `ty` over its cells deeper than the
         current level, each named by a fresh type variable, and the term
         wrapped in one type abstraction per name. The scheme quantifies over
-        the cells; `elaborate` prints their names."""
+        the cells; `elaborate` prints their names, drawn here from a source
+        made when the first name is printed."""
         gen: list[_Cell] = []
         self._deeper(ty, gen)
+        if gen and self.tyvars is None:
+            self._name_sources()
         for cell in gen:
             cell.name = self.tyvars.fresh()
         for cell in reversed(gen):
@@ -304,8 +340,11 @@ class _W:
     def infer(self, env: ShapeEnv, t: Term) -> tuple[SimpleType, tuple]:
         """t's type and pre-term. A `let`'s bound term is inferred one level
         deeper and generalized here; a `\\` or a `let` binds its variable in
-        `env` and restores the binding it shadowed. On an error `env` is left
-        as it is: `elaborate` drops it, a copy of the caller's."""
+        `env` and restores the binding it shadowed. An application whose
+        function type is a final arrow takes its codomain and makes no
+        cell; one whose function type is a free cell binds it to the
+        expected arrow, whose binder is named then. On an error `env` is
+        left as it is: `elaborate` drops it, a copy of the caller's."""
         cls = t.__class__
         if cls is Var:
             sch = env.get(t.name)
@@ -319,8 +358,19 @@ class _W:
         if cls is App:
             fun_ty, fun = self.infer(env, t.fun)
             arg_ty, arg = self.infer(env, t.arg)
-            res = self.fresh()
-            self.unify(fun_ty, _Fn(self.binders.fresh(), arg_ty, res))
+            # the result cell's number and binder name are taken even where
+            # neither is made, so later ones are those of the general path
+            self.counter += 1
+            self.asked += 1
+            f = _repr(fun_ty)
+            if f.__class__ is Arrow:  # a known function: its codomain is the result
+                self.unify(f.dom, arg_ty)
+                return f.cod, (_app, fun, arg, f.cod)
+            res = _Cell(self.counter, self.level)
+            # only a free cell becomes the expected arrow, binder and all;
+            # any other function type is unified with it part by part
+            binder = self.binder() if f.__class__ is _Cell else None
+            self.unify(f, _Fn(binder, arg_ty, res))
             return res, (_app, fun, arg, res)
         if cls is Let:
             self.level += 1
@@ -355,11 +405,9 @@ def elaborate(senv: ShapeEnv, term: Term) -> Elaboration:
     """Infer shapes and insert explicit type abstraction and instantiation.
     Each `Var`, `Lam`, `App` and `Let` node carries its finalized shape; a
     variable's is that of its scheme before instantiation. An elaborated
-    term elaborates to itself: W reads only its erasure."""
-    w = _W()
-    names = _all_names(term)
-    w.binders.reserve(names)
-    w.tyvars.reserve(names)
+    term elaborates to itself: W reads only its erasure. The term's names
+    are collected only if W prints a name, which must avoid them."""
+    w = _W(term)
     w.level = 1  # the term is inferred as a let's bound term at the top level
     ty, pre = w.infer(dict(senv), term)
     w.level = 0

@@ -1047,9 +1047,6 @@ class NameSource:
         self.used = set(used or ())
         self.counter = 0
 
-    def reserve(self, names: Iterable[str]) -> None:
-        self.used.update(names)
-
     def fresh(self, base: Optional[str] = None) -> str:
         if base is not None:
             if base not in self.used:

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import pytest
 from test_golden_elaboration import POLYMORPHIC, SIGN_QUALIFIERS, STEPS, erase
 
 from liqinfer import shapes
 from liqinfer.anf import _all_names, normalize
 from liqinfer.metatheory import generate_corpus
-from liqinfer.parser import parse_term
+from liqinfer.parser import parse_program, parse_term
 from liqinfer.semantics import Next, step
 from liqinfer.shapes import (
     ShapeError,
@@ -33,8 +35,10 @@ from liqinfer.syntax import (
     mono,
     make_type,
     render_simple_type,
+    render_term,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 GE = FAtom(">=", LVar(VALUE_VAR), LInt(0))
 LE = FAtom("<=", LVar(VALUE_VAR), LInt(0))
 
@@ -265,3 +269,67 @@ class TestNoCellIsInterned:
         assert at_finalize == []
         assert _cell_arrows() == []
         assert any(isinstance(e.scheme.ty, Arrow) for e in kept)
+
+
+# `add 1 2` applies two known functions and `g s` an unknown one, whose
+# expected arrow is the only binder that shows; `x0` is bound after it.
+UNKNOWN_AFTER_KNOWN = "\\g. let s = add 1 2 in let r = g s in let x0 = 2 in r"
+
+
+def _chain(n: int):
+    """`let x1 = sub 1 x0 in ... in xn`, with `x0` an int of the environment."""
+    src = "".join(f"let x{i} = sub 1 x{i - 1} in " for i in range(1, n + 1)) + f"x{n}"
+    return {"x0": ShapeScheme((), INT)}, parse_term(src)
+
+
+class TestNames:
+    """Each application takes one cell number and one binder name, in the
+    order W meets it, whether or not its binder is ever printed; names
+    avoid every name of the term."""
+
+    def test_a_printed_binder_counts_the_applications_before_it(self):
+        elab = elaborate({}, parse_term(UNKNOWN_AFTER_KNOWN))
+        # the two `add` applications take x1 and x2; x0 is a name of the term
+        assert elab.term.body.shape.dom.binder == "x3"  # under the type abstraction of a0
+        assert elab.scheme == ShapeScheme(("a0",), Arrow("g", Arrow("x3", INT, TyVar("a0")), TyVar("a0")))
+
+    def test_known_applications_keep_their_cell_numbers(self):
+        with pytest.raises(ShapeError) as err:
+            elaborate({}, parse_term("\\g. let s = add 1 2 in g g"))
+        assert str(err.value) == "occurs check failed: ?1 in ?1 -> ?4"
+
+    def test_a_type_variable_avoids_the_names_of_the_term(self):
+        elab = elaborate({}, normalize(parse_term("let id = \\y. y in let a0 = id 1 in a0")))
+        assert render_term(elab.term) == "let id = [/\\a1](\\y. y) in let a0 = ([int]id) 1 in a0"
+
+
+class TestNamesWalk:
+    """The term's names are collected only when a name is printed: a binder
+    of an expected arrow, or a generalized cell."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = shapes._all_names
+
+        def counted(term):
+            calls.append(term)
+            return walk(term)
+
+        monkeypatch.setattr(shapes, "_all_names", counted)
+        return calls
+
+    def test_known_functions_and_no_generalization_walk_nothing(self, walks):
+        senv = {}
+        program = parse_program((ROOT / "demos" / "sign.ml").read_text())
+        for name, term in program.bindings:
+            senv[name] = elaborate(senv, normalize(term)).scheme
+        for n in (1, 50):
+            elaborate(*_chain(n))
+        assert walks == []
+
+    def test_a_printed_binder_walks_once(self, walks):
+        term = parse_term(UNKNOWN_AFTER_KNOWN)
+        elab = elaborate({}, term)
+        assert elab.scheme.qvars == ("a0",)  # a binder and a type variable named
+        assert walks == [term]
