@@ -16,6 +16,7 @@ read is not written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,10 @@ def _bounded(kind: type, low: float, strict: bool = False) -> Callable[[str], fl
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process: parsing leaves it as it was."""
     parser = _Parser(
         prog="liqinfer",
         description="Infer liquid intersection types for tiny-ML programs.",

@@ -24,8 +24,22 @@ its answer, a scheme or a failure's text, under (environment, elaborated
 node), an exact O(1) key: both are hash-consed, and a node carries the
 shapes of all nodes under it. Each top-level `infer` starts a generation
 and keeps only the entries it or the one before touched, so the reducts of
-a term share their subterms while the memo stays small. The memo is off
-while a constraint log is attached, since a memo hit logs nothing.
+a term share their subterms while the memo stays small.
+
+And it keeps the outcome of each `let`'s filter (`_filter_template`) for
+its life: the scheme of the kept arms, or the fact that no arm fits, under
+(the inner environment's formula `embed_env`, the body's type, the tuple of
+candidates), all hash-consed. The key is exact by the argument that lets
+`SubtypeChecker` key an arrow judgement by (Γ's formula, τ₁, τ₂): every
+judgement of the filter reads Γ only through its formula, apart from the
+name of a codomain's binder, and a renaming changes no verdict. Reducts
+rebuild `let` nodes under environments that differ only in bindings that
+add no conjunct, such as a function-typed one, which the (environment,
+node) memo tells apart and this one does not. A failure's message is
+rendered from each call's own term.
+
+Both memos are off while a constraint log is attached, since a memo hit
+logs nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional, Sequence, Union
 
+from .logic import embed_env
 from .shapes import elaborate, shape_env
 from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
@@ -176,6 +191,14 @@ class _Template:
 
 
 class Inferencer:
+    """The inference algorithm under one qualifier set and one subtyping
+    checker, with the memos it keeps: the template of each shape
+    (`_templates`), each node's answer per environment over the last two
+    generations (`_memo`, `_old`), and each filter's outcome per (Γ's
+    formula, body, candidates) for its life (`_filtered`). The last two are
+    off while a constraint log is attached; see the module docstring for
+    why each is exact."""
+
     def __init__(
         self,
         qualifiers: Sequence[Formula],
@@ -190,6 +213,9 @@ class Inferencer:
         self._templates: dict[SimpleType, _Template] = {}
         # `_infer`'s answers per (env, node), of this generation and the last
         self._memo, self._old = None, {}
+        # `_filter_template`'s outcomes, kept for the inferencer's life; None
+        # switches the memo off
+        self._filtered: Optional[dict[tuple, Union[Scheme, bool]]] = {}
 
     def infer(self, env: Env, term: Term) -> Scheme:
         """The scheme of a plain or an elaborated term, which is elaborated
@@ -370,12 +396,21 @@ class Inferencer:
             # bound variable
             arms = dict.fromkeys(temp.arms + tpl.top.arms)
             candidates = tpl.candidates[temp] = tuple(LiquidType((arm,)) for arm in arms)
-        keep = [
-            c.arms[0] for c in candidates if self.checker.is_subtype(inner_env, body, c)
-        ]
-        if keep:
-            return mono(make_type(keep))
-        raise InferenceFailure(f"no template arm fits {render_term(t)}")
+        # the outcome per (Γ's formula, body, candidates), kept while no log
+        # is attached: the kept arms' scheme, or False when no arm fits
+        filtered = self._filtered if self.checker.log is None else None
+        key = (embed_env(inner_env), body, candidates)
+        sch = filtered.get(key) if filtered is not None else None
+        if sch is None:
+            keep = [
+                c.arms[0] for c in candidates if self.checker.is_subtype(inner_env, body, c)
+            ]
+            sch = mono(make_type(keep)) if keep else False
+            if filtered is not None:
+                filtered[key] = sch
+        if sch is False:
+            raise InferenceFailure(f"no template arm fits {render_term(t)}")
+        return sch
 
     def _infer_inst(self, env: Env, t: TyInst) -> Scheme:
         instance = self._template(t.ty).temporary(self.checker, env)

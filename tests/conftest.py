@@ -37,16 +37,32 @@ def free_vars():
 
 
 @pytest.fixture()
-def shortcuts_off(monkeypatch):
+def filter_memo_off(monkeypatch):
+    """A switch that turns off the filter memo (`Inferencer._filtered`) in
+    every `Inferencer` made after it, for the rest of the test."""
+    from liqinfer.inference import Inferencer
+
+    init = Inferencer.__init__
+
+    def init_unfiltered(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._filtered = None
+
+    return lambda: monkeypatch.setattr(Inferencer, "__init__", init_unfiltered)
+
+
+@pytest.fixture()
+def shortcuts_off(monkeypatch, filter_memo_off):
     """A switch that turns off every shortcut the program takes past the
     paper's algorithm, for the rest of the test: the inference memo
-    (`Inferencer._age`), the derived types kept on their inputs (literal
-    schemes, self-types and one-binding substitutions), the Top type
-    settled before the judgement memo (`subtyping._TOPS`), the judgement
-    memo (`SubtypeChecker._sub` decides every judgement but a reflexive
-    one) and the temporary types a template keeps (`_Template.temps`, by
-    way of `_Template.temporary`). The validity engine keeps no verdicts, so
-    every judgement decided afresh reaches the decision procedure."""
+    (`Inferencer._age`), the filter memo (`filter_memo_off`), the derived
+    types kept on their inputs (literal schemes, self-types and one-binding
+    substitutions), the Top type settled before the judgement memo
+    (`subtyping._TOPS`), the judgement memo (`SubtypeChecker._sub` decides
+    every judgement but a reflexive one) and the temporary types a template
+    keeps (`_Template.temps`, by way of `_Template.temporary`). The validity
+    engine keeps no verdicts, so every judgement decided afresh reaches the
+    decision procedure."""
     from liqinfer import inference, subtyping, syntax
     from liqinfer.inference import Inferencer
     from liqinfer.subtyping import SubtypeChecker
@@ -72,6 +88,7 @@ def shortcuts_off(monkeypatch):
 
     def switch_off():
         monkeypatch.setattr(Inferencer, "_age", lambda self: None)
+        filter_memo_off()
         monkeypatch.setattr(ConstantTable, "type_of", literal_type)
         monkeypatch.setattr(Var, "self_type", property(self_type))
         for module in (syntax, inference, subtyping):

@@ -275,6 +275,28 @@ class TestExitCodes:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message + "\n")
 
+    def test_one_parser_serves_every_call(self, sign_file, capsys, monkeypatch):
+        """In one process the parser is built once, and a usage error leaves
+        it as it was: the calls after it print and exit as the ones before."""
+        from liqinfer import cli
+
+        built = [0]
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        calls = [[sign_file, "--json"], [sign_file, "--max-arms", "0"], ["check-metatheory", "--trials", "x"]]
+        before = [run_cli(capsys, *argv) for argv in calls]
+        parsers = built[0]
+        after = [run_cli(capsys, *argv) for argv in reversed(calls)][::-1]
+        assert parsers > 0 and built[0] == parsers
+        assert after == before
+        assert [code for code, _, _ in before] == [0, 1, 1]
+
     def test_mock_solver_accepted_as_external(self, tmp_path, capsys):
         import stat
 

@@ -430,11 +430,16 @@ def frames_run(build) -> tuple[list, list]:
     """The code objects of the Python frames that `build()` runs directly,
     and of those that these run directly in turn, each in order."""
     calls = []
+    # a collection would run `gc.callbacks`, whose frames are not the build's
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(lambda frame, event, arg: calls.append(frame) if event == "call" else None)
     try:
         build()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     outer, *inner = calls
     first = [f for f in inner if f.f_back is outer]
     return [f.f_code for f in first], [f.f_code for f in inner if f.f_back in first]
@@ -992,13 +997,14 @@ class TestQueryCounts:
             assert set(plain_keys) == set(keys), name
             assert len(plain_keys) > len(keys), name
 
-    def test_the_memo_cuts_queries_and_keeps_every_decision(self, monkeypatch):
+    def test_the_memo_cuts_queries_and_keeps_every_decision(self, monkeypatch, filter_memo_off):
         """Criterion-5 traffic re-checks every reduct: without the memo it
         asks the engine more than three times as many queries, and the
         engine decides the same set of queries, up to renaming. The
-        inference memo is off in both runs, so that every repeated
-        judgement reaches this memo."""
+        inference memo and the filter memo are off in both runs, so that
+        every repeated judgement reaches this memo."""
         monkeypatch.setattr(Inferencer, "_age", lambda self: None)
+        filter_memo_off()
         decided: set[str] = set()
         decide = validity.builtin_decide
 

@@ -232,6 +232,77 @@ class TestInferenceMemo:
         ]
 
 
+class TestFilterMemo:
+    """The outcome of filtering a template, kept per (Γ's formula, body
+    type, candidates)."""
+
+    def test_a_let_under_the_same_formula_asks_no_judgement(self, engine, sign_qualifiers, monkeypatch):
+        """Two environments that differ by a function-typed binding share
+        one formula: the second `let` is answered without a judgement."""
+        from liqinfer.logic import embed_env
+
+        inf = Inferencer(sign_qualifiers, engine)
+        term = normalize(parse_term("let y = 3 in y"))
+        outer = Env().extend("g", mono(top_skeleton(Arrow("a", INT, INT))))
+        three = mono(LiquidType((BaseArm(INT, FAtom("=", LVar(VALUE_VAR), LInt(3))),)))
+        assert embed_env(outer.extend("y", three)) is embed_env(Env().extend("y", three))
+        counts = {"judged": 0}
+        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", SubtypeChecker.is_subtype))
+        first = inf.infer(Env(), term)
+        assert counts["judged"] > 0
+        counts["judged"] = 0
+        assert inf.infer(outer, term) is first
+        assert counts["judged"] == 0
+        assert render_scheme(first) == render_scheme(Inferencer(sign_qualifiers).infer(outer, term))
+
+    def test_a_kept_failure_names_each_lets_own_term(self, engine, sign_qualifiers, monkeypatch):
+        """No arm fits either `let`, which share a key: the second is told
+        from the memo, in its own words."""
+        inf = Inferencer(sign_qualifiers, engine)
+        counts = {"judged": 0}
+        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", SubtypeChecker.is_subtype))
+        messages, judged = [], []
+        for name in ("f", "g"):
+            counts["judged"] = 0
+            with pytest.raises(InferenceFailure) as failure:
+                inf.infer(Env(), normalize(parse_term(f"let {name} = if false in {name} 0")))
+            messages.append(str(failure.value))
+            judged.append(counts["judged"])
+        assert messages == [
+            f"no template arm fits let {name} = [/\\a0](([a0]if) false) in ([int]{name}) 0" for name in ("f", "g")
+        ]
+        # the second `let` judges its body's application alone
+        assert judged[1] == 1 < judged[0], judged
+
+    def test_the_memo_is_exact(self, monkeypatch, filter_memo_off):
+        """Criterion-5 traffic with the memo and without: the same trials,
+        steps, failures and recheck verdicts, the same decisions, and fewer
+        judgements asked."""
+        from liqinfer import metatheory, validity
+        from liqinfer.metatheory import run_subject_reduction
+
+        counts = {"decided": 0, "judged": 0}
+        rechecked: list[bool] = []
+        recheck = metatheory.recheck
+        monkeypatch.setattr(validity, "builtin_decide", counting(counts, "decided", validity.builtin_decide))
+        monkeypatch.setattr(SubtypeChecker, "is_subtype", counting(counts, "judged", SubtypeChecker.is_subtype))
+        monkeypatch.setattr(metatheory, "recheck", lambda *a, **k: rechecked.append(recheck(*a, **k)) or rechecked[-1])
+        runs = {}
+        for memo in (True, False):
+            if not memo:
+                filter_memo_off()
+            counts.update(decided=0, judged=0)
+            rechecked.clear()
+            report = run_subject_reduction(40, fuel=100, seed=7, engine=ValidityEngine())
+            assert report.ok
+            runs[memo] = report, list(rechecked), dict(counts)
+        (with_memo, verdicts, counted), (without, plain_verdicts, uncounted) = runs[True], runs[False]
+        assert with_memo == without
+        assert verdicts == plain_verdicts and len(verdicts) > with_memo.trials
+        assert counted["decided"] == uncounted["decided"], (counted, uncounted)
+        assert counted["judged"] < uncounted["judged"], (counted, uncounted)
+
+
 CHAIN = "\\x. " + "".join(
     f"let x_{i} = sub 1 {'x' if i == 0 else f'x_{i - 1}'} in " for i in range(30)
 ) + "x_29"
