@@ -7,10 +7,15 @@ and subtyping against the inferred body keeps only the sound arms.  An
 intersection emptied by filtering collapses to the top-refined skeleton of
 the shape; an application with no accepting arm is an inference failure.
 
+Each binding rule has one code path. A λ tries the temporary type's arms,
+and if none is sound the top-refined skeleton's arm unless they include
+it, inferring its body once per distinct domain of each. A `let`, and a
+β-redex `(\\x. e2) e1`, which only evaluation makes, keep the sound arms
+among the temporary type's and the top arm.
+
 An `Inferencer` builds the template of each shape once, keyed by the shape
-itself, binder names and all, and keeps it for its life, together with the
-candidate arms of every well-formed part of it that a `let` has filtered.
-`fresh` itself stays a pure function of the shape and the qualifiers.
+itself, binder names and all, and keeps it for its life. `fresh` itself
+stays a pure function of the shape and the qualifiers.
 
 A template also keeps its temporary type per sorts of its free program
 variables in the environment, the only part of the environment its wf
@@ -28,15 +33,16 @@ a term share their subterms while the memo stays small.
 
 And it keeps the outcome of each `let`'s filter (`_filter_template`) for
 its life: the scheme of the kept arms, or the fact that no arm fits, under
-(the inner environment's formula `embed_env`, the body's type, the tuple of
-candidates), all hash-consed. The key is exact by the argument that lets
-`SubtypeChecker` key an arrow judgement by (Γ's formula, τ₁, τ₂): every
-judgement of the filter reads Γ only through its formula, apart from the
-name of a codomain's binder, and a renaming changes no verdict. Reducts
-rebuild `let` nodes under environments that differ only in bindings that
-add no conjunct, such as a function-typed one, which the (environment,
-node) memo tells apart and this one does not. A failure's message is
-rendered from each call's own term.
+(the inner environment's formula `embed_env`, the body's type, the
+temporary type), all hash-consed; the temporary type's shape, binders
+included, fixes the template and with it the candidates. The key is exact
+by the argument that lets `SubtypeChecker` key an arrow judgement by (Γ's
+formula, τ₁, τ₂): every judgement of the filter reads Γ only through its
+formula, apart from the name of a codomain's binder, and a renaming
+changes no verdict. Reducts rebuild `let` nodes under environments that
+differ only in bindings that add no conjunct, such as a function-typed
+one, which the (environment, node) memo tells apart and this one does
+not. A failure's message is rendered from each call's own term.
 
 Both memos are off while a constraint log is attached, since a memo hit
 logs nothing.
@@ -52,7 +58,6 @@ from .shapes import elaborate, shape_env
 from .subtyping import LogEntry, SubtypeChecker
 from .syntax import (
     App,
-    Arrow,
     Base,
     BaseArm,
     BoolConst,
@@ -153,9 +158,10 @@ def _strip_ty(t: Term) -> Term:
 
 class _Template:
     """The fresh template of one shape, its arms as one-arm types, its top
-    skeleton, its temporary types, and the candidate arms of
-    `_filter_template` per temporary type made from the template: the
-    surviving arms and the top arm.
+    skeleton and its temporary types. A temporary type fixes the arms that
+    both binding rules try, its own and then `top` unless they include it:
+    the λ rule's, and the let rule's, which also types a β-redex. So the
+    filter memo is keyed by the temporary type.
 
     This is the one memo of well-formedness verdicts. Well-formedness of τ
     reads Γ's sorts only at τ's free program variables (`LiquidType.free`):
@@ -165,7 +171,7 @@ class _Template:
     fixes every wf verdict there, and with them the temporary type: `temps`
     keeps it under that key, which is () for a closed template."""
 
-    __slots__ = ("template", "singles", "shape", "top", "temps", "candidates")
+    __slots__ = ("template", "singles", "shape", "top", "temps")
 
     def __init__(self, template: LiquidType, shape: SimpleType) -> None:
         self.template = template
@@ -173,7 +179,6 @@ class _Template:
         self.shape = shape
         self.top = top_skeleton(shape)
         self.temps: dict[tuple[Optional[str], ...], LiquidType] = {}
-        self.candidates: dict[LiquidType, tuple[LiquidType, ...]] = {}
 
     def temporary(self, checker: SubtypeChecker, env: Env) -> LiquidType:
         """The temporary type under `env`, made once per key; at every use
@@ -195,9 +200,11 @@ class Inferencer:
     checker, with the memos it keeps: the template of each shape
     (`_templates`), each node's answer per environment over the last two
     generations (`_memo`, `_old`), and each filter's outcome per (Γ's
-    formula, body, candidates) for its life (`_filtered`). The last two are
-    off while a constraint log is attached; see the module docstring for
-    why each is exact."""
+    formula, body, temporary type) for its life (`_filtered`). The last two
+    are off while a constraint log is attached; see the module docstring
+    for why each is exact. The λ rule tries the top arm only when the
+    temporary type's arms fail and do not include it, and a β-redex is
+    typed by the let rule (`_infer_let`)."""
 
     def __init__(
         self,
@@ -267,7 +274,7 @@ class Inferencer:
             elif isinstance(t, App):
                 sch = self._infer_app(env, t)
             elif isinstance(t, Let):
-                sch = self._infer_let(env, t)
+                sch = self._infer_let(env, t, t.binder, t.bound, t.body)
             elif isinstance(t, TyAbs):
                 inner = self._infer(env, t.body)
                 sch = Scheme((t.tyvar,) + inner.qvars, inner.body)
@@ -289,52 +296,37 @@ class Inferencer:
         return sch.body
 
     def _infer_lam(self, env: Env, t: Lam) -> Scheme:
-        shape = t.shape
-        assert isinstance(shape, Arrow)
-        tpl = self._template(shape)
-        temp = tpl.temporary(self.checker, env)
-        top = tpl.top
-        collapsed = temp == top and top.arms[0] not in tpl.template.arms
-        wf_arms = list(temp.arms)
-        # one body inference per distinct domain
-        bodies: dict[LiquidType, Optional[LiquidType]] = {}
-        for arm in wf_arms:
-            assert isinstance(arm, FunArm)
-            if arm.dom in bodies:
-                continue
-            try:
-                sch = self._infer(env.extend(arm.binder, mono(arm.dom)), t.body)
-                bodies[arm.dom] = self._mono_body(sch, t.body)
-            except InferenceFailure:
-                bodies[arm.dom] = None
-        survivors = [
-            arm for arm in wf_arms
-            if bodies[arm.dom] is not None
-            and self.checker.is_subtype(env.extend(arm.binder, mono(arm.dom)), bodies[arm.dom], arm.cod)
-        ]
-        if survivors:
-            return mono(make_type(survivors))
-        if not collapsed:
-            top_arm = top.arms[0]
-            assert isinstance(top_arm, FunArm)
-            inner = env.extend(top_arm.binder, mono(top_arm.dom))
-            try:
-                body = self._mono_body(self._infer(inner, t.body), t.body)
-            except InferenceFailure:
-                body = None
-            if body is not None and self.checker.is_subtype(inner, body, top_arm.cod):
-                return mono(top)
+        tpl = self._template(t.shape)
+        arms = tpl.temporary(self.checker, env).arms
+        top_arm = tpl.top.arms[0]
+        # the temporary type's arms, then the top arm unless it was one of them
+        for tried in (arms, () if top_arm in arms else (top_arm,)):
+            # one body inference per distinct domain of the arms tried
+            bodies: dict[LiquidType, Optional[LiquidType]] = {}
+            for arm in tried:
+                assert isinstance(arm, FunArm)
+                if arm.dom in bodies:
+                    continue
+                try:
+                    sch = self._infer(env.extend(arm.binder, mono(arm.dom)), t.body)
+                    bodies[arm.dom] = self._mono_body(sch, t.body)
+                except InferenceFailure:
+                    bodies[arm.dom] = None
+            survivors = [
+                arm for arm in tried
+                if bodies[arm.dom] is not None
+                and self.checker.is_subtype(env.extend(arm.binder, mono(arm.dom)), bodies[arm.dom], arm.cod)
+            ]
+            if survivors:
+                return mono(make_type(survivors))
         raise InferenceFailure(f"no template arm fits {render_term(t)}")
 
     def _infer_app(self, env: Env, t: App) -> Scheme:
         if isinstance(t.fun, Lam):
-            # A direct beta redex only arises from evaluation (normalization
-            # let-binds lambda heads); type it like the equivalent let so the
-            # argument keeps its precise type.
-            arg_sch = self._infer(env, t.arg)
-            inner_env = env.extend(t.fun.binder, arg_sch)
-            body = self._mono_body(self._infer(inner_env, t.fun.body), t.fun.body)
-            return self._filter_template(env, inner_env, body, t.shape, t)
+            # a beta redex, which only evaluation makes (normalization
+            # let-binds lambda heads), is typed by the let rule, so the
+            # argument keeps its precise type
+            return self._infer_let(env, t, t.fun.binder, t.arg, t.fun.body)
         fun = self._infer(env, t.fun)
         if fun.qvars:
             raise InferenceFailure(
@@ -377,31 +369,30 @@ class Inferencer:
             out.extend(cod.arms)
         return make_type(out)
 
-    def _infer_let(self, env: Env, t: Let) -> Scheme:
-        bound = self._infer(env, t.bound)
-        inner_env = env.extend(t.binder, bound)
-        body = self._mono_body(self._infer(inner_env, t.body), t.body)
-        return self._filter_template(env, inner_env, body, t.shape, t)
+    def _infer_let(self, env: Env, t: Term, binder: str, bound: Term, body: Term) -> Scheme:
+        """The let rule, for `let binder = bound in body` and for the redex
+        `(\\binder. body) bound`; `t` is the term itself, for messages."""
+        inner_env = env.extend(binder, self._infer(env, bound))
+        body_type = self._mono_body(self._infer(inner_env, body), body)
+        return self._filter_template(env, inner_env, body_type, t)
 
-    def _filter_template(
-        self, env: Env, inner_env: Env, body: LiquidType, shape: SimpleType, t: Term
-    ) -> Scheme:
-        tpl = self._template(shape)
+    def _filter_template(self, env: Env, inner_env: Env, body: LiquidType, t: Term) -> Scheme:
+        tpl = self._template(t.shape)
         temp = tpl.temporary(self.checker, env)  # wf under the outer env
-        candidates = tpl.candidates.get(temp)
-        if candidates is None:
-            # the top-refined skeleton is always a candidate; keeping it
-            # whenever it is derivable makes let results stable under
-            # evaluation, which substitutes ever more precise types for the
-            # bound variable
-            arms = dict.fromkeys(temp.arms + tpl.top.arms)
-            candidates = tpl.candidates[temp] = tuple(LiquidType((arm,)) for arm in arms)
-        # the outcome per (Γ's formula, body, candidates), kept while no log
-        # is attached: the kept arms' scheme, or False when no arm fits
+        # the outcome per (Γ's formula, body, temporary type), kept while no
+        # log is attached: the kept arms' scheme, or False when no arm fits
         filtered = self._filtered if self.checker.log is None else None
-        key = (embed_env(inner_env), body, candidates)
+        key = (embed_env(inner_env), body, temp)
         sch = filtered.get(key) if filtered is not None else None
         if sch is None:
+            # the candidates: the temporary type's arms, then the top-refined
+            # skeleton unless it is one of them; keeping it whenever it is
+            # derivable makes let results stable under evaluation, which
+            # substitutes ever more precise types for the bound variable
+            arms = temp.arms
+            candidates = [single for single in tpl.singles if single.arms[0] in arms]
+            if tpl.top not in candidates:
+                candidates.append(tpl.top)
             keep = [
                 c.arms[0] for c in candidates if self.checker.is_subtype(inner_env, body, c)
             ]

@@ -99,11 +99,13 @@ GOLDEN = ROOT / "tests" / "golden"
 
 class TestConstraintGoldens:
     """`--emit-constraints` prints every logged judgement, answers from the
-    checker's memos included, in a fixed order; both goldens pin it line for
+    checker's memos included, in a fixed order; each golden pins it line for
     line. `scope.ml` has a qualifier over `y`, which is out of scope before
     `val y` and in scope after it. `chain.ml` is a three-deep let chain whose
     Top judgements and closed-template wf verdicts inference settles
-    without asking: they log as asked ones do."""
+    without asking: they log as asked ones do. In `fallback.ml` no arm of
+    either λ's template fits, so each falls back to its top-refined
+    skeleton, whose arm is not in the template."""
 
     @pytest.mark.parametrize(
         "source, golden",
@@ -111,8 +113,9 @@ class TestConstraintGoldens:
             (ROOT / "demos" / "sign.ml", GOLDEN / "sign.constraints"),
             (GOLDEN / "scope.ml", GOLDEN / "scope.constraints"),
             (GOLDEN / "chain.ml", GOLDEN / "chain.constraints"),
+            (GOLDEN / "fallback.ml", GOLDEN / "fallback.constraints"),
         ],
-        ids=["sign", "scope", "chain"],
+        ids=["sign", "scope", "chain", "fallback"],
     )
     def test_emit_constraints_matches_golden(self, source, golden, capsys):
         code, out, err = run_cli(capsys, str(source), "--emit-constraints")

@@ -7,6 +7,7 @@ from liqinfer.parser import parse_term
 from liqinfer.shapes import w_infer
 from liqinfer.subtyping import SubtypeChecker
 from liqinfer.syntax import (
+    App,
     Arrow,
     BOOL,
     BaseArm,
@@ -16,6 +17,7 @@ from liqinfer.syntax import (
     FunArm,
     INT,
     IntConst,
+    Lam,
     LInt,
     LiquidType,
     LNeg,
@@ -511,6 +513,26 @@ class TestInferForms:
 
         with pytest.raises(ShapeError):
             inferencer.infer(Env(), parse_term("ghost"))
+
+
+class TestRedex:
+    """A β-redex `(\\x. e2) e1`, which only evaluation makes, is typed by
+    the let rule, and a failure names the redex itself."""
+
+    @staticmethod
+    def redex(source):
+        let = normalize(parse_term(source))
+        return let, App(Lam(let.binder, let.body), let.bound)  # as `semantics.step` builds it
+
+    def test_a_redex_gets_the_scheme_of_its_let(self, inferencer, sign_qualifiers):
+        let, redex = self.redex("let y = 3 in + y 1")
+        assert inferencer.infer(Env(), redex) == Inferencer(sign_qualifiers).infer(Env(), let)
+
+    def test_a_failing_redex_names_itself(self, inferencer):
+        _, redex = self.redex("let f = if false in f 0")
+        with pytest.raises(InferenceFailure) as failure:
+            inferencer.infer(Env(), redex)
+        assert str(failure.value) == "no template arm fits (\\f. f 0) (([int]if) false)"
 
 
 class TestInvariants:
