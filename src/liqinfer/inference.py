@@ -9,7 +9,7 @@ the shape; an application with no accepting arm is an inference failure.
 
 Each binding rule has one code path. A λ tries the temporary type's arms,
 and if none is sound the top-refined skeleton's arm unless they include
-it, inferring its body once per distinct domain of each. A `let`, and a
+it, inferring its body once per distinct domain of them all. A `let`, and a
 β-redex `(\\x. e2) e1`, which only evaluation makes, keep the sound arms
 among the temporary type's and the top arm.
 
@@ -124,12 +124,10 @@ def _arm_with(shape: SimpleType, quals) -> Union[BaseArm, FunArm, VarArm]:
 
 def fresh(shape: SimpleType, qualifiers: Sequence[Formula], max_arms: int = 4096) -> LiquidType:
     """One arm per function from the base positions of the shape into the
-    qualifier set; |Q|^k arms for k positions.  The empty product collapses
-    to the top skeleton."""
+    qualifier set; |Q|^k arms for k positions, so one for a shape with no
+    base position. An empty qualifier set gives the top skeleton."""
     k = _count_base(shape)
     quals = tuple(dict.fromkeys(qualifiers))  # dedupe, keep order
-    if k == 0:
-        return LiquidType((_arm_with(shape, iter(())),))
     if not quals:
         return top_skeleton(shape)
     count = len(quals) ** k
@@ -299,12 +297,12 @@ class Inferencer:
         tpl = self._template(t.shape)
         arms = tpl.temporary(self.checker, env).arms
         top_arm = tpl.top.arms[0]
+        # one body inference per distinct domain across both lists tried: the
+        # top arm's domain is among the arms' when it is a type variable
+        bodies: dict[LiquidType, Optional[LiquidType]] = {}
         # the temporary type's arms, then the top arm unless it was one of them
         for tried in (arms, () if top_arm in arms else (top_arm,)):
-            # one body inference per distinct domain of the arms tried
-            bodies: dict[LiquidType, Optional[LiquidType]] = {}
             for arm in tried:
-                assert isinstance(arm, FunArm)
                 if arm.dom in bodies:
                     continue
                 try:
@@ -347,10 +345,10 @@ class Inferencer:
         """Codomains of the arms whose domain accepts the argument, with the
         argument substituted, intersected."""
         where = at if at is not None else arg_term  # rendered only in errors
-        arms = [a for a in fun_type.arms if isinstance(a, FunArm)]
-        if not arms:
+        # the arms share one shape, so the first's class is every arm's
+        if fun_type.arms[0].__class__ is not FunArm:
             raise InferenceFailure(f"application of a non-function in {render_term(where)}")
-        survivors = [a for a in arms if self.checker.is_subtype(env, arg_type, a.dom)]
+        survivors = [a for a in fun_type.arms if self.checker.is_subtype(env, arg_type, a.dom)]
         if not survivors:
             raise InferenceFailure(
                 f"no function arm accepts the argument in {render_term(where)}"
@@ -411,16 +409,14 @@ class Inferencer:
                 f"instantiation of a monomorphic term: {render_term(t)}"
             )
         alpha, rest = inner.qvars[0], inner.qvars[1:]
-        return Scheme(rest, subst_tyvar_liquid(inner.body, alpha, instance))
+        return Scheme(rest, subst_tyvar_liquid(inner.body, {alpha: instance}))
 
     def _partial_type(self, env: Env, c: PartialPrim) -> Scheme:
         if c.op == "ite":
             sch = CONSTANTS.type_of(PrimConst("ite"))
             body = sch.body
             for _ in c.args:
-                arm = body.arms[0]
-                assert isinstance(arm, FunArm)
-                body = arm.cod
+                body = body.arms[0].cod
             return Scheme(sch.qvars, body)
         cur = CONSTANTS.type_of(PrimConst(c.op)).body
         for arg in c.args:

@@ -34,6 +34,7 @@ from .syntax import (
     Let,
     LInt,
     LiqError,
+    LiquidType,
     LMul,
     LNeg,
     LogicTerm,
@@ -44,8 +45,10 @@ from .syntax import (
     Scheme,
     Term,
     Var,
+    VarArm,
     VALUE_VAR,
     render_term,
+    subst_tyvar_liquid,
     symbols,
 )
 from .validity import ValidityEngine
@@ -70,13 +73,27 @@ def recheck(
     inferencer: Optional[Inferencer] = None,
 ) -> bool:
     """Sound (not complete) check that the term has the given type: the
-    inferred type must be a subtype of it and it must be well formed."""
+    inferred scheme has as many quantifiers and, both opened alike, its body
+    is a subtype of the given one, which must be well formed."""
     inf = inferencer if inferencer is not None else Inferencer(qualifiers, engine)
     try:
         inferred = inf.infer(env, term)
     except LiqError:
         return False
-    return inf.checker.wf_check(env, scheme) and inf.checker.is_subtype(env, inferred, scheme)
+    if len(inferred.qvars) != len(scheme.qvars):
+        return False
+    given = _opened(scheme)
+    return inf.checker.wf_check(env, given) and inf.checker.is_subtype(env, _opened(inferred), given)
+
+
+def _opened(s: Scheme) -> LiquidType:
+    """The body of s with its i-th quantifier renamed to `#i`, all at once;
+    no type variable free in s holds a `#`, which the tokenizer never reads
+    and `NameSource` never makes, so nothing is captured."""
+    if not s.qvars:
+        return s.body
+    opened = {q: LiquidType((VarArm(f"#{i}"),)) for i, q in enumerate(s.qvars)}
+    return subst_tyvar_liquid(s.body, opened)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +401,7 @@ def default_qualifiers() -> tuple[Formula, ...]:
 def random_base_query(rng: random.Random) -> tuple[Env, list[BaseArm], list[BaseArm]]:
     """A random environment of int bindings plus intersections of comparison
     refinements, shaped like the queries subtyping generates."""
-    from .syntax import INT, LiquidType, mono
+    from .syntax import INT, mono
 
     var_names = ["x", "y"][: rng.randint(0, 2)]
 

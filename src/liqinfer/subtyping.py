@@ -12,9 +12,10 @@ one memo, which keys a base judgement up to a renaming of its names and
 any other judgement by name (see `SubtypeChecker`). A base target refined
 by Top at every arm is settled without a query: every value satisfies
 {v | true}; the Top type of the source's base shape is settled before the
-memo, with no environment formula and no memo entry. `is_subtype` hands
-two liquid types straight to `_sub`, the memo's one entry, and logs every
-judgement it is asked.
+memo, with no environment formula and no memo entry. The checker judges
+liquid types only, as Liquid Types do: `is_subtype` hands its two straight
+to `_sub`, the memo's one entry, and logs every judgement it is asked;
+`metatheory.recheck`, the one caller with schemes, opens them first.
 Well-formedness keeps no memo: `wf_check` walks the type on every call,
 reading Γ's sorts only at its free program variables (inference keeps the
 verdicts per template, `inference._Template`).
@@ -22,7 +23,7 @@ verdicts per template, `inference._Template`).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .logic import conj, embed_env
 from .syntax import (
@@ -34,7 +35,6 @@ from .syntax import (
     FunArm,
     INT,
     LiquidType,
-    Scheme,
     TRUE,
     Var,
     VarArm,
@@ -44,8 +44,8 @@ from .syntax import (
     make_type,
     mono,
     render_scheme,
+    render_type,
     subst_liquid,
-    subst_tyvar_liquid,
 )
 from .validity import Valid, ValidityEngine, ValidityQuery, canonical_form
 
@@ -62,7 +62,8 @@ _TOPS = {INT: base_top(INT), BOOL: base_top(BOOL)}
 
 
 class SubtypeChecker:
-    """Well-formedness and subtyping judgements under one validity engine.
+    """Well-formedness and subtyping judgements on liquid types under one
+    validity engine; `metatheory.recheck` opens the schemes it compares.
 
     A judgement Γ ⊢ τ₁ <: τ₂ depends on Γ only through Γ's formula,
     `embed_env(Γ)`: its base queries read Γ through that formula alone, and
@@ -119,11 +120,10 @@ class SubtypeChecker:
 
     # -- well-formedness ----------------------------------------------------
 
-    def wf_check(self, env: Env, s: Union[Scheme, LiquidType]) -> bool:
-        t = s if isinstance(s, LiquidType) else s.body
+    def wf_check(self, env: Env, t: LiquidType) -> bool:
         ok = self._wf_type(t, {x: env.sort_of(x) for x in t.free})
         if self.log is not None:
-            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {_render(s)}", ok))
+            self.log.append(LogEntry("wf", f"{_env_str(env)} |- {render_type(t)}", ok))
         return ok
 
     def _wf_type(self, t: LiquidType, sorts: dict[str, Optional[str]]) -> bool:
@@ -148,33 +148,11 @@ class SubtypeChecker:
 
     # -- subtyping ----------------------------------------------------------
 
-    def is_subtype(
-        self,
-        env: Env,
-        a: Union[Scheme, LiquidType],
-        b: Union[Scheme, LiquidType],
-    ) -> bool:
-        if a.__class__ is LiquidType and b.__class__ is LiquidType:
-            ok = self._sub(env, a, b)
-        else:
-            ok = self._sub_scheme(env, a, b)
+    def is_subtype(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
+        ok = self._sub(env, a, b)
         if self.log is not None:
-            self.log.append(LogEntry("sub", f"{_env_str(env)} |- {_render(a)} < {_render(b)}", ok))
+            self.log.append(LogEntry("sub", f"{_env_str(env)} |- {render_type(a)} < {render_type(b)}", ok))
         return ok
-
-    def _sub_scheme(
-        self, env: Env, a: Union[Scheme, LiquidType], b: Union[Scheme, LiquidType]
-    ) -> bool:
-        qvars_a = a.qvars if isinstance(a, Scheme) else ()
-        qvars_b = b.qvars if isinstance(b, Scheme) else ()
-        if len(qvars_a) != len(qvars_b):
-            return False
-        body_a = a.body if isinstance(a, Scheme) else a
-        body_b = b.body if isinstance(b, Scheme) else b
-        for qa, qb in zip(qvars_a, qvars_b):
-            if qa != qb:
-                body_b = subst_tyvar_liquid(body_b, qb, LiquidType((VarArm(qa),)))
-        return self._sub(env, body_a, body_b)
 
     def _sub(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
         if a is b or b is _TOPS.get(a.shape):
@@ -193,22 +171,18 @@ class SubtypeChecker:
         if bare(a.shape) is not bare(b.shape):
             return False
         first = b.arms[0]
-        if isinstance(first, BaseArm):
+        # the shapes agree, so every arm of a and of b has the class of b's first
+        if first.__class__ is BaseArm:
             if all(arm.ref is TRUE for arm in b.arms):
                 return True  # the Top rule
-            lhs = [arm for arm in a.arms if isinstance(arm, BaseArm)]
-            rhs = [arm for arm in b.arms if isinstance(arm, BaseArm)]
-            q = self.base_subtype_query(env, lhs, rhs)
+            q = self.base_subtype_query(env, a.arms, b.arms)
             return isinstance(self.engine.check(q, need_model=False), Valid)
-        if isinstance(first, VarArm):
+        if first.__class__ is VarArm:
             return a.arms == b.arms
-        return all(
-            self._sub_arrow(env, list(a.arms), arm)  # each target arm independently
-            for arm in b.arms
-            if isinstance(arm, FunArm)
-        )
+        # each target arm independently
+        return all(self._sub_arrow(env, a.arms, arm) for arm in b.arms)
 
-    def _sub_arrow(self, env: Env, lhs_arms: list, rhs: FunArm) -> bool:
+    def _sub_arrow(self, env: Env, lhs_arms: Sequence[FunArm], rhs: FunArm) -> bool:
         survivors = [arm for arm in lhs_arms if self._sub(env, rhs.dom, arm.dom)]
         if not survivors:
             return False
@@ -234,7 +208,9 @@ class SubtypeChecker:
             binder += "#"
         return binder
 
-    def base_subtype_query(self, env: Env, lhs_arms: list, rhs_arms: list) -> ValidityQuery:
+    def base_subtype_query(
+        self, env: Env, lhs_arms: Sequence[BaseArm], rhs_arms: Sequence[BaseArm]
+    ) -> ValidityQuery:
         hyp = conj([embed_env(env)] + [a.ref for a in lhs_arms])
         concl = conj([a.ref for a in rhs_arms])
         return ValidityQuery(hyp, concl)
@@ -265,10 +241,6 @@ def _refinement_form(t: LiquidType) -> tuple[str, tuple[str, ...]]:
         form = (text, tuple(renaming))
         object.__setattr__(t, "_canonical", form)
         return form
-
-
-def _render(s: Union[Scheme, LiquidType]) -> str:
-    return render_scheme(s if isinstance(s, Scheme) else mono(s))
 
 
 def _env_str(env: Env) -> str:

@@ -669,7 +669,8 @@ def make_type(arms: Iterable[Arm]) -> LiquidType:
                 f" vs {render_simple_type(shape)}"
             )
     uniq = list(dict.fromkeys(todo))
-    if len(uniq) > 1 and all(isinstance(a, BaseArm) for a in uniq):
+    # the shapes agree, so every arm has the first one's class
+    if len(uniq) > 1 and uniq[0].__class__ is BaseArm:
         informative = [a for a in uniq if a.ref is not TRUE]
         if informative:
             uniq = informative
@@ -692,13 +693,12 @@ def shape_of(t: Union[LiquidType, Scheme]) -> SimpleType:
 
 
 def well_founded(t: Union[LiquidType, Scheme, Arm], shape: SimpleType) -> bool:
-    """Derivability of t :: shape: every arm's bare shape is the shape's.
-    Every part of t has a shape, since a type whose arms differ in shape
-    cannot be built."""
+    """Derivability of t :: shape: t's bare shape is the shape's. Every
+    part of t has a shape, and a type's is each of its arms', since a type
+    whose arms differ in shape cannot be built."""
     if isinstance(t, Scheme):
         t = t.body
-    arms = t.arms if isinstance(t, LiquidType) else (t,)
-    return all(bare(a.shape) is bare(shape) for a in arms)
+    return bare(t.shape) is bare(shape)
 
 
 def base_top(base: Base) -> LiquidType:
@@ -729,7 +729,8 @@ def base_arms(scheme: Scheme) -> tuple[BaseArm, ...]:
     """The arms of a binding refinements can see, a monomorphic scheme
     whose arms are all base arms; () for any other binding."""
     arms = scheme.body.arms
-    if scheme.qvars or not all(isinstance(a, BaseArm) for a in arms):
+    # the arms share one shape, so the first's class is every arm's
+    if scheme.qvars or arms[0].__class__ is not BaseArm:
         return ()
     return arms
 
@@ -858,19 +859,16 @@ def subst_type(rho: ValueSubst, s: Scheme) -> Scheme:
     return Scheme(s.qvars, subst_liquid(s.body, dict(rho)))
 
 
-def subst_tyvar_liquid(t: LiquidType, name: str, repl: LiquidType) -> LiquidType:
-    """Replace the type variable `name` with the type `repl` (arm splicing)."""
+def subst_tyvar_liquid(t: LiquidType, rho: Mapping[str, LiquidType]) -> LiquidType:
+    """Replace each type variable in `rho`'s domain with its type, all at
+    once (arm splicing): a replacement is not substituted into again."""
     arms: list[Arm] = []
     for a in t.arms:
-        if isinstance(a, VarArm) and a.name == name:
-            arms.extend(repl.arms)
+        if isinstance(a, VarArm) and a.name in rho:
+            arms.extend(rho[a.name].arms)
         elif isinstance(a, FunArm):
             arms.append(
-                FunArm(
-                    a.binder,
-                    subst_tyvar_liquid(a.dom, name, repl),
-                    subst_tyvar_liquid(a.cod, name, repl),
-                )
+                FunArm(a.binder, subst_tyvar_liquid(a.dom, rho), subst_tyvar_liquid(a.cod, rho))
             )
         else:
             arms.append(a)

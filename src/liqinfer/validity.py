@@ -23,7 +23,8 @@ that has no variables is scaling and stays linear. Any other product is the
 uninterpreted ``times``: an opaque term to Fourier-Motzkin, so Valid stays
 sound, and congruent to another with equal sides. The query still holds a
 real product, so an Invalid model must give each such product the product
-of its sides' values.
+of its sides' values; an external solver's `sat` to a script that declares
+``times`` is therefore Unknown.
 
 Inference asks only "Valid?" (`check(q, need_model=False)`): the built-in
 walk stops at the first case Fourier-Motzkin does not refute and answers
@@ -688,9 +689,9 @@ def emit_smtlib(q: ValidityQuery, nonlinear: bool = False) -> str:
     return _script(q, nonlinear)[0]
 
 
-def _script(q: ValidityQuery, nonlinear: bool) -> tuple[str, dict[str, str]]:
-    """The script of `emit_smtlib`, and the name it declares for each of
-    the query's variables."""
+def _script(q: ValidityQuery, nonlinear: bool) -> tuple[str, dict[str, str], bool]:
+    """The script of `emit_smtlib`, the name it declares for each of the
+    query's variables, and whether it declares an uninterpreted symbol."""
     sorts, ufs = _symbols(q.hypothesis, q.conclusion)
     if nonlinear:
         ufs.pop("times", None)
@@ -714,7 +715,7 @@ def _script(q: ValidityQuery, nonlinear: bool) -> tuple[str, dict[str, str]]:
     lines.append(f"(assert {_smt_formula(q.hypothesis, name)})")
     lines.append(f"(assert (not {_smt_formula(q.conclusion, name)}))")
     lines.append("(check-sat)")
-    return "\n".join(lines) + "\n", names
+    return "\n".join(lines) + "\n", names, bool(ufs)
 
 
 def run_solver(cmd: str, script: str, timeout: float) -> str:
@@ -857,10 +858,13 @@ class ValidityEngine:
     def check_external(self, q: ValidityQuery) -> Verdict:
         """One solver process per query: the script asks for a model right
         after the answer, and a `sat` answer reads its model from the same
-        output, under the query's names."""
+        output, under the query's names. A `sat` answer to a script that
+        declares the uninterpreted ``times`` is Unknown: its model may give a
+        product any value, so it need not be a countermodel of the query,
+        whose products are real."""
         if not self.smt_cmd:
             return Unknown("no external solver configured")
-        script, names = _script(q, self.nonlinear_external)
+        script, names, uninterpreted = _script(q, self.nonlinear_external)
         self.stats["external_calls"] += 1
         try:
             out = run_solver(self.smt_cmd, script + "(get-model)\n", self.timeout)
@@ -877,6 +881,8 @@ class ValidityEngine:
         if answer == "unsat":
             return VALID
         if answer == "sat":
+            if uninterpreted:
+                return Unknown("sat with uninterpreted times")
             # the model names the script's declarations: give each its
             # variable's name in the query
             query_name = {declared: n for n, declared in names.items()}

@@ -122,6 +122,20 @@ class TestConstraintGoldens:
         assert code == 0, err
         assert out.splitlines() == golden.read_text().splitlines()
 
+    def test_a_lambda_infers_its_body_once_per_domain(self, tmp_path, capsys):
+        """The top arm of this λ has the domain `a0` of its template's one
+        arm, so both share one inference of the body, and no subtyping
+        judgement is logged twice. The one wf line that repeats is the int
+        template of the two `let`s that ANF makes, logged at each."""
+        path = tmp_path / "lam.ml"
+        path.write_text("Qualifiers { v = 7 }\nval f = \\x. let y = + 1 2 in y\n")
+        code, out, err = run_cli(capsys, str(path), "--emit-constraints")
+        assert code == 0, err
+        lines = out.splitlines()
+        sub = [line for line in lines if line.startswith("-- sub:")]
+        assert len(lines) == 12 and len(sub) == 8
+        assert len(set(sub)) == len(sub)
+
     def test_chain_golden_logs_settled_judgements(self):
         lines = (GOLDEN / "chain.constraints").read_text().splitlines()
         wf = [line for line in lines if line.startswith("-- wf:")]

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -15,7 +16,7 @@ from liqinfer.metatheory import (
     semantic_implication_oracle,
     subject_reduction_trial,
 )
-from liqinfer.parser import parse_term
+from liqinfer.parser import parse_scheme, parse_term
 from liqinfer.syntax import (
     BaseArm,
     FAtom,
@@ -64,6 +65,28 @@ class TestRecheck:
         six = FAtom("=", LVar(VALUE_VAR), LInt(6))
         assert not semantic_implication_oracle(Env(), five, six, bound=8)
         assert not recheck(Env(), parse_term("5"), mono(base(six)), sign_qualifiers, engine)
+
+    def test_scheme_quantifiers_opened_at_one_name(self, sign_qualifiers, engine):
+        term = normalize(parse_term("\\x. x"))
+        assert recheck(Env(), term, parse_scheme("forall b. (x: b -> b)"), sign_qualifiers, engine)
+        assert not recheck(Env(), term, parse_scheme("(x: a0 -> a0)"), sign_qualifiers, engine)
+
+    @pytest.mark.parametrize("first, second", list(permutations(("a0", "a1", "p", "q"), 2)))
+    def test_every_renaming_of_the_quantifiers_holds(self, sign_qualifiers, engine, first, second):
+        """`\\x.\\y. x` is inferred `forall a0 a1. (x: a0 -> (y: a1 -> a0))`;
+        each scheme here is an alpha-variant, `forall a1 a0. ...` too, whose
+        names are the inferred ones permuted."""
+        term = normalize(parse_term("\\x.\\y. x"))
+        scheme = parse_scheme(f"forall {first} {second}. (x: {first} -> (y: {second} -> {first}))")
+        assert recheck(Env(), term, scheme, sign_qualifiers, engine)
+
+    @pytest.mark.parametrize("text", [
+        "forall a0. (x: a0 -> (y: a0 -> a0))",
+        "forall a0 a1 a2. (x: a0 -> (y: a1 -> a0))",
+    ])
+    def test_another_number_of_quantifiers_fails(self, sign_qualifiers, engine, text):
+        term = normalize(parse_term("\\x.\\y. x"))
+        assert not recheck(Env(), term, parse_scheme(text), sign_qualifiers, engine)
 
     def test_reflexive_recheck(self, sign_qualifiers, engine):
         inf = Inferencer(sign_qualifiers, engine)

@@ -54,6 +54,10 @@ def sources():
     yield "wide/let", "Qualifiers { v >= 0, v <= 0, v = 0 }\nval f = \\x.\\y. let z = sub x y in * z x\n"
     yield "deep/nested", f"{SIGN}val f = {nested_chain(12)}\n"
     yield "deep/let", f"{SIGN}val f0 = {nested_chain(6)}\nval f1 = {let_chain(12)}\n"
+    # a polymorphic `val` used at an instance, and a λ whose domain is a type
+    # variable, so that its top arm's domain is its template arm's
+    yield "poly/instance", "Qualifiers { v >= 0 }\nval id = \\z. z\nval a = id 5\n"
+    yield "poly/lam", "Qualifiers { v = 7 }\nval f = \\x. let y = + 1 2 in y\n"
     # `x` is unbound at `f` and an int at `g` and `h`
     yield "open", (
         "Qualifiers { v >= 0, v >= x, v <= x }\n"

@@ -170,12 +170,6 @@ class TestIsSubtype:
                 rref = rhs.arms[0].ref if len(rhs.arms) == 1 else FAnd(tuple(a.ref for a in rhs.arms))
                 assert semantic_implication_oracle(Env(), lref, rref, 4)
 
-    def test_scheme_quantifiers_stripped_pairwise(self, checker):
-        a = Scheme(("a",), LiquidType((VarArm("a"),)))
-        b = Scheme(("b",), LiquidType((VarArm("b"),)))
-        assert checker.is_subtype(Env(), a, b)
-        assert not checker.is_subtype(Env(), a, mono(LiquidType((VarArm("a"),))))
-
     def test_different_shapes_rejected(self, checker):
         assert not checker.is_subtype(Env(), base(GE), LiquidType((BaseArm(BOOL, TRUE),)))
 

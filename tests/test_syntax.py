@@ -250,7 +250,7 @@ class TestConstantTable:
         checker = SubtypeChecker(engine)
         for op in ("neg", "add", "sub", "mul", "le", "ge", "lt", "gt", "eq", "ite", "fix"):
             sch = CONSTANTS.type_of(PrimConst(op))
-            assert checker.wf_check(Env(), sch), op
+            assert checker.wf_check(Env(), sch.body), op
 
     def test_mul_has_exact_and_sign_arms(self):
         sch = CONSTANTS.type_of(PrimConst("mul"))

@@ -701,6 +701,25 @@ class TestExternalBackend:
         assert eng.check(q) == Invalid((("%x", 2), ("x%0", -1)))
         assert "(declare-const _x Int)\n(declare-const x_0 Int)" in seen.read_text()
 
+    def test_sat_under_uninterpreted_times_is_unknown(self, tmp_path):
+        """`v = x * x |- v >= 0` holds over the integers; the built-in
+        procedure cannot complete its products, so `both` asks the solver.
+        The script's `times` is uninterpreted, and `times(0, 0) = -1` makes
+        it satisfiable, but that model is no countermodel of the query. A
+        script that writes real products keeps its `sat` answer Invalid."""
+        cmd = _mock_solver(tmp_path, """\
+            cat > /dev/null
+            echo sat
+            echo '(model (define-fun v () Int (- 1)) (define-fun x () Int 0))'
+            """)
+        q = ValidityQuery(atom("=", V, LMul(X, X)), atom(">=", V, LInt(0)))
+        assert builtin_decide(q) == Unknown("products not completed")
+        for backend in ("external", "both"):
+            got = ValidityEngine(backend=backend, smt_cmd=cmd).check(q)
+            assert got == Unknown("sat with uninterpreted times"), backend
+        nonlinear = ValidityEngine(backend="external", smt_cmd=cmd, nonlinear_external=True)
+        assert nonlinear.check(q) == Invalid((("v", -1), ("x", 0)))
+
     def test_the_script_asks_for_a_model_after_the_answer(self, tmp_path):
         seen = tmp_path / "script.smt2"
         cmd = _mock_solver(tmp_path, f"cat > {seen}\necho unsat\n")
