@@ -205,7 +205,13 @@ def _run_infer(args: argparse.Namespace) -> int:
 
 def _run_metatheory(args: argparse.Namespace) -> int:
     # imported here: inferring the types of a file does not need them
-    from .metatheory import default_qualifiers, run_oracle_agreement, run_subject_reduction
+    from .metatheory import (
+        default_qualifiers,
+        random_base_query,
+        random_hard_query,
+        run_oracle_agreement,
+        run_subject_reduction,
+    )
 
     try:
         engine = _make_engine(args)
@@ -215,12 +221,16 @@ def _run_metatheory(args: argparse.Namespace) -> int:
     qualifiers = default_qualifiers()
     print(f"qualifiers: {', '.join(render_refinement(q) for q in qualifiers)}")
 
-    agreement = run_oracle_agreement(args.trials, bound=args.bound, seed=args.seed, engine=engine)
-    print(
-        f"oracle agreement: {agreement.queries} queries, "
-        f"{agreement.valid} valid, {agreement.invalid} invalid, "
-        f"{agreement.unknown} unknown, {agreement.unsound} unsound"
-    )
+    agreements = []
+    for label, draw in (("oracle agreement", random_base_query), ("hard oracle agreement", random_hard_query)):
+        agreement = run_oracle_agreement(args.trials, bound=args.bound, seed=args.seed, engine=engine, draw=draw)
+        print(
+            f"{label}: {agreement.queries} queries, "
+            f"{agreement.valid} valid, {agreement.invalid} invalid, "
+            f"{agreement.unknown} unknown, {agreement.unsound} unsound, "
+            f"{agreement.bad_models} bad models"
+        )
+        agreements.append(agreement)
 
     suite = run_subject_reduction(
         args.trials, fuel=args.fuel, qualifiers=qualifiers, seed=args.seed, engine=engine,
@@ -230,7 +240,7 @@ def _run_metatheory(args: argparse.Namespace) -> int:
         f"{suite.violations} violations, {suite.stuck} stuck, "
         f"{suite.timeouts} timeouts, {suite.recheck_failures} recheck failures"
     )
-    if agreement.unsound or not suite.ok:
+    if any(a.unsound or a.bad_models for a in agreements) or not suite.ok:
         for tr in suite.reports:
             if not tr.ok:
                 print(f"  failed: {render_term(tr.term)}: {tr.failure}")

@@ -13,6 +13,11 @@ it, inferring its body once per distinct domain of them all. A `let`, and a
 β-redex `(\\x. e2) e1`, which only evaluation makes, keep the sound arms
 among the temporary type's and the top arm.
 
+A curried λ `\\x1. \\x2. e` reads its verdicts off the inner λ's: an
+outer arm `x1:D -> C` is sound exactly when C's one arm is among those the
+inner λ kept under x1:D, an identity lookup in place of a subtyping
+judgement over arrows (`Inferencer._infer_lam` argues that this is exact).
+
 An `Inferencer` builds the template of each shape once, keyed by the shape
 itself, binder names and all, and keeps it for its life. `fresh` itself
 stays a pure function of the shape and the qualifiers.
@@ -201,8 +206,9 @@ class Inferencer:
     formula, body, temporary type) for its life (`_filtered`). The last two
     are off while a constraint log is attached; see the module docstring
     for why each is exact. The λ rule tries the top arm only when the
-    temporary type's arms fail and do not include it, and a β-redex is
-    typed by the let rule (`_infer_let`)."""
+    temporary type's arms fail and do not include it, and keeps an arm of a
+    curried λ by membership in the inner λ's verdicts; a β-redex is typed
+    by the let rule (`_infer_let`)."""
 
     def __init__(
         self,
@@ -294,27 +300,61 @@ class Inferencer:
         return sch.body
 
     def _infer_lam(self, env: Env, t: Lam) -> Scheme:
+        """The λ rule: an arm `x:D -> C` fits when the body's type B under
+        Γ, x:D is below C. For a curried λ, whose body is a λ, C is read
+        off the inner λ's verdicts instead: the arm fits exactly when C's
+        one arm is among B's.
+
+        Then B is the intersection the inner λ kept under Γ, x:D, and C is
+        an arm of the inner template: the outer template's codomain arms
+        are the inner template's, binders included, and C is well formed
+        under Γ, x:D, the inner λ's own condition for trying it. The outer
+        top arm's codomain is the inner top arm, which the inner λ tries
+        only when none of its own arms fit. Arms are hash-consed, so
+        membership is an identity lookup. It is exact:
+        - (⇐) if C's arm is among B's, then B <: C by ∧-elimination and
+          reflexivity, which the checker can miss only through an Unknown
+          of a bounded procedure. So membership can keep an arm that the
+          full check drops only through an Unknown, which is sound.
+        - (⇒) if C's arm is not among B's, the inner λ tried it under
+          Γ, x:D and dropped it, or C is the inner top arm and the inner λ
+          kept arms of its own. For the checker to prove B <: C from other
+          arms of B, inference would have to be non-monotone in a
+          binding's refinement or the checker non-transitive, or, for the
+          top arm, an arm of B would need a domain that holds of every
+          value. None of this is proved for the bounded procedure, so
+          `tests/test_inference.py` compares the two rules on random
+          curried terms.
+        The verdict is logged as the judgement B <: C that it settles."""
         tpl = self._template(t.shape)
         arms = tpl.temporary(self.checker, env).arms
         top_arm = tpl.top.arms[0]
-        # one body inference per distinct domain across both lists tried: the
-        # top arm's domain is among the arms' when it is a type variable
-        bodies: dict[LiquidType, Optional[LiquidType]] = {}
+        curried = t.body.__class__ is Lam
+        # one body inference per distinct domain across both lists tried, with
+        # the environment it was inferred under: the top arm's domain is among
+        # the arms' when it is a type variable
+        bodies: dict[LiquidType, tuple[Env, Optional[LiquidType]]] = {}
         # the temporary type's arms, then the top arm unless it was one of them
         for tried in (arms, () if top_arm in arms else (top_arm,)):
             for arm in tried:
                 if arm.dom in bodies:
                     continue
+                inner = env.extend(arm.binder, mono(arm.dom))
                 try:
-                    sch = self._infer(env.extend(arm.binder, mono(arm.dom)), t.body)
-                    bodies[arm.dom] = self._mono_body(sch, t.body)
+                    bodies[arm.dom] = inner, self._mono_body(self._infer(inner, t.body), t.body)
                 except InferenceFailure:
-                    bodies[arm.dom] = None
-            survivors = [
-                arm for arm in tried
-                if bodies[arm.dom] is not None
-                and self.checker.is_subtype(env.extend(arm.binder, mono(arm.dom)), bodies[arm.dom], arm.cod)
-            ]
+                    bodies[arm.dom] = inner, None
+            survivors = []
+            for arm in tried:
+                inner, body = bodies[arm.dom]
+                if body is None:
+                    continue
+                if curried:
+                    fits = self.checker.record(inner, body, arm.cod, arm.cod.arms[0] in body.arms)
+                else:
+                    fits = self.checker.is_subtype(inner, body, arm.cod)
+                if fits:
+                    survivors.append(arm)
             if survivors:
                 return mono(make_type(survivors))
         raise InferenceFailure(f"no template arm fits {render_term(t)}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 import random
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .anf import _all_names, normalize
 from .inference import Inferencer
@@ -51,7 +51,7 @@ from .syntax import (
     subst_tyvar_liquid,
     symbols,
 )
-from .validity import ValidityEngine
+from .validity import ValidityEngine, ValidityQuery
 
 
 class OracleInapplicable(LiqError):
@@ -187,7 +187,9 @@ def semantic_implication_oracle(
     over both values) for the base variables of the environment and the value
     variable, keep the ones satisfying the environment refinements under
     direct evaluation, and require that whenever the left refinement
-    evaluates to true the right one does too."""
+    evaluates to true the right one does too. A binding is evaluated as soon
+    as the names it reads have values, which prunes the grid and changes no
+    answer."""
     bindings = visible_bindings(env)
     used = symbols(lhs, rhs)[0]
     free = used.keys() - bindings.keys() - {VALUE_VAR}
@@ -200,24 +202,30 @@ def semantic_implication_oracle(
     def domain(sort: str):
         return (False, True) if sort == "bool" else range(-bound, bound + 1)
 
+    # each binding is checked as soon as its name and the names it reads
+    # have values, so that an inconsistent prefix prunes the grid beneath it
+    index = {name: i for i, name in enumerate(names)}
+    checks: list[list[tuple[str, tuple[BaseArm, ...]]]] = [[] for _ in names]
+    for name, arms in bindings.items():
+        reads = symbols(*(a.ref for a in arms))[0].keys() - {VALUE_VAR}
+        checks[max([index[name]] + [index[x] for x in reads if x in index])].append((name, arms))
+
+    def consistent(i: int, asg: dict[str, object]) -> bool:
+        return all(
+            eval_refinement(a.ref, {**asg, VALUE_VAR: asg[name]}) for name, arms in checks[i] for a in arms
+        )
+
     def grids(i: int, asg: dict[str, object]):
         if i == len(names):
-            yield dict(asg)
+            yield asg
             return
         for v in domain(sorts[names[i]]):
             asg[names[i]] = v
-            yield from grids(i + 1, asg)
+            if consistent(i, asg):
+                yield from grids(i + 1, asg)
         del asg[names[i]]
 
     for asg in grids(0, {}):
-        consistent = True
-        for name, arms in bindings.items():
-            inner = {**asg, VALUE_VAR: asg[name]}
-            if not all(eval_refinement(a.ref, inner) for a in arms):
-                consistent = False
-                break
-        if not consistent:
-            continue
         if eval_refinement(lhs, asg) and not eval_refinement(rhs, asg):
             return False
     return True
@@ -436,12 +444,100 @@ def random_base_query(rng: random.Random) -> tuple[Env, list[BaseArm], list[Base
     return env, lhs_arms, rhs_arms
 
 
+# The coefficients and constants `random_hard_query` draws, and those of
+# them that share the factor 2
+_HARD_COEFS = (1, -1, 2, -2, 3, -3, 4)
+_EVEN_COEFS = (2, -2, 4)
+
+
+def random_hard_query(rng: random.Random) -> tuple[Env, list[BaseArm], list[BaseArm]]:
+    """A random query from the parts of the decision procedure that
+    `random_base_query` does not reach.
+    - Sums have coefficients and constants in `_HARD_COEFS`, half of them all
+      even, so that rows share factors and Fourier-Motzkin combines non-unit
+      rows.
+    - Seven draws in ten bind three ints `x`, `y`, `z` by comparisons, some
+      of them non-unit equalities and some with a product of two variables,
+      and up to three bools by `<=>`. One in twenty of these binds one bool
+      more than `validity._MAX_BOOL_VARS`, each the last one's equal.
+    - The other three in ten bind four ints by equalities over every name
+      bound before, and assume one more: a system for Pugh's step.
+    - In six draws in ten every comparison of the hypothesis holds at one
+      point of [-2, 2] for each int: its constant is set so. The hypothesis
+      is then satisfiable in the oracle's grid, so a Valid it refutes
+      wrongly shows there whenever the conclusion fails at that point."""
+    from .syntax import BOOL, INT, mono
+    from .validity import _MAX_BOOL_VARS
+
+    system = rng.random() < 0.3
+    names = ("x", "y", "z", "w") if system else ("x", "y", "z")
+    point = {x: rng.randint(-2, 2) for x in (*names, VALUE_VAR)} if rng.random() < 0.6 else None
+
+    def linear(scope: list[str], dense: bool) -> LogicTerm:
+        coefs = _EVEN_COEFS if rng.random() < 0.5 else _HARD_COEFS
+        picked = scope if dense else rng.sample(scope, rng.randint(1, min(3, len(scope))))
+        out: LogicTerm = LMul(LInt(rng.choice(coefs)), LVar(picked[0]))
+        for x in picked[1:]:
+            out = LAdd(out, LMul(LInt(rng.choice(coefs)), LVar(x)))
+        if not dense and len(scope) > 1 and rng.random() < 0.15:
+            out = LAdd(out, LMul(*(LVar(x) for x in rng.sample(scope, 2))))
+        return out
+
+    def atom(scope: list[str], dense: bool = False, at: Optional[str] = None) -> Formula:
+        """An equality over every name of `scope` when `dense`, else a
+        comparison; one that holds at `point`, with `v` the value of `at`,
+        when `at` is given and there is a point."""
+        op = "=" if dense or rng.random() < 0.15 else rng.choice(["<=", ">=", "<", ">"])
+        coefs = _EVEN_COEFS if rng.random() < 0.5 else _HARD_COEFS
+        lhs = linear(scope, dense)
+        if at is None or point is None:
+            return FAtom(op, lhs, LInt(rng.choice(coefs + (0,))))
+        value = eval_refinement(lhs, {**point, VALUE_VAR: point[at]})
+        slack = rng.randint(0, 2)
+        k = {"=": value, "<=": value + slack, "<": value + 1 + slack,
+             ">=": value - slack, ">": value - 1 - slack}[op]
+        return FAtom(op, lhs, LInt(k))
+
+    env = Env()
+    ints: list[str] = []
+    for name in names:
+        if system:
+            # a box around the point, or around a point of its own
+            mid = point[name] if point is not None else rng.randint(-2, 2)
+            refs = (FAtom(">=", LVar(VALUE_VAR), LInt(mid - 1)), FAtom("<=", LVar(VALUE_VAR), LInt(mid + 1)))
+        else:
+            refs = (atom(ints + [VALUE_VAR], at=name),)
+        env = env.extend(name, mono(LiquidType(tuple(BaseArm(INT, r) for r in refs))))
+        ints.append(name)
+    scope = ints + [VALUE_VAR]
+    if system:
+        lhs = [BaseArm(INT, atom(scope, True, VALUE_VAR)) for _ in range(rng.randint(2, 4))]
+        return env, lhs, [BaseArm(INT, atom(scope))]
+    roll = rng.random()
+    count = _MAX_BOOL_VARS + 1 if roll < 0.05 else 0 if roll < 0.45 else rng.randint(1, 3)
+    bools: list[str] = []
+    for i in range(count):
+        ref = FBoolVar(bools[-1]) if bools and count > 3 else atom(ints)
+        env = env.extend(f"p{i}", mono(LiquidType((BaseArm(BOOL, FIff(FBoolVar(VALUE_VAR), ref)),))))
+        bools.append(f"p{i}")
+
+    def refinement(at: Optional[str]) -> Formula:
+        if bools and rng.random() < 0.25:
+            return FIff(FBoolVar(rng.choice(bools)), atom(scope))
+        return atom(scope, at=at)
+
+    lhs_arms = [BaseArm(INT, refinement(VALUE_VAR)) for _ in range(rng.randint(1, 2))]
+    rhs_arms = [BaseArm(INT, refinement(None)) for _ in range(rng.randint(1, 2))]
+    return env, lhs_arms, rhs_arms
+
+
 class AgreementReport(NamedTuple):
     queries: int = 0
     valid: int = 0
     invalid: int = 0
     unknown: int = 0
     unsound: int = 0  # engine said Valid, oracle has a countermodel
+    bad_models: int = 0  # engine said Invalid, its model is not a countermodel
 
 
 def run_oracle_agreement(
@@ -449,8 +545,11 @@ def run_oracle_agreement(
     bound: int = 4,
     seed: int = 0,
     engine: Optional[ValidityEngine] = None,
+    draw: Callable[[random.Random], tuple[Env, list[BaseArm], list[BaseArm]]] = random_base_query,
 ) -> AgreementReport:
-    """Check the built-in verdicts against finite enumeration."""
+    """Check the built-in verdicts on `n` queries of the population `draw`:
+    each Valid against finite enumeration, and each Invalid's model, which
+    must make the hypothesis true and the conclusion false."""
     from .validity import Invalid, Valid
 
     rng = random.Random(seed)
@@ -458,19 +557,30 @@ def run_oracle_agreement(
     checker = SubtypeChecker(engine)
     counts = dict.fromkeys(AgreementReport._fields, 0)
     for _ in range(n):
-        env, lhs_arms, rhs_arms = random_base_query(rng)
+        env, lhs_arms, rhs_arms = draw(rng)
         q = checker.base_subtype_query(env, lhs_arms, rhs_arms)
         verdict = engine.check(q)
         counts["queries"] += 1
-        lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))
-        rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else FAnd(tuple(a.ref for a in rhs_arms))
-        oracle_ok = semantic_implication_oracle(env, lhs, rhs, bound)
         if isinstance(verdict, Valid):
             counts["valid"] += 1
-            if not oracle_ok:
+            lhs = lhs_arms[0].ref if len(lhs_arms) == 1 else FAnd(tuple(a.ref for a in lhs_arms))
+            rhs = rhs_arms[0].ref if len(rhs_arms) == 1 else FAnd(tuple(a.ref for a in rhs_arms))
+            if not semantic_implication_oracle(env, lhs, rhs, bound):
                 counts["unsound"] += 1
         elif isinstance(verdict, Invalid):
             counts["invalid"] += 1
+            if not _countermodel_of(q, verdict.model):
+                counts["bad_models"] += 1
         else:
             counts["unknown"] += 1
     return AgreementReport(**counts)
+
+
+def _countermodel_of(q: ValidityQuery, model: Optional[tuple[tuple[str, object], ...]]) -> bool:
+    """Whether the model gives every variable of q a value of its sort, makes
+    q's hypothesis true and its conclusion false."""
+    asg = dict(model or ())
+    try:
+        return eval_refinement(q.hypothesis, asg) and not eval_refinement(q.conclusion, asg)
+    except (KeyError, OracleInapplicable):
+        return False

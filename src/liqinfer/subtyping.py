@@ -150,6 +150,12 @@ class SubtypeChecker:
 
     def is_subtype(self, env: Env, a: LiquidType, b: LiquidType) -> bool:
         ok = self._sub(env, a, b)
+        return ok if self.log is None else self.record(env, a, b, ok)
+
+    def record(self, env: Env, a: LiquidType, b: LiquidType, ok: bool) -> bool:
+        """Log the judgement Γ ⊢ a <: b with the verdict `ok`, which a caller
+        may have settled without asking (`Inferencer._infer_lam`), and
+        return `ok`."""
         if self.log is not None:
             self.log.append(LogEntry("sub", f"{_env_str(env)} |- {render_type(a)} < {render_type(b)}", ok))
         return ok

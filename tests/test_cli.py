@@ -105,7 +105,9 @@ class TestConstraintGoldens:
     Top judgements and closed-template wf verdicts inference settles
     without asking: they log as asked ones do. In `fallback.ml` no arm of
     either λ's template fits, so each falls back to its top-refined
-    skeleton, whose arm is not in the template."""
+    skeleton, whose arm is not in the template. In `curried.ml` an outer
+    λ's arm fits when its codomain's arm is among those the inner λ kept,
+    and that verdict logs as the judgement it settles."""
 
     @pytest.mark.parametrize(
         "source, golden",
@@ -114,8 +116,9 @@ class TestConstraintGoldens:
             (GOLDEN / "scope.ml", GOLDEN / "scope.constraints"),
             (GOLDEN / "chain.ml", GOLDEN / "chain.constraints"),
             (GOLDEN / "fallback.ml", GOLDEN / "fallback.constraints"),
+            (GOLDEN / "curried.ml", GOLDEN / "curried.constraints"),
         ],
-        ids=["sign", "scope", "chain", "fallback"],
+        ids=["sign", "scope", "chain", "fallback", "curried"],
     )
     def test_emit_constraints_matches_golden(self, source, golden, capsys):
         code, out, err = run_cli(capsys, str(source), "--emit-constraints")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from liqinfer.anf import normalize
@@ -18,10 +20,12 @@ from liqinfer.syntax import (
     INT,
     IntConst,
     Lam,
+    Let,
     LInt,
     LiquidType,
     LNeg,
     TRUE,
+    Var,
     VarArm,
     LVar,
     VALUE_VAR,
@@ -631,3 +635,119 @@ class TestTemporaryType:
         template = fresh(shape, list(sign_qualifiers) + [Y5])
         got = temporary_type([LiquidType((a,)) for a in template.arms], checker, Env(), shape)
         assert len(got.arms) == 4
+
+
+class FullCheck(SubtypeChecker):
+    """A checker whose every recorded verdict is the full check's: under it
+    a curried λ asks `is_subtype(Γ, x:D ⊢ B <: C)` for each arm, as the λ
+    rule did before it read the inner λ's verdicts."""
+
+    def record(self, env, a, b, ok):
+        return super().record(env, a, b, self._sub(env, a, b))
+
+
+DIFFERENTIAL_QUALIFIERS = (
+    "v >= 0, v <= 0",
+    "v >= 0, v <= 0, v >= 1, v <= -1",
+    "v >= 0, v >= x, v <= y",
+    "v <= 0, v = x + y, v = 0",
+)
+
+
+def curried_term(rng, i):
+    """`\\x.\\y. e` or `\\x.\\y.\\z. e`, `e` from `random_term` over the
+    binders; every fifth one let-bound and applied to literals."""
+    binders = ["x", "y", "z"][: rng.randint(2, 3)]
+    t = random_term(rng, GenConfig(max_depth=2), scope=[(b, "int") for b in binders])
+    for b in reversed(binders):
+        t = Lam(b, t)
+    if i % 5 == 4:
+        call = Var("f")
+        for _ in binders:
+            call = App(call, Const(IntConst(rng.randint(-3, 3))))
+        t = Let("f", t, call)
+    return normalize(t)
+
+
+def differential(curried, plain, seed):
+    """Each term's scheme or failure text under each qualifier set of
+    `DIFFERENTIAL_QUALIFIERS`, with the membership rule and with the full
+    check, over `curried` terms from `curried_term` and `plain` ones from
+    `random_term`: the terms that differ, and how many were typed and how
+    many `_sub_arrow` calls each side made."""
+    from liqinfer.parser import parse_qualifier
+
+    rng = random.Random(seed)
+    terms = [curried_term(rng, i) for i in range(curried)]
+    terms += [normalize(random_term(rng, GenConfig())) for _ in range(plain)]
+    arrows = {"calls": 0}
+    sub_arrow = SubtypeChecker._sub_arrow
+
+    def counted(self, *args):
+        arrows["calls"] += 1
+        return sub_arrow(self, *args)
+
+    SubtypeChecker._sub_arrow = counted
+    try:
+        differ, typed, calls = [], 0, []
+        for quals in DIFFERENTIAL_QUALIFIERS:
+            qualifiers = [parse_qualifier(q) for q in quals.split(", ")]
+            answers = []
+            for full in (False, True):
+                inf = Inferencer(qualifiers, ValidityEngine())
+                if full:
+                    inf.checker = FullCheck(inf.engine)
+                arrows["calls"] = 0
+                out = []
+                for t in terms:
+                    try:
+                        out.append(render_scheme(inf.infer(Env(), t)))
+                    except InferenceFailure as e:
+                        out.append(f"failure: {e}")
+                answers.append(out)
+                calls.append(arrows["calls"])
+            typed += sum(not a.startswith("failure: ") for a in answers[0])
+            differ += [(quals, t, a, b) for t, a, b in zip(terms, *answers) if a != b]
+    finally:
+        SubtypeChecker._sub_arrow = sub_arrow
+    return differ, typed, calls
+
+
+class TestCurriedLambdas:
+    """A curried λ keeps an outer arm `x:D -> C` when C's arm is among those
+    the inner λ kept under x:D (`Inferencer._infer_lam`)."""
+
+    def test_membership_gives_the_full_checks_answers(self):
+        """Random curried terms, some let-bound and applied, and plain
+        criterion-5 terms, under four qualifier sets: the same schemes and
+        failure texts as the full check, with fewer arrow judgements."""
+        differ, typed, calls = differential(100, 40, seed=31)
+        assert differ == []
+        assert typed > 200
+        member, full = calls[0::2], calls[1::2]
+        assert all(m < f for m, f in zip(member, full)), calls
+
+    def test_add3_asks_no_arrow_judgement(self, tmp_path, capsys, monkeypatch):
+        """`add3` under four sign qualifiers: the outer λs read every verdict
+        off the inner ones, so no `_sub_arrow` runs (512 calls under the full
+        check), and the output is the full check's."""
+        from liqinfer import cli, inference
+
+        path = tmp_path / "add3.ml"
+        path.write_text(
+            "Qualifiers { v >= 0, v <= 0, v >= 1, v <= -1 }\n"
+            "val add3 = \\x.\\y.\\z. + x (+ y z)\n"
+        )
+        calls = {"arrow": 0}
+        monkeypatch.setattr(SubtypeChecker, "_sub_arrow", counting(calls, "arrow", SubtypeChecker._sub_arrow))
+        outputs = []
+        for full in (False, True):
+            if full:
+                monkeypatch.setattr(inference, "SubtypeChecker", FullCheck)
+            calls["arrow"] = 0
+            code = cli.main([str(path), "--json"])
+            out = capsys.readouterr()
+            assert code == 0, out.err
+            outputs.append((out.out, calls["arrow"]))
+        assert [n for _, n in outputs] == [0, 512]
+        assert outputs[0][0] == outputs[1][0]

@@ -14,6 +14,7 @@ from liqinfer import validity
 from liqinfer.metatheory import (
     default_qualifiers,
     random_base_query,
+    random_hard_query,
     run_oracle_agreement,
     semantic_implication_oracle,
 )
@@ -485,6 +486,19 @@ class TestBackSubstitution:
     def test_oracle_agreement_leaves_nothing_unknown(self):
         report = run_oracle_agreement(2000, seed=3)
         assert (report.queries, report.unknown, report.unsound) == (2000, 0, 0)
+
+    def test_hard_oracle_agreement(self):
+        """The population of `random_hard_query`: non-unit coefficients that
+        share factors, systems of equalities, products and bools up to one
+        past the bound. No Valid is refuted in the grid, and every Invalid's
+        model is a countermodel. The counts are pinned too: a change of the
+        procedure that decides a query otherwise shows here, and is stated
+        where it is made. So Pugh's step with a residue that is congruent
+        but not the least, which changes no answer but lets coefficients
+        grow past `_MAX_COEF` into Unknown, shows as well."""
+        report = run_oracle_agreement(1000, seed=13, draw=random_hard_query)
+        assert (report.unsound, report.bad_models) == (0, 0)
+        assert report == (1000, 300, 562, 138, 0, 0)
 
     def test_an_integer_gap_is_unknown(self):
         # Pugh's example: 27 <= 11x + 13y <= 45 and -10 <= 7x - 9y <= 4 have
